@@ -5,6 +5,7 @@
 #include <map>
 #include <ostream>
 #include <set>
+#include <stdexcept>
 
 #include "core/fabric_manager.hpp"
 #include "sim/multi_engine.hpp"
@@ -48,7 +49,9 @@ class ServerState {
           sim::MultiEngineOptions mo;
           mo.max_ticks = options.max_fabric_ticks;
           return mo;
-        }()) {
+        }()),
+        waiting_(methods.size()),
+        executing_(methods.size(), 0) {
     outcomes_.resize(requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
       outcomes_[i].request_id = requests[i].id;
@@ -60,7 +63,7 @@ class ServerState {
   void run() {
     enqueue_due();
     admission_pass();
-    while (!queue_.empty() || next_arrival_ < requests_.size() ||
+    while (queued_ > 0 || next_arrival_ < requests_.size() ||
            !running_req_.empty()) {
       const std::int64_t until = next_arrival_ < requests_.size()
                                      ? requests_[next_arrival_].arrival_tick
@@ -68,14 +71,16 @@ class ServerState {
       const auto done = engine_.advance(until);
       if (done) {
         handle_completion(*done);
-      } else if (next_arrival_ >= requests_.size() && !queue_.empty() &&
+      } else if (next_arrival_ >= requests_.size() && queued_ > 0 &&
                  running_req_.empty()) {
         // Termination guard: the calendar drained with requests still
         // queued and nothing executing. Unreachable when admission is
         // sound (an empty fabric admits any fitting method), but a
-        // forced rejection of the head keeps the server total.
-        outcomes_[static_cast<std::size_t>(queue_.front())].rejected = true;
-        queue_.pop_front();
+        // forced rejection of the head keeps the server total. With
+        // every method idle, the queue's head is the first ready head.
+        const std::int64_t head = *ready_.begin();
+        outcomes_[static_cast<std::size_t>(head)].rejected = true;
+        dequeue(head);
       }
       enqueue_due();
       admission_pass();
@@ -136,14 +141,33 @@ class ServerState {
         methods_[static_cast<std::size_t>(method_index)])];
   }
 
+  // Index of request `qi`'s method into waiting_ and executing_.
+  std::size_t method_slot(std::int64_t qi) const {
+    return static_cast<std::size_t>(
+        requests_[static_cast<std::size_t>(qi)].method_index);
+  }
+
   void enqueue_due() {
     while (next_arrival_ < requests_.size() &&
            requests_[next_arrival_].arrival_tick <= engine_.now()) {
-      queue_.push_back(static_cast<std::int64_t>(next_arrival_));
-      ++next_arrival_;
+      const auto qi = static_cast<std::int64_t>(next_arrival_++);
+      const std::size_t mi = method_slot(qi);
+      waiting_[mi].push_back(qi);
+      if (waiting_[mi].size() == 1 && !executing_[mi]) ready_.insert(qi);
+      ++queued_;
     }
-    max_queue_depth_ = std::max(max_queue_depth_,
-                                static_cast<std::int64_t>(queue_.size()));
+    max_queue_depth_ = std::max(max_queue_depth_, queued_);
+  }
+
+  // Drops request `qi` from its method's FIFO (usually its head) and
+  // keeps ready_ equal to the heads of the idle methods' FIFOs.
+  void dequeue(std::int64_t qi) {
+    const std::size_t mi = method_slot(qi);
+    std::deque<std::int64_t>& fifo = waiting_[mi];
+    ready_.erase(fifo.front());
+    fifo.erase(std::find(fifo.begin(), fifo.end(), qi));
+    --queued_;
+    if (!fifo.empty() && !executing_[mi]) ready_.insert(fifo.front());
   }
 
   // Row-aligned gap scan first (shares the canonical plan), then the
@@ -200,61 +224,100 @@ class ServerState {
     ++evictions_;
   }
 
-  void admission_pass() {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (auto it = queue_.begin(); it != queue_.end();) {
-        const Request& rq = requests_[static_cast<std::size_t>(*it)];
-        // §4.3: one thread per method — a busy method's requests wait,
-        // but later requests for other methods are scanned around.
-        if (executing_.count(rq.method_index) != 0) {
-          ++it;
-          continue;
-        }
-        const bytecode::Method& m = method_of(rq.method_index);
-        MethodId mid = -1;
-        const auto li = loaded_.find(rq.method_index);
-        if (li != loaded_.end()) {
-          mid = li->second;
-        } else {
-          const auto span = mgr_.canonical_span(m, program_.pool);
-          if (!span) {
-            // Exceeds the fabric even when empty: reject outright.
-            outcomes_[static_cast<std::size_t>(*it)].rejected = true;
-            it = queue_.erase(it);
-            progress = true;
-            continue;
-          }
-          const auto placed = place_with_eviction(m, *span);
-          if (!placed) return;  // space-blocked: FIFO head-of-line wait
-          mid = *placed;
-          loaded_[rq.method_index] = mid;
-          owner_[mid] = rq.method_index;
-          last_used_[mid] = engine_.now();
-          ++loads_;
-        }
-        const FabricManager::Resident* r = mgr_.begin_execute(mid);
-        if (r == nullptr) {
-          ++it;
-          continue;
-        }
-        const sim::ResidentId rid = engine_.admit(
-            *r->method, *r->plan, r->phys_delta, rq.scenario, engine_.now());
-        if (rid < 0) {  // residency cap for this fabric lifetime
-          mgr_.end_execute(mid);
-          ++it;
-          continue;
-        }
-        executing_.insert(rq.method_index);
-        running_req_[rid] = *it;
-        running_mid_[rid] = mid;
-        RequestOutcome& o = outcomes_[static_cast<std::size_t>(*it)];
-        o.admitted_tick = engine_.now();
-        o.plan_shared = r->plan_shared;
-        it = queue_.erase(it);
-        progress = true;
+  enum class Start { Admitted, Rejected, Blocked, Refused };
+
+  // Tries to start request `qi`, whose method holds no thread: loads the
+  // method if needed (evicting idle-LRU residents), then leases it and
+  // admits a residency.
+  Start try_start(std::int64_t qi) {
+    const Request& rq = requests_[static_cast<std::size_t>(qi)];
+    const bytecode::Method& m = method_of(rq.method_index);
+    MethodId mid = -1;
+    const auto li = loaded_.find(rq.method_index);
+    if (li != loaded_.end()) {
+      mid = li->second;
+    } else {
+      const auto span = mgr_.canonical_span(m, program_.pool);
+      if (!span) {
+        // Exceeds the fabric even when empty: reject outright.
+        outcomes_[static_cast<std::size_t>(qi)].rejected = true;
+        dequeue(qi);
+        return Start::Rejected;
       }
+      const auto placed = place_with_eviction(m, *span);
+      if (!placed) return Start::Blocked;
+      mid = *placed;
+      loaded_[rq.method_index] = mid;
+      owner_[mid] = rq.method_index;
+      last_used_[mid] = engine_.now();
+      ++loads_;
+    }
+    const FabricManager::Resident* r = mgr_.begin_execute(mid);
+    if (r == nullptr) return Start::Refused;
+    const sim::ResidentId rid = engine_.admit(
+        *r->method, *r->plan, r->phys_delta, rq.scenario, engine_.now());
+    if (rid < 0) {  // residency cap for this fabric lifetime
+      mgr_.end_execute(mid);
+      return Start::Refused;
+    }
+    executing_[method_slot(qi)] = 1;
+    running_req_[rid] = qi;
+    running_mid_[rid] = mid;
+    RequestOutcome& o = outcomes_[static_cast<std::size_t>(qi)];
+    o.admitted_tick = engine_.now();
+    o.plan_shared = r->plan_shared;
+    dequeue(qi);
+    return Start::Admitted;
+  }
+
+  // One walk over the idle methods' FIFO heads in request order. These
+  // are exactly the requests a scan of the whole queue acts on: a busy
+  // method's requests are scanned around (§4.3: one thread per method),
+  // and a method's later requests wait behind its head. A rejected head
+  // hands over to the method's next request, which the walk reaches
+  // later; a space-blocked head stops the walk (FIFO head-of-line wait
+  // for space). Once a walk ends, every idle method's FIFO is empty or
+  // blocked, so a second walk could change nothing.
+  void admission_pass() {
+    bool progress = false;
+    std::int64_t qi = -1;
+    for (auto it = ready_.begin(); it != ready_.end();
+         it = ready_.upper_bound(qi)) {
+      qi = *it;
+      switch (try_start(qi)) {
+        case Start::Admitted:
+        case Start::Rejected: progress = true; break;
+        case Start::Blocked: return;
+        case Start::Refused: scan_queue(qi, progress); return;
+      }
+    }
+  }
+
+  // A refused admission (the engine's residency cap) leaves a method
+  // idle with its head still waiting, so its later requests are tried
+  // too. From there on the pass is the plain whole-queue scan — every
+  // waiting request of an idle method in request order, repeated while
+  // a pass admits or rejects something — so loads, evictions and
+  // rejections come out in the same order.
+  void scan_queue(std::int64_t after, bool progress) {
+    while (true) {
+      std::vector<std::int64_t> order;
+      for (std::size_t mi = 0; mi < waiting_.size(); ++mi) {
+        if (executing_[mi]) continue;
+        for (const std::int64_t q : waiting_[mi]) {
+          if (q > after) order.push_back(q);
+        }
+      }
+      std::sort(order.begin(), order.end());
+      for (const std::int64_t q : order) {
+        if (executing_[method_slot(q)]) continue;
+        const Start s = try_start(q);
+        if (s == Start::Blocked) return;
+        if (s != Start::Refused) progress = true;
+      }
+      if (!progress) return;
+      progress = false;
+      after = -1;
     }
   }
 
@@ -272,7 +335,9 @@ class ServerState {
       o.latency_ticks = o.completed_tick - o.arrival_tick;
     }
     mgr_.end_execute(mid);
-    executing_.erase(owner_[mid]);
+    const auto mi = static_cast<std::size_t>(owner_[mid]);
+    executing_[mi] = 0;
+    if (!waiting_[mi].empty()) ready_.insert(waiting_[mi].front());
     last_used_[mid] = engine_.now();
     running_req_.erase(rid);
     running_mid_.erase(rid);
@@ -285,12 +350,17 @@ class ServerState {
   sim::MultiEngine engine_;
 
   std::vector<RequestOutcome> outcomes_;
-  std::deque<std::int64_t> queue_;  // indices into requests_
   std::size_t next_arrival_ = 0;
+  // The admission queue, indexed: one FIFO of waiting requests (indices
+  // into requests_) per method, and the FIFO heads of the methods that
+  // hold no thread, in request order.
+  std::vector<std::deque<std::int64_t>> waiting_;
+  std::set<std::int64_t> ready_;
+  std::int64_t queued_ = 0;
   std::map<std::int32_t, MethodId> loaded_;  // method_index -> resident
   std::map<MethodId, std::int32_t> owner_;   // resident -> method_index
   std::map<MethodId, std::int64_t> last_used_;
-  std::set<std::int32_t> executing_;
+  std::vector<char> executing_;  // by method_index
   std::map<sim::ResidentId, std::int64_t> running_req_;
   std::map<sim::ResidentId, MethodId> running_mid_;
   std::int64_t loads_ = 0;
@@ -378,7 +448,18 @@ ServeReport serve(const bytecode::Program& program,
       static_cast<std::int32_t>(methods.size()), stream);
   ServerState state(program, methods, config, requests, options);
   state.run();
-  return state.report(config, stream.seed);
+  ServeReport rep = state.report(config, stream.seed);
+  bool one_flag = true;
+  for (const RequestOutcome& o : rep.outcomes) {
+    one_flag = one_flag && int{o.completed} + int{o.rejected} +
+                                   int{o.timed_out} == 1;
+  }
+  if (!one_flag ||
+      rep.requests != rep.completed + rep.rejected + rep.timed_out) {
+    throw std::logic_error(
+        "serve: request outcomes do not partition the stream");
+  }
+  return rep;
 }
 
 }  // namespace javaflow::serve

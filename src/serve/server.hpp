@@ -50,7 +50,9 @@ struct RequestOutcome {
   std::int64_t latency_ticks = -1;   // completed - arrival
   bool completed = false;
   bool rejected = false;   // method can never fit on this fabric
-  bool timed_out = false;  // fabric tick budget exhausted mid-run
+  // Fabric tick budget exhausted mid-run, or stranded: the calendar
+  // drained while the residency still ran, so it could never finish.
+  bool timed_out = false;
   bool plan_shared = false;
   sim::RunMetrics metrics;  // valid when completed or timed_out
 };
@@ -99,7 +101,9 @@ struct ServeReport {
 // Runs the request stream against `program`'s methods on a fresh fabric
 // of `config`. `methods` restricts the corpus to the given method
 // indices (the stream's method_index selects into this list); pass the
-// identity list for the whole program.
+// identity list for the whole program. Throws std::logic_error unless
+// the outcomes partition the stream: requests = completed + rejected +
+// timed_out, with exactly one terminal flag per outcome.
 ServeReport serve(const bytecode::Program& program,
                   const std::vector<std::int32_t>& methods,
                   const sim::MachineConfig& config,

@@ -39,8 +39,6 @@ using detail::kExecuting;
 using detail::kFired;
 using detail::kHeadReceived;
 using detail::kInService;
-using detail::kMaxBuckets;
-using detail::kMaxExecMeshCycles;
 using detail::kWaitTailFlush;
 using detail::NodeRt;
 using detail::Token;
@@ -362,24 +360,8 @@ class Run {
   }
 
   void init_calendar() {
-    // Size the ring from the largest bounded delay the model can emit:
-    // serial chain traversal (+ bundle spacing), a corner-to-corner mesh
-    // route, the costliest execution group, and the slowest ring
-    // service. Delays beyond the ring (rare: long forward jumps on big
-    // methods once the ring is capped) spill to the overflow heap, so
-    // the bound is a performance knob, never a correctness one.
-    const std::int64_t chain = max_phys_ + 1;
-    const std::int64_t width = std::max(cfg_.width, 1);
-    const std::int64_t rows = (chain + width - 1) / width;
-    std::int64_t h = hop_ * (chain + 1) + m_.max_locals + 3;
-    h = std::max(h, k_ * (width + rows));
-    h = std::max(h, k_ * kMaxExecMeshCycles);
-    const net::RingLatencies& rl = cfg_.ring;
-    h = std::max(h, k_ * std::max({rl.memory_read, rl.memory_write,
-                                   rl.constant_read, rl.gpp_service}));
-    const std::int64_t cap = std::min<std::int64_t>(h + 1, kMaxBuckets);
-    std::int64_t b = 64;  // >= one full occupancy word
-    while (b < cap) b <<= 1;
+    const std::int64_t b =
+        detail::calendar_buckets(cfg_, max_phys_, m_.max_locals);
     bucket_count_ = b;
     bucket_mask_ = b - 1;
     if (buckets_.size() < static_cast<std::size_t>(b)) {

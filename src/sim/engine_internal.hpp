@@ -5,12 +5,14 @@
 // here may change shape between commits; include only from sim/*.cpp.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <tuple>
 #include <vector>
 
 #include "bytecode/opcode.hpp"
 #include "net/message.hpp"
+#include "sim/config.hpp"
 
 namespace javaflow::sim::detail {
 
@@ -140,5 +142,33 @@ inline constexpr std::int64_t kMaxExecMeshCycles = 10;
 // Calendar-ring ceiling: beyond this, long delays spill to the overflow
 // heap rather than growing the bucket array without bound.
 inline constexpr std::int64_t kMaxBuckets = 4096;
+
+// Calendar-ring size for one plan: the smallest power of two (at least
+// one 64-bit occupancy word, at most kMaxBuckets) above the largest
+// bounded delay the model can emit for it — serial chain traversal plus
+// bundle spacing, a corner-to-corner mesh route, the costliest
+// execution group, and the slowest ring service. Delays beyond the ring
+// (long forward jumps on big methods once the ring is capped, or waits
+// behind another residency's traffic) spill to the overflow heap, so
+// the size is a performance knob, never a correctness one.
+inline std::int64_t calendar_buckets(const MachineConfig& cfg,
+                                     std::int64_t max_phys,
+                                     std::int64_t max_locals) {
+  const std::int64_t k = cfg.serial_per_mesh;
+  const std::int64_t hop = cfg.collapsed() ? 0 : 1;
+  const std::int64_t chain = max_phys + 1;
+  const std::int64_t width = std::max(cfg.width, 1);
+  const std::int64_t rows = (chain + width - 1) / width;
+  std::int64_t h = hop * (chain + 1) + max_locals + 3;
+  h = std::max(h, k * (width + rows));
+  h = std::max(h, k * kMaxExecMeshCycles);
+  const net::RingLatencies& rl = cfg.ring;
+  h = std::max(h, k * std::max({rl.memory_read, rl.memory_write,
+                                rl.constant_read, rl.gpp_service}));
+  const std::int64_t cap = std::min<std::int64_t>(h + 1, kMaxBuckets);
+  std::int64_t b = 64;
+  while (b < cap) b <<= 1;
+  return b;
+}
 
 }  // namespace javaflow::sim::detail

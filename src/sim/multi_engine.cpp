@@ -7,8 +7,6 @@
 #include <limits>
 
 #include "net/message.hpp"
-#include "obs/event_tracer.hpp"
-#include "obs/metrics.hpp"
 #include "sim/engine_internal.hpp"
 
 namespace javaflow::sim {
@@ -27,24 +25,22 @@ using detail::NodeRt;
 using detail::Token;
 using net::Command;
 
-// Fixed calendar ring: the serving workload spans arbitrary wall ticks,
-// so the ring is sized once at the workspace ceiling instead of per
-// method; long gaps spill to the overflow heap exactly as in the
-// single-method engine.
-constexpr std::int64_t kRing = detail::kMaxBuckets;
-
 // `from_node` sentinel for send_serial: the owning residency's anchor
 // (one physical hop below the residency's first row).
 constexpr std::int32_t kFromAnchor = -1;
 
+// Ring size before the first admission: one occupancy word.
+constexpr std::int64_t kMinRing = 64;
+
 }  // namespace
 
-// The whole multi-tenant run state. Mirrors the single engine's
-// Run<kInstr, kCal=true> (sim/engine.cpp) with three structural
-// changes, all driven by the Event::res lane:
+// The whole multi-tenant run state: the single engine's token-bundle
+// semantics (sim/engine.cpp) with three structural changes, all driven
+// by the Event::res lane:
 //
-//   * node lanes are global: residency r owns [r.base, r.base+r.count)
-//     and reads its static plan lanes at (g - r.base);
+//   * node lanes are global: residency r owns [r.base, r.base+r.count),
+//     and reads its static plan lanes, held directly in its ResidentRt,
+//     at the method-local id (g - r.base);
 //   * physical indices are rebased: phys_g = plan.phys[local] +
 //     r.phys_delta, and the bundle anchor sits at phys_delta - 1 so the
 //     plan-frame injection arithmetic (hops = phys + 1) is preserved
@@ -56,16 +52,27 @@ constexpr std::int32_t kFromAnchor = -1;
 //     cross-residency token queues behind the release and the wait is
 //     charged to its residency.
 //
-// The calendar drains one event at a time (instead of whole ticks) so
-// advance() can pause at a request arrival or return mid-tick when a
-// residency completes; the (tick, seq) order is identical.
+// The calendar persists across advance() calls: a tick's bucket drains
+// in one inner loop that returns at the first completion, so advance()
+// can pause at a request arrival or hand back a completion mid-tick;
+// the (tick, seq) order is the single engine's.
 struct MultiEngine::Impl {
   struct ResidentRt {
     const bytecode::Method* method = nullptr;
     const ExecPlan* plan = nullptr;
+    // The plan's static lanes, indexed by the method-local node id.
+    const std::uint8_t* group = nullptr;
+    const std::uint8_t* flags = nullptr;
+    const std::uint8_t* branch_kinds = nullptr;
+    const std::int32_t* pop_need = nullptr;
+    const std::int32_t* local_reg = nullptr;
+    const std::int32_t* target = nullptr;
+    const std::int32_t* operand = nullptr;
+    const std::int32_t* exec_cost = nullptr;
+    const std::int32_t* edge_begin = nullptr;
+    const PlanEdge* edges = nullptr;
+    const PlanRouteLink* route_links = nullptr;
     BranchPredictor predictor{BranchPredictor::Scenario::BP1};
-    obs::MetricsRegistry* mx = nullptr;
-    std::string name;
     std::int32_t base = 0;   // first global node lane
     std::int32_t count = 0;  // node lanes owned
     std::int32_t phys_delta = 0;
@@ -87,6 +94,13 @@ struct MultiEngine::Impl {
     std::int64_t serial_wait = 0;
     std::int64_t mesh_wait = 0;
     std::int64_t ring_wait = 0;
+
+    bool flag(std::int32_t l, std::uint8_t f) const {
+      return (flags[l] & f) != 0;
+    }
+    Group group_of(std::int32_t l) const {
+      return static_cast<Group>(group[l]);
+    }
   };
 
   struct Occupancy {
@@ -112,8 +126,6 @@ struct MultiEngine::Impl {
   std::vector<std::int32_t> pops;
   std::vector<std::int32_t> epoch;
   std::vector<std::int32_t> fwd;  // global target (base-rebased)
-  std::vector<std::int64_t> head_tick;
-  std::vector<std::int64_t> tail_hold;
   std::vector<char> distinct;
   std::vector<std::uint16_t> res_of;
   // Global physical index per node, frozen at admission. Kept as a lane
@@ -136,10 +148,16 @@ struct MultiEngine::Impl {
   std::array<Occupancy, 4> ring{};
 
   // ---- calendar (persistent across advance() calls) ----
+  //
+  // Invariant: every bucket holds the events of one tick in
+  // [cal_cur, cal_cur + ring_size) in seq order, and the overflow heap
+  // holds only ticks at or past the window's end — every cursor move
+  // and every ring growth migrates the spill the window now covers.
   std::vector<std::vector<Event>> buckets;
   std::vector<std::uint64_t> cal_words;
   std::vector<Event> overflow;
   std::vector<Token> flush_scratch;
+  std::int64_t ring_size = 0;
   std::int64_t bucket_mask = 0;
   std::int64_t cal_cur = 0;
   std::size_t bucket_pos = 0;  // dispatched prefix of the cal_cur bucket
@@ -155,7 +173,6 @@ struct MultiEngine::Impl {
   std::int64_t fab_acc2 = 0;
   std::int64_t res_acc1 = 0;
   std::int64_t res_acc2 = 0;
-  bool finished = false;
 
   explicit Impl(MachineConfig config, MultiEngineOptions options)
       : cfg(std::move(config)),
@@ -164,27 +181,7 @@ struct MultiEngine::Impl {
         hop(cfg.collapsed() ? 0 : 1),
         idus(std::max(cfg.idus_per_node, 1)),
         collapsed(cfg.collapsed()) {
-    buckets.resize(static_cast<std::size_t>(kRing));
-    cal_words.resize(static_cast<std::size_t>(kRing >> 6), 0);
-    bucket_mask = kRing - 1;
-  }
-
-  obs::MetricsRegistry* fab_mx() const { return opt.metrics; }
-  obs::EventTracer* tr() const { return opt.tracer; }
-
-  // ---- residency-frame helpers ----
-  std::int32_t local(const ResidentRt& r, std::int32_t g) const {
-    return g - r.base;
-  }
-  std::int32_t phys_g(const ResidentRt& r, std::int32_t g) const {
-    (void)r;
-    return phys_lane[static_cast<std::size_t>(g)];
-  }
-  bool flag(const ResidentRt& r, std::int32_t g, std::uint8_t f) const {
-    return (r.plan->flags()[local(r, g)] & f) != 0;
-  }
-  Group group_of(const ResidentRt& r, std::int32_t g) const {
-    return static_cast<Group>(r.plan->group()[local(r, g)]);
+    grow_ring(kMinRing);
   }
 
   void ensure_phys(std::int32_t max_phys_global) {
@@ -202,19 +199,29 @@ struct MultiEngine::Impl {
   ResidentId admit(const bytecode::Method& m, const ExecPlan& plan,
                    std::int32_t phys_delta,
                    BranchPredictor::Scenario scenario,
-                   std::int64_t start_tick, obs::MetricsRegistry* rmx) {
+                   std::int64_t start_tick) {
     if (residents.size() >= static_cast<std::size_t>(kMaxResidents) ||
         !plan.fits()) {
       return -1;
     }
+    grow_ring(detail::calendar_buckets(cfg, plan.max_phys(), m.max_locals));
     const auto id = static_cast<ResidentId>(residents.size());
     ResidentRt r;
     r.method = &m;
     r.plan = &plan;
-    r.predictor = BranchPredictor(scenario);
-    r.mx = rmx;
-    r.name = m.name;
     r.base = static_cast<std::int32_t>(nodes.size());
+    r.group = plan.group();
+    r.flags = plan.flags();
+    r.branch_kinds = plan.branch_kinds();
+    r.pop_need = plan.pop_need();
+    r.local_reg = plan.local_reg();
+    r.target = plan.target();
+    r.operand = plan.operand();
+    r.exec_cost = plan.exec_cost_ticks();
+    r.edge_begin = plan.edge_begin();
+    r.edges = plan.edges();
+    r.route_links = plan.route_links();
+    r.predictor = BranchPredictor(scenario);
     r.count = plan.node_count();
     r.phys_delta = phys_delta;
     r.slot_delta = phys_delta * idus;
@@ -227,8 +234,6 @@ struct MultiEngine::Impl {
     pops.resize(nn, 0);
     epoch.resize(nn, 0);
     fwd.resize(nn);
-    head_tick.resize(nn, -1);
-    tail_hold.resize(nn, -1);
     distinct.resize(nn, 0);
     res_of.resize(nn, static_cast<std::uint16_t>(id));
     phys_lane.resize(nn);
@@ -273,30 +278,77 @@ struct MultiEngine::Impl {
     cal_words[bi >> 6] |= std::uint64_t{1} << (bi & 63);
   }
 
-  void schedule(Event ev) {
+  [[gnu::always_inline]] inline void schedule(Event ev) {
     ev.seq = seq++;
     ++live_events;
-    if (ev.tick < cal_cur + kRing) [[likely]] {
+    if (ev.tick < cal_cur + ring_size) [[likely]] {
       bucket_insert(ev);
     } else {
-      overflow.push_back(ev);
-      std::push_heap(overflow.begin(), overflow.end(), EventAfter{});
+      spill(ev);
     }
   }
 
-  void migrate_overflow() {
-    while (!overflow.empty() && overflow.front().tick < cal_cur + kRing) {
+  // Slow paths, kept out of line so schedule() and move_cursor() stay
+  // small enough to inline into every call site.
+  [[gnu::noinline]] void spill(const Event& ev) {
+    overflow.push_back(ev);
+    std::push_heap(overflow.begin(), overflow.end(), EventAfter{});
+  }
+
+  [[gnu::noinline]] void migrate_overflow() {
+    while (!overflow.empty() && overflow.front().tick < cal_cur + ring_size) {
       std::pop_heap(overflow.begin(), overflow.end(), EventAfter{});
       bucket_insert(overflow.back());
       overflow.pop_back();
     }
   }
 
+  // Every cursor move pulls in the spill the window now covers, before
+  // anything can be scheduled at those ticks — so an admission at a
+  // paused tick lands behind older spilled events of the same tick.
+  [[gnu::always_inline]] inline void move_cursor(std::int64_t tick) {
+    cal_cur = tick;
+    if (!overflow.empty()) [[unlikely]] migrate_overflow();
+  }
+
+  // Widens the ring to `want` buckets (a power of two). Each occupied
+  // bucket holds one tick of the current window, in seq order, and moves
+  // whole into that tick's new bucket (keeping bucket_pos valid); the
+  // spill the wider window now covers migrates after it.
+  void grow_ring(std::int64_t want) {
+    if (want <= ring_size) return;
+    std::vector<std::vector<Event>> old_buckets(
+        static_cast<std::size_t>(want));
+    std::vector<std::uint64_t> old_words(static_cast<std::size_t>(want >> 6),
+                                         0);
+    old_buckets.swap(buckets);
+    old_words.swap(cal_words);
+    ring_size = want;
+    bucket_mask = want - 1;
+    for (std::size_t w = 0; w < old_words.size(); ++w) {
+      for (std::uint64_t bits = old_words[w]; bits != 0; bits &= bits - 1) {
+        std::vector<Event>& b =
+            old_buckets[(w << 6) |
+                        static_cast<std::size_t>(std::countr_zero(bits))];
+        const auto bi =
+            static_cast<std::size_t>(b.front().tick & bucket_mask);
+        buckets[bi] = std::move(b);
+        cal_words[bi >> 6] |= std::uint64_t{1} << (bi & 63);
+      }
+    }
+    migrate_overflow();
+  }
+
+  void clear_bucket(std::size_t bix) {
+    buckets[bix].clear();
+    cal_words[bix >> 6] &= ~(std::uint64_t{1} << (bix & 63));
+  }
+
   std::int64_t next_bucket_tick() const {
     const auto mask = static_cast<std::uint64_t>(bucket_mask);
     const std::uint64_t start =
         (static_cast<std::uint64_t>(cal_cur) + 1) & mask;
-    const auto nwords = static_cast<std::size_t>(kRing >> 6);
+    const auto nwords = static_cast<std::size_t>(ring_size >> 6);
     const auto w0 = static_cast<std::size_t>(start >> 6);
     std::uint64_t bits = cal_words[w0] & (~std::uint64_t{0} << (start & 63));
     if (bits != 0) {
@@ -330,52 +382,54 @@ struct MultiEngine::Impl {
         return id;
       }
       if (live_events == 0) {
-        // Fully drained: every scheduled event has been dispatched, so
-        // whatever sits in the cursor's bucket is a consumed prefix.
-        // Clear it and rewind bucket_pos before the cursor jumps —
-        // otherwise an admission at the idle tick inserts its bundle
-        // below the stale cursor and the events are never dispatched.
-        const auto bix = static_cast<std::size_t>(cal_cur & bucket_mask);
-        if (!buckets[bix].empty()) {
-          buckets[bix].clear();
-          cal_words[bix >> 6] &= ~(std::uint64_t{1} << (bix & 63));
+        if (running > 0) {
+          // Drained with residencies still running: no token can ever
+          // reach them again, so they end here, timed out.
+          time_out_running();
+          continue;
         }
+        // Fully drained: whatever sits in the cursor's bucket is a
+        // consumed prefix. Clear it and rewind bucket_pos before the
+        // cursor jumps — otherwise an admission at the idle tick inserts
+        // its bundle below the stale cursor and is never dispatched.
+        clear_bucket(static_cast<std::size_t>(cal_cur & bucket_mask));
         bucket_pos = 0;
-        if (until != kNoLimit && until > cal_cur) cal_cur = until;
+        if (until != kNoLimit && until > cal_cur) move_cursor(until);
         return std::nullopt;
       }
       if (cal_cur >= until) return std::nullopt;
-      migrate_overflow();
-      auto bix = static_cast<std::size_t>(cal_cur & bucket_mask);
-      std::vector<Event>* bucket = &buckets[bix];
-      if (bucket_pos >= bucket->size()) {
-        // Tick drained: clear the bucket and jump to the next pending
-        // tick (occupancy-bitmap scan vs. the overflow front).
-        if (!bucket->empty()) {
-          bucket->clear();
-          cal_words[bix >> 6] &= ~(std::uint64_t{1} << (bix & 63));
-        }
-        bucket_pos = 0;
-        std::int64_t next = next_bucket_tick();
-        if (!overflow.empty() && overflow.front().tick < next) {
-          next = overflow.front().tick;
-        }
-        if (next >= until) {
-          cal_cur = until;
-          return std::nullopt;
-        }
-        if (next > opt.max_ticks) {
-          timeout_all(next);
-          continue;
-        }
-        cal_cur = next;
-        migrate_overflow();
+
+      // Drain the cursor's tick; a completion returns mid-tick with the
+      // cursor still here, so an admission it triggers starts this tick.
+      const auto bix = static_cast<std::size_t>(cal_cur & bucket_mask);
+      std::vector<Event>& bucket = buckets[bix];
+      now = cal_cur;
+      const std::size_t first = bucket_pos;
+      while (bucket_pos < bucket.size()) {
+        const Event ev = bucket[bucket_pos++];
+        dispatch(ev);
+        if (!completed_queue.empty()) [[unlikely]] break;
+      }
+      live_events -= static_cast<std::int64_t>(bucket_pos - first);
+      if (!completed_queue.empty() || live_events == 0) continue;
+
+      // Tick drained: jump to the next pending tick (occupancy-bitmap
+      // scan vs. the overflow front).
+      clear_bucket(bix);
+      bucket_pos = 0;
+      std::int64_t next = next_bucket_tick();
+      if (!overflow.empty() && overflow.front().tick < next) {
+        next = overflow.front().tick;
+      }
+      if (next >= until) {
+        move_cursor(until);
+        return std::nullopt;
+      }
+      if (next > opt.max_ticks) {
+        timeout_all(next);
         continue;
       }
-      const Event ev = (*bucket)[bucket_pos++];
-      --live_events;
-      now = cal_cur;
-      dispatch(ev);
+      move_cursor(next);
     }
   }
 
@@ -389,7 +443,7 @@ struct MultiEngine::Impl {
       if (ev.kind() == EvKind::ExecDone) {
         state[static_cast<std::size_t>(ev.node)] &=
             static_cast<std::uint8_t>(~kExecuting);
-        exec_delta(r, ev.res, -1);
+        exec_delta(r, -1);
         release_execution_unit(ev.node);
       }
       return;
@@ -399,7 +453,7 @@ struct MultiEngine::Impl {
         on_serial(r, ev.res, ev.node, Token{ev.cmd, ev.aux});
         break;
       case EvKind::Mesh:
-        on_mesh(r, ev.res, ev.node, ev.side(), ev.aux, ev.prod);
+        on_mesh(r, ev.res, ev.node, ev.aux);
         break;
       case EvKind::ExecDone: on_exec_done(r, ev.res, ev.node); break;
       case EvKind::ServiceDone: on_service_done(r, ev.res, ev.node); break;
@@ -459,7 +513,7 @@ struct MultiEngine::Impl {
   std::int64_t mesh_arrival(ResidentRt& r, std::uint16_t res,
                             const PlanEdge& e) {
     if (collapsed || e.route_count == 0) return now + e.delivery_ticks;
-    const PlanRouteLink* link = r.plan->route_links() + e.route_begin;
+    const PlanRouteLink* link = r.route_links + e.route_begin;
     std::int64_t t = now;
     std::int64_t wait = 0;
     for (std::int32_t i = 0; i < e.route_count; ++i, ++link) {
@@ -494,28 +548,18 @@ struct MultiEngine::Impl {
       return;  // token falls off the residency's chain span
     }
     ++r.serial_msgs;
-    const std::int32_t a =
-        from_g == kFromAnchor ? r.phys_delta - 1 : phys_g(r, from_g);
-    const std::int32_t b = phys_g(r, to_g);
-    const std::int64_t arrive = chain_arrival(r, res, a, b);
-    const std::int64_t delay = arrive - now;
-    if (fab_mx() != nullptr) note_serial(*fab_mx(), delay, tok.cmd);
-    if (r.mx != nullptr) note_serial(*r.mx, delay, tok.cmd);
+    const std::int32_t a = from_g == kFromAnchor
+                               ? r.phys_delta - 1
+                               : phys_lane[static_cast<std::size_t>(from_g)];
+    const std::int32_t b = phys_lane[static_cast<std::size_t>(to_g)];
     Event ev;
     ev.set(EvKind::Serial);
     ev.node = to_g;
     ev.res = res;
     ev.cmd = tok.cmd;
     ev.aux = tok.reg;
-    ev.tick = arrive + extra;
+    ev.tick = chain_arrival(r, res, a, b) + extra;
     schedule(ev);
-  }
-
-  static void note_serial(obs::MetricsRegistry& mx, std::int64_t delay,
-                          Command cmd) {
-    ++mx.serial_messages;
-    mx.serial_hop_ticks += static_cast<std::uint64_t>(delay);
-    ++mx.serial_commands[static_cast<std::size_t>(cmd)];
   }
 
   void forward_token(ResidentRt& r, std::uint16_t res, std::int32_t g,
@@ -524,14 +568,11 @@ struct MultiEngine::Impl {
   }
 
   void send_mesh(ResidentRt& r, std::uint16_t res, std::int32_t g) {
-    const auto lu = static_cast<std::size_t>(local(r, g));
-    const std::int32_t* eb = r.plan->edge_begin();
-    const PlanEdge* e = r.plan->edges() + eb[lu];
-    const PlanEdge* const end = r.plan->edges() + eb[lu + 1];
+    const std::int32_t l = g - r.base;
+    const PlanEdge* e = r.edges + r.edge_begin[l];
+    const PlanEdge* const end = r.edges + r.edge_begin[l + 1];
     for (; e != end; ++e) {
       ++r.mesh_msgs;
-      if (fab_mx() != nullptr) note_mesh(*fab_mx(), r, *e);
-      if (r.mx != nullptr) note_mesh(*r.mx, r, *e);
       const std::int32_t consumer_g = r.base + e->consumer;
       Event ev;
       ev.set(EvKind::Mesh, e->side);
@@ -544,38 +585,22 @@ struct MultiEngine::Impl {
     }
   }
 
-  void note_mesh(obs::MetricsRegistry& mx, const ResidentRt& r,
-                 const PlanEdge& e) const {
-    ++mx.mesh_messages;
-    mx.mesh_transit_cycles += static_cast<std::uint64_t>(e.mesh_cycles);
-    const PlanRouteLink* link = r.plan->route_links() + e.route_begin;
-    for (std::int32_t i = 0; i < e.route_count; ++i, ++link) {
-      mx.mesh_link(link->src_phys + r.phys_delta,
-                   static_cast<obs::LinkDir>(link->dir));
-    }
-  }
-
   // ---- serial handlers (ported from sim/engine.cpp on_serial) ----
   void on_serial(ResidentRt& r, std::uint16_t res, std::int32_t g,
                  Token tok) {
     const auto u = static_cast<std::size_t>(g);
+    const std::int32_t l = g - r.base;
     NodeRt& n = nodes[u];
-    if (tr() != nullptr) {
-      tr()->record({now, obs::TraceEventKind::TokenDeliver, g, phys_g(r, g),
-                    static_cast<std::uint8_t>(tok.cmd), 0});
-    }
     const std::uint8_t st = state[u];
-    const bool buffers = flag(r, g, kPlanBuffers);
+    const bool buffers = r.flag(l, kPlanBuffers);
     const bool hold =
         buffers && (!(st & kFired) || (st & kWaitTailFlush) != 0);
 
     switch (tok.cmd) {
       case Command::HeadToken:
         state[u] |= kHeadReceived;
-        head_tick[u] = now;
         if (hold) {
           n.buffered.push_back(tok);
-          note_buffered(r, g, n);
           try_fire(r, res, g);
         } else {
           try_fire(r, res, g);
@@ -586,10 +611,9 @@ struct MultiEngine::Impl {
       case Command::MemoryToken:
         if (hold) {
           n.buffered.push_back(tok);
-          note_buffered(r, g, n);
           return;
         }
-        if (flag(r, g, kPlanOrdered) && !(state[u] & kFired)) {
+        if (r.flag(l, kPlanOrdered) && !(state[u] & kFired)) {
           n.memory_held = true;
           n.held_memory = tok;
           try_fire(r, res, g);
@@ -601,11 +625,10 @@ struct MultiEngine::Impl {
       case Command::RegisterToken: {
         if (hold) {
           n.buffered.push_back(tok);
-          note_buffered(r, g, n);
           return;
         }
-        const Group grp = group_of(r, g);
-        const std::int32_t lreg = r.plan->local_reg()[local(r, g)];
+        const Group grp = r.group_of(l);
+        const std::int32_t lreg = r.local_reg[l];
         if ((grp == Group::LocalRead || grp == Group::LocalInc) &&
             lreg == tok.reg && !(state[u] & kFired) && !n.reg_held) {
           n.reg_held = true;
@@ -631,14 +654,12 @@ struct MultiEngine::Impl {
         if (buffers) {
           if (!(state[u] & kFired)) {
             n.buffered.push_back(tok);
-            note_buffered(r, g, n);
             n.tail_present = true;
             try_fire(r, res, g);
             return;
           }
           if (state[u] & kWaitTailFlush) {
             n.buffered.push_back(tok);
-            note_buffered(r, g, n);
             flush_up(r, res, g);
             return;
           }
@@ -650,7 +671,6 @@ struct MultiEngine::Impl {
         } else {
           n.tail_held = true;
           n.held_tail = tok;
-          tail_hold[u] = now;
         }
         return;
 
@@ -660,23 +680,10 @@ struct MultiEngine::Impl {
     }
   }
 
-  void note_buffered(const ResidentRt& r, std::int32_t g, const NodeRt& n) {
-    if (fab_mx() != nullptr) {
-      fab_mx()->buffer_high_water(phys_g(r, g), n.buffered.size());
-    }
-    if (r.mx != nullptr) {
-      r.mx->buffer_high_water(phys_g(r, g), n.buffered.size());
-    }
-  }
-
   void on_mesh(ResidentRt& r, std::uint16_t res, std::int32_t g,
-               std::uint8_t side, std::int32_t ep, std::int32_t producer) {
+               std::int32_t ep) {
     const auto u = static_cast<std::size_t>(g);
     if (epoch[u] != ep) return;  // stale (previous loop iteration)
-    if (tr() != nullptr) {
-      tr()->record({now, obs::TraceEventKind::OperandArrive, g,
-                    phys_g(r, g), side, producer});
-    }
     ++pops[u];
     try_fire(r, res, g);
   }
@@ -686,9 +693,9 @@ struct MultiEngine::Impl {
     const auto u = static_cast<std::size_t>(g);
     if (state[u] != kHeadReceived) return false;
     const NodeRt& n = nodes[u];
-    const auto lu = static_cast<std::size_t>(local(r, g));
-    const std::int32_t need = r.plan->pop_need()[lu];
-    switch (static_cast<Group>(r.plan->group()[lu])) {
+    const std::int32_t l = g - r.base;
+    const std::int32_t need = r.pop_need[l];
+    switch (r.group_of(l)) {
       case Group::LocalRead:
       case Group::LocalInc:
         return n.reg_held;
@@ -698,7 +705,7 @@ struct MultiEngine::Impl {
       case Group::Return:
         return pops[u] >= need && n.tail_present;
       case Group::ControlFlow:
-        if ((r.plan->flags()[lu] & kPlanBackwardGoto) != 0) {
+        if (r.flag(l, kPlanBackwardGoto)) {
           return n.tail_present;  // backward GoTo fires on TAIL (§6.3)
         }
         return pops[u] >= need;
@@ -710,46 +717,25 @@ struct MultiEngine::Impl {
   void try_fire(ResidentRt& r, std::uint16_t res, std::int32_t g) {
     if (!fire_ready(r, g)) return;
     const auto u = static_cast<std::size_t>(g);
-    const auto pn = static_cast<std::size_t>(phys_g(r, g));
+    const auto pn = static_cast<std::size_t>(phys_lane[u]);
     if (idus > 1 && exec_busy[pn]) {
       pending_fire[pn].push_back(g);
       return;
     }
     exec_busy[pn] = 1;
     state[u] |= kExecuting;
-    exec_delta(r, res, +1);
-    const auto lu = static_cast<std::size_t>(local(r, g));
-    const std::int64_t cost = r.plan->exec_cost_ticks()[lu];
-    const std::uint8_t opb = r.plan->op()[lu];
-    const std::uint8_t grpb = r.plan->group()[lu];
-    if (fab_mx() != nullptr) {
-      note_fire(*fab_mx(), static_cast<std::int32_t>(pn), opb, grpb, cost, u);
-    }
-    if (r.mx != nullptr) {
-      note_fire(*r.mx, static_cast<std::int32_t>(pn), opb, grpb, cost, u);
-    }
-    if (tr() != nullptr) {
-      tr()->record({now, obs::TraceEventKind::FireStart, g,
-                    static_cast<std::int32_t>(pn), grpb, cost});
-    }
+    exec_delta(r, +1);
     Event ev;
     ev.set(EvKind::ExecDone);
     ev.node = g;
     ev.res = res;
-    ev.tick = now + cost;
+    ev.tick = now + r.exec_cost[g - r.base];
     schedule(ev);
   }
 
-  void note_fire(obs::MetricsRegistry& mx, std::int32_t pn, std::uint8_t opb,
-                 std::uint8_t grpb, std::int64_t cost, std::size_t u) {
-    mx.node_firing(pn, opb);
-    mx.exec_ticks_by_group[grpb].record(cost);
-    if (head_tick[u] >= 0) mx.fire_stall_ticks.record(now - head_tick[u]);
-  }
-
   void release_execution_unit(std::int32_t g) {
-    const ResidentRt& owner = residents[res_of[static_cast<std::size_t>(g)]];
-    const auto pn = static_cast<std::size_t>(phys_g(owner, g));
+    const auto pn =
+        static_cast<std::size_t>(phys_lane[static_cast<std::size_t>(g)]);
     exec_busy[pn] = 0;
     if (idus <= 1) return;
     auto& pending = pending_fire[pn];
@@ -770,9 +756,9 @@ struct MultiEngine::Impl {
   }
 
   void post_fire_releases(ResidentRt& r, std::uint16_t res, std::int32_t g) {
-    const auto u = static_cast<std::size_t>(g);
-    NodeRt& n = nodes[u];
-    const Group grp = group_of(r, g);
+    NodeRt& n = nodes[static_cast<std::size_t>(g)];
+    const std::int32_t l = g - r.base;
+    const Group grp = r.group_of(l);
     if (grp == Group::LocalRead || grp == Group::LocalInc) {
       if (n.reg_held) {
         n.reg_held = false;
@@ -780,9 +766,7 @@ struct MultiEngine::Impl {
       }
     }
     if (grp == Group::LocalWrite) {
-      forward_token(r, res, g,
-                    Token{Command::RegisterToken,
-                          r.plan->local_reg()[local(r, g)]});
+      forward_token(r, res, g, Token{Command::RegisterToken, r.local_reg[l]});
       if (!n.write_absorbed) n.kill_next_register = true;
     }
     if (n.memory_held) {
@@ -791,48 +775,32 @@ struct MultiEngine::Impl {
     }
     if (n.tail_held) {
       n.tail_held = false;
-      if (tail_hold[u] >= 0) {
-        if (fab_mx() != nullptr) {
-          fab_mx()->tail_hold_ticks.record(now - tail_hold[u]);
-        }
-        if (r.mx != nullptr) r.mx->tail_hold_ticks.record(now - tail_hold[u]);
-        tail_hold[u] = -1;
-      }
       forward_token(r, res, g, n.held_tail);
     }
   }
 
-  void record_service(ResidentRt& r, std::int32_t g, net::RingService svc,
-                      std::int64_t ticks) {
-    if (fab_mx() != nullptr) {
-      ++fab_mx()->ring_requests[static_cast<std::size_t>(svc)];
-      fab_mx()->ring_latency_ticks[static_cast<std::size_t>(svc)].record(
-          ticks);
-    }
-    if (r.mx != nullptr) {
-      ++r.mx->ring_requests[static_cast<std::size_t>(svc)];
-      r.mx->ring_latency_ticks[static_cast<std::size_t>(svc)].record(ticks);
-    }
-    if (tr() != nullptr) {
-      tr()->record({now, obs::TraceEventKind::ServiceStart, g, phys_g(r, g),
-                    static_cast<std::uint8_t>(svc), ticks});
-    }
+  // Books a ring service for node g and schedules its ServiceDone.
+  void start_service(ResidentRt& r, std::uint16_t res, std::int32_t g,
+                     net::RingService svc, std::int64_t svc_ticks) {
+    state[static_cast<std::size_t>(g)] |= kInService;
+    Event ev;
+    ev.set(EvKind::ServiceDone);
+    ev.node = g;
+    ev.res = res;
+    ev.tick = ring_done(r, res, svc, svc_ticks, /*blocking=*/true);
+    schedule(ev);
   }
 
   void on_exec_done(ResidentRt& r, std::uint16_t res, std::int32_t g) {
     const auto u = static_cast<std::size_t>(g);
     NodeRt& n = nodes[u];
     state[u] &= static_cast<std::uint8_t>(~kExecuting);
-    exec_delta(r, res, -1);
+    exec_delta(r, -1);
     release_execution_unit(g);
-    const Group grp = group_of(r, g);
-    if (tr() != nullptr) {
-      tr()->record({now, obs::TraceEventKind::FireComplete, g, phys_g(r, g),
-                    static_cast<std::uint8_t>(grp), 0});
-    }
+    const std::int32_t l = g - r.base;
+    const Group grp = r.group_of(l);
 
-    const bool sw = flag(r, g, kPlanSwitch);
-    if (grp == Group::ControlFlow || sw) {
+    if (grp == Group::ControlFlow || r.flag(l, kPlanSwitch)) {
       resolve_control(r, res, g);
       return;
     }
@@ -842,41 +810,23 @@ struct MultiEngine::Impl {
       return;
     }
     if (grp == Group::Call || grp == Group::Special) {
-      state[u] |= kInService;
-      const std::int64_t svc_ticks = k * cfg.ring.gpp_service;
-      record_service(r, g, net::RingService::GppService, svc_ticks);
-      Event ev;
-      ev.set(EvKind::ServiceDone);
-      ev.node = g;
-      ev.res = res;
-      ev.tick = ring_done(r, res, net::RingService::GppService, svc_ticks,
-                          /*blocking=*/true);
-      schedule(ev);
+      start_service(r, res, g, net::RingService::GppService,
+                    k * cfg.ring.gpp_service);
       return;
     }
     if (grp == Group::MemRead) {
-      state[u] |= kInService;
       if (n.memory_held) {
         n.memory_held = false;
         forward_token(r, res, g, n.held_memory);
       }
-      const std::int64_t svc_ticks = k * cfg.ring.memory_read;
-      record_service(r, g, net::RingService::MemoryRead, svc_ticks);
-      Event ev;
-      ev.set(EvKind::ServiceDone);
-      ev.node = g;
-      ev.res = res;
-      ev.tick = ring_done(r, res, net::RingService::MemoryRead, svc_ticks,
-                          /*blocking=*/true);
-      schedule(ev);
+      start_service(r, res, g, net::RingService::MemoryRead,
+                    k * cfg.ring.memory_read);
       return;
     }
     if (grp == Group::MemWrite) {
-      const std::int64_t svc_ticks = k * cfg.ring.memory_write;
-      record_service(r, g, net::RingService::MemoryWrite, svc_ticks);
       // Posted: the channel is reserved but the node never waits.
-      ring_done(r, res, net::RingService::MemoryWrite, svc_ticks,
-                /*blocking=*/false);
+      ring_done(r, res, net::RingService::MemoryWrite,
+                k * cfg.ring.memory_write, /*blocking=*/false);
       mark_fired(r, g);
       post_fire_releases(r, res, g);
       return;
@@ -887,51 +837,40 @@ struct MultiEngine::Impl {
   }
 
   void on_service_done(ResidentRt& r, std::uint16_t res, std::int32_t g) {
-    const auto u = static_cast<std::size_t>(g);
-    state[u] &= static_cast<std::uint8_t>(~kInService);
-    if (tr() != nullptr) {
-      const net::RingService svc = group_of(r, g) == Group::MemRead
-                                       ? net::RingService::MemoryRead
-                                       : net::RingService::GppService;
-      tr()->record({now, obs::TraceEventKind::ServiceComplete, g,
-                    phys_g(r, g), static_cast<std::uint8_t>(svc), 0});
-    }
+    state[static_cast<std::size_t>(g)] &=
+        static_cast<std::uint8_t>(~kInService);
     mark_fired(r, g);
     send_mesh(r, res, g);
     post_fire_releases(r, res, g);
   }
 
   void resolve_control(ResidentRt& r, std::uint16_t res, std::int32_t g) {
-    const auto u = static_cast<std::size_t>(g);
-    NodeRt& n = nodes[u];
-    const auto lu = static_cast<std::size_t>(local(r, g));
+    NodeRt& n = nodes[static_cast<std::size_t>(g)];
+    // Predictor sites are keyed by the method-local node id, so a shared
+    // plan's residencies replay the same decision streams as a
+    // single-method run (determinism and N=1 parity both need this).
+    const std::int32_t l = g - r.base;
     std::int32_t target;  // global node index
-    if (flag(r, g, kPlanGoto)) {
-      target = r.base + r.plan->target()[lu];
-    } else if (flag(r, g, kPlanSwitch)) {
+    if (r.flag(l, kPlanGoto)) {
+      target = r.base + r.target[l];
+    } else if (r.flag(l, kPlanSwitch)) {
       const bytecode::SwitchTable& table =
-          r.method->switches[static_cast<std::size_t>(
-              r.plan->operand()[lu])];
+          r.method->switches[static_cast<std::size_t>(r.operand[l])];
       const auto arms = static_cast<std::int32_t>(table.targets.size()) + 1;
-      // Predictor sites are keyed by the method-local node id, so a
-      // shared plan's residencies replay the same decision streams as a
-      // single-method run (determinism and N=1 parity both need this).
-      const std::int32_t pick =
-          r.predictor.decide_switch(local(r, g), arms);
+      const std::int32_t pick = r.predictor.decide_switch(l, arms);
       target = r.base +
                (pick < static_cast<std::int32_t>(table.targets.size())
                     ? table.targets[static_cast<std::size_t>(pick)]
                     : table.default_target);
     } else {
-      const auto kind =
-          static_cast<BranchKind>(r.plan->branch_kinds()[lu]);
-      const bool taken = r.predictor.decide(local(r, g), kind);
-      target = taken ? r.base + r.plan->target()[lu] : g + 1;
+      const auto kind = static_cast<BranchKind>(r.branch_kinds[l]);
+      const bool taken = r.predictor.decide(l, kind);
+      target = taken ? r.base + r.target[l] : g + 1;
     }
 
     mark_fired(r, g);
     if (target > g) {
-      fwd[u] = target;
+      fwd[static_cast<std::size_t>(g)] = target;
       std::int64_t idx = 0;
       for (std::size_t bi = 0; bi < n.buffered.size(); ++bi) {
         send_serial(r, res, g, n.buffered[bi], target,
@@ -940,7 +879,7 @@ struct MultiEngine::Impl {
       n.buffered.clear();
       return;
     }
-    state[u] |= kWaitTailFlush;
+    state[static_cast<std::size_t>(g)] |= kWaitTailFlush;
     n.decided_target = target;
     if (n.tail_present) flush_up(r, res, g);
   }
@@ -951,8 +890,6 @@ struct MultiEngine::Impl {
     pops[u] = 0;
     ++epoch[u];
     fwd[u] = g + 1;
-    head_tick[u] = -1;
-    tail_hold[u] = -1;
     nodes[u].reset_cold();
   }
 
@@ -974,8 +911,7 @@ struct MultiEngine::Impl {
   // residency's RunMetrics match bit for bit); the fabric-level pair
   // and the distinct-residency pair integrate the same spans over the
   // global counters.
-  void exec_delta(ResidentRt& r, std::uint16_t res, int delta) {
-    (void)res;
+  void flush_fabric_accounting() {
     const std::int64_t span = now - fab_last;
     if (span > 0) {
       if (fab_active >= 1) fab_acc1 += span;
@@ -984,6 +920,10 @@ struct MultiEngine::Impl {
       if (res_exec_count >= 2) res_acc2 += span;
     }
     fab_last = now;
+  }
+
+  void exec_delta(ResidentRt& r, int delta) {
+    flush_fabric_accounting();
     if (!r.done) {
       if (r.active_exec >= 1) r.acc1 += now - r.last_change;
       if (r.active_exec >= 2) r.acc2 += now - r.last_change;
@@ -994,17 +934,6 @@ struct MultiEngine::Impl {
     fab_active += delta;
     if (before == 0 && r.active_exec > 0) ++res_exec_count;
     if (before > 0 && r.active_exec == 0) --res_exec_count;
-  }
-
-  void flush_fabric_accounting() {
-    const std::int64_t span = now - fab_last;
-    if (span > 0) {
-      if (fab_active >= 1) fab_acc1 += span;
-      if (fab_active >= 2) fab_acc2 += span;
-      if (res_exec_count >= 1) res_acc1 += span;
-      if (res_exec_count >= 2) res_acc2 += span;
-    }
-    fab_last = now;
   }
 
   // ---- completion ----
@@ -1043,8 +972,6 @@ struct MultiEngine::Impl {
     mm.serial_messages = r.serial_msgs;
     mm.ticks_exec_1plus = r.acc1;
     mm.ticks_exec_2plus = r.acc2;
-    if (fab_mx() != nullptr) ++fab_mx()->runs;
-    if (r.mx != nullptr) ++r.mx->runs;
 
     ResidentOutcome& out = outcomes[res];
     out.metrics = mm;
@@ -1054,9 +981,9 @@ struct MultiEngine::Impl {
     out.ring_wait_ticks = r.ring_wait;
   }
 
-  void timeout_all(std::int64_t over_tick) {
-    now = over_tick;
-    cal_cur = over_tick;
+  // Finalizes every still-running residency as timed out at `now` and
+  // queues it for advance() to hand back.
+  void time_out_running() {
     for (std::size_t i = 0; i < residents.size(); ++i) {
       ResidentRt& r = residents[i];
       if (r.done) continue;
@@ -1064,6 +991,12 @@ struct MultiEngine::Impl {
       finalize_resident(r, static_cast<std::uint16_t>(i));
       completed_queue.push_back(static_cast<ResidentId>(i));
     }
+  }
+
+  void timeout_all(std::int64_t over_tick) {
+    now = over_tick;
+    cal_cur = over_tick;
+    time_out_running();
     // Drop every undrained event: all owners are finished.
     for (std::size_t w = 0; w < cal_words.size(); ++w) {
       std::uint64_t bits = cal_words[w];
@@ -1086,7 +1019,6 @@ struct MultiEngine::Impl {
       }
     }
     flush_fabric_accounting();
-    finished = true;
     MultiRunMetrics agg;
     agg.residents = outcomes;
     agg.fabric_ticks = now;
@@ -1112,10 +1044,8 @@ MultiEngine::~MultiEngine() = default;
 ResidentId MultiEngine::admit(const bytecode::Method& m, const ExecPlan& plan,
                               std::int32_t phys_delta,
                               BranchPredictor::Scenario scenario,
-                              std::int64_t start_tick,
-                              obs::MetricsRegistry* resident_metrics) {
-  return impl_->admit(m, plan, phys_delta, scenario, start_tick,
-                      resident_metrics);
+                              std::int64_t start_tick) {
+  return impl_->admit(m, plan, phys_delta, scenario, start_tick);
 }
 
 std::optional<ResidentId> MultiEngine::advance(std::int64_t until) {

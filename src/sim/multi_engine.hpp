@@ -29,8 +29,9 @@
 //
 // Single-resident parity (tests/test_serve.cpp): one residency at
 // phys_delta 0 reproduces Engine::run's RunMetrics field for field —
-// the event loop, handlers, and timing model are the same code shapes
-// over the same shared detail::Event record (sim/engine_internal.hpp).
+// the handlers implement the same token-bundle semantics and timing
+// model over the same shared detail::Event record
+// (sim/engine_internal.hpp).
 #pragma once
 
 #include <cstdint>
@@ -45,11 +46,6 @@
 #include "sim/config.hpp"
 #include "sim/engine.hpp"
 #include "sim/plan.hpp"
-
-namespace javaflow::obs {
-struct MetricsRegistry;
-class EventTracer;
-}  // namespace javaflow::obs
 
 namespace javaflow::sim {
 
@@ -104,10 +100,6 @@ struct MultiEngineOptions {
   // live residency out (default: effectively unbounded — the serving
   // frontend bounds work by request count instead).
   std::int64_t max_ticks = std::int64_t{1} << 60;
-  // Fabric-level telemetry: accumulates across all residencies.
-  // Per-residency registries are passed to admit() instead.
-  obs::MetricsRegistry* metrics = nullptr;
-  obs::EventTracer* tracer = nullptr;
 };
 
 class MultiEngine {
@@ -131,14 +123,16 @@ class MultiEngine {
   ResidentId admit(const bytecode::Method& m, const ExecPlan& plan,
                    std::int32_t phys_delta,
                    BranchPredictor::Scenario scenario,
-                   std::int64_t start_tick,
-                   obs::MetricsRegistry* resident_metrics = nullptr);
+                   std::int64_t start_tick);
 
   // Processes events in (tick, seq) order while tick < until. Returns
   // as soon as one residency completes (drain remaining completions by
   // calling again), or nullopt once the clock reaches `until` / the
-  // calendar drains. Resumable: admissions may be interleaved between
-  // calls at the paused tick.
+  // calendar drains. A residency still running when the calendar
+  // drains can never receive another token; it is finalized as timed
+  // out and returned like a completion. Resumable: admissions may be
+  // interleaved between calls at the paused tick, and they order behind
+  // every event already scheduled for the same tick.
   std::optional<ResidentId> advance(std::int64_t until = kNoLimit);
 
   bool idle() const noexcept;         // no undrained events

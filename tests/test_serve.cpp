@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -315,6 +316,126 @@ TEST(MultiEngineDeterminism, PausedAdmissionsMatchUpfrontAdmissions) {
   EXPECT_EQ(got.ticks_res_2plus, ref.ticks_res_2plus);
 }
 
+// Events spilled past the calendar ring keep their (tick, seq) order
+// across a pause: a residency admitted at the pause tick queues behind
+// the spilled bundle of an earlier admission for the same tick, exactly
+// as if both had been admitted up front. The two identical loops
+// contend for the ring channels, so any reordering swaps which one
+// waits.
+TEST(MultiEngineDeterminism, SpilledEventsKeepOrderAcrossPause) {
+  const Program p = loop_program();
+  const fabric::DataflowGraph graph =
+      fabric::build_dataflow_graph(p.methods[0], p.pool);
+  constexpr std::int64_t kStart = 100'000;  // far past any ring: spills
+  for (const sim::MachineConfig& cfg : sim::table15_configs()) {
+    const ExecPlan plan =
+        ExecPlanBuilder().build(p.methods[0], graph, nullptr, cfg);
+    MultiEngine upfront(cfg);
+    upfront.admit(p.methods[0], plan, 0, BranchPredictor::Scenario::BP1,
+                  kStart);
+    upfront.admit(p.methods[0], plan, 2 * cfg.width,
+                  BranchPredictor::Scenario::BP1, kStart);
+    while (upfront.advance().has_value()) {
+    }
+    const sim::MultiRunMetrics ref = upfront.finish();
+
+    MultiEngine paused(cfg);
+    paused.admit(p.methods[0], plan, 0, BranchPredictor::Scenario::BP1,
+                 kStart);
+    EXPECT_FALSE(paused.advance(kStart - 10).has_value());
+    EXPECT_EQ(paused.now(), kStart - 10);
+    paused.admit(p.methods[0], plan, 2 * cfg.width,
+                 BranchPredictor::Scenario::BP1, kStart);
+    while (paused.advance().has_value()) {
+    }
+    const sim::MultiRunMetrics got = paused.finish();
+
+    ASSERT_EQ(got.residents.size(), ref.residents.size());
+    for (std::size_t i = 0; i < ref.residents.size(); ++i) {
+      EXPECT_EQ(got.residents[i].metrics, ref.residents[i].metrics)
+          << cfg.name << " " << i;
+      EXPECT_EQ(got.residents[i].completed_tick,
+                ref.residents[i].completed_tick)
+          << cfg.name << " " << i;
+      EXPECT_EQ(got.residents[i].ring_wait_ticks,
+                ref.residents[i].ring_wait_ticks)
+          << cfg.name << " " << i;
+    }
+  }
+}
+
+// The ring grows when a method with longer bounded delays is admitted,
+// re-bucketing pending and spilled events in tick order. A large method
+// admitted mid-run, while one loop is in flight and another's bundle
+// sits in the spill, must leave every residency exactly as on an engine
+// whose ring was wide before any of them arrived (widened by a
+// residency parked far in the future on rows of its own, where it
+// contends with nothing).
+TEST(MultiEngineDeterminism, RingGrowthKeepsEventOrder) {
+  Program p = loop_program();
+  {
+    Assembler a(p, "serve.long(I)I", "serve");
+    a.args({ValueType::Int}).returns(ValueType::Int);
+    a.iload(0);
+    for (int i = 0; i < 200; ++i) a.iload(0).op(Op::iadd);
+    a.op(Op::ireturn);
+    p.methods.push_back(a.build());
+  }
+  const bytecode::Method& loop = p.methods[0];
+  const bytecode::Method& big = p.methods[1];
+  // Past the small ring's first wrap, so a pending event's old bucket
+  // index is not its tick; the second loop's bundle starts beyond the
+  // small window and spills.
+  constexpr std::int64_t kPause = 300;
+  for (const sim::MachineConfig& cfg : sim::table15_configs()) {
+    const ExecPlan loop_plan = ExecPlanBuilder().build(
+        loop, fabric::build_dataflow_graph(loop, p.pool), nullptr, cfg);
+    const ExecPlan big_plan = ExecPlanBuilder().build(
+        big, fabric::build_dataflow_graph(big, p.pool), nullptr, cfg);
+    ASSERT_TRUE(big_plan.fits()) << cfg.name;
+    auto run = [&](bool widen_first) {
+      MultiEngine engine(cfg);
+      if (widen_first) {
+        engine.admit(big, big_plan, 200 * cfg.width,
+                     BranchPredictor::Scenario::BP1, 10'000'000);
+      }
+      std::vector<sim::ResidentId> ids;
+      ids.push_back(engine.admit(loop, loop_plan, 0,
+                                 BranchPredictor::Scenario::BP1, 0));
+      ids.push_back(engine.admit(loop, loop_plan, 2 * cfg.width,
+                                 BranchPredictor::Scenario::BP2,
+                                 kPause + 100));
+      while (engine.advance(kPause).has_value()) {
+      }
+      ids.push_back(engine.admit(big, big_plan, 4 * cfg.width,
+                                 BranchPredictor::Scenario::BP1, kPause));
+      while (engine.advance().has_value()) {
+      }
+      const sim::MultiRunMetrics agg = engine.finish();
+      std::vector<sim::ResidentOutcome> out;
+      for (const sim::ResidentId id : ids) {
+        out.push_back(agg.residents[static_cast<std::size_t>(id)]);
+      }
+      return out;
+    };
+    const std::vector<sim::ResidentOutcome> grown = run(false);
+    const std::vector<sim::ResidentOutcome> wide = run(true);
+    ASSERT_EQ(grown.size(), wide.size());
+    for (std::size_t i = 0; i < grown.size(); ++i) {
+      EXPECT_TRUE(grown[i].metrics.completed) << cfg.name << " " << i;
+      EXPECT_EQ(grown[i].metrics, wide[i].metrics) << cfg.name << " " << i;
+      EXPECT_EQ(grown[i].completed_tick, wide[i].completed_tick)
+          << cfg.name << " " << i;
+      EXPECT_EQ(grown[i].serial_wait_ticks, wide[i].serial_wait_ticks)
+          << cfg.name << " " << i;
+      EXPECT_EQ(grown[i].mesh_wait_ticks, wide[i].mesh_wait_ticks)
+          << cfg.name << " " << i;
+      EXPECT_EQ(grown[i].ring_wait_ticks, wide[i].ring_wait_ticks)
+          << cfg.name << " " << i;
+    }
+  }
+}
+
 // The tick budget times every live residency out at the first
 // over-budget event, mirroring the single engine's timeout semantics.
 TEST(MultiEngineTimeout, OverBudgetRunsFinalizeAsTimedOut) {
@@ -604,6 +725,102 @@ TEST(FabricServe, DigestTracksBehavior) {
             serve::serve(p, all_methods(p), sim::config_by_name("Hetero2"),
                          stream)
                 .digest());
+}
+
+// Contention can reorder a residency's own tokens so that the calendar
+// drains while it still runs. On this kernel stream one Sha256.sha BP1
+// residency strands on Hetero2; serving must end anyway, report it timed
+// out, and still partition the stream.
+TEST(FabricServe, StrandedResidencyEndsTimedOut) {
+  const workloads::Corpus kernels =
+      workloads::make_corpus({/*seed=*/20141215, /*total_methods=*/0});
+  serve::RequestStreamOptions stream;
+  stream.num_requests = 350;
+  stream.mean_gap_ticks = 48;
+  stream.hot_fraction_256 = 0;
+  const serve::ServeReport rep =
+      serve::serve(kernels.program, all_methods(kernels.program),
+                   sim::config_by_name("Hetero2"), stream);
+  EXPECT_EQ(rep.completed + rep.rejected + rep.timed_out, rep.requests);
+  EXPECT_EQ(rep.timed_out, 1);
+  for (const serve::RequestOutcome& o : rep.outcomes) {
+    EXPECT_EQ(int{o.completed} + int{o.rejected} + int{o.timed_out}, 1)
+        << o.request_id;
+    if (o.timed_out) {
+      const std::string& name =
+          kernels.program.methods[static_cast<std::size_t>(o.method_index)]
+              .name;
+      EXPECT_NE(name.find("Sha256.sha"), std::string::npos) << name;
+      EXPECT_EQ(o.completed_tick, -1);
+    }
+  }
+}
+
+// Streams that stress every admission decision — LRU eviction on a tiny
+// fabric, a method that never fits, all-hot skew that piles one method's
+// requests up behind its busy Anchor, and heads blocked for space behind
+// busy residents — pinned to the digests the whole-queue admission scan
+// produced, so the indexed admission provably makes the same FIFO,
+// scan-around, rejection, eviction and head-of-line decisions.
+TEST(FabricServe, AdmissionDecisionsMatchPinnedDigests) {
+  Program p = serve_program();
+  {
+    Assembler a(p, "serve.huge(I)I", "serve");
+    a.args({ValueType::Int}).returns(ValueType::Int);
+    a.iload(0);
+    for (int i = 0; i < 60; ++i) a.iload(0).op(Op::iadd);
+    a.op(Op::ireturn);
+    p.methods.push_back(a.build());
+  }
+  const std::vector<std::int32_t> five = {0, 1, 2, 3, 4};
+  const std::vector<std::int32_t> six = {0, 1, 2, 3, 4, 5};
+  struct Case {
+    const char* what;
+    const std::vector<std::int32_t>* methods;
+    std::int32_t capacity;  // 0 keeps the config's fabric
+    std::uint64_t seed;
+    std::int32_t requests;
+    std::int64_t mean_gap;
+    std::int32_t hot_fraction_256;
+    std::int32_t hot_methods;
+  };
+  const Case cases[] = {
+      {"lru_eviction", &five, 30, 3, 40, 2, 0, 4},
+      {"never_fits", &six, 40, 9, 32, 4, 0, 4},
+      {"all_hot", &five, 0, 13, 64, 1, 256, 2},
+      {"head_of_line", &five, 40, 5, 60, 1, 0, 4},
+  };
+  struct Pin {
+    const char* config;
+    std::uint64_t digest[4];  // in `cases` order
+  };
+  const Pin pins[] = {
+      {"Baseline",
+       {12582923849390311689ULL, 16531919772170065778ULL,
+        11135536421782137674ULL, 17179660635409513156ULL}},
+      {"Compact2",
+       {10831565945196100520ULL, 961027459036995293ULL,
+        13979930859290752567ULL, 2211773480499230465ULL}},
+      {"Hetero2",
+       {5866116968032277101ULL, 3526962621898623791ULL,
+        8801910701658843028ULL, 6596674828585850240ULL}},
+  };
+  for (const Pin& pin : pins) {
+    for (std::size_t c = 0; c < std::size(cases); ++c) {
+      const Case& tc = cases[c];
+      sim::MachineConfig cfg = sim::config_by_name(pin.config);
+      if (tc.capacity > 0) cfg.capacity = tc.capacity;
+      serve::RequestStreamOptions stream;
+      stream.seed = tc.seed;
+      stream.num_requests = tc.requests;
+      stream.mean_gap_ticks = tc.mean_gap;
+      stream.hot_fraction_256 = tc.hot_fraction_256;
+      stream.hot_methods = tc.hot_methods;
+      const serve::ServeReport rep = serve::serve(p, *tc.methods, cfg, stream);
+      EXPECT_EQ(rep.timed_out, 0) << pin.config << " " << tc.what;
+      EXPECT_EQ(rep.digest(), pin.digest[c]) << pin.config << " " << tc.what;
+    }
+  }
 }
 
 }  // namespace

@@ -15,7 +15,8 @@
 // --hot-fraction 128, --hot 4, --methods = the hand-written kernels,
 // --out - (stdout). --digest prints one "<config> <digest>" line per
 // configuration to stdout instead of JSON — the CI smoke step compares
-// these across runs and thread counts. Exit codes: 0 ok, 1 bad usage.
+// these across runs and thread counts. Exit codes: 0 ok, 1 bad usage,
+// 2 a serving run failed its conservation check.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -135,8 +136,13 @@ int main(int argc, char** argv) {
   if (!digest_only) *os << "{\"tool\": \"javaflow_serve\", \"reports\": [";
   bool first = true;
   for (const javaflow::sim::MachineConfig& cfg : configs) {
-    const javaflow::serve::ServeReport rep =
-        javaflow::serve::serve(corpus.program, methods, cfg, stream);
+    javaflow::serve::ServeReport rep;
+    try {
+      rep = javaflow::serve::serve(corpus.program, methods, cfg, stream);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s: %s\n", cfg.name.c_str(), e.what());
+      return 2;
+    }
     if (digest_only) {
       std::printf("%s %llu\n", cfg.name.c_str(),
                   static_cast<unsigned long long>(rep.digest()));
