@@ -10,10 +10,6 @@
 //                                  hardware-thread count with a stderr
 //                                  warning. Output is identical for every
 //                                  setting (see docs/PERF.md).
-//   JAVAFLOW_SCHEDULER=<kind>      engine event scheduler: "calendar"
-//                                  (default) or "heap"; both produce
-//                                  bit-identical results (docs/PERF.md
-//                                  "Engine kernel").
 //   JAVAFLOW_SWEEP_HEARTBEAT=1     opt-in stderr progress heartbeat
 //                                  (methods/s + ETA, plus cache hit/miss/
 //                                  dedup cells when the cache is on).

@@ -72,7 +72,6 @@ int main() {
   std::printf("  parallel: %.3f s (%.1f cells/s)\n", parallel.seconds,
               rate(cells, parallel.seconds));
   std::printf("  speedup:  %.2fx on %u thread(s)\n", speedup, threads);
-  std::printf("  scheduler: %s\n", serial.sweep.scheduler.c_str());
   std::printf("  cache:    %s (%zu hit / %zu miss / %zu dedup cells)\n",
               serial.sweep.cache.mode.c_str(), serial.sweep.cache.hit_cells,
               serial.sweep.cache.miss_cells, serial.sweep.cache.dedup_cells);
@@ -83,7 +82,6 @@ int main() {
   // knobs in effect.
   const char* threads_env = std::getenv("JAVAFLOW_THREADS");
   const char* stride_env = std::getenv("JAVAFLOW_BENCH_STRIDE");
-  const char* scheduler_env = std::getenv("JAVAFLOW_SCHEDULER");
   const char* cache_env = std::getenv("JAVAFLOW_CACHE");
   const char* cache_dir_env = std::getenv("JAVAFLOW_CACHE_DIR");
   const char* filter_env = std::getenv("JAVAFLOW_BENCH_FILTER");
@@ -104,14 +102,11 @@ int main() {
        << ",\n"
        << "    \"env_javaflow_bench_stride\": " << env_json(stride_env)
        << ",\n"
-       << "    \"env_javaflow_scheduler\": " << env_json(scheduler_env)
-       << ",\n"
        << "    \"env_javaflow_cache\": " << env_json(cache_env) << ",\n"
        << "    \"env_javaflow_cache_dir\": " << env_json(cache_dir_env)
        << ",\n"
        << "    \"env_javaflow_bench_filter\": " << env_json(filter_env)
        << "\n  },\n"
-       << "  \"scheduler\": \"" << serial.sweep.scheduler << "\",\n"
        << "  \"cells\": " << cells << ",\n"
        << "  \"stride\": " << javaflow::bench::env_stride() << ",\n"
        << "  \"threads\": " << threads << ",\n"

@@ -87,7 +87,7 @@ struct MethodBounds {
 };
 
 // Computes all bounds for one (method, config) pair from the method's
-// pre-lowered execution plan (docs/PERF.md "Execution plans"). The plan
+// pre-lowered execution plan (docs/PERF.md "Execution kernel"). The plan
 // already embeds the placement, the forward-edge producer lists, and
 // every engine cost the fixpoint weights with (Table 17 execution
 // ticks, ring service surcharges, per-edge mesh delivery ticks, serial

@@ -48,11 +48,7 @@ Explanation explain_method(const bytecode::Method& m,
   const fabric::Placement placement = fabric::load_method(fab, m);
   // One lowered image feeds everything below: the engine run, the mesh
   // link decomposition of the attribution, and the static lower bound
-  // (docs/PERF.md "Execution plans"). JAVAFLOW_PLAN=off drops the run
-  // and the link decomposition back to the legacy graph/mesh walks for
-  // triage; the outputs are bit-identical either way.
-  const bool use_plan =
-      sim::resolve_plan_mode(sim::PlanMode::Auto) == sim::PlanMode::On;
+  // (docs/PERF.md "Execution kernel").
   sim::ExecPlanBuilder plan_builder;
   const sim::ExecPlan plan =
       plan_builder.build(m, graph, &placement, config);
@@ -62,8 +58,7 @@ Explanation explain_method(const bytecode::Method& m,
   engine_options.flight = &flight;
   sim::Engine engine(config, engine_options);
   sim::BranchPredictor predictor(scenario);
-  ex.metrics = use_plan ? engine.run(m, plan, predictor)
-                        : engine.run(m, graph, placement, predictor);
+  ex.metrics = engine.run(m, plan, predictor);
 
   if (!ex.metrics.fits) {
     ex.error = "method does not fit on " + config.name;
@@ -79,10 +74,8 @@ Explanation explain_method(const bytecode::Method& m,
   }
 
   obs::AttributeOptions ao;
-  ao.mesh_width = config.width;
-  ao.collapsed = config.collapsed();
   ao.detail = true;
-  if (use_plan) ao.plan = &plan;
+  ao.plan = &plan;
   ex.attribution = obs::attribute(flight, ao);
   if (!ex.attribution.valid) {
     ex.error = "attribution chain did not validate";
@@ -231,7 +224,8 @@ obs::Snapshot build_snapshot(const workloads::Corpus& corpus,
       run_sweep(methods, corpus.program.pool, hot, sweep_options);
 
   obs::Snapshot snap;
-  snap.scheduler = sweep.scheduler;
+  snap.scheduler =
+      std::string(sim::scheduler_name(sim::SchedulerKind::Calendar));
   snap.stride = options.stride;
   for (const sim::MachineConfig& cfg : sweep.configs) {
     snap.config_names.push_back(cfg.name);

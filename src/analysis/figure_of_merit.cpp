@@ -77,9 +77,6 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
   Sweep sweep;
   sweep.configs = options.configs.empty() ? sim::table15_configs()
                                           : options.configs;
-  const sim::SchedulerKind resolved_scheduler =
-      sim::resolve_scheduler(options.engine.scheduler);
-  sweep.scheduler = std::string(sim::scheduler_name(resolved_scheduler));
   const std::unordered_set<std::string> hot(hot_methods.begin(),
                                             hot_methods.end());
 
@@ -127,8 +124,7 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
                             options.attribution ||
                             options.engine.metrics != nullptr ||
                             options.engine.tracer != nullptr ||
-                            options.engine.flight != nullptr ||
-                            options.engine.trace;
+                            options.engine.flight != nullptr;
   cache::CacheMode mode = cache::resolve_cache_mode(options.cache);
   if (instrumented && mode != cache::CacheMode::Off) {
     std::fprintf(stderr,
@@ -161,8 +157,8 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
   std::vector<cache::Hash128> config_hash;
   if (store.has_value()) {
     pool_hash = cache::hash_pool(pool);
-    engine_hash =
-        cache::hash_engine_options(options.engine, resolved_scheduler);
+    engine_hash = cache::hash_engine_options(
+        options.engine, sim::resolve_scheduler(sim::SchedulerKind::Auto));
     config_hash.reserve(sweep.configs.size());
     for (const sim::MachineConfig& cfg : sweep.configs) {
       config_hash.push_back(cache::hash_config(cfg));
@@ -190,13 +186,6 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
       work.push_back(pi);
     }
   }
-
-  // Pre-lowered execution plans (docs/PERF.md "Execution plans"): when
-  // the resolved plan mode is On, the precompute phase lowers each
-  // deduplicated method into one read-only ExecPlan per configuration,
-  // shared by every worker lane and both scenarios in the execute phase.
-  const bool use_plans =
-      sim::resolve_plan_mode(options.engine.plan) == sim::PlanMode::On;
 
   // Everything a worker lane owns privately: engines (whose workspaces
   // amortize per-run allocations across the lane's methods), fabrics for
@@ -239,7 +228,7 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
     cache::MethodRecord record;
     fabric::DataflowGraph graph;
     std::vector<fabric::Placement> placements;
-    std::vector<sim::ExecPlan> plans;  // one per config when plans are on
+    std::vector<sim::ExecPlan> plans;  // one per config unless a full hit
   };
 
   auto make_lane = [&] {
@@ -311,8 +300,9 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
 
   // Phase A, one task per (deduplicated) method: probe the cache, and
   // for anything not fully served, build the dataflow graph, the
-  // per-config placements, and (plan mode On) the per-config execution
-  // plans. A full cache hit builds the static structures only when a
+  // per-config placements, and the per-config execution plans — each
+  // one read-only, shared by every worker lane and both scenarios in
+  // phase B. A full cache hit builds the static structures only when a
   // static-check mode (lint / bounds) needs them — never the plans, so
   // the warm-cache fast path stays plan-free.
   const bool profile = options.profile;
@@ -368,7 +358,7 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
       p.placements.push_back(fabric::load_method(f, m));
     }
     lap(lane.prof.place_s);
-    if (use_plans && !p.full_hit) {
+    if (!p.full_hit) {
       p.plans.reserve(sweep.configs.size());
       for (std::size_t ci = 0; ci < sweep.configs.size(); ++ci) {
         p.plans.push_back(lane.plan_builder.build(
@@ -380,8 +370,7 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
 
   // Phase B, one task per (deduplicated) method: serve full cache hits
   // from the record, or run every config × scenario cell on this lane's
-  // engines — from the shared pre-lowered plan when one was built, via
-  // the legacy graph + placement walk otherwise. The item's precompute
+  // engines from the shared pre-lowered plans. The item's precompute
   // block is freed as soon as its cells are done.
   auto run_method = [&](std::size_t wi, LaneState& lane) {
     auto t = profile ? Clock::now() : Clock::time_point{};
@@ -476,13 +465,8 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
     if (options.check_bounds) {
       bounds.reserve(sweep.configs.size());
       for (std::size_t ci = 0; ci < sweep.configs.size(); ++ci) {
-        // The analyzer reads the same lowered image the engine runs
-        // when plans are on; otherwise it lowers one on the spot.
-        bounds.push_back(
-            p.plans.empty()
-                ? compute_bounds(m, p.graph, lane.fabrics[ci],
-                                 p.placements[ci], sweep.configs[ci])
-                : compute_bounds(m, p.plans[ci]));
+        // The analyzer reads the same lowered image the engine runs.
+        bounds.push_back(compute_bounds(m, p.plans[ci]));
       }
     }
     lap(lane.prof.verify_s);
@@ -499,11 +483,7 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
         sample.back_jumps = back_jumps;
         sample.is_hot = is_hot;
         if (options.check_bounds) lane.bounds_reg = obs::MetricsRegistry{};
-        sample.metrics =
-            p.plans.empty()
-                ? lane.engines[ci].run(m, p.graph, p.placements[ci],
-                                       predictor)
-                : lane.engines[ci].run(m, p.plans[ci], predictor);
+        sample.metrics = lane.engines[ci].run(m, p.plans[ci], predictor);
         if (options.attribution) {
           obs::AttributeOptions ao;
           ao.mesh_width = sweep.configs[ci].width;
@@ -572,7 +552,7 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
           (!verify_clean || p.cached_cells != cells_per_method);
       if (mode == cache::CacheMode::ReadWrite || verify_dirty) {
         // Upsert this sweep's cells into the record, preserving cells
-        // other sweep contexts (configs, schedulers, tick budgets) put
+        // other sweep contexts (configs, tick budgets) put
         // there. Verify mode repairs mismatching entries by the same
         // path, since fresh values overwrite matching keys.
         cache::MethodRecord next;

@@ -154,7 +154,7 @@ struct SweepOptions {
   // behaviour). Hits skip verify/resolve/place/execute for the whole
   // method and fill its samples from the cached record; the output stays
   // deterministically indexed and thread-count-invariant either way.
-  // Telemetry runs (collect_metrics, engine.metrics/tracer/trace) force
+  // Telemetry runs (collect_metrics, engine.metrics/tracer/flight) force
   // the cache off for the sweep — cached cells fire no hooks, so served
   // results would under-count the registries.
   cache::CacheMode cache = cache::CacheMode::Auto;
@@ -175,11 +175,6 @@ struct SweepOptions {
 
 struct Sweep {
   std::vector<sim::MachineConfig> configs;
-  // Resolved event-scheduler name ("heap" / "calendar") the engines ran
-  // with — recorded so BENCH_sweep.json and reports state which kernel
-  // produced the numbers. Never affects the samples (the schedulers are
-  // bit-identical; see tests/test_scheduler.cpp).
-  std::string scheduler;
   std::vector<SweepSample> samples;
   // Parallel to `samples` when SweepOptions::attribution is set (empty
   // otherwise): critical-path category ticks per cell.

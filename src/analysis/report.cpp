@@ -136,10 +136,6 @@ void write_sweep_json(std::ostream& os, const Sweep& sweep, int indent) {
   const std::vector<NetworkRow> net = network_rows(sweep);
 
   os << "{\n";
-  if (!sweep.scheduler.empty()) {
-    os << in1 << "\"scheduler\": \"" << json_escape(sweep.scheduler)
-       << "\",\n";
-  }
   os << in1 << "\"configs\": [\n";
   for (std::size_t ci = 0; ci < sweep.configs.size(); ++ci) {
     const FomRow& f = fom[ci];

@@ -1,10 +1,14 @@
 #include "bytecode/textio.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "bytecode/verifier.hpp"
@@ -28,14 +32,47 @@ const std::map<std::string_view, Op>& op_by_name() {
   return table;
 }
 
+[[noreturn]] void fail_at(int line, const std::string& why) {
+  throw std::runtime_error("line " + std::to_string(line) + ": " + why);
+}
+
 ValueType parse_value_type(const std::string& s, int line) {
   for (const ValueType t : {ValueType::Int, ValueType::Long,
                             ValueType::Float, ValueType::Double,
                             ValueType::Ref, ValueType::Void}) {
     if (s == value_type_name(t)) return t;
   }
-  throw std::runtime_error("line " + std::to_string(line) +
-                           ": unknown value type '" + s + "'");
+  fail_at(line, "unknown value type '" + s + "'");
+}
+
+// Numbers are parsed as whole tokens: a sign-only token, trailing bytes,
+// or a value outside [lo, hi] is a line-numbered error, never a silently
+// truncated or narrowed value.
+std::int64_t parse_int(std::string_view tok, std::int64_t lo, std::int64_t hi,
+                       int line) {
+  std::int64_t v = 0;
+  const char* end = tok.data() + tok.size();
+  const auto [p, ec] = std::from_chars(tok.data(), end, v);
+  if (ec != std::errc{} || p != end || v < lo || v > hi) {
+    fail_at(line, "bad integer '" + std::string(tok) + "'");
+  }
+  return v;
+}
+
+std::int32_t parse_i32(std::string_view tok, int line) {
+  return static_cast<std::int32_t>(
+      parse_int(tok, std::numeric_limits<std::int32_t>::min(),
+                std::numeric_limits<std::int32_t>::max(), line));
+}
+
+double parse_fp(std::string_view tok, int line) {
+  double v = 0.0;
+  const char* end = tok.data() + tok.size();
+  const auto [p, ec] = std::from_chars(tok.data(), end, v);
+  if (ec != std::errc{} || p != end) {
+    fail_at(line, "bad number '" + std::string(tok) + "'");
+  }
+  return v;
 }
 
 std::string fp_to_string(double v) {
@@ -73,28 +110,27 @@ std::string unescape(const std::string& s, int line) {
       out.push_back(s[i]);
       continue;
     }
-    if (++i >= s.size()) {
-      throw std::runtime_error("line " + std::to_string(line) +
-                               ": dangling escape");
-    }
+    if (++i >= s.size()) fail_at(line, "dangling escape");
     switch (s[i]) {
       case '\\': out.push_back('\\'); break;
       case '"': out.push_back('"'); break;
       case 'n': out.push_back('\n'); break;
       case 't': out.push_back('\t'); break;
       case 'x': {
-        if (i + 2 >= s.size()) {
-          throw std::runtime_error("line " + std::to_string(line) +
-                                   ": bad \\x escape");
+        // Exactly two hex digits.
+        if (i + 2 >= s.size()) fail_at(line, "bad \\x escape");
+        unsigned char byte = 0;
+        const char* digits = s.data() + i + 1;
+        const auto [p, ec] = std::from_chars(digits, digits + 2, byte, 16);
+        if (ec != std::errc{} || p != digits + 2) {
+          fail_at(line, "bad \\x escape");
         }
-        out.push_back(static_cast<char>(
-            std::stoi(s.substr(i + 1, 2), nullptr, 16)));
+        out.push_back(static_cast<char>(byte));
         i += 2;
         break;
       }
       default:
-        throw std::runtime_error("line " + std::to_string(line) +
-                                 ": unknown escape");
+        fail_at(line, "unknown escape");
     }
   }
   return out;
@@ -123,12 +159,7 @@ std::vector<std::int32_t> parse_ints(const std::string& s, int line) {
   for (const char c : s + ",") {
     if (c == ',') {
       if (!cur.empty()) {
-        try {
-          out.push_back(std::stoi(cur));
-        } catch (...) {
-          throw std::runtime_error("line " + std::to_string(line) +
-                                   ": bad integer list");
-        }
+        out.push_back(parse_i32(cur, line));
         cur.clear();
       }
     } else {
@@ -257,13 +288,15 @@ struct Parser {
   explicit Parser(std::istream& in) : is(in) {}
 
   [[noreturn]] void fail(const std::string& why) const {
-    throw std::runtime_error("line " + std::to_string(line_no) + ": " + why);
+    fail_at(line_no, why);
   }
 
   bool next_line(std::string& out) {
     while (std::getline(is, out)) {
       ++line_no;
-      const auto first = out.find_first_not_of(" \t\r");
+      // The same whitespace split_ws() splits on, so a returned line
+      // always has a first token.
+      const auto first = out.find_first_not_of(" \t\r\v\f");
       if (first == std::string::npos) continue;
       if (out[first] == '#' || out[first] == ';') continue;
       return true;
@@ -337,7 +370,9 @@ struct Parser {
         m.return_type = parse_value_type(toks[1], line_no);
       } else if (toks[0] == ".locals") {
         if (toks.size() != 2) fail(".locals wants a count");
-        m.max_locals = static_cast<std::uint16_t>(std::stoi(toks[1]));
+        m.max_locals = static_cast<std::uint16_t>(
+            parse_int(toks[1], 0, std::numeric_limits<std::uint16_t>::max(),
+                      line_no));
       } else {
         parse_instruction(m, toks);
       }
@@ -350,8 +385,10 @@ struct Parser {
     if (toks.size() < 2 || toks[0].back() != ':') {
       fail("expected '<index>: <op>'");
     }
-    const auto idx = std::stol(toks[0].substr(0, toks[0].size() - 1));
-    if (idx != static_cast<long>(m.code.size())) {
+    const std::int64_t idx = parse_int(
+        std::string_view(toks[0]).substr(0, toks[0].size() - 1), 0,
+        std::numeric_limits<std::int32_t>::max(), line_no);
+    if (idx != static_cast<std::int64_t>(m.code.size())) {
       fail("instruction index out of order");
     }
     const auto it = op_by_name().find(toks[1]);
@@ -374,21 +411,21 @@ struct Parser {
         break;
       case OperandKind::Imm:
         want(3);
-        inst.operand = std::stoi(toks[2]);
+        inst.operand = parse_i32(toks[2], line_no);
         break;
       case OperandKind::Local:
         if (inst.op == Op::iinc) {
           want(4);
-          inst.operand = std::stoi(toks[2]);
-          inst.operand2 = std::stoi(toks[3]);
+          inst.operand = parse_i32(toks[2], line_no);
+          inst.operand2 = parse_i32(toks[3], line_no);
         } else {
           want(3);
-          inst.operand = std::stoi(toks[2]);
+          inst.operand = parse_i32(toks[2], line_no);
         }
         break;
       case OperandKind::Branch:
         want(3);
-        inst.target = std::stoi(toks[2]);
+        inst.target = parse_i32(toks[2], line_no);
         break;
       case OperandKind::Switch: {
         want(5);
@@ -402,7 +439,7 @@ struct Parser {
         };
         table.keys = parse_ints(strip(toks[2], "keys"), line_no);
         table.targets = parse_ints(strip(toks[3], "targets"), line_no);
-        table.default_target = std::stoi(strip(toks[4], "default"));
+        table.default_target = parse_i32(strip(toks[4], "default"), line_no);
         if (table.keys.size() != table.targets.size()) {
           fail("switch keys/targets size mismatch");
         }
@@ -424,14 +461,18 @@ struct Parser {
     if (g == Group::MemConstant) {
       if (toks.size() < 4) fail("constant wants '<kind> <value>'");
       const std::string& kind = toks[2];
+      constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+      constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
       if (kind == "int") {
-        inst.operand = program.pool.add_int(std::stoll(toks[3]));
+        inst.operand = program.pool.add_int(
+            parse_int(toks[3], kMin, kMax, line_no));
       } else if (kind == "long") {
-        inst.operand = program.pool.add_long(std::stoll(toks[3]));
+        inst.operand = program.pool.add_long(
+            parse_int(toks[3], kMin, kMax, line_no));
       } else if (kind == "float") {
-        inst.operand = program.pool.add_float(std::stod(toks[3]));
+        inst.operand = program.pool.add_float(parse_fp(toks[3], line_no));
       } else if (kind == "double") {
-        inst.operand = program.pool.add_double(std::stod(toks[3]));
+        inst.operand = program.pool.add_double(parse_fp(toks[3], line_no));
       } else if (kind == "str") {
         // Re-join the remaining tokens and strip the quotes.
         std::string raw = toks[3];
@@ -466,7 +507,8 @@ struct Parser {
       if (toks.size() != 5) fail("call wants 'name argc ret'");
       MethodRef ref;
       ref.qualified_name = toks[2];
-      ref.arg_values = static_cast<std::uint8_t>(std::stoi(toks[3]));
+      ref.arg_values =
+          static_cast<std::uint8_t>(parse_int(toks[3], 0, 255, line_no));
       ref.return_type = parse_value_type(toks[4], line_no);
       inst.pop = ref.arg_values;
       inst.push = ref.return_type == ValueType::Void ? 0 : 1;
@@ -476,7 +518,8 @@ struct Parser {
     // Class operands: new/anewarray/checkcast/instanceof/multianewarray.
     if (inst.op == Op::multianewarray) {
       if (toks.size() != 4) fail("multianewarray wants 'Cls dims'");
-      const int dims = std::stoi(toks[3]);
+      const auto dims =
+          static_cast<std::int32_t>(parse_int(toks[3], 1, 255, line_no));
       inst.operand = program.pool.add_class(ClassRef{toks[2], dims});
       inst.operand2 = dims;
       inst.pop = static_cast<std::uint8_t>(dims);

@@ -9,15 +9,15 @@
 //   * a digest of the whole ConstantPool (graph construction and ring
 //     traffic read pool entries, including interpreter-resolved slots);
 //   * the canonical MachineConfig text (sim::MachineConfig::canonical_text);
-//   * the branch scenario and the resolved event scheduler;
+//   * the branch scenario and the event scheduler (always the calendar);
 //   * the engine-options fields that alter results (tick budget,
 //     exception injection);
 //   * kEngineFingerprint, bumped by hand whenever simulation semantics
 //     change (event ordering, Table 17 costs, network timing, …).
 //
 // Records are grouped one file per method: the file is addressed by
-// (method body, pool) only, so every config/scenario/scheduler variant
-// of a method shares one record and a warm full-corpus sweep pays one
+// (method body, pool) only, so every config/scenario variant of a
+// method shares one record and a warm full-corpus sweep pays one
 // file read per method instead of twelve.
 #pragma once
 
@@ -29,14 +29,15 @@
 #include "sim/branch_predictor.hpp"
 #include "sim/config.hpp"
 #include "sim/engine.hpp"
-#include "sim/multi_engine.hpp"
 
 namespace javaflow::cache {
 
 // Bump whenever a change anywhere in the simulator can alter RunMetrics
-// for an unchanged (method, pool, config, scenario, scheduler) tuple:
-// engine event semantics, Table 17 execution costs, network transit
-// rules, placement policy, dataflow-graph construction. Every record
+// for an unchanged (method, pool, config, scenario) tuple: event
+// semantics of the execution kernel — solo or shared (sim/kernel.hpp:
+// serving's contention model lives in the same handlers as the sweep's
+// runs) — Table 17 execution costs, network transit rules, placement
+// policy, dataflow-graph construction. Every record
 // carries the fingerprint it was produced under; a mismatch is a miss
 // (and `javaflow_cache prune` deletes the stale files).
 inline constexpr std::uint32_t kEngineFingerprint = 1;
@@ -50,19 +51,14 @@ inline constexpr std::uint32_t kAnalysisFingerprint = 1;
 
 // The fingerprint stamped on (and demanded of) record files: an FNV-1a
 // fold over every version constant whose semantics cached metrics can
-// depend on — plan lowering (cached metrics flow through the
-// plan-driven engine path and the plan-based bound analyzer), the
-// single-method engine, the multi-tenant execution core
-// (sim::kMultiEngineFingerprint: it shares the event record and handler
-// shapes with the single engine, so a semantic drift there must
-// invalidate single-method sweep records too), the analyzer, and the
-// critical-path attribution format. Bumping any constant invalidates
-// every existing record.
+// depend on — plan lowering (cached metrics flow through the engine's
+// plans and the plan-based bound analyzer), the execution kernel, the
+// analyzer, and the critical-path attribution format. Bumping any
+// constant invalidates every existing record.
 inline constexpr std::uint32_t record_fingerprint() noexcept {
   std::uint32_t h = 2166136261u;  // FNV-1a 32 offset basis
   for (const std::uint32_t v :
-       {sim::kPlanFingerprint, kEngineFingerprint,
-        sim::kMultiEngineFingerprint, kAnalysisFingerprint,
+       {sim::kPlanFingerprint, kEngineFingerprint, kAnalysisFingerprint,
         obs::kAttributionFingerprint}) {
     for (int i = 0; i < 4; ++i) {
       h ^= (v >> (8 * i)) & 0xffu;
@@ -86,7 +82,8 @@ Hash128 hash_pool(const bytecode::ConstantPool& pool);
 Hash128 hash_config(const sim::MachineConfig& config);
 
 // Digest of the EngineOptions fields that can change results, plus the
-// *resolved* scheduler (callers resolve Auto before keying).
+// resolved scheduler name, which keeps the key bytes of records written
+// while a second scheduler existed.
 Hash128 hash_engine_options(const sim::EngineOptions& options,
                             sim::SchedulerKind resolved_scheduler);
 

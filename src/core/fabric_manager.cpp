@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "fabric/dataflow_graph.hpp"
+#include "fabric/resolver.hpp"
 
 namespace javaflow {
 
@@ -11,8 +12,7 @@ FabricManager::FabricManager(sim::MachineConfig config,
     : config_(std::move(config)),
       engine_(config_, engine_options),
       fabric_(config_.fabric_options()),
-      occupied_(static_cast<std::size_t>(config_.capacity), false),
-      plan_mode_(sim::resolve_plan_mode(engine_options.plan)) {}
+      occupied_(static_cast<std::size_t>(config_.capacity), false) {}
 
 FabricManager::Canon& FabricManager::ensure_canon(
     const bytecode::Method& m, const bytecode::ConstantPool& pool) {
@@ -101,7 +101,6 @@ std::optional<FabricManager::MethodId> FabricManager::load(
   }
 
   r.placement = std::move(placement);
-  r.resolution = std::move(resolution);
   const MethodId id = r.id;
   residents_.emplace(id, std::move(r));
   return id;
@@ -128,18 +127,11 @@ std::optional<sim::RunMetrics> FabricManager::execute(
   Resident& r = it->second;
   r.busy = true;
   sim::BranchPredictor predictor(scenario);
-  sim::RunMetrics metrics;
-  if (plan_mode_ == sim::PlanMode::On && r.plan != nullptr &&
-      r.plan->fits()) {
-    // Plan path on the persistent engine: a shared canonical plan runs
-    // in its own frame, so only max_slot needs rebasing to the actual
-    // placement (row-shift invariance covers every other field).
-    metrics = engine_.run(*r.method, *r.plan, predictor);
-    metrics.max_slot = r.placement.max_slot;
-  } else {
-    metrics = engine_.run(*r.method, r.resolution.graph, r.placement,
-                          predictor);
-  }
+  // A shared canonical plan runs in its own frame, so only max_slot
+  // needs rebasing to the actual placement (row-shift invariance covers
+  // every other field).
+  sim::RunMetrics metrics = engine_.run(*r.method, *r.plan, predictor);
+  metrics.max_slot = r.placement.max_slot;
   r.busy = false;
   return metrics;
 }

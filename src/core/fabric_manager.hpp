@@ -27,7 +27,6 @@
 
 #include "bytecode/method.hpp"
 #include "fabric/loader.hpp"
-#include "fabric/resolver.hpp"
 #include "sim/branch_predictor.hpp"
 #include "sim/config.hpp"
 #include "sim/engine.hpp"
@@ -44,7 +43,6 @@ class FabricManager {
     const bytecode::Method* method = nullptr;
     std::int32_t anchor_slot = -1;  // first slot of the method's region
     fabric::Placement placement;
-    fabric::ResolutionResult resolution;
     bool busy = false;  // a thread is executing (Anchor busy, §4.3)
     // Pre-lowered plan: either the method's shared canonical plan (with
     // phys_delta rebasing its physical indices) or a dedicated lowering
@@ -128,7 +126,6 @@ class FabricManager {
   std::int32_t occupied_count_ = 0;
   MethodId next_id_ = 1;
   std::map<MethodId, Resident> residents_;
-  sim::PlanMode plan_mode_ = sim::PlanMode::On;
   std::map<const bytecode::Method*, Canon> canon_;
   sim::ExecPlanBuilder plan_builder_;
   std::int64_t plans_shared_ = 0;

@@ -17,7 +17,6 @@ std::string_view layout_name(LayoutKind k) noexcept {
 Fabric::Fabric(FabricOptions options)
     : options_(options),
       serial_(options.capacity),
-      mesh_(options.width),
       ring_(options.ring_latencies) {}
 
 NodeType Fabric::slot_type(std::int32_t slot) const {

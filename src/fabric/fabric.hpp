@@ -16,7 +16,6 @@
 #include <optional>
 
 #include "bytecode/opcode.hpp"
-#include "net/mesh_network.hpp"
 #include "net/ring_network.hpp"
 #include "net/serial_network.hpp"
 
@@ -55,8 +54,6 @@ class Fabric {
 
   const net::SerialNetwork& serial() const noexcept { return serial_; }
   net::SerialNetwork& serial() noexcept { return serial_; }
-  const net::MeshNetwork& mesh() const noexcept { return mesh_; }
-  net::MeshNetwork& mesh() noexcept { return mesh_; }
   const net::RingNetwork& ring() const noexcept { return ring_; }
   net::RingNetwork& ring() noexcept { return ring_; }
 
@@ -69,16 +66,9 @@ class Fabric {
            ((from_slot < 0 || to_slot < 0) && !collapsed() ? 1 : 0);
   }
 
-  // Mesh transit in mesh cycles between two chain slots.
-  std::int64_t mesh_cycles(std::int32_t from_slot,
-                           std::int32_t to_slot) const {
-    return mesh_.transit_mesh_cycles(from_slot, to_slot, collapsed());
-  }
-
  private:
   FabricOptions options_;
   net::SerialNetwork serial_;
-  net::MeshNetwork mesh_;
   net::RingNetwork ring_;
 };
 

@@ -149,7 +149,7 @@ struct AttributeOptions {
   // off.
   bool detail = true;
   // Pre-lowered execution plan of the run being attributed (docs/PERF.md
-  // "Execution plans"). When set, MeshTransit link decomposition replays
+  // "Execution kernel"). When set, MeshTransit link decomposition replays
   // the plan's precomputed X-Y route spans instead of re-walking a
   // net::MeshNetwork — same links, same order, no routing work. The
   // plan's own collapsed flag gates the decomposition, so mesh_width /

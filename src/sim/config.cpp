@@ -1,43 +1,15 @@
 #include "sim/config.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace javaflow::sim {
 
 std::string_view scheduler_name(SchedulerKind k) noexcept {
-  switch (k) {
-    case SchedulerKind::Auto: return "auto";
-    case SchedulerKind::Heap: return "heap";
-    case SchedulerKind::Calendar: return "calendar";
-  }
-  return "?";
+  return k == SchedulerKind::Calendar ? "calendar" : "auto";
 }
 
-std::optional<SchedulerKind> scheduler_from_name(
-    std::string_view name) noexcept {
-  if (name == "heap") return SchedulerKind::Heap;
-  if (name == "calendar") return SchedulerKind::Calendar;
-  if (name == "auto") return SchedulerKind::Auto;
-  return std::nullopt;
-}
-
-SchedulerKind resolve_scheduler(SchedulerKind requested) noexcept {
-  if (requested != SchedulerKind::Auto) return requested;
-  const char* env = std::getenv("JAVAFLOW_SCHEDULER");
-  if (env == nullptr || *env == '\0') return SchedulerKind::Calendar;
-  const std::optional<SchedulerKind> k = scheduler_from_name(env);
-  if (!k.has_value() || *k == SchedulerKind::Auto) {
-    if (!k.has_value()) {
-      std::fprintf(stderr,
-                   "warning: ignoring JAVAFLOW_SCHEDULER=\"%s\" (expected "
-                   "\"heap\" or \"calendar\"); using calendar\n",
-                   env);
-    }
-    return SchedulerKind::Calendar;
-  }
-  return *k;
+SchedulerKind resolve_scheduler(SchedulerKind) noexcept {
+  return SchedulerKind::Calendar;
 }
 
 std::string MachineConfig::canonical_text() const {

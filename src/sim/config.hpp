@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -12,27 +11,13 @@
 
 namespace javaflow::sim {
 
-// Event-scheduler implementation for the simulation kernel
-// (docs/PERF.md "Engine kernel"). Both produce bit-identical RunMetrics
-// and traces — the order they hand out events is the same strict
-// (tick, seq) total order — so the switch exists for equality testing
-// and regression triage, not for semantics.
-//   Auto      — resolve via JAVAFLOW_SCHEDULER, default Calendar.
-//   Heap      — std::push_heap/pop_heap binary heap (the pre-PR4 kernel).
-//   Calendar  — tick-bucketed calendar queue with an overflow spill;
-//               O(1) amortized for the model's bounded delays.
-enum class SchedulerKind : std::uint8_t { Auto, Heap, Calendar };
+// The calendar queue is the only event scheduler; the enum, its name
+// and resolve_scheduler() remain so result-cache keys keep their bytes.
+enum class SchedulerKind : std::uint8_t { Auto, Calendar };
 
 std::string_view scheduler_name(SchedulerKind k) noexcept;
 
-// Parses "heap" / "calendar" (also accepts "auto"); nullopt otherwise.
-std::optional<SchedulerKind> scheduler_from_name(
-    std::string_view name) noexcept;
-
-// Maps a requested kind to a concrete one: Heap/Calendar pass through;
-// Auto reads JAVAFLOW_SCHEDULER (warning on stderr for unknown values)
-// and falls back to Calendar when unset. Engines resolve once at
-// construction, so the env lookup never lands on the per-run hot path.
+// Maps Auto to the concrete scheduler: always Calendar.
 SchedulerKind resolve_scheduler(SchedulerKind requested) noexcept;
 
 struct MachineConfig {

@@ -7,6 +7,9 @@
 // memory/GPP service completions (Figure 25) are the event kinds. The
 // Baseline configuration collapses serial transit to zero ticks and all
 // mesh distances to one cycle.
+//
+// Engine runs the solo instantiation of the one execution kernel
+// (sim/kernel.hpp); sim::MultiEngine runs its shared instantiation.
 #pragma once
 
 #include <cstdint>
@@ -29,11 +32,10 @@ class FlightRecorder;
 namespace javaflow::sim {
 
 namespace detail {
-// Heap allocations (event-queue backing stores for both schedulers, the
-// struct-of-arrays hot node state plus the cold per-node runtime state
-// including operand buffers, cached branch classifications) that
-// persist across an Engine's run() calls so repeated runs reuse
-// capacity instead of re-allocating. Defined in engine.cpp.
+// Heap allocations (the kernel's calendar, node lanes and operand
+// buffers, and the lowered-plan cache) that persist across an Engine's
+// run() calls so repeated runs reuse capacity instead of re-allocating.
+// Defined in engine.cpp.
 struct EngineWorkspace;
 }  // namespace detail
 
@@ -86,28 +88,15 @@ struct RunMetrics {
 
 struct EngineOptions {
   std::int64_t max_ticks = 4'000'000;
-  bool trace = false;  // dump every event to stderr (debugging aid)
-  // Event-scheduler implementation (docs/PERF.md "Engine kernel"). Both
-  // kinds produce bit-identical results; Auto resolves via
-  // JAVAFLOW_SCHEDULER (default: the calendar queue) once at Engine
-  // construction. tests/test_scheduler.cpp asserts the equality.
-  SchedulerKind scheduler = SchedulerKind::Auto;
-  // Pre-lowered execution plans (docs/PERF.md "Execution plans"). On
-  // lowers each method to a sim::ExecPlan (cached in the workspace) and
-  // runs the plan-driven fast path; Off keeps the legacy per-run
-  // graph/placement walk. Bit-identical either way; Auto resolves via
-  // JAVAFLOW_PLAN (default On) once at Engine construction.
-  // tests/test_plan.cpp asserts the equality.
-  PlanMode plan = PlanMode::Auto;
   // Failure injection: the node at this linear address raises an
   // arithmetic exception on its `inject_exception_fire`-th firing
   // (1-based). The node halts, an EXCEPTION_TOKEN travels to the GPP,
   // and the GPP terminates the method (§6.3 "Exceptions").
   std::int32_t inject_exception_at = -1;
   std::int32_t inject_exception_fire = 1;
-  // Telemetry (src/obs/, docs/OBSERVABILITY.md). Both default to null,
-  // and every instrumentation site is guarded by a single null check, so
-  // the disabled engine is a guaranteed no-op on the hot path. Counters
+  // Telemetry (src/obs/, docs/OBSERVABILITY.md). Both default to null.
+  // An engine with any hook or an injected exception runs the
+  // instrumented kernel; without them every hook is compiled out. Counters
   // accumulate across runs; the caller owns the objects and must keep
   // them alive for the engine's lifetime. Neither is touched by any
   // other thread while a run is in flight (engines are lane-private).
@@ -142,18 +131,18 @@ class Engine {
 
   // Run with an externally computed placement — used when several
   // methods are co-resident and the fabric manager owns slot assignment
-  // (§6.2 "Management and Cleanup").
+  // (§6.2 "Management and Cleanup"). Both graph overloads lower the
+  // method to an ExecPlan, cached in the workspace for repeated runs.
   RunMetrics run(const bytecode::Method& m,
                  const fabric::DataflowGraph& graph,
                  const fabric::Placement& placement,
                  BranchPredictor& predictor);
 
-  // Run from a pre-lowered plan (docs/PERF.md "Execution plans"). The
+  // Run from a pre-lowered plan (docs/PERF.md "Execution kernel"). The
   // plan must have been built for `m` under this engine's MachineConfig;
-  // it embeds the graph, placement, and timing model, so neither is
-  // consulted. The plan is read-only here — the parallel sweep shares
-  // one plan across worker lanes. Always takes the plan path regardless
-  // of EngineOptions::plan (the caller already opted in by lowering).
+  // it embeds the graph, placement, and timing model. The plan is
+  // read-only here — the parallel sweep shares one plan across worker
+  // lanes.
   RunMetrics run(const bytecode::Method& m, const ExecPlan& plan,
                  BranchPredictor& predictor);
 

@@ -1,0 +1,1621 @@
+// The execution kernel: the one implementation of the paper's §6.3
+// token-bundle semantics, the Table 17 / Figure 25 timing model and the
+// (tick, seq) event calendar. Not installed API — include only from
+// sim/*.cpp.
+//
+// detail::Kernel is specialized at compile time on two flags:
+//
+//   * kShared — the serving kernel behind sim::MultiEngine: N residencies
+//     on one calendar, node lanes offset per residency, transport
+//     occupancy-tracked so co-resident flows contend, and fabric-level
+//     overlap accounting. The solo instantiation behind sim::Engine runs
+//     exactly one residency per run(): no residency lookup, no occupancy
+//     windows (an uncontended token's transit is closed-form), and a
+//     reset that keeps every lane's and bucket's capacity across runs.
+//   * kInstr — the telemetry hooks (obs::MetricsRegistry, EventTracer,
+//     FlightRecorder) and exception injection. Solo only; without it
+//     every hook folds to a constant and the hot path carries no
+//     instrumentation branch.
+//
+// A residency that never contends times exactly like a solo run, so a
+// lone MultiEngine residency reproduces Engine::run bit for bit
+// (tests/test_serve.cpp MultiEngineParity).
+#pragma once
+
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <deque>
+#include <limits>
+#include <optional>
+#include <tuple>
+#include <vector>
+
+#include "bytecode/opcode.hpp"
+#include "net/message.hpp"
+#include "obs/critpath.hpp"
+#include "obs/event_tracer.hpp"
+#include "obs/metrics.hpp"
+#include "sim/config.hpp"
+#include "sim/engine.hpp"
+#include "sim/multi_engine.hpp"
+#include "sim/plan.hpp"
+
+namespace javaflow::sim::detail {
+
+// The slice of a net::SerialMessage the engine actually routes: every
+// other field stays at its default through the whole simulation, so
+// events and held tokens carry just {cmd, reg} instead of the full
+// Figure 16 record.
+struct Token {
+  net::Command cmd = net::Command::HeadToken;
+  std::int32_t reg = -1;
+};
+
+// Firing-state bitmask (struct-of-arrays `state` lane). A node is
+// fire-ready only in the exact state kHeadReceived — any other set bit
+// (already fired, executing, waiting on a ring service, or holding the
+// loop bundle for a fired backward transfer) blocks it, so the hot
+// readiness test is a single byte compare.
+inline constexpr std::uint8_t kHeadReceived = 0x1;
+inline constexpr std::uint8_t kFired = 0x2;
+inline constexpr std::uint8_t kExecuting = 0x4;
+inline constexpr std::uint8_t kInService = 0x8;
+// Back transfer fired, bundle held until the TAIL arrives (§6.3). Only
+// ever set together with kFired, so the kHeadReceived readiness compare
+// is unaffected.
+inline constexpr std::uint8_t kWaitTailFlush = 0x10;
+
+// Cold per-node runtime state (wraps the Figure 13 resources). All
+// static classification lives in the ExecPlan's read-only lanes, so
+// this struct carries only mutable per-iteration token state.
+struct NodeRt {
+  bool reg_held = false;        // LocalRead/LocalInc captured its token
+  Token held_reg{};
+  bool write_absorbed = false;  // LocalWrite consumed the stale token
+  bool kill_next_register = false;
+  bool memory_held = false;     // ordered storage holds MEMORY_TOKEN
+  Token held_memory{};
+  bool tail_held = false;       // non-control node holding the TAIL
+  Token held_tail{};
+  bool tail_present = false;    // control node has TAIL in its buffer
+  std::int32_t decided_target = -1;
+
+  std::vector<Token> buffered;  // control-node token buffer
+
+  // Flight-recorder bookkeeping (null recorder leaves all of it idle):
+  // the dependency edge that delivered each currently-held token, so its
+  // eventual release can splice a hold edge (operand wait / TAIL hold)
+  // between arrival and release. `buffered_edges` parallels `buffered`.
+  std::int32_t held_reg_edge = -1;
+  std::int32_t held_memory_edge = -1;
+  std::int32_t held_tail_edge = -1;
+  std::vector<std::int32_t> buffered_edges;
+
+  // `buffered` keeps its capacity across iterations and runs, so a
+  // reused kernel stops paying for operand-buffer growth after the
+  // first run.
+  void reset_cold() {
+    reg_held = false;
+    write_absorbed = false;
+    kill_next_register = false;
+    memory_held = false;
+    tail_held = false;
+    tail_present = false;
+    decided_target = -1;
+    buffered.clear();
+    held_reg_edge = -1;
+    held_memory_edge = -1;
+    held_tail_edge = -1;
+    buffered_edges.clear();
+  }
+};
+
+enum class EvKind : std::uint8_t { Serial, Mesh, ExecDone, ServiceDone };
+
+// 32-byte event record. `aux` is the serial register number (Serial) or
+// the consumer's iteration epoch (Mesh). `prod` is the producing node of
+// a Mesh operand — it rides in what would be padding and feeds the
+// tracer's producer->consumer flow events.
+//
+// `res` is the dense ResidentId of the token's owning residency: always
+// 0 in solo runs, threaded through every handler by the shared kernel
+// so co-resident bundles interleave in one (tick, seq) calendar.
+// Packing the EvKind (2 bits) with the mesh side (6 bits — the widest
+// operand side is an invoke's argument count, well under 64) frees the
+// 16 bits the id needs without growing the record past two cache quads.
+struct Event {
+  std::int64_t tick = 0;
+  std::int64_t seq = 0;
+  std::int32_t node = -1;
+  std::int32_t aux = 0;
+  std::int32_t prod = -1;            // Mesh only
+  std::uint16_t res = 0;             // owning residency (0 = solo run)
+  std::uint8_t kind_side = 0;        // EvKind | (mesh side << 2)
+  net::Command cmd = net::Command::HeadToken;  // Serial only
+
+  EvKind kind() const noexcept {
+    return static_cast<EvKind>(kind_side & 0x3u);
+  }
+  std::uint8_t side() const noexcept {
+    return static_cast<std::uint8_t>(kind_side >> 2);
+  }
+  void set(EvKind k, std::uint8_t side = 0) noexcept {
+    kind_side = static_cast<std::uint8_t>(static_cast<std::uint8_t>(k) |
+                                          (side << 2));
+  }
+};
+static_assert(sizeof(Event) == 32, "Event should stay two cache quads");
+
+// Min-heap comparator over (tick, seq) for the overflow spill. (tick,
+// seq) is a strict total order — seq is unique — so the pop order is
+// deterministic regardless of the heap's internal layout.
+struct EventAfter {
+  bool operator()(const Event& a, const Event& b) const {
+    return std::tie(a.tick, a.seq) > std::tie(b.tick, b.seq);
+  }
+};
+
+// Largest per-group execution cost in mesh cycles (Table 17: FpArith).
+inline constexpr std::int64_t kMaxExecMeshCycles = 10;
+// Calendar-ring ceiling: beyond this, long delays spill to the overflow
+// heap rather than growing the bucket array without bound.
+inline constexpr std::int64_t kMaxBuckets = 4096;
+
+// Calendar-ring size for one plan: the smallest power of two (at least
+// one 64-bit occupancy word, at most kMaxBuckets) above the largest
+// bounded delay the model can emit for it — serial chain traversal plus
+// bundle spacing, a corner-to-corner mesh route, the costliest
+// execution group, and the slowest ring service. Delays beyond the ring
+// (long forward jumps on big methods once the ring is capped, or waits
+// behind another residency's traffic) spill to the overflow heap, so
+// the size is a performance knob, never a correctness one.
+inline std::int64_t calendar_buckets(const MachineConfig& cfg,
+                                     std::int64_t max_phys,
+                                     std::int64_t max_locals) {
+  const std::int64_t k = cfg.serial_per_mesh;
+  const std::int64_t hop = cfg.collapsed() ? 0 : 1;
+  const std::int64_t chain = max_phys + 1;
+  const std::int64_t width = std::max(cfg.width, 1);
+  const std::int64_t rows = (chain + width - 1) / width;
+  std::int64_t h = hop * (chain + 1) + max_locals + 3;
+  h = std::max(h, k * (width + rows));
+  h = std::max(h, k * kMaxExecMeshCycles);
+  const net::RingLatencies& rl = cfg.ring;
+  h = std::max(h, k * std::max({rl.memory_read, rl.memory_write,
+                                rl.constant_read, rl.gpp_service}));
+  const std::int64_t cap = std::min<std::int64_t>(h + 1, kMaxBuckets);
+  std::int64_t b = 64;
+  while (b < cap) b <<= 1;
+  return b;
+}
+
+// Sentinel `parent` for schedule(): attach the new dependency edge to
+// the event currently being dispatched (flight recorder only).
+inline constexpr std::int32_t kParentCurrent = -2;
+// `from` sentinel for send_serial: the owning residency's bundle anchor
+// (one physical hop below the residency's first row).
+inline constexpr std::int32_t kFromAnchor = -1;
+
+template <bool kInstr, bool kShared>
+class Kernel {
+  static_assert(!(kInstr && kShared),
+                "the serving kernel carries no telemetry hooks");
+
+ public:
+  static constexpr std::int64_t kNoLimit = MultiEngine::kNoLimit;
+
+  // Solo kernels take max_ticks, the hooks and exception injection from
+  // `options`; the shared kernel reads only max_ticks.
+  Kernel(MachineConfig config, const EngineOptions& options)
+      : cfg_(std::move(config)),
+        opt_(options),
+        k_(cfg_.serial_per_mesh),
+        hop_(cfg_.collapsed() ? 0 : 1),
+        idus_(std::max(cfg_.idus_per_node, 1)),
+        collapsed_(cfg_.collapsed()) {
+    if constexpr (kShared) grow_ring(kMinRing);
+  }
+
+  const MachineConfig& config() const noexcept { return cfg_; }
+
+  // ---- solo ----
+
+  // Runs one method to completion, timeout, or a drained calendar. The
+  // plan must fit (Engine::run answers unfit plans itself).
+  RunMetrics run(const bytecode::Method& m, const ExecPlan& plan,
+                 BranchPredictor& predictor) {
+    static_assert(!kShared);
+    reset(m, plan);
+    predictor_ = &predictor;
+    ResidentRt& r = add_resident(m, plan, /*phys_delta=*/0, /*start=*/0);
+    inject_bundle(r);
+    advance(kNoLimit);
+    // A drained calendar leaves the run neither completed nor timed out.
+    if (!r.done) finalize_resident(r);
+    if (mx() != nullptr) ++mx()->runs;
+    return metrics_of(r);
+  }
+
+  // ---- shared ----
+
+  ResidentId admit(const bytecode::Method& m, const ExecPlan& plan,
+                   std::int32_t phys_delta,
+                   BranchPredictor::Scenario scenario,
+                   std::int64_t start_tick) {
+    static_assert(kShared);
+    if (residents_.size() >= static_cast<std::size_t>(
+                                 MultiEngine::kMaxResidents) ||
+        !plan.fits()) {
+      return -1;
+    }
+    grow_ring(calendar_buckets(cfg_, plan.max_phys(), m.max_locals));
+    const auto id = static_cast<ResidentId>(residents_.size());
+    ResidentRt& r = add_resident(m, plan, phys_delta,
+                                 std::max(start_tick, cal_cur_));
+    predictors_.emplace_back(scenario);
+    ensure_phys(plan.max_phys() + phys_delta);
+    outcomes_.emplace_back();
+    outcomes_.back().resident = id;
+    outcomes_.back().name = m.name;
+    outcomes_.back().admitted_tick = r.inject_tick;
+    ++running_;
+    inject_bundle(r);
+    return id;
+  }
+
+  // Processes events in (tick, seq) order while tick < until; see
+  // MultiEngine::advance. Solo runs call it once with kNoLimit.
+  std::optional<ResidentId> advance(std::int64_t until) {
+    while (true) {
+      if (completion_pending()) {
+        if constexpr (kShared) {
+          const ResidentId id = completed_queue_.front();
+          completed_queue_.pop_front();
+          return id;
+        } else {
+          return 0;
+        }
+      }
+      if (live_events_ == 0) {
+        if constexpr (kShared) {
+          if (running_ > 0) {
+            // Drained with residencies still running: no token can ever
+            // reach them again, so they end here, timed out.
+            time_out_running();
+            continue;
+          }
+          // Fully drained: whatever sits in the cursor's bucket is a
+          // consumed prefix. Clear it and rewind bucket_pos before the
+          // cursor jumps — otherwise an admission at the idle tick
+          // inserts its bundle below the stale cursor and is never
+          // dispatched.
+          clear_bucket(static_cast<std::size_t>(cal_cur_ & bucket_mask_));
+          bucket_pos_ = 0;
+          if (until != kNoLimit && until > cal_cur_) move_cursor(until);
+        }
+        return std::nullopt;
+      }
+      if (kShared && cal_cur_ >= until) return std::nullopt;
+
+      // Drain tick after tick. A completion returns mid-tick with the
+      // cursor still here, so an admission it triggers starts this tick.
+      // The index scan tolerates the bucket growing underneath it:
+      // zero-delay events land on the current tick, always behind the
+      // scan point.
+      std::size_t pos = bucket_pos_;
+      while (true) {
+        const auto bix = static_cast<std::size_t>(cal_cur_ & bucket_mask_);
+        std::vector<Event>& bucket = buckets_[bix];
+        now_ = cal_cur_;
+        const std::size_t first = pos;
+        while (pos < bucket.size()) {
+          const Event ev = bucket[pos++];
+          dispatch(ev);
+          if (completion_pending()) [[unlikely]] break;
+        }
+        live_events_ -= static_cast<std::int64_t>(pos - first);
+        if (completion_pending() || live_events_ == 0) {
+          bucket_pos_ = pos;
+          break;
+        }
+
+        // Tick drained: step to the next tick when it has events (spilled
+        // ticks all lie past the window), else jump to the next pending
+        // tick (occupancy-bitmap scan vs. the overflow front).
+        bucket.clear();
+        cal_words_[bix >> 6] &= ~(std::uint64_t{1} << (bix & 63));
+        pos = 0;
+        bucket_pos_ = 0;
+        std::int64_t next = cal_cur_ + 1;
+        if (buckets_[static_cast<std::size_t>(next & bucket_mask_)].empty()) {
+          next = next_bucket_tick();
+          if (!overflow_.empty() && overflow_.front().tick < next) {
+            next = overflow_.front().tick;
+          }
+        }
+        if (kShared && next >= until) {
+          move_cursor(until);
+          return std::nullopt;
+        }
+        if (next > opt_.max_ticks) {
+          timeout_all(next);
+          break;
+        }
+        move_cursor(next);
+      }
+    }
+  }
+
+  bool idle() const noexcept { return live_events_ == 0; }
+  std::int64_t now() const noexcept { return cal_cur_; }
+  std::size_t resident_count() const noexcept { return residents_.size(); }
+  std::size_t running_count() const noexcept { return running_; }
+
+  const ResidentOutcome* outcome(ResidentId r) const noexcept {
+    if (r < 0 || static_cast<std::size_t>(r) >= residents_.size() ||
+        !residents_[static_cast<std::size_t>(r)].done) {
+      return nullptr;
+    }
+    return &outcomes_[static_cast<std::size_t>(r)];
+  }
+
+  MultiRunMetrics finish() {
+    static_assert(kShared);
+    for (ResidentRt& r : residents_) {
+      if (!r.done) finalize_resident(r);
+    }
+    flush_fabric_accounting();
+    MultiRunMetrics agg;
+    agg.residents = outcomes_;
+    agg.fabric_ticks = now_;
+    agg.ticks_exec_1plus = fab_acc1_;
+    agg.ticks_exec_2plus = fab_acc2_;
+    agg.ticks_res_1plus = res_acc1_;
+    agg.ticks_res_2plus = res_acc2_;
+    for (const ResidentRt& r : residents_) {
+      agg.serial_wait_ticks += r.serial_wait;
+      agg.mesh_wait_ticks += r.mesh_wait;
+      agg.ring_wait_ticks += r.ring_wait;
+    }
+    return agg;
+  }
+
+ private:
+  // One residency: a method's plan anchored at `base` in the global
+  // node lanes (0 in solo runs) and shifted by `phys_delta` physical
+  // nodes (a whole-row shift, docs/SERVING.md).
+  struct ResidentRt {
+    const bytecode::Method* method = nullptr;
+    const ExecPlan* plan = nullptr;
+    // The plan's static lanes, indexed by the method-local node id.
+    const std::uint8_t* group = nullptr;
+    const std::uint8_t* op = nullptr;
+    const std::uint8_t* flags = nullptr;
+    const std::uint8_t* branch_kinds = nullptr;
+    const std::int32_t* pop_need = nullptr;
+    const std::int32_t* local_reg = nullptr;
+    const std::int32_t* phys = nullptr;
+    const std::int32_t* target = nullptr;
+    const std::int32_t* operand = nullptr;
+    const std::int32_t* exec_cost = nullptr;
+    const std::int32_t* edge_begin = nullptr;
+    const PlanEdge* edges = nullptr;
+    const PlanRouteLink* route_links = nullptr;
+    std::int32_t id = 0;
+    std::int32_t base = 0;   // first global node lane
+    std::int32_t count = 0;  // node lanes owned
+    std::int32_t phys_delta = 0;
+    std::int32_t slot_delta = 0;
+    std::int64_t inject_tick = 0;
+    bool done = false;
+    bool completed = false;
+    bool timed_out = false;
+    bool exception = false;  // EXCEPTION_TOKEN raised (instrumented)
+    std::int64_t end_tick = 0;
+    // RunMetrics accumulators.
+    std::int64_t fired = 0;
+    std::int64_t mesh_msgs = 0;
+    std::int64_t serial_msgs = 0;
+    int active_exec = 0;
+    std::int64_t last_change = 0;
+    std::int64_t acc1 = 0;
+    std::int64_t acc2 = 0;
+    // Cross-residency contention charged to this residency (shared).
+    std::int64_t serial_wait = 0;
+    std::int64_t mesh_wait = 0;
+    std::int64_t ring_wait = 0;
+
+    bool flag(std::int32_t l, std::uint8_t f) const {
+      return (flags[l] & f) != 0;
+    }
+    bytecode::Group group_of(std::int32_t l) const {
+      return static_cast<bytecode::Group>(group[l]);
+    }
+  };
+
+  struct Occupancy {
+    std::int32_t owner = -1;
+    std::int64_t busy_until = 0;
+  };
+
+  // Ring size before the first admission: one occupancy word.
+  static constexpr std::int64_t kMinRing = 64;
+
+  // Telemetry access, folded to null constants when !kInstr so every
+  // guarded site is dead code.
+  obs::MetricsRegistry* mx() const { return kInstr ? opt_.metrics : nullptr; }
+  obs::EventTracer* tr() const { return kInstr ? opt_.tracer : nullptr; }
+  obs::FlightRecorder* fr() const { return kInstr ? opt_.flight : nullptr; }
+
+  // Solo residencies sit at lane 0 and physical node 0, so their global
+  // and local indices coincide and physical nodes come straight from
+  // the plan; shared ones read the lane frozen at admission (a finished
+  // residency's stale events must never touch plan memory).
+  std::int32_t base(const ResidentRt& r) const { return kShared ? r.base : 0; }
+  std::int32_t local(const ResidentRt& r, std::int32_t g) const {
+    return g - base(r);
+  }
+  std::int32_t phys_of(const ResidentRt& r, std::int32_t g) const {
+    if constexpr (kShared) {
+      return phys_lane_[static_cast<std::size_t>(g)];
+    } else {
+      return r.phys[g];
+    }
+  }
+  ResidentRt& resident(std::uint16_t res) {
+    if constexpr (kShared) {
+      return residents_[res];
+    } else {
+      return residents_.front();
+    }
+  }
+  BranchPredictor& predictor(const ResidentRt& r) {
+    if constexpr (kShared) {
+      return predictors_[static_cast<std::size_t>(r.id)];
+    } else {
+      return *predictor_;
+    }
+  }
+  bool completion_pending() const {
+    if constexpr (kShared) {
+      return !completed_queue_.empty();
+    } else {
+      return residents_.front().done;
+    }
+  }
+
+  // ---- set-up ----
+
+  ResidentRt& add_resident(const bytecode::Method& m, const ExecPlan& plan,
+                           std::int32_t phys_delta,
+                           std::int64_t inject_tick) {
+    ResidentRt r;
+    r.method = &m;
+    r.plan = &plan;
+    r.group = plan.group();
+    r.op = plan.op();
+    r.flags = plan.flags();
+    r.branch_kinds = plan.branch_kinds();
+    r.pop_need = plan.pop_need();
+    r.local_reg = plan.local_reg();
+    r.phys = plan.phys();
+    r.target = plan.target();
+    r.operand = plan.operand();
+    r.exec_cost = plan.exec_cost_ticks();
+    r.edge_begin = plan.edge_begin();
+    r.edges = plan.edges();
+    r.route_links = plan.route_links();
+    r.id = static_cast<std::int32_t>(residents_.size());
+    r.base = kShared ? static_cast<std::int32_t>(nodes_.size()) : 0;
+    r.count = plan.node_count();
+    r.phys_delta = phys_delta;
+    r.slot_delta = phys_delta * idus_;
+    r.inject_tick = inject_tick;
+    r.last_change = inject_tick;
+
+    if constexpr (kShared) {
+      const auto end = static_cast<std::size_t>(r.base + r.count);
+      nodes_.resize(end);
+      state_.resize(end, 0);
+      pops_.resize(end, 0);
+      epoch_.resize(end, 0);
+      fwd_.resize(end);
+      distinct_.resize(end, 0);
+      res_of_.resize(end, static_cast<std::uint16_t>(r.id));
+      phys_lane_.resize(end);
+    }
+    for (std::int32_t i = 0; i < r.count; ++i) {
+      const auto u = static_cast<std::size_t>(r.base + i);
+      fwd_[u] = r.base + i + 1;
+      if constexpr (kShared) phys_lane_[u] = plan.phys()[i] + phys_delta;
+    }
+    residents_.push_back(r);
+    return residents_.back();
+  }
+
+  // Solo reset: every lane and bucket keeps its capacity (and every
+  // node its operand buffer's), seq restarts at 0, and the ring window
+  // is sized for this plan.
+  void reset(const bytecode::Method& m, const ExecPlan& plan) {
+    if (fr() != nullptr) fr()->reset();
+    cur_edge_ = -1;
+    exception_fires_ = 0;
+    seq_ = 0;
+    now_ = 0;
+    cal_cur_ = 0;
+    bucket_pos_ = 0;
+    live_events_ = 0;
+
+    ring_size_ = calendar_buckets(cfg_, plan.max_phys(), m.max_locals);
+    bucket_mask_ = ring_size_ - 1;
+    if (buckets_.size() < static_cast<std::size_t>(ring_size_)) {
+      buckets_.resize(static_cast<std::size_t>(ring_size_));
+      cal_words_.resize(buckets_.size() >> 6, 0);
+    }
+    // A finished run can leave undrained events behind, but only in
+    // buckets whose occupancy bit is still set — clear exactly those
+    // instead of sweeping the whole ring.
+    drop_pending();
+
+    const auto nn = static_cast<std::size_t>(plan.node_count());
+    residents_.clear();
+    nodes_.resize(nn);
+    for (NodeRt& n : nodes_) n.reset_cold();
+    state_.assign(nn, 0);
+    pops_.assign(nn, 0);
+    epoch_.assign(nn, 0);
+    fwd_.resize(nn);  // add_resident() fills it
+    distinct_.assign(nn, 0);
+    const auto np = static_cast<std::size_t>(plan.max_phys() + 1);
+    exec_busy_.assign(np, 0);
+    if (pending_fire_.size() < np) pending_fire_.resize(np);
+    for (std::size_t p = 0; p < np; ++p) pending_fire_[p].clear();
+    if (mx() != nullptr) {
+      head_tick_.assign(nn, -1);
+      tail_hold_.assign(nn, -1);
+    }
+    if (fr() != nullptr) node_ready_edge_.assign(nn, -1);
+  }
+
+  void ensure_phys(std::int32_t max_phys_global) {
+    const auto want = static_cast<std::size_t>(max_phys_global + 2);
+    if (exec_busy_.size() < want) {
+      exec_busy_.resize(want, 0);
+      pending_fire_.resize(want);
+      link_down_.resize(want);
+      link_up_.resize(want);
+      mesh_link_.resize(want * 4);
+    }
+  }
+
+  void inject_bundle(ResidentRt& r) {
+    const std::int64_t spacing = hop_ == 0 ? 0 : 1;
+    std::int64_t idx = 0;
+    now_ = r.inject_tick;
+    const std::int32_t head = base(r);
+    send_serial(r, kFromAnchor, head, Token{net::Command::HeadToken, -1},
+                spacing * idx++);
+    send_serial(r, kFromAnchor, head, Token{net::Command::MemoryToken, -1},
+                spacing * idx++);
+    for (std::int32_t reg = 0; reg < r.method->max_locals; ++reg) {
+      send_serial(r, kFromAnchor, head,
+                  Token{net::Command::RegisterToken, reg}, spacing * idx++);
+    }
+    send_serial(r, kFromAnchor, head, Token{net::Command::TailToken, -1},
+                spacing * idx++);
+  }
+
+  // ---- calendar ----
+  //
+  // Invariant: every bucket holds the events of one tick in
+  // [cal_cur, cal_cur + ring_size) in seq order, and the overflow heap
+  // holds only ticks at or past the window's end — every cursor move
+  // and every ring growth migrates the spill the window now covers, and
+  // seq grows monotonically with scheduling time. So events come out in
+  // ascending (tick, seq), the order docs/PERF.md argues for.
+
+  [[gnu::always_inline]] inline void bucket_insert(const Event& ev) {
+    const auto bi = static_cast<std::size_t>(ev.tick & bucket_mask_);
+    buckets_[bi].push_back(ev);
+    cal_words_[bi >> 6] |= std::uint64_t{1} << (bi & 63);
+  }
+
+  // Every schedule site names the delay category its event represents;
+  // with the recorder attached, one dependency edge is captured per
+  // event. `parent` kParentCurrent means "the event being dispatched
+  // right now" (cur_edge_); hold-release sites pass an explicit splice
+  // edge instead. Without a recorder the extra arguments are dead.
+  // Force-inlined: the Event is 32 bytes, so an out-of-line call would
+  // shuttle it through the stack twice per event.
+  [[gnu::always_inline]] inline void schedule(
+      Event ev, obs::PathCategory cat,
+      std::int32_t parent = kParentCurrent, std::int32_t from_phys = -1,
+      std::int32_t to_phys = -1, std::uint8_t opcode = 0) {
+    ev.seq = seq_++;
+    if (fr() != nullptr) {
+      fr()->record_event(
+          ev.seq,
+          {now_, ev.tick, parent == kParentCurrent ? cur_edge_ : parent,
+           ev.node, from_phys, to_phys, cat, opcode});
+    }
+    ++live_events_;
+    if (ev.tick < cal_cur_ + ring_size_) [[likely]] {
+      bucket_insert(ev);
+    } else {
+      spill(ev);
+    }
+  }
+
+  // Slow paths, kept out of line so schedule() and move_cursor() stay
+  // small enough to inline into every call site.
+  [[gnu::noinline]] void spill(const Event& ev) {
+    overflow_.push_back(ev);
+    std::push_heap(overflow_.begin(), overflow_.end(), EventAfter{});
+  }
+
+  [[gnu::noinline]] void migrate_overflow() {
+    while (!overflow_.empty() &&
+           overflow_.front().tick < cal_cur_ + ring_size_) {
+      std::pop_heap(overflow_.begin(), overflow_.end(), EventAfter{});
+      bucket_insert(overflow_.back());
+      overflow_.pop_back();
+    }
+  }
+
+  // Every cursor move pulls in the spill the window now covers, before
+  // anything can be scheduled at those ticks — so an admission at a
+  // paused tick lands behind older spilled events of the same tick.
+  [[gnu::always_inline]] inline void move_cursor(std::int64_t tick) {
+    cal_cur_ = tick;
+    if (!overflow_.empty()) [[unlikely]] migrate_overflow();
+  }
+
+  // Widens the ring to `want` buckets (a power of two). Each occupied
+  // bucket holds one tick of the current window, in seq order, and moves
+  // whole into that tick's new bucket (keeping bucket_pos valid); the
+  // spill the wider window now covers migrates after it.
+  void grow_ring(std::int64_t want) {
+    if (want <= ring_size_) return;
+    std::vector<std::vector<Event>> old_buckets(
+        static_cast<std::size_t>(want));
+    std::vector<std::uint64_t> old_words(static_cast<std::size_t>(want >> 6),
+                                         0);
+    old_buckets.swap(buckets_);
+    old_words.swap(cal_words_);
+    ring_size_ = want;
+    bucket_mask_ = want - 1;
+    for (std::size_t w = 0; w < old_words.size(); ++w) {
+      for (std::uint64_t bits = old_words[w]; bits != 0; bits &= bits - 1) {
+        std::vector<Event>& b =
+            old_buckets[(w << 6) |
+                        static_cast<std::size_t>(std::countr_zero(bits))];
+        const auto bi =
+            static_cast<std::size_t>(b.front().tick & bucket_mask_);
+        buckets_[bi] = std::move(b);
+        cal_words_[bi >> 6] |= std::uint64_t{1} << (bi & 63);
+      }
+    }
+    migrate_overflow();
+  }
+
+  void clear_bucket(std::size_t bix) {
+    buckets_[bix].clear();
+    cal_words_[bix >> 6] &= ~(std::uint64_t{1} << (bix & 63));
+  }
+
+  // Empties every occupied bucket and the spill.
+  void drop_pending() {
+    for (std::size_t w = 0; w < cal_words_.size(); ++w) {
+      for (std::uint64_t bits = cal_words_[w]; bits != 0; bits &= bits - 1) {
+        buckets_[(w << 6) | static_cast<std::size_t>(std::countr_zero(bits))]
+            .clear();
+      }
+      cal_words_[w] = 0;
+    }
+    overflow_.clear();
+    live_events_ = 0;
+  }
+
+  // Tick of the next non-empty bucket strictly after cal_cur, found by
+  // a word-parallel circular scan of the occupancy bitmap (the window
+  // holds at most one tick per bucket, so a set bit maps to exactly one
+  // pending tick). INT64_MAX when every bucket is empty.
+  std::int64_t next_bucket_tick() const {
+    const auto mask = static_cast<std::uint64_t>(bucket_mask_);
+    const std::uint64_t start =
+        (static_cast<std::uint64_t>(cal_cur_) + 1) & mask;
+    const auto nwords = static_cast<std::size_t>(ring_size_ >> 6);
+    const auto w0 = static_cast<std::size_t>(start >> 6);
+    std::uint64_t bits = cal_words_[w0] & (~std::uint64_t{0} << (start & 63));
+    if (bits != 0) {
+      const std::uint64_t j =
+          (static_cast<std::uint64_t>(w0) << 6) +
+          static_cast<std::uint64_t>(std::countr_zero(bits));
+      return cal_cur_ + 1 + static_cast<std::int64_t>((j - start) & mask);
+    }
+    for (std::size_t s = 1; s <= nwords; ++s) {
+      const std::size_t w = (w0 + s) % nwords;
+      bits = cal_words_[w];
+      if (w == w0) {
+        const std::uint64_t low = start & 63;
+        bits &= low != 0 ? (std::uint64_t{1} << low) - 1 : std::uint64_t{0};
+      }
+      if (bits != 0) {
+        const std::uint64_t j =
+            (static_cast<std::uint64_t>(w) << 6) +
+            static_cast<std::uint64_t>(std::countr_zero(bits));
+        return cal_cur_ + 1 + static_cast<std::int64_t>((j - start) & mask);
+      }
+    }
+    return std::numeric_limits<std::int64_t>::max();
+  }
+
+  void dispatch(const Event& ev) {
+    ResidentRt& r = resident(ev.res);
+    if constexpr (kShared) {
+      if (r.done) {
+        // A finished residency's stale events are dropped — except that
+        // a still-in-flight execution completion must free its
+        // Instruction Execution Unit (shared with later co-residents)
+        // and close the fabric-level overlap span it holds.
+        if (ev.kind() == EvKind::ExecDone) {
+          state_[static_cast<std::size_t>(ev.node)] &=
+              static_cast<std::uint8_t>(~kExecuting);
+          exec_delta(r, -1);
+          release_execution_unit(r, ev.node);
+        }
+        return;
+      }
+    }
+    if (fr() != nullptr) cur_edge_ = fr()->edge_of_seq(ev.seq);
+    switch (ev.kind()) {
+      case EvKind::Serial:
+        on_serial(r, ev.node, Token{ev.cmd, ev.aux});
+        break;
+      case EvKind::Mesh:
+        on_mesh(r, ev.node, ev.side(), ev.aux, ev.prod);
+        break;
+      case EvKind::ExecDone: on_exec_done(r, ev.node); break;
+      case EvKind::ServiceDone: on_service_done(r, ev.node); break;
+    }
+  }
+
+  // ---- transport ----
+  //
+  // Solo: closed-form uncontended transit. Shared: each resource
+  // remembers (owner, busy_until); same-owner passage is free (a
+  // method's own tokens never queue behind each other, which is the
+  // solo timing), while a cross-residency token starts when the resource
+  // frees and the delay is charged to the waiting residency.
+
+  std::int64_t occupy(Occupancy& o, std::int32_t owner, std::int64_t at,
+                      std::int64_t dur, std::int64_t* wait) {
+    std::int64_t start = at;
+    if (o.owner != owner && o.busy_until > at) {
+      start = o.busy_until;
+      *wait += start - at;
+    }
+    o.owner = owner;
+    const std::int64_t done = start + dur;
+    if (done > o.busy_until) o.busy_until = done;
+    return done;
+  }
+
+  // Serial-chain arrival tick from physical a to b (global indices; the
+  // residency's anchor is phys_delta - 1). Collapsed configs have zero
+  // serial transit, hence nothing to contend for.
+  std::int64_t chain_arrival(ResidentRt& r, std::int32_t a, std::int32_t b) {
+    if constexpr (!kShared) {
+      const std::int64_t hops = a < b ? b - a : a - b;
+      return now_ + hop_ * std::max<std::int64_t>(hops, 1);
+    } else {
+      if (hop_ == 0) return now_;
+      if (a == b) return now_ + hop_;  // intra-node IDU chain hop
+      std::int64_t t = now_;
+      std::int64_t wait = 0;
+      if (a < b) {
+        for (std::int32_t p = a + 1; p <= b; ++p) {
+          t = occupy(link_down_[static_cast<std::size_t>(p)], r.id, t, hop_,
+                     &wait);
+        }
+      } else {
+        for (std::int32_t p = a - 1; p >= b; --p) {
+          t = occupy(link_up_[static_cast<std::size_t>(p)], r.id, t, hop_,
+                     &wait);
+        }
+      }
+      r.serial_wait += wait;
+      return t;
+    }
+  }
+
+  // Mesh arrival tick for one plan edge. Shared: the precomputed X-Y
+  // route is walked link by link at one mesh cycle (k ticks) each; with
+  // no contention the sum equals the plan's baked delivery_ticks (route
+  // length == Manhattan distance). Collapsed configs and self-edges
+  // (distance clamped to 1, no links) keep the baked cost.
+  std::int64_t mesh_arrival(ResidentRt& r, const PlanEdge& e) {
+    if constexpr (!kShared) {
+      return now_ + e.delivery_ticks;
+    } else {
+      if (collapsed_ || e.route_count == 0) return now_ + e.delivery_ticks;
+      const PlanRouteLink* link = r.route_links + e.route_begin;
+      std::int64_t t = now_;
+      std::int64_t wait = 0;
+      for (std::int32_t i = 0; i < e.route_count; ++i, ++link) {
+        const auto li =
+            static_cast<std::size_t>(link->src_phys + r.phys_delta) * 4 +
+            link->dir;
+        t = occupy(mesh_link_[li], r.id, t, k_, &wait);
+      }
+      r.mesh_wait += wait;
+      return t;
+    }
+  }
+
+  // Ring-service completion tick. Shared: all four channels are
+  // fabric-global — the one genuinely shared resource even between
+  // row-aligned residencies. `blocking` distinguishes a waiting
+  // requester (MemRead, GPP calls) from a posted MemoryWrite, which
+  // reserves the channel but never stalls its node.
+  std::int64_t ring_done(ResidentRt& r, net::RingService svc,
+                         std::int64_t svc_ticks, bool blocking) {
+    if constexpr (!kShared) {
+      return now_ + svc_ticks;
+    } else {
+      std::int64_t wait = 0;
+      const std::int64_t done =
+          occupy(ring_[static_cast<std::size_t>(svc)], r.id, now_, svc_ticks,
+                 &wait);
+      if (blocking) r.ring_wait += wait;
+      return done;
+    }
+  }
+
+  // ---- sends ----
+
+  void send_serial(ResidentRt& r, std::int32_t from, std::int32_t to,
+                   Token tok, std::int64_t extra = 0,
+                   std::int32_t parent = kParentCurrent) {
+    if (to < base(r) || to >= base(r) + r.count) {
+      return;  // token falls off the residency's chain span
+    }
+    ++r.serial_msgs;
+    const std::int32_t a =
+        from == kFromAnchor ? r.phys_delta - 1 : phys_of(r, from);
+    const std::int64_t arrival = chain_arrival(r, a, phys_of(r, to));
+    if (mx() != nullptr) {
+      ++mx()->serial_messages;
+      mx()->serial_hop_ticks += static_cast<std::uint64_t>(arrival - now_);
+      ++mx()->serial_commands[static_cast<std::size_t>(tok.cmd)];
+    }
+    Event ev;
+    ev.set(EvKind::Serial);
+    ev.node = to;
+    ev.res = static_cast<std::uint16_t>(r.id);
+    ev.cmd = tok.cmd;
+    ev.aux = tok.reg;
+    ev.tick = arrival + extra;
+    schedule(ev, obs::PathCategory::SerialTransit, parent);
+  }
+
+  void forward_token(ResidentRt& r, std::int32_t g, Token tok,
+                     std::int32_t parent = kParentCurrent) {
+    send_serial(r, g, fwd_[static_cast<std::size_t>(g)], tok, /*extra=*/0,
+                parent);
+  }
+
+  void send_mesh(ResidentRt& r, std::int32_t g) {
+    const std::int32_t l = local(r, g);
+    const std::int32_t from_phys = phys_of(r, g);
+    const PlanEdge* e = r.edges + r.edge_begin[l];
+    const PlanEdge* const end = r.edges + r.edge_begin[l + 1];
+    for (; e != end; ++e) {
+      ++r.mesh_msgs;
+      if (mx() != nullptr) record_mesh_metrics(r, *e);
+      const std::int32_t consumer = base(r) + e->consumer;
+      Event ev;
+      ev.set(EvKind::Mesh, e->side);
+      ev.node = consumer;
+      ev.res = static_cast<std::uint16_t>(r.id);
+      ev.prod = g;
+      ev.aux = epoch_[static_cast<std::size_t>(consumer)];
+      ev.tick = mesh_arrival(r, *e);
+      schedule(ev, obs::PathCategory::MeshTransit, kParentCurrent, from_phys,
+               e->to_phys);
+    }
+  }
+
+  // ---- flight recorder (critical-path attribution) ----
+  //
+  // A token that sat held at a node between delivery and release gets a
+  // synthetic hold edge spliced in: [arrival end, now]. The release's
+  // transit edge then parents on the hold edge, so attribute() walks
+  // release -> hold -> arrival with no tick gap — waiting time becomes
+  // its own category instead of disappearing into the next hop.
+  std::int32_t hold_edge(std::int32_t node, std::int32_t arrival_edge,
+                         obs::PathCategory cat) {
+    if (arrival_edge < 0) return cur_edge_;  // defensive: unknown arrival
+    const std::int64_t arrived =
+        fr()->edges()[static_cast<std::size_t>(arrival_edge)].to_tick;
+    return fr()->record({arrived, now_, arrival_edge, node, -1, -1, cat, 0});
+  }
+
+  // The parent for a held token's release: its hold edge with the
+  // recorder attached, the dispatched event otherwise.
+  std::int32_t released(std::int32_t node, std::int32_t arrival_edge,
+                        obs::PathCategory cat) {
+    return fr() != nullptr ? hold_edge(node, arrival_edge, cat)
+                           : kParentCurrent;
+  }
+
+  // ---- telemetry (hooks are null-checked; compiled out when !kInstr) ----
+
+  void record_mesh_metrics(const ResidentRt& r, const PlanEdge& e) {
+    ++mx()->mesh_messages;
+    mx()->mesh_transit_cycles += static_cast<std::uint64_t>(e.mesh_cycles);
+    const PlanRouteLink* link = r.route_links + e.route_begin;
+    for (std::int32_t i = 0; i < e.route_count; ++i, ++link) {
+      mx()->mesh_link(link->src_phys, static_cast<obs::LinkDir>(link->dir));
+    }
+  }
+
+  // Buffers a token at a control node, keeping the high-water mark and
+  // (recorder attached) the parallel arrival-edge list in sync.
+  void buffer_token(const ResidentRt& r, std::int32_t g, NodeRt& n,
+                    Token tok) {
+    n.buffered.push_back(tok);
+    if (fr() != nullptr) n.buffered_edges.push_back(cur_edge_);
+    if (mx() != nullptr) {
+      mx()->buffer_high_water(phys_of(r, g), n.buffered.size());
+    }
+  }
+
+  // Records a ring request in the registry and tracer, whichever are
+  // attached.
+  void record_service(const ResidentRt& r, std::int32_t g,
+                      net::RingService svc, std::int64_t ticks) {
+    if (mx() != nullptr) {
+      ++mx()->ring_requests[static_cast<std::size_t>(svc)];
+      mx()->ring_latency_ticks[static_cast<std::size_t>(svc)].record(ticks);
+    }
+    if (tr() != nullptr) {
+      tr()->record({now_, obs::TraceEventKind::ServiceStart, g,
+                    phys_of(r, g), static_cast<std::uint8_t>(svc), ticks});
+    }
+  }
+
+  // ---- serial handlers ----
+
+  void on_serial(ResidentRt& r, std::int32_t g, Token tok) {
+    const auto u = static_cast<std::size_t>(g);
+    const std::int32_t l = local(r, g);
+    NodeRt& n = nodes_[u];
+    if (tr() != nullptr) {
+      tr()->record({now_, obs::TraceEventKind::TokenDeliver, g, phys_of(r, g),
+                    static_cast<std::uint8_t>(tok.cmd), 0});
+    }
+    const std::uint8_t st = state_[u];
+    const bool buffers = r.flag(l, kPlanBuffers);
+    // Control-transfer nodes hold the bundle while unfired AND while a
+    // fired backward transfer awaits its TAIL — those tokens are the
+    // bundle that will replay around the loop (§6.3).
+    const bool hold =
+        buffers && (!(st & kFired) || (st & kWaitTailFlush) != 0);
+
+    switch (tok.cmd) {
+      case net::Command::HeadToken:
+        state_[u] |= kHeadReceived;
+        if (mx() != nullptr) head_tick_[u] = now_;
+        if (hold) {
+          buffer_token(r, g, n, tok);
+          try_fire(r, g);
+        } else {
+          try_fire(r, g);
+          forward_token(r, g, tok);  // the HEAD runs ahead (§6.3)
+        }
+        return;
+
+      case net::Command::MemoryToken:
+        if (hold) {
+          buffer_token(r, g, n, tok);
+          return;
+        }
+        if (r.flag(l, kPlanOrdered) && !(state_[u] & kFired)) {
+          n.memory_held = true;
+          n.held_memory = tok;
+          if (fr() != nullptr) n.held_memory_edge = cur_edge_;
+          try_fire(r, g);
+          return;
+        }
+        forward_token(r, g, tok);
+        return;
+
+      case net::Command::RegisterToken: {
+        if (hold) {
+          buffer_token(r, g, n, tok);
+          return;
+        }
+        const bytecode::Group grp = r.group_of(l);
+        const std::int32_t lreg = r.local_reg[l];
+        if ((grp == bytecode::Group::LocalRead ||
+             grp == bytecode::Group::LocalInc) &&
+            lreg == tok.reg && !(state_[u] & kFired) && !n.reg_held) {
+          n.reg_held = true;
+          n.held_reg = tok;
+          if (fr() != nullptr) n.held_reg_edge = cur_edge_;
+          try_fire(r, g);
+          return;
+        }
+        if (grp == bytecode::Group::LocalWrite && lreg == tok.reg) {
+          if (!(state_[u] & kFired)) {
+            n.write_absorbed = true;  // the write kills the old value
+          } else if (n.kill_next_register) {
+            n.kill_next_register = false;  // stale token after firing
+          } else {
+            forward_token(r, g, tok);
+          }
+          return;
+        }
+        forward_token(r, g, tok);
+        return;
+      }
+
+      case net::Command::TailToken:
+        if (buffers) {
+          if (!(state_[u] & kFired)) {
+            buffer_token(r, g, n, tok);
+            n.tail_present = true;
+            try_fire(r, g);  // returns / backward gotos need the TAIL
+            return;
+          }
+          if (state_[u] & kWaitTailFlush) {
+            buffer_token(r, g, n, tok);
+            flush_up(r, g);
+            return;
+          }
+          forward_token(r, g, tok);
+          return;
+        }
+        if (state_[u] & kFired) {
+          forward_token(r, g, tok);
+        } else {
+          n.tail_held = true;  // held until this node fires (§6.3)
+          n.held_tail = tok;
+          if (fr() != nullptr) n.held_tail_edge = cur_edge_;
+          if (mx() != nullptr) tail_hold_[u] = now_;
+        }
+        return;
+
+      default:
+        forward_token(r, g, tok);
+        return;
+    }
+  }
+
+  void on_mesh(ResidentRt& r, std::int32_t g, std::uint8_t side,
+               std::int32_t epoch, std::int32_t producer) {
+    const auto u = static_cast<std::size_t>(g);
+    if (epoch_[u] != epoch) return;  // stale (previous loop iteration)
+    if (tr() != nullptr) {
+      // `dur` carries the producing node so the Chrome exporter can draw
+      // producer->consumer flow arrows (docs/OBSERVABILITY.md).
+      tr()->record({now_, obs::TraceEventKind::OperandArrive, g,
+                    phys_of(r, g), side, producer});
+    }
+    ++pops_[u];
+    try_fire(r, g);
+  }
+
+  // ---- firing ----
+
+  bool fire_ready(const ResidentRt& r, std::int32_t g) const {
+    const auto u = static_cast<std::size_t>(g);
+    // Exactly "HEAD received and nothing else": fired / executing /
+    // in-service all block, so one byte compare covers five flags.
+    if (state_[u] != kHeadReceived) return false;
+    const NodeRt& n = nodes_[u];
+    const std::int32_t l = local(r, g);
+    const std::int32_t need = r.pop_need[l];
+    switch (r.group_of(l)) {
+      case bytecode::Group::LocalRead:
+      case bytecode::Group::LocalInc:
+        return n.reg_held;
+      case bytecode::Group::MemRead:
+      case bytecode::Group::MemWrite:
+        return pops_[u] >= need && n.memory_held;
+      case bytecode::Group::Return:
+        return pops_[u] >= need && n.tail_present;
+      case bytecode::Group::ControlFlow:
+        if (r.flag(l, kPlanBackwardGoto)) {
+          return n.tail_present;  // backward GoTo fires on TAIL (§6.3)
+        }
+        return pops_[u] >= need;
+      default:
+        return pops_[u] >= need;
+    }
+  }
+
+  void try_fire(ResidentRt& r, std::int32_t g) {
+    if (!fire_ready(r, g)) return;
+    const auto u = static_cast<std::size_t>(g);
+    const std::int32_t l = local(r, g);
+    // One Instruction Execution Unit per physical node: with several
+    // IDUs packed into a node (§4.2), firings within a node serialize.
+    const auto pn = static_cast<std::size_t>(phys_of(r, g));
+    if (idus_ > 1 && exec_busy_[pn]) {
+      // Remember what made the node ready: the gap until it actually
+      // fires is FireStall time on the critical path.
+      if (fr() != nullptr && node_ready_edge_[u] < 0) {
+        node_ready_edge_[u] = cur_edge_;
+      }
+      pending_fire_[pn].push_back(g);
+      return;
+    }
+    exec_busy_[pn] = 1;
+    state_[u] |= kExecuting;
+    exec_delta(r, +1);
+    const std::int64_t cost = r.exec_cost[l];
+    if (mx() != nullptr) {
+      mx()->node_firing(static_cast<std::int32_t>(pn), r.op[l]);
+      mx()->exec_ticks_by_group[r.group[l]].record(cost);
+      if (head_tick_[u] >= 0) {
+        mx()->fire_stall_ticks.record(now_ - head_tick_[u]);
+      }
+    }
+    if (tr() != nullptr) {
+      tr()->record({now_, obs::TraceEventKind::FireStart, g,
+                    static_cast<std::int32_t>(pn), r.group[l], cost});
+    }
+    std::int32_t parent = kParentCurrent;
+    if (fr() != nullptr && node_ready_edge_[u] >= 0) {
+      parent = hold_edge(g, node_ready_edge_[u], obs::PathCategory::FireStall);
+      node_ready_edge_[u] = -1;
+    }
+    Event ev;
+    ev.set(EvKind::ExecDone);
+    ev.node = g;
+    ev.res = static_cast<std::uint16_t>(r.id);
+    ev.tick = now_ + cost;
+    schedule(ev, obs::PathCategory::Execution, parent, -1, -1, r.op[l]);
+  }
+
+  void release_execution_unit(ResidentRt& r, std::int32_t g) {
+    const auto pn = static_cast<std::size_t>(phys_of(r, g));
+    exec_busy_[pn] = 0;
+    if (idus_ <= 1) return;
+    auto& pending = pending_fire_[pn];
+    while (!pending.empty()) {
+      const std::int32_t next = pending.front();
+      pending.erase(pending.begin());
+      if constexpr (kShared) {
+        const std::uint16_t nres = res_of_[static_cast<std::size_t>(next)];
+        if (residents_[nres].done) continue;  // stale: owner finished
+        try_fire(residents_[nres], next);
+      } else {
+        try_fire(r, next);
+      }
+      if (exec_busy_[pn]) break;  // someone grabbed the unit
+    }
+  }
+
+  void mark_fired(ResidentRt& r, std::int32_t g) {
+    state_[static_cast<std::size_t>(g)] |= kFired;
+    ++r.fired;
+    distinct_[static_cast<std::size_t>(g)] = 1;
+  }
+
+  // Releases everything a non-control node owes downstream after firing.
+  void post_fire_releases(ResidentRt& r, std::int32_t g) {
+    const auto u = static_cast<std::size_t>(g);
+    NodeRt& n = nodes_[u];
+    const std::int32_t l = local(r, g);
+    const bytecode::Group grp = r.group_of(l);
+    if (grp == bytecode::Group::LocalRead ||
+        grp == bytecode::Group::LocalInc) {
+      if (n.reg_held) {
+        n.reg_held = false;
+        forward_token(r, g, n.held_reg,  // register value flows on
+                      released(g, n.held_reg_edge,
+                               obs::PathCategory::OperandWait));
+      }
+    }
+    if (grp == bytecode::Group::LocalWrite) {
+      forward_token(r, g,
+                    Token{net::Command::RegisterToken, r.local_reg[l]});
+      if (!n.write_absorbed) n.kill_next_register = true;
+    }
+    if (n.memory_held) {
+      n.memory_held = false;
+      forward_token(r, g, n.held_memory,  // memory order established
+                    released(g, n.held_memory_edge,
+                             obs::PathCategory::OperandWait));
+    }
+    if (n.tail_held) {
+      n.tail_held = false;
+      if (mx() != nullptr && tail_hold_[u] >= 0) {
+        mx()->tail_hold_ticks.record(now_ - tail_hold_[u]);
+        tail_hold_[u] = -1;
+      }
+      forward_token(r, g, n.held_tail,
+                    released(g, n.held_tail_edge, obs::PathCategory::TailHold));
+    }
+  }
+
+  // Books a ring service for node g and schedules its ServiceDone.
+  void start_service(ResidentRt& r, std::int32_t g, net::RingService svc,
+                     std::int64_t svc_ticks) {
+    state_[static_cast<std::size_t>(g)] |= kInService;
+    record_service(r, g, svc, svc_ticks);
+    Event ev;
+    ev.set(EvKind::ServiceDone);
+    ev.node = g;
+    ev.res = static_cast<std::uint16_t>(r.id);
+    ev.tick = ring_done(r, svc, svc_ticks, /*blocking=*/true);
+    schedule(ev, obs::PathCategory::RingService);
+  }
+
+  void on_exec_done(ResidentRt& r, std::int32_t g) {
+    const auto u = static_cast<std::size_t>(g);
+    NodeRt& n = nodes_[u];
+    state_[u] &= static_cast<std::uint8_t>(~kExecuting);
+    exec_delta(r, -1);
+    release_execution_unit(r, g);
+    const std::int32_t l = local(r, g);
+    const bytecode::Group grp = r.group_of(l);
+    if (tr() != nullptr) {
+      tr()->record({now_, obs::TraceEventKind::FireComplete, g,
+                    phys_of(r, g), static_cast<std::uint8_t>(grp), 0});
+    }
+
+    if (kInstr && g == opt_.inject_exception_at &&
+        ++exception_fires_ >= opt_.inject_exception_fire) {
+      // §6.3 Exceptions: the node halts, an EXCEPTION_TOKEN reaches the
+      // GPP over the ring, and the GPP terminates the method.
+      r.exception = true;
+      const std::int64_t svc_ticks = k_ * cfg_.ring.gpp_service;
+      record_service(r, g, net::RingService::GppService, svc_ticks);
+      const std::int64_t end = now_ + svc_ticks;
+      // The exception retirement is the run's terminal edge: the GPP
+      // round trip [now, end] caps the realized critical path.
+      if (fr() != nullptr) {
+        fr()->set_terminal(fr()->record({now_, end, cur_edge_, g, -1, -1,
+                                         obs::PathCategory::RingService, 0}));
+      }
+      complete_resident(r, end);
+      return;
+    }
+
+    if (grp == bytecode::Group::ControlFlow || r.flag(l, kPlanSwitch)) {
+      resolve_control(r, g);
+      return;
+    }
+    if (grp == bytecode::Group::Return) {
+      mark_fired(r, g);
+      // The Return's own execution completion is the terminal edge.
+      if (fr() != nullptr) fr()->set_terminal(cur_edge_);
+      complete_resident(r, now_);
+      return;
+    }
+    if (grp == bytecode::Group::Call || grp == bytecode::Group::Special) {
+      start_service(r, g, net::RingService::GppService,
+                    k_ * cfg_.ring.gpp_service);
+      return;
+    }
+    if (grp == bytecode::Group::MemRead) {
+      if (n.memory_held) {
+        n.memory_held = false;
+        forward_token(r, g, n.held_memory,
+                      released(g, n.held_memory_edge,
+                               obs::PathCategory::OperandWait));
+      }
+      start_service(r, g, net::RingService::MemoryRead,
+                    k_ * cfg_.ring.memory_read);
+      return;
+    }
+    if (grp == bytecode::Group::MemWrite) {
+      // Posted write: the channel is reserved but the node never waits;
+      // it is fired once the request is dispatched.
+      const std::int64_t svc_ticks = k_ * cfg_.ring.memory_write;
+      ring_done(r, net::RingService::MemoryWrite, svc_ticks,
+                /*blocking=*/false);
+      record_service(r, g, net::RingService::MemoryWrite, svc_ticks);
+      mark_fired(r, g);
+      post_fire_releases(r, g);
+      return;
+    }
+    // Arithmetic / moves / locals / constants: produce and release.
+    mark_fired(r, g);
+    send_mesh(r, g);
+    post_fire_releases(r, g);
+  }
+
+  void on_service_done(ResidentRt& r, std::int32_t g) {
+    const auto u = static_cast<std::size_t>(g);
+    state_[u] &= static_cast<std::uint8_t>(~kInService);
+    if (tr() != nullptr) {
+      const net::RingService svc =
+          r.group_of(local(r, g)) == bytecode::Group::MemRead
+              ? net::RingService::MemoryRead
+              : net::RingService::GppService;
+      tr()->record({now_, obs::TraceEventKind::ServiceComplete, g,
+                    phys_of(r, g), static_cast<std::uint8_t>(svc), 0});
+    }
+    mark_fired(r, g);
+    send_mesh(r, g);  // read data / call result to consumers
+    post_fire_releases(r, g);
+  }
+
+  // Control-transfer decision and token routing (§6.3). Predictor sites
+  // are keyed by the method-local node id, so a shared plan's
+  // residencies replay the same decision streams as a solo run.
+  void resolve_control(ResidentRt& r, std::int32_t g) {
+    NodeRt& n = nodes_[static_cast<std::size_t>(g)];
+    const std::int32_t l = local(r, g);
+    std::int32_t target;  // global node index
+    if (r.flag(l, kPlanGoto)) {
+      target = base(r) + r.target[l];
+    } else if (r.flag(l, kPlanSwitch)) {
+      const bytecode::SwitchTable& table =
+          r.method->switches[static_cast<std::size_t>(r.operand[l])];
+      const auto arms = static_cast<std::int32_t>(table.targets.size()) + 1;
+      const std::int32_t pick = predictor(r).decide_switch(l, arms);
+      target = base(r) +
+               (pick < static_cast<std::int32_t>(table.targets.size())
+                    ? table.targets[static_cast<std::size_t>(pick)]
+                    : table.default_target);
+    } else {
+      const auto kind = static_cast<BranchKind>(r.branch_kinds[l]);
+      const bool taken = predictor(r).decide(l, kind);
+      target = taken ? base(r) + r.target[l] : g + 1;
+    }
+
+    mark_fired(r, g);
+    if (target > g) {
+      // Forward transfer: flush the buffer toward the target; later
+      // tokens follow the same route until the iteration resets.
+      fwd_[static_cast<std::size_t>(g)] = target;
+      std::int64_t idx = 0;
+      for (std::size_t bi = 0; bi < n.buffered.size(); ++bi) {
+        const Token tok = n.buffered[bi];
+        send_serial(r, g, target, tok, hop_ == 0 ? 0 : idx++,
+                    bundle_parent(g, n.buffered_edges, bi, tok));
+      }
+      n.buffered.clear();
+      n.buffered_edges.clear();
+      return;
+    }
+    // Backward transfer: hold everything until the TAIL arrives (§6.3).
+    state_[static_cast<std::size_t>(g)] |= kWaitTailFlush;
+    n.decided_target = target;
+    if (n.tail_present) flush_up(r, g);
+  }
+
+  // A buffered token waited from arrival to the branch decision: TAIL
+  // hold for the TAIL, operand wait for the rest.
+  std::int32_t bundle_parent(std::int32_t g,
+                             const std::vector<std::int32_t>& edges,
+                             std::size_t bi, Token tok) {
+    if (fr() == nullptr) return kParentCurrent;
+    return hold_edge(g, bi < edges.size() ? edges[bi] : -1,
+                     tok.cmd == net::Command::TailToken
+                         ? obs::PathCategory::TailHold
+                         : obs::PathCategory::OperandWait);
+  }
+
+  // Iteration reset (loop replay): clears the hot lanes and the cold
+  // routing state, and bumps the epoch so in-flight mesh operands from
+  // the previous trip are discarded on arrival.
+  void reset_node(std::int32_t g) {
+    const auto u = static_cast<std::size_t>(g);
+    state_[u] = 0;
+    pops_[u] = 0;
+    ++epoch_[u];
+    fwd_[u] = g + 1;
+    if (mx() != nullptr) {
+      head_tick_[u] = -1;
+      tail_hold_[u] = -1;
+    }
+    nodes_[u].reset_cold();
+  }
+
+  // Back jump with TAIL in hand: replay the bundle to the loop head via
+  // the reverse network, resetting every node it passes. The bundle is
+  // staged in a scratch vector, so neither side of the swap ever
+  // re-allocates once warmed up.
+  void flush_up(ResidentRt& r, std::int32_t g) {
+    NodeRt& n = nodes_[static_cast<std::size_t>(g)];
+    const std::int32_t target = n.decided_target;
+    flush_scratch_.clear();
+    flush_scratch_.swap(n.buffered);
+    if (fr() != nullptr) {
+      flush_edge_scratch_.clear();
+      flush_edge_scratch_.swap(n.buffered_edges);
+    }
+    for (std::int32_t i = target; i <= g; ++i) reset_node(i);
+    std::int64_t idx = 0;
+    for (std::size_t bi = 0; bi < flush_scratch_.size(); ++bi) {
+      const Token tok = flush_scratch_[bi];
+      send_serial(r, g, target, tok, hop_ == 0 ? 0 : idx++,
+                  bundle_parent(g, flush_edge_scratch_, bi, tok));
+    }
+  }
+
+  // ---- overlap accounting ----
+  //
+  // Per-residency acc1/acc2 integrate the Table 26 pair; the shared
+  // kernel also integrates the fabric-level pair and the
+  // distinct-residency pair over the global counters.
+  void flush_fabric_accounting() {
+    const std::int64_t span = now_ - fab_last_;
+    if (span > 0) {
+      if (fab_active_ >= 1) fab_acc1_ += span;
+      if (fab_active_ >= 2) fab_acc2_ += span;
+      if (res_exec_count_ >= 1) res_acc1_ += span;
+      if (res_exec_count_ >= 2) res_acc2_ += span;
+    }
+    fab_last_ = now_;
+  }
+
+  void exec_delta(ResidentRt& r, int delta) {
+    if constexpr (kShared) flush_fabric_accounting();
+    if (!kShared || !r.done) {
+      if (r.active_exec >= 1) r.acc1 += now_ - r.last_change;
+      if (r.active_exec >= 2) r.acc2 += now_ - r.last_change;
+      r.last_change = now_;
+    }
+    const int before = r.active_exec;
+    r.active_exec += delta;
+    if constexpr (kShared) {
+      fab_active_ += delta;
+      if (before == 0 && r.active_exec > 0) ++res_exec_count_;
+      if (before > 0 && r.active_exec == 0) --res_exec_count_;
+    }
+  }
+
+  // ---- completion ----
+
+  void complete_resident(ResidentRt& r, std::int64_t end_tick) {
+    r.completed = true;
+    r.end_tick = end_tick;
+    finalize_resident(r);
+    if constexpr (kShared) completed_queue_.push_back(r.id);
+  }
+
+  // Freezes the residency's overlap accounting at the current tick and
+  // fills its outcome. In-flight executions keep their IEUs busy until
+  // their ExecDone events drain; those spans still count at fabric
+  // level.
+  void finalize_resident(ResidentRt& r) {
+    if (r.active_exec >= 1) r.acc1 += now_ - r.last_change;
+    if (r.active_exec >= 2) r.acc2 += now_ - r.last_change;
+    r.last_change = now_;
+    r.done = true;
+    if constexpr (kShared) {
+      --running_;
+      ResidentOutcome& out = outcomes_[static_cast<std::size_t>(r.id)];
+      out.metrics = metrics_of(r);
+      out.completed_tick = r.completed ? r.end_tick : -1;
+      out.serial_wait_ticks = r.serial_wait;
+      out.mesh_wait_ticks = r.mesh_wait;
+      out.ring_wait_ticks = r.ring_wait;
+    }
+  }
+
+  RunMetrics metrics_of(const ResidentRt& r) const {
+    RunMetrics mm;
+    mm.fits = true;
+    mm.completed = r.completed;
+    mm.timed_out = r.timed_out;
+    mm.exception = r.exception;
+    mm.static_size = static_cast<std::int32_t>(r.method->code.size());
+    mm.max_slot = r.plan->max_slot() + r.slot_delta;
+    mm.ticks = (r.completed ? r.end_tick : now_) - r.inject_tick;
+    mm.mesh_cycles = std::max<std::int64_t>(1, (mm.ticks + k_ - 1) / k_);
+    mm.instructions_fired = r.fired;
+    mm.distinct_fired = static_cast<std::int32_t>(
+        std::count(distinct_.begin() + r.base,
+                   distinct_.begin() + r.base + r.count, 1));
+    mm.mesh_messages = r.mesh_msgs;
+    mm.serial_messages = r.serial_msgs;
+    mm.ticks_exec_1plus = r.acc1;
+    mm.ticks_exec_2plus = r.acc2;
+    return mm;
+  }
+
+  // Finalizes every still-running residency as timed out at `now` and
+  // queues it for advance() to hand back.
+  void time_out_running() {
+    for (ResidentRt& r : residents_) {
+      if (r.done) continue;
+      r.timed_out = true;
+      finalize_resident(r);
+      if constexpr (kShared) completed_queue_.push_back(r.id);
+    }
+  }
+
+  // The first event past the tick budget times every live residency
+  // out and drops every undrained event (all owners are finished).
+  void timeout_all(std::int64_t over_tick) {
+    now_ = over_tick;
+    cal_cur_ = over_tick;
+    time_out_running();
+    drop_pending();
+    bucket_pos_ = 0;
+  }
+
+  MachineConfig cfg_;
+  EngineOptions opt_;
+  std::int64_t k_ = 1;
+  std::int64_t hop_ = 1;
+  std::int32_t idus_ = 1;
+  bool collapsed_ = false;
+
+  std::vector<ResidentRt> residents_;
+  std::vector<BranchPredictor> predictors_;  // shared: one per residency
+  BranchPredictor* predictor_ = nullptr;     // solo: the caller's
+  std::vector<ResidentOutcome> outcomes_;    // shared
+  std::deque<ResidentId> completed_queue_;   // shared
+  std::size_t running_ = 0;                  // shared
+
+  // ---- node lanes (index = residency base + local node) ----
+  std::vector<NodeRt> nodes_;
+  std::vector<std::uint8_t> state_;
+  std::vector<std::int32_t> pops_;
+  std::vector<std::int32_t> epoch_;
+  std::vector<std::int32_t> fwd_;  // serial forward target (g + 1 until a
+                                   // forward branch fires)
+  std::vector<char> distinct_;
+  std::vector<std::uint16_t> res_of_;     // shared
+  std::vector<std::int32_t> phys_lane_;   // shared: physical node per lane
+  // Instrumented only: latest HEAD arrival, TAIL hold start, and the
+  // edge that made each node fire-ready while its execution unit was
+  // busy (FireStall attribution, idus > 1 only).
+  std::vector<std::int64_t> head_tick_;
+  std::vector<std::int64_t> tail_hold_;
+  std::vector<std::int32_t> node_ready_edge_;
+
+  // ---- physical fabric (index = global physical node) ----
+  std::vector<char> exec_busy_;
+  std::vector<std::vector<std::int32_t>> pending_fire_;
+  // Shared occupancy. Serial chain: link_down[p] is the hop entering
+  // phys p from p-1 (forward network); link_up[p] the hop entering p
+  // from p+1 (reverse). Mesh: one per (phys, obs::LinkDir), walked over
+  // the plan's precomputed X-Y route spans. Ring: one channel per
+  // net::RingService.
+  std::vector<Occupancy> link_down_;
+  std::vector<Occupancy> link_up_;
+  std::vector<Occupancy> mesh_link_;
+  std::array<Occupancy, 4> ring_{};
+
+  // ---- calendar ----
+  std::vector<std::vector<Event>> buckets_;
+  std::vector<std::uint64_t> cal_words_;  // one occupancy bit per bucket
+  std::vector<Event> overflow_;
+  std::vector<Token> flush_scratch_;            // flush_up bundle staging
+  std::vector<std::int32_t> flush_edge_scratch_;  // its arrival edges
+  std::int64_t ring_size_ = 0;
+  std::int64_t bucket_mask_ = 0;
+  std::int64_t cal_cur_ = 0;       // the calendar's tick cursor
+  std::size_t bucket_pos_ = 0;     // dispatched prefix of its bucket
+  std::int64_t live_events_ = 0;   // undrained events (buckets + spill)
+  std::int64_t seq_ = 0;
+  std::int64_t now_ = 0;
+  // Edge id of the event being dispatched (flight recorder only) — the
+  // default parent for everything its handler schedules.
+  std::int32_t cur_edge_ = -1;
+  std::int32_t exception_fires_ = 0;
+
+  // ---- fabric-level accounting (shared) ----
+  int fab_active_ = 0;      // executing instructions, all residencies
+  int res_exec_count_ = 0;  // residencies with >=1 executing instruction
+  std::int64_t fab_last_ = 0;
+  std::int64_t fab_acc1_ = 0;
+  std::int64_t fab_acc2_ = 0;
+  std::int64_t res_acc1_ = 0;
+  std::int64_t res_acc2_ = 0;
+};
+
+}  // namespace javaflow::sim::detail

@@ -27,11 +27,11 @@
 // single-threaded; repeated runs with the same admissions are
 // bit-identical, independent of JAVAFLOW_THREADS.
 //
-// Single-resident parity (tests/test_serve.cpp): one residency at
-// phys_delta 0 reproduces Engine::run's RunMetrics field for field —
-// the handlers implement the same token-bundle semantics and timing
-// model over the same shared detail::Event record
-// (sim/engine_internal.hpp).
+// MultiEngine runs the shared instantiation of the one execution kernel
+// (sim/kernel.hpp); sim::Engine runs its solo instantiation. Single-
+// resident parity (tests/test_serve.cpp): one residency at phys_delta 0
+// reproduces Engine::run's RunMetrics field for field, because an
+// uncontended residency's transit is exactly the solo closed form.
 #pragma once
 
 #include <cstdint>
@@ -48,14 +48,6 @@
 #include "sim/plan.hpp"
 
 namespace javaflow::sim {
-
-// Bump whenever multi-tenant execution semantics change in a way that
-// can alter results (event interleaving rules, contention model,
-// admission timing). Folded into cache::record_fingerprint() because
-// the single-method engine shares its event record and handler shapes
-// with this core — a refactor here that drifts result-bearing
-// semantics must invalidate cached single-method sweep records too.
-inline constexpr std::uint32_t kMultiEngineFingerprint = 1;
 
 // Dense per-fabric residency index (not FabricManager::MethodId — a
 // method re-admitted after idling gets a fresh ResidentId per run).
@@ -107,7 +99,7 @@ class MultiEngine {
   // `until` sentinel for advance(): run until the calendar drains.
   static constexpr std::int64_t kNoLimit =
       std::numeric_limits<std::int64_t>::max() / 4;
-  // Event::res is 16 bits (sim/engine_internal.hpp).
+  // Event::res is 16 bits (sim/kernel.hpp).
   static constexpr std::int32_t kMaxResidents = 65535;
 
   explicit MultiEngine(MachineConfig config, MultiEngineOptions options = {});

@@ -1,7 +1,5 @@
 #include "sim/plan.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <unordered_map>
 
@@ -11,37 +9,6 @@
 #include "sim/branch_predictor.hpp"
 
 namespace javaflow::sim {
-
-std::string_view plan_mode_name(PlanMode m) noexcept {
-  switch (m) {
-    case PlanMode::Auto: return "auto";
-    case PlanMode::On: return "on";
-    case PlanMode::Off: return "off";
-  }
-  return "auto";
-}
-
-std::optional<PlanMode> plan_mode_from_name(std::string_view name) noexcept {
-  if (name == "on") return PlanMode::On;
-  if (name == "off") return PlanMode::Off;
-  if (name == "auto") return PlanMode::Auto;
-  return std::nullopt;
-}
-
-PlanMode resolve_plan_mode(PlanMode requested) noexcept {
-  if (requested != PlanMode::Auto) return requested;
-  const char* text = std::getenv("JAVAFLOW_PLAN");
-  if (text == nullptr || *text == '\0') return PlanMode::On;
-  const std::optional<PlanMode> parsed = plan_mode_from_name(text);
-  if (!parsed.has_value()) {
-    std::fprintf(stderr,
-                 "warning: ignoring JAVAFLOW_PLAN=\"%s\" "
-                 "(expected \"on\" or \"off\"); using on\n",
-                 text);
-    return PlanMode::On;
-  }
-  return *parsed == PlanMode::Auto ? PlanMode::On : *parsed;
-}
 
 namespace {
 

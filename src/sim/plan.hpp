@@ -1,4 +1,4 @@
-// Pre-lowered execution plans (docs/PERF.md "Execution plans").
+// Pre-lowered execution plans (docs/PERF.md "Execution kernel").
 //
 // An ExecPlan compiles everything the engine's hot loop used to chase
 // pointers for — the method's dataflow graph, its chain placement, and
@@ -20,17 +20,13 @@
 //
 // A plan is read-only after build: the parallel sweep builds each plan
 // once in its precompute phase and shares it across worker lanes and
-// both branch scenarios. The plan-driven engine path is bit-identical
-// to the legacy graph walk in RunMetrics, traces, and attribution
-// (tests/test_plan.cpp), so JAVAFLOW_PLAN=off exists for regression
-// triage, not semantics.
+// both branch scenarios, and serving residencies of one method share
+// one plan through row shifts.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "bytecode/method.hpp"
@@ -46,24 +42,6 @@ namespace javaflow::sim {
 // classification). Folded into cache::record_fingerprint() so cached
 // sweep records produced under older lowering semantics invalidate.
 inline constexpr std::uint32_t kPlanFingerprint = 1;
-
-// Whether Engine::run lowers methods to ExecPlans and takes the
-// plan-driven fast path (docs/PERF.md "Execution plans"). Both settings
-// produce bit-identical RunMetrics, traces, and attribution.
-//   Auto — resolve via JAVAFLOW_PLAN ("on"/"off"), default On.
-//   On   — lower and run plan-driven.
-//   Off  — the legacy per-run graph/placement walk.
-enum class PlanMode : std::uint8_t { Auto, On, Off };
-
-std::string_view plan_mode_name(PlanMode m) noexcept;
-
-// Parses "on" / "off" (also accepts "auto"); nullopt otherwise.
-std::optional<PlanMode> plan_mode_from_name(std::string_view name) noexcept;
-
-// Maps a requested mode to a concrete one: On/Off pass through; Auto
-// reads JAVAFLOW_PLAN (stderr warning for unknown values) and falls
-// back to On when unset. Engines resolve once at construction.
-PlanMode resolve_plan_mode(PlanMode requested) noexcept;
 
 // One forward dataflow arc, producer-major (CSR order follows the
 // graph's consumers_of lists with back edges dropped, so the engine's
@@ -94,7 +72,7 @@ struct PlanRouteLink {
   std::uint8_t dir = 0;
 };
 
-// Per-node classification flags (the engine's prepare_node() results).
+// Per-node classification flags.
 inline constexpr std::uint8_t kPlanBuffers = 0x1;       // buffers_tokens
 inline constexpr std::uint8_t kPlanOrdered = 0x2;       // ordered storage
 inline constexpr std::uint8_t kPlanBackwardGoto = 0x4;  // goto, target<linear

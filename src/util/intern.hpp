@@ -1,5 +1,5 @@
 // Interned strings for hot result paths (docs/PERF.md "Execution
-// plans", satellite work). A sweep stamps every sample with its method
+// kernel", satellite work). A sweep stamps every sample with its method
 // and benchmark names; at stride 1 that is tens of thousands of
 // std::string copies of the same few hundred distinct names, almost all
 // past the small-string capacity. An InternedString is a shared handle

@@ -25,7 +25,6 @@
 #include "obs/snapshot.hpp"
 #include "sim/config.hpp"
 #include "sim/engine.hpp"
-#include "sim/multi_engine.hpp"
 #include "workloads/corpus.hpp"
 
 namespace javaflow {
@@ -103,6 +102,8 @@ TEST(Attribution, EveryConfigAndScenarioHasAttributedCells) {
   EXPECT_GT(bp2, 0);
 }
 
+// Four worker lanes run the cells in a different order, each on its own
+// engines; neither may move a sample or an attribution vector.
 TEST(Attribution, IdenticalAcrossThreadCountsAndSchedulers) {
   const analysis::Sweep serial = attribution_sweep(1);
   const analysis::Sweep parallel = attribution_sweep(4);
@@ -299,9 +300,9 @@ TEST(Snapshot, SaveLoadRoundTripsThroughDisk) {
 // ---- fingerprints ----
 
 // record_fingerprint() is an FNV-1a 32 fold over, in order: plan
-// lowering, single-method engine, multi-tenant engine, analyzer, and
-// attribution versions. Recomputing the fold here pins both the
-// constant set and the fold order — bumping any version constant (or
+// lowering, execution kernel, analyzer, and attribution versions.
+// Recomputing the fold here pins both the constant set and the fold
+// order — bumping any version constant (or
 // reordering the fold) must change the stamped fingerprint.
 TEST(Fingerprint, VersionConstantsAreFoldedIntoCacheRecords) {
   const auto fold = [](std::initializer_list<std::uint32_t> vs) {
@@ -316,12 +317,11 @@ TEST(Fingerprint, VersionConstantsAreFoldedIntoCacheRecords) {
   };
   EXPECT_EQ(cache::record_fingerprint(),
             fold({sim::kPlanFingerprint, cache::kEngineFingerprint,
-                  sim::kMultiEngineFingerprint, cache::kAnalysisFingerprint,
+                  cache::kAnalysisFingerprint,
                   obs::kAttributionFingerprint}));
   // Sensitivity: a bump of any single constant moves the fingerprint.
   EXPECT_NE(cache::record_fingerprint(),
-            fold({sim::kPlanFingerprint, cache::kEngineFingerprint,
-                  sim::kMultiEngineFingerprint + 1,
+            fold({sim::kPlanFingerprint, cache::kEngineFingerprint + 1,
                   cache::kAnalysisFingerprint,
                   obs::kAttributionFingerprint}));
 }

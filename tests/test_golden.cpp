@@ -11,7 +11,9 @@
 //   * the stride-32 telemetry registry (MetricsRegistry JSON);
 //   * Chrome-trace JSON of a loop program on every config × scenario;
 //   * RunMetrics and traces of runs whose events spill past the
-//     calendar ring and of runs cut by the tick budget.
+//     calendar ring and of runs cut by the tick budget;
+//   * the result-cache engine-options digest, so cached cells keep
+//     their keys.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -25,6 +27,7 @@
 #include "analysis/figure_of_merit.hpp"
 #include "bytecode/assembler.hpp"
 #include "cache/hash.hpp"
+#include "cache/key.hpp"
 #include "fabric/dataflow_graph.hpp"
 #include "obs/event_tracer.hpp"
 #include "obs/snapshot.hpp"
@@ -231,6 +234,13 @@ TEST(Golden, TickBudgetAbortInsideTheSpill) {
   EXPECT_TRUE(run.metrics.timed_out);
   EXPECT_EQ(metrics_digest(run.metrics), "b7efbec530228e661e9b70df34e281cb");
   EXPECT_EQ(run.trace_digest, "51becee89c130dc608c0458165e64c57");
+}
+
+TEST(Golden, EngineOptionsKeyBytes) {
+  EXPECT_EQ(cache::to_hex(cache::hash_engine_options(
+                sim::EngineOptions{},
+                sim::resolve_scheduler(sim::SchedulerKind::Auto))),
+            "88e5d7211ebca45f85e387605cabebaa");
 }
 
 }  // namespace

@@ -1,31 +1,23 @@
-// Pre-lowered execution plans (docs/PERF.md "Execution plans").
+// Pre-lowered execution plans (docs/PERF.md "Execution kernel").
 //
-// The plan-driven engine path must be bit-identical to the legacy
-// graph/placement walk in every observable output: RunMetrics, Chrome
-// trace JSON, critical-path attribution (including the per-link
-// MeshTransit decomposition), the static bound analyzer, and whole
-// .jfs snapshot byte streams — across the full Table 15 config matrix
-// and both branch scenarios. Plans are also shareable: one read-only
-// ExecPlan serves any number of concurrent engines (the parallel
-// sweep's cross-lane sharing; run this binary under TSan).
+// The plan is the one static substrate: its route spans decompose
+// MeshTransit attribution exactly as a mesh walk does, the bound
+// analyzer reads it and stays sound against the engine, and one
+// read-only ExecPlan serves any number of concurrent engines (the
+// parallel sweep's cross-lane sharing; run this binary under TSan).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "analysis/bounds.hpp"
-#include "analysis/explain.hpp"
 #include "analysis/figure_of_merit.hpp"
 #include "bytecode/assembler.hpp"
 #include "fabric/dataflow_graph.hpp"
 #include "fabric/fabric.hpp"
 #include "fabric/loader.hpp"
 #include "obs/critpath.hpp"
-#include "obs/event_tracer.hpp"
-#include "obs/snapshot.hpp"
 #include "sim/engine.hpp"
 #include "sim/plan.hpp"
 #include "workloads/corpus.hpp"
@@ -38,37 +30,6 @@ using bytecode::Op;
 using bytecode::Program;
 using bytecode::ValueType;
 
-// ---- name / env resolution ----
-
-TEST(PlanConfig, NamesRoundTrip) {
-  using sim::PlanMode;
-  EXPECT_EQ(sim::plan_mode_name(PlanMode::On), "on");
-  EXPECT_EQ(sim::plan_mode_name(PlanMode::Off), "off");
-  EXPECT_EQ(sim::plan_mode_name(PlanMode::Auto), "auto");
-  EXPECT_EQ(sim::plan_mode_from_name("on"), PlanMode::On);
-  EXPECT_EQ(sim::plan_mode_from_name("off"), PlanMode::Off);
-  EXPECT_EQ(sim::plan_mode_from_name("auto"), PlanMode::Auto);
-  EXPECT_FALSE(sim::plan_mode_from_name("fast").has_value());
-  EXPECT_FALSE(sim::plan_mode_from_name("").has_value());
-}
-
-TEST(PlanConfig, ResolveReadsEnvironmentWithOnDefault) {
-  using sim::PlanMode;
-  // Explicit modes pass through untouched, whatever the env says.
-  ASSERT_EQ(setenv("JAVAFLOW_PLAN", "off", 1), 0);
-  EXPECT_EQ(sim::resolve_plan_mode(PlanMode::On), PlanMode::On);
-  EXPECT_EQ(sim::resolve_plan_mode(PlanMode::Off), PlanMode::Off);
-  // Auto follows the env...
-  EXPECT_EQ(sim::resolve_plan_mode(PlanMode::Auto), PlanMode::Off);
-  ASSERT_EQ(setenv("JAVAFLOW_PLAN", "on", 1), 0);
-  EXPECT_EQ(sim::resolve_plan_mode(PlanMode::Auto), PlanMode::On);
-  // ...warns-and-defaults on garbage, and defaults On when unset.
-  ASSERT_EQ(setenv("JAVAFLOW_PLAN", "bogus", 1), 0);
-  EXPECT_EQ(sim::resolve_plan_mode(PlanMode::Auto), PlanMode::On);
-  ASSERT_EQ(unsetenv("JAVAFLOW_PLAN"), 0);
-  EXPECT_EQ(sim::resolve_plan_mode(PlanMode::Auto), PlanMode::On);
-}
-
 // ---- shared corpus ----
 
 const workloads::Corpus& shared_corpus() {
@@ -76,8 +37,7 @@ const workloads::Corpus& shared_corpus() {
   return corpus;
 }
 
-analysis::Sweep plan_sweep(sim::PlanMode mode, int threads,
-                           bool attribution = false) {
+analysis::Sweep plan_sweep(int threads) {
   const workloads::Corpus& corpus = shared_corpus();
   std::vector<const bytecode::Method*> methods;
   for (const bytecode::Method& m : corpus.program.methods) {
@@ -93,53 +53,20 @@ analysis::Sweep plan_sweep(sim::PlanMode mode, int threads,
   // Real worker threads even on small CI hosts, so the cross-lane
   // shared-plan reads actually happen (and TSan can see them).
   options.allow_oversubscribe = threads > 1;
-  options.engine.plan = mode;
-  options.attribution = attribution;
   return analysis::run_sweep(methods, corpus.program.pool, hot, options);
-}
-
-// ---- full-corpus golden equality ----
-
-TEST(PlanEquality, FullSweepIsBitIdenticalAcrossPlanModes) {
-  const analysis::Sweep on =
-      plan_sweep(sim::PlanMode::On, 1, /*attribution=*/true);
-  const analysis::Sweep off =
-      plan_sweep(sim::PlanMode::Off, 1, /*attribution=*/true);
-
-  // All six Table 15 configs, both scenarios, every RunMetrics field.
-  ASSERT_EQ(on.configs.size(), 6u);
-  ASSERT_GT(on.samples.size(), 100u);
-  ASSERT_EQ(on.samples.size(), off.samples.size());
-  for (std::size_t i = 0; i < on.samples.size(); ++i) {
-    ASSERT_EQ(on.samples[i], off.samples[i])
-        << "sample " << i << " (" << on.samples[i].method << ", config "
-        << on.samples[i].config_index << ")";
-  }
-  // Attribution category vectors too — the flight-recorder edges the
-  // plan path emits must parent/categorize identically.
-  ASSERT_EQ(on.attribution.size(), off.attribution.size());
-  ASSERT_FALSE(on.attribution.empty());
-  for (std::size_t i = 0; i < on.attribution.size(); ++i) {
-    ASSERT_EQ(on.attribution[i].valid, off.attribution[i].valid) << i;
-    ASSERT_EQ(on.attribution[i].category_ticks,
-              off.attribution[i].category_ticks)
-        << i;
-  }
 }
 
 // The parallel sweep shares each phase-A plan read-only across worker
 // lanes; the result must match the serial sweep exactly (and running
 // this under TSan proves the sharing is race-free).
-TEST(PlanEquality, SerialAndParallelSweepsMatchWithPlansOn) {
-  const analysis::Sweep serial = plan_sweep(sim::PlanMode::On, 1);
-  const analysis::Sweep parallel = plan_sweep(sim::PlanMode::On, 4);
+TEST(PlanSharing, SerialAndParallelSweepsMatch) {
+  const analysis::Sweep serial = plan_sweep(1);
+  const analysis::Sweep parallel = plan_sweep(4);
   ASSERT_EQ(serial.samples.size(), parallel.samples.size());
   for (std::size_t i = 0; i < serial.samples.size(); ++i) {
     ASSERT_EQ(serial.samples[i], parallel.samples[i]) << "sample " << i;
   }
 }
-
-// ---- per-run trace equality ----
 
 // A loop over an array load: backward transfer, TAIL replay, memory
 // ordering, mesh traffic — the full §6.3 event mix.
@@ -157,56 +84,6 @@ Program loop_program() {
   a.iload(0).op(Op::ireturn);
   p.methods.push_back(a.build());
   return p;
-}
-
-struct TracedRun {
-  sim::RunMetrics metrics;
-  std::vector<obs::TraceEvent> events;
-  std::string chrome_json;
-};
-
-TracedRun traced_run(const sim::MachineConfig& cfg, sim::PlanMode mode,
-                     const Program& p, const fabric::DataflowGraph& graph,
-                     sim::BranchPredictor::Scenario scenario) {
-  sim::EngineOptions options;
-  options.plan = mode;
-  obs::EventTracer tracer;
-  options.tracer = &tracer;
-  sim::Engine engine(cfg, options);
-  sim::BranchPredictor predictor(scenario);
-  TracedRun out;
-  out.metrics = engine.run(p.methods[0], graph, predictor);
-  out.events = tracer.events();
-  obs::TraceMeta meta;
-  meta.method = p.methods[0].name;
-  meta.config = cfg.name;
-  meta.scenario = "BP-1";
-  meta.serial_per_mesh = cfg.serial_per_mesh;
-  meta.node_labels.assign(p.methods[0].code.size(), "n");
-  std::ostringstream os;
-  obs::write_chrome_trace(os, tracer, meta);
-  out.chrome_json = os.str();
-  return out;
-}
-
-TEST(PlanEquality, TraceJsonIsIdenticalOnEveryConfigAndScenario) {
-  const Program p = loop_program();
-  const fabric::DataflowGraph graph =
-      fabric::build_dataflow_graph(p.methods[0], p.pool);
-  for (const sim::MachineConfig& cfg : sim::table15_configs()) {
-    for (const auto scenario : {sim::BranchPredictor::Scenario::BP1,
-                                sim::BranchPredictor::Scenario::BP2}) {
-      const TracedRun on =
-          traced_run(cfg, sim::PlanMode::On, p, graph, scenario);
-      const TracedRun off =
-          traced_run(cfg, sim::PlanMode::Off, p, graph, scenario);
-      ASSERT_TRUE(on.metrics.completed) << cfg.name;
-      EXPECT_EQ(on.metrics, off.metrics) << cfg.name;
-      ASSERT_FALSE(on.events.empty()) << cfg.name;
-      EXPECT_EQ(on.events, off.events) << cfg.name;
-      EXPECT_EQ(on.chrome_json, off.chrome_json) << cfg.name;
-    }
-  }
 }
 
 // ---- attribution link decomposition ----
@@ -356,29 +233,6 @@ TEST(PlanSharing, WorkspacePlanCacheIsTransparent) {
   const sim::RunMetrics other = engine.run(q.methods[0], qgraph, bp1_q);
   EXPECT_TRUE(other.completed);
   EXPECT_NE(other.ticks, warm.ticks);
-}
-
-// ---- snapshot byte equality ----
-
-TEST(PlanEquality, SnapshotBytesAreIdenticalAcrossPlanModes) {
-  const workloads::Corpus& corpus = shared_corpus();
-  analysis::SnapshotBuildOptions options;
-  options.stride = 64;  // a light slice — byte-equality is the point
-  options.threads = 1;
-
-  ASSERT_EQ(setenv("JAVAFLOW_PLAN", "on", 1), 0);
-  const obs::Snapshot with_plan = analysis::build_snapshot(corpus, options);
-  ASSERT_EQ(setenv("JAVAFLOW_PLAN", "off", 1), 0);
-  const obs::Snapshot without_plan =
-      analysis::build_snapshot(corpus, options);
-  ASSERT_EQ(unsetenv("JAVAFLOW_PLAN"), 0);
-
-  const std::string on_bytes = obs::serialize_snapshot(with_plan);
-  const std::string off_bytes = obs::serialize_snapshot(without_plan);
-  ASSERT_FALSE(on_bytes.empty());
-  EXPECT_EQ(on_bytes, off_bytes);
-  EXPECT_EQ(obs::snapshot_digest(on_bytes),
-            obs::snapshot_digest(off_bytes));
 }
 
 }  // namespace

@@ -2,10 +2,11 @@
 //
 // The contract under test, in three layers:
 //   * sim::MultiEngine — a single residency must reproduce Engine::run
-//     bit for bit (RunMetrics field for field), any row-aligned shifted
-//     residency must match modulo its slot offset, and co-resident
-//     methods must genuinely overlap (ticks_res_2plus > 0) while every
-//     completion stays deterministic;
+//     bit for bit (RunMetrics field for field, also when events spill
+//     past the calendar ring or the tick budget cuts the run), any
+//     row-aligned shifted residency must match modulo its slot offset,
+//     and co-resident methods must genuinely overlap (ticks_res_2plus >
+//     0) while every completion stays deterministic;
 //   * core::FabricManager — plan sharing across aligned residencies and
 //     the persistent-engine execute path (tests/test_fabric_manager.cpp
 //     holds the load/unload/GC edge cases);
@@ -23,6 +24,7 @@
 
 #include "bytecode/assembler.hpp"
 #include "fabric/dataflow_graph.hpp"
+#include "obs/event_tracer.hpp"
 #include "serve/request_stream.hpp"
 #include "serve/server.hpp"
 #include "sim/engine.hpp"
@@ -77,9 +79,10 @@ RunMetrics single_run(const sim::MachineConfig& cfg,
 RunMetrics multi_run(const sim::MachineConfig& cfg,
                      const bytecode::Method& m, const ExecPlan& plan,
                      std::int32_t phys_delta,
-                     BranchPredictor::Scenario scenario) {
+                     BranchPredictor::Scenario scenario,
+                     std::int64_t max_ticks = 4'000'000) {  // EngineOptions'
   sim::MultiEngineOptions options;
-  options.max_ticks = 4'000'000;  // EngineOptions default
+  options.max_ticks = max_ticks;
   MultiEngine engine(cfg, options);
   const sim::ResidentId id =
       engine.admit(m, plan, phys_delta, scenario, /*start_tick=*/0);
@@ -163,6 +166,72 @@ TEST(MultiEngineParity, RowAlignedShiftOnlyMovesMaxSlot) {
         << cfg.name;
     ref.max_slot = got.max_slot;
     ASSERT_EQ(got, ref) << cfg.name;
+  }
+}
+
+// ---- calendar spill and tick budget ----
+
+// The loop on all three kernel instantiations — plain solo, instrumented
+// solo (a tracer attached) and shared — which must agree field for
+// field; tests/test_golden.cpp pins the instrumented values.
+RunMetrics run_on_every_kernel(const sim::MachineConfig& cfg,
+                               std::int64_t max_ticks) {
+  const Program p = loop_program();
+  const bytecode::Method& m = p.methods[0];
+  const ExecPlan plan = ExecPlanBuilder().build(
+      m, fabric::build_dataflow_graph(m, p.pool), nullptr, cfg);
+  sim::EngineOptions options;
+  options.max_ticks = max_ticks;
+  BranchPredictor plain_predictor(BranchPredictor::Scenario::BP1);
+  const RunMetrics plain =
+      sim::Engine(cfg, options).run(m, plan, plain_predictor);
+  obs::EventTracer tracer;
+  options.tracer = &tracer;
+  BranchPredictor traced_predictor(BranchPredictor::Scenario::BP1);
+  EXPECT_EQ(sim::Engine(cfg, options).run(m, plan, traced_predictor), plain)
+      << cfg.name << " instrumented, budget " << max_ticks;
+  EXPECT_FALSE(tracer.events().empty()) << cfg.name;
+  EXPECT_EQ(multi_run(cfg, m, plan, 0, BranchPredictor::Scenario::BP1,
+                      max_ticks),
+            plain)
+      << cfg.name << " shared, budget " << max_ticks;
+  return plain;
+}
+
+TEST(SchedulerOverflow, EventsBeyondBucketHorizonStayOrdered) {
+  // Ring latencies far past the 4096-bucket ceiling force every
+  // MemoryRead ServiceDone (and every GPP service) through the
+  // calendar's overflow spill.
+  sim::MachineConfig cfg = sim::config_by_name("Compact2");
+  cfg.ring.memory_read = 100'000;
+  cfg.ring.gpp_service = 250'000;
+  const RunMetrics plain = run_on_every_kernel(cfg, 4'000'000);
+  EXPECT_TRUE(plain.completed);
+  EXPECT_GT(plain.ticks, 100'000);  // the slow ring dominated the run
+}
+
+TEST(SchedulerOverflow, MaxTicksAbortPathIsIdentical) {
+  for (const char* name : {"Baseline", "Compact10", "Compact2"}) {
+    EXPECT_TRUE(run_on_every_kernel(sim::config_by_name(name), 120).timed_out)
+        << name;
+  }
+}
+
+TEST(SchedulerOverflow, SlowRingAbortCombinesSpillAndTimeout) {
+  // The budget runs out while the only pending events sit in the spill:
+  // the cursor must jump into the spill and abort at the same tick.
+  sim::MachineConfig cfg = sim::config_by_name("Compact2");
+  cfg.ring.memory_read = 100'000;
+  EXPECT_TRUE(run_on_every_kernel(cfg, 50'000).timed_out);
+}
+
+// Every Table 15 config, at a budget that cuts the loop early, one in
+// between and one it never reaches.
+TEST(SchedulerOverflow, TickBudgetsAgreeOnEveryConfig) {
+  for (const sim::MachineConfig& cfg : sim::table15_configs()) {
+    EXPECT_TRUE(run_on_every_kernel(cfg, 50).timed_out) << cfg.name;
+    run_on_every_kernel(cfg, 1'000);
+    EXPECT_FALSE(run_on_every_kernel(cfg, 20'000).timed_out) << cfg.name;
   }
 }
 

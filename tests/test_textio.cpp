@@ -1,6 +1,9 @@
 // Tests for the .jfasm textual interchange: round trips, diagnostics.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "bytecode/assembler.hpp"
 #include "bytecode/textio.hpp"
 #include "jvm/interpreter.hpp"
@@ -212,6 +215,101 @@ TEST(TextIO, CommentsAndBlankLinesIgnored) {
       ".end\n");
   ASSERT_EQ(q.methods.size(), 1u);
   EXPECT_EQ(q.methods[0].code.size(), 2u);
+}
+
+// Every operand kind the format has: fields, constants of each kind
+// (with string escapes), a call, a multi-dimensional array, a switch,
+// iinc and branches.
+Program every_operand_kind() {
+  Program p;
+  p.classes["C"] = ClassDef{"C", {{"f", ValueType::Double}},
+                            {{"s", ValueType::Int}}};
+  Assembler a(p, "t.all(AI)D", "bm");
+  a.args({ValueType::Ref, ValueType::Int}).returns(ValueType::Double);
+  auto one = a.new_label(), two = a.new_label(), out = a.new_label();
+  a.iconst(70000).op(Op::pop);
+  a.lconst(-0x123456789abcLL).op(Op::pop);
+  a.fconst(1.5e-9F).op(Op::pop);
+  a.dconst(4.656612875245797e-10).op(Op::pop);
+  a.sconst("q\"\n\t\x01").op(Op::pop);
+  a.getstatic("C", "s", ValueType::Int).op(Op::pop);
+  a.iconst(2).iconst(3).multianewarray("[[I", 2).op(Op::pop);
+  a.iinc(1, -7);
+  a.iload(1);
+  a.tableswitch(4, {one, two}, out);
+  a.bind(one);
+  a.iload(1).ifgt(out);
+  a.bind(two);
+  a.aload(0).getfield("C", "f", ValueType::Double);
+  a.invokestatic("java.lang.Math.sqrt(D)D", 1, ValueType::Double);
+  a.op(Op::dreturn);
+  a.bind(out);
+  a.dconst(0.0).op(Op::dreturn);
+  p.methods.push_back(a.build());
+  return p;
+}
+
+// Each mutated image either fails with the documented line-numbered
+// std::runtime_error, or parses into a program whose own text image is
+// a fixed point of write ∘ parse. No other exception may escape.
+void expect_fails_closed(const std::string& text, const std::string& what) {
+  std::string image;
+  try {
+    image = write_program(parse_program(text));
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("line ", 0), 0u)
+        << what << ": " << e.what();
+    return;
+  } catch (...) {
+    ADD_FAILURE() << what << ": escaped as a non-runtime_error exception";
+    return;
+  }
+  try {
+    EXPECT_EQ(write_program(parse_program(image)), image) << what;
+  } catch (...) {
+    ADD_FAILURE() << what << ": its own image does not parse";
+  }
+}
+
+TEST(TextIO, EveryTruncationAndByteFlipFailsClosed) {
+  workloads::CorpusOptions opt;
+  opt.total_methods = 0;
+  const workloads::Corpus corpus = workloads::make_corpus(opt);
+  const Method* kernel = corpus.program.find(
+      "scimark.utils.Random.nextDouble()D");
+  ASSERT_NE(kernel, nullptr);
+  std::ostringstream os;
+  write_method(*kernel, corpus.program.pool, os);
+  for (const std::string& text :
+       {write_program(every_operand_kind()), os.str()}) {
+    expect_fails_closed(text, "unmutated");
+    for (std::size_t n = 0; n < text.size(); ++n) {
+      expect_fails_closed(text.substr(0, n),
+                          "prefix of " + std::to_string(n) + " bytes");
+    }
+    for (std::size_t i = 0; i < text.size(); ++i) {
+      for (const unsigned mask : {0x01u, 0x20u, 0x80u, 0xffu}) {
+        std::string bad = text;
+        bad[i] = static_cast<char>(static_cast<unsigned char>(bad[i]) ^ mask);
+        expect_fails_closed(bad, "byte " + std::to_string(i) + " ^ " +
+                                     std::to_string(mask));
+      }
+    }
+  }
+}
+
+TEST(TextIO, NumbersAreWholeTokensInRange) {
+  const std::string head = ".method t.n()I\n.returns int\n";
+  for (const char* bad : {"  0: bipush 12x\n", "  0: bipush -\n",
+                          "  0: bipush 99999999999\n", "x: nop\n",
+                          ":  nop\n", "  0: ldc int 1e3\n",
+                          "  0: ldc2_w double 1e999\n"}) {
+    EXPECT_THROW(parse_program(head + bad + "  1: ireturn\n.end\n"),
+                 std::runtime_error)
+        << bad;
+  }
+  EXPECT_THROW(parse_program(".method t.n()I\n.locals 65536\n.end\n"),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -170,8 +170,7 @@ def main(argv: list[str]) -> int:
     floor = FLOOR_FRACTION * statistics.median(window)
     print(
         f"bench_gate: serial {got:.1f} cells/s, floor {floor:.1f} "
-        f"(median of last {len(window)} of {len(history)} entries, "
-        f"scheduler {bench.get('scheduler', '?')})"
+        f"(median of last {len(window)} of {len(history)} entries)"
     )
     if got < floor:
         fail(f"serial sweep regressed: {got:.1f} < {floor:.1f} cells/s")
@@ -195,7 +194,6 @@ def main(argv: list[str]) -> int:
             "git_sha": meta.get("git_sha", "unknown"),
             "timestamp_utc": meta.get("timestamp_utc", "unknown"),
             "stride": bench.get("stride", 0),
-            "scheduler": bench.get("scheduler", "unknown"),
             "serial_cells_per_second": got,
             "parallel_cells_per_second": bench.get(
                 "parallel_cells_per_second", 0.0
