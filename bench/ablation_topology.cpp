@@ -69,7 +69,7 @@ int main() {
   tb.columns({"Width", "FoM vs Baseline"});
   for (const int w : {4, 6, 10, 16, 24}) {
     MachineConfig cfg = javaflow::sim::config_by_name("Compact2");
-    cfg.name = "W" + std::to_string(w);
+    cfg.name = 'W' + std::to_string(w);
     cfg.width = w;
     tb.row({std::to_string(w), Table::num(mean_fom(ctx, cfg, baseline,
                                                    stride), 3)});

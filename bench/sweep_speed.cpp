@@ -10,9 +10,11 @@
 // enable the persistent result cache (a warm cache makes both legs
 // serve from disk — the JSON's cache counters say which ran).
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -45,6 +47,33 @@ double rate(std::size_t cells, double seconds) {
   return seconds > 0.0 ? static_cast<double>(cells) / seconds : 0.0;
 }
 
+// The serial leg's algorithmic cost and host constant: simulated
+// messages (serial + mesh) per cell, and engine execute time per
+// message. Both come from the samples and the sweep profile, so the hot
+// path carries no counter for them. ns_per_message is absent when the
+// cache served any cell: those cells count messages but no execute
+// time.
+struct MessageCost {
+  double per_cell = 0.0;
+  std::optional<double> ns_per_message;
+};
+
+MessageCost message_cost(const javaflow::analysis::Sweep& sweep) {
+  std::int64_t messages = 0;
+  for (const javaflow::analysis::SweepSample& s : sweep.samples) {
+    messages += s.metrics.serial_messages + s.metrics.mesh_messages;
+  }
+  MessageCost cost;
+  if (messages == 0) return cost;
+  cost.per_cell = static_cast<double>(messages) /
+                  static_cast<double>(sweep.samples.size());
+  if (sweep.cache.hit_cells == 0) {
+    cost.ns_per_message = sweep.profile.total().execute_s * 1e9 /
+                          static_cast<double>(messages);
+  }
+  return cost;
+}
+
 }  // namespace
 
 int main() {
@@ -69,6 +98,14 @@ int main() {
               serial.sweep.configs.size());
   std::printf("  serial:   %.3f s (%.1f cells/s)\n", serial.seconds,
               rate(cells, serial.seconds));
+  const MessageCost cost = message_cost(serial.sweep);
+  if (cost.ns_per_message) {
+    std::printf("  messages: %.1f per cell, %.2f ns each (serial leg)\n",
+                cost.per_cell, *cost.ns_per_message);
+  } else {
+    std::printf("  messages: %.1f per cell (cache-served: no ns/message)\n",
+                cost.per_cell);
+  }
   std::printf("  parallel: %.3f s (%.1f cells/s)\n", parallel.seconds,
               rate(cells, parallel.seconds));
   std::printf("  speedup:  %.2fx on %u thread(s)\n", speedup, threads);
@@ -86,7 +123,7 @@ int main() {
   const char* cache_dir_env = std::getenv("JAVAFLOW_CACHE_DIR");
   const char* filter_env = std::getenv("JAVAFLOW_BENCH_FILTER");
   const auto env_json = [](const char* v) {
-    return v ? "\"" + std::string(v) + "\"" : std::string("null");
+    return v ? '"' + std::string(v) + '"' : std::string("null");
   };
 
   std::ofstream json("BENCH_sweep.json");
@@ -113,6 +150,11 @@ int main() {
        << "  \"serial_seconds\": " << serial.seconds << ",\n"
        << "  \"parallel_seconds\": " << parallel.seconds << ",\n"
        << "  \"serial_cells_per_second\": " << rate(cells, serial.seconds)
+       << ",\n"
+       << "  \"messages_per_cell\": " << cost.per_cell << ",\n"
+       << "  \"ns_per_message\": "
+       << (cost.ns_per_message ? std::to_string(*cost.ns_per_message)
+                               : std::string("null"))
        << ",\n"
        << "  \"parallel_cells_per_second\": "
        << rate(cells, parallel.seconds) << ",\n"

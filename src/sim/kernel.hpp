@@ -15,7 +15,9 @@
 //   * kInstr — the telemetry hooks (obs::MetricsRegistry, EventTracer,
 //     FlightRecorder) and exception injection. Solo only; without it
 //     every hook folds to a constant and the hot path carries no
-//     instrumentation branch.
+//     instrumentation branch, the drain loop forwards tokens that cross
+//     their node untouched without dispatching them, and calendar
+//     buckets hold 16-byte Slots instead of 32-byte Events.
 //
 // A residency that never contends times exactly like a solo run, so a
 // lone MultiEngine residency reproduces Engine::run bit for bit
@@ -25,11 +27,13 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <limits>
 #include <optional>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "bytecode/opcode.hpp"
@@ -114,9 +118,9 @@ struct NodeRt {
 
 enum class EvKind : std::uint8_t { Serial, Mesh, ExecDone, ServiceDone };
 
-// 32-byte event record. `aux` is the serial register number (Serial) or
-// the consumer's iteration epoch (Mesh). `prod` is the producing node of
-// a Mesh operand — it rides in what would be padding and feeds the
+// An event without its (tick, seq) key: 16 bytes. `aux` is the serial
+// register number (Serial) or the consumer's iteration epoch (Mesh).
+// `prod` is the producing node of a Mesh operand — it feeds the
 // tracer's producer->consumer flow events.
 //
 // `res` is the dense ResidentId of the token's owning residency: always
@@ -124,10 +128,12 @@ enum class EvKind : std::uint8_t { Serial, Mesh, ExecDone, ServiceDone };
 // so co-resident bundles interleave in one (tick, seq) calendar.
 // Packing the EvKind (2 bits) with the mesh side (6 bits — the widest
 // operand side is an invoke's argument count, well under 64) frees the
-// 16 bits the id needs without growing the record past two cache quads.
-struct Event {
-  std::int64_t tick = 0;
-  std::int64_t seq = 0;
+// 16 bits the id needs without growing the slot past one cache quad.
+//
+// The uninstrumented kernels' calendar buckets hold bare Slots: the
+// bucket is the tick and position in the bucket is seq order, so the
+// key is implicit.
+struct Slot {
   std::int32_t node = -1;
   std::int32_t aux = 0;
   std::int32_t prod = -1;            // Mesh only
@@ -145,6 +151,15 @@ struct Event {
     kind_side = static_cast<std::uint8_t>(static_cast<std::uint8_t>(k) |
                                           (side << 2));
   }
+};
+static_assert(sizeof(Slot) == 16, "Slot should stay one cache quad");
+
+// A Slot with its (tick, seq) key: 32 bytes. The overflow heap orders
+// these, and the instrumented kernel's buckets keep them because the
+// flight recorder looks dependency edges up by seq.
+struct Event : Slot {
+  std::int64_t tick = 0;
+  std::int64_t seq = 0;
 };
 static_assert(sizeof(Event) == 32, "Event should stay two cache quads");
 
@@ -307,11 +322,14 @@ class Kernel {
       std::size_t pos = bucket_pos_;
       while (true) {
         const auto bix = static_cast<std::size_t>(cal_cur_ & bucket_mask_);
-        std::vector<Event>& bucket = buckets_[bix];
+        std::vector<Record>& bucket = buckets_[bix];
         now_ = cal_cur_;
         const std::size_t first = pos;
         while (pos < bucket.size()) {
-          const Event ev = bucket[pos++];
+          const Record ev = bucket[pos++];
+          if constexpr (!kInstr) {
+            if (forward_or_drop(ev)) continue;
+          }
           dispatch(ev);
           if (completion_pending()) [[unlikely]] break;
         }
@@ -616,9 +634,19 @@ class Kernel {
   // seq grows monotonically with scheduling time. So events come out in
   // ascending (tick, seq), the order docs/PERF.md argues for.
 
-  [[gnu::always_inline]] inline void bucket_insert(const Event& ev) {
-    const auto bi = static_cast<std::size_t>(ev.tick & bucket_mask_);
-    buckets_[bi].push_back(ev);
+  // What a bucket holds: a bare Slot, or the whole Event when the flight
+  // recorder may need its seq.
+  using Record = std::conditional_t<kInstr, Event, Slot>;
+
+  [[gnu::always_inline]] inline void bucket_insert(std::int64_t tick,
+                                                   std::int64_t seq,
+                                                   const Slot& s) {
+    const auto bi = static_cast<std::size_t>(tick & bucket_mask_);
+    if constexpr (kInstr) {
+      buckets_[bi].push_back(Event{s, tick, seq});
+    } else {
+      buckets_[bi].push_back(s);
+    }
     cal_words_[bi >> 6] |= std::uint64_t{1} << (bi & 63);
   }
 
@@ -627,24 +655,22 @@ class Kernel {
   // event. `parent` kParentCurrent means "the event being dispatched
   // right now" (cur_edge_); hold-release sites pass an explicit splice
   // edge instead. Without a recorder the extra arguments are dead.
-  // Force-inlined: the Event is 32 bytes, so an out-of-line call would
-  // shuttle it through the stack twice per event.
+  // Force-inlined, so the Slot is built in place in its bucket.
   [[gnu::always_inline]] inline void schedule(
-      Event ev, obs::PathCategory cat,
+      std::int64_t tick, const Slot& s, obs::PathCategory cat,
       std::int32_t parent = kParentCurrent, std::int32_t from_phys = -1,
       std::int32_t to_phys = -1, std::uint8_t opcode = 0) {
-    ev.seq = seq_++;
+    const std::int64_t seq = seq_++;
     if (fr() != nullptr) {
       fr()->record_event(
-          ev.seq,
-          {now_, ev.tick, parent == kParentCurrent ? cur_edge_ : parent,
-           ev.node, from_phys, to_phys, cat, opcode});
+          seq, {now_, tick, parent == kParentCurrent ? cur_edge_ : parent,
+                s.node, from_phys, to_phys, cat, opcode});
     }
     ++live_events_;
-    if (ev.tick < cal_cur_ + ring_size_) [[likely]] {
-      bucket_insert(ev);
+    if (tick < cal_cur_ + ring_size_) [[likely]] {
+      bucket_insert(tick, seq, s);
     } else {
-      spill(ev);
+      spill(Event{s, tick, seq});
     }
   }
 
@@ -659,7 +685,8 @@ class Kernel {
     while (!overflow_.empty() &&
            overflow_.front().tick < cal_cur_ + ring_size_) {
       std::pop_heap(overflow_.begin(), overflow_.end(), EventAfter{});
-      bucket_insert(overflow_.back());
+      const Event& ev = overflow_.back();
+      bucket_insert(ev.tick, ev.seq, ev);
       overflow_.pop_back();
     }
   }
@@ -675,25 +702,29 @@ class Kernel {
   // Widens the ring to `want` buckets (a power of two). Each occupied
   // bucket holds one tick of the current window, in seq order, and moves
   // whole into that tick's new bucket (keeping bucket_pos valid); the
-  // spill the wider window now covers migrates after it.
+  // spill the wider window now covers migrates after it. A bucket's tick
+  // is the one window tick [cal_cur, cal_cur + old ring) its index maps
+  // to.
   void grow_ring(std::int64_t want) {
     if (want <= ring_size_) return;
-    std::vector<std::vector<Event>> old_buckets(
+    std::vector<std::vector<Record>> old_buckets(
         static_cast<std::size_t>(want));
     std::vector<std::uint64_t> old_words(static_cast<std::size_t>(want >> 6),
                                          0);
     old_buckets.swap(buckets_);
     old_words.swap(cal_words_);
+    const std::int64_t old_mask = bucket_mask_;
     ring_size_ = want;
     bucket_mask_ = want - 1;
     for (std::size_t w = 0; w < old_words.size(); ++w) {
       for (std::uint64_t bits = old_words[w]; bits != 0; bits &= bits - 1) {
-        std::vector<Event>& b =
-            old_buckets[(w << 6) |
-                        static_cast<std::size_t>(std::countr_zero(bits))];
-        const auto bi =
-            static_cast<std::size_t>(b.front().tick & bucket_mask_);
-        buckets_[bi] = std::move(b);
+        const std::size_t old_bi =
+            (w << 6) | static_cast<std::size_t>(std::countr_zero(bits));
+        const std::int64_t tick =
+            cal_cur_ +
+            ((static_cast<std::int64_t>(old_bi) - cal_cur_) & old_mask);
+        const auto bi = static_cast<std::size_t>(tick & bucket_mask_);
+        buckets_[bi] = std::move(old_buckets[old_bi]);
         cal_words_[bi >> 6] |= std::uint64_t{1} << (bi & 63);
       }
     }
@@ -752,7 +783,23 @@ class Kernel {
     return std::numeric_limits<std::int64_t>::max();
   }
 
-  void dispatch(const Event& ev) {
+  // The drain loop's fast path in the uninstrumented kernels: a Serial
+  // token that crosses its node untouched is forwarded here without
+  // dispatch(), and a finished residency's token is dropped just as
+  // dispatch() drops it. Returns whether the event was consumed.
+  [[gnu::always_inline]] inline bool forward_or_drop(const Slot& ev) {
+    if (ev.kind() != EvKind::Serial) return false;
+    ResidentRt& r = resident(ev.res);
+    if constexpr (kShared) {
+      if (r.done) return true;
+    }
+    const Token tok{ev.cmd, ev.aux};
+    if (!passes_untouched(r, local(r, ev.node), tok)) return false;
+    pass_through(r, ev.node, tok);
+    return true;
+  }
+
+  void dispatch(const Record& ev) {
     ResidentRt& r = resident(ev.res);
     if constexpr (kShared) {
       if (r.done) {
@@ -769,7 +816,9 @@ class Kernel {
         return;
       }
     }
-    if (fr() != nullptr) cur_edge_ = fr()->edge_of_seq(ev.seq);
+    if constexpr (kInstr) {
+      if (fr() != nullptr) cur_edge_ = fr()->edge_of_seq(ev.seq);
+    }
     switch (ev.kind()) {
       case EvKind::Serial:
         on_serial(r, ev.node, Token{ev.cmd, ev.aux});
@@ -891,20 +940,46 @@ class Kernel {
       mx()->serial_hop_ticks += static_cast<std::uint64_t>(arrival - now_);
       ++mx()->serial_commands[static_cast<std::size_t>(tok.cmd)];
     }
-    Event ev;
-    ev.set(EvKind::Serial);
-    ev.node = to;
-    ev.res = static_cast<std::uint16_t>(r.id);
-    ev.cmd = tok.cmd;
-    ev.aux = tok.reg;
-    ev.tick = arrival + extra;
-    schedule(ev, obs::PathCategory::SerialTransit, parent);
+    Slot s;
+    s.set(EvKind::Serial);
+    s.node = to;
+    s.res = static_cast<std::uint16_t>(r.id);
+    s.cmd = tok.cmd;
+    s.aux = tok.reg;
+    schedule(arrival + extra, s, obs::PathCategory::SerialTransit, parent);
   }
 
   void forward_token(ResidentRt& r, std::int32_t g, Token tok,
                      std::int32_t parent = kParentCurrent) {
     send_serial(r, g, fwd_[static_cast<std::size_t>(g)], tok, /*extra=*/0,
                 parent);
+  }
+
+  // Whether a token crosses node g (method-local l) untouched: on_serial
+  // would forward it one lane on without reading or changing any node
+  // state. That is a REGISTER token at a node that neither buffers
+  // tokens nor reads or writes that register, or a MEMORY token at a
+  // node that neither buffers tokens nor orders storage.
+  bool passes_untouched(const ResidentRt& r, std::int32_t l,
+                        Token tok) const {
+    const std::uint8_t f = r.flags[l];
+    switch (tok.cmd) {
+      case net::Command::RegisterToken:
+        return (f & kPlanBuffers) == 0 &&
+               ((f & kPlanLocal) == 0 || r.local_reg[l] != tok.reg);
+      case net::Command::MemoryToken:
+        return (f & (kPlanBuffers | kPlanOrdered)) == 0;
+      default:
+        return false;
+    }
+  }
+
+  // Forwards a token that crossed node g untouched (passes_untouched).
+  // Its forward target is still the next lane: only a buffering node's
+  // branch ever redirects it.
+  void pass_through(ResidentRt& r, std::int32_t g, Token tok) {
+    assert(fwd_[static_cast<std::size_t>(g)] == g + 1);
+    send_serial(r, g, g + 1, tok);
   }
 
   void send_mesh(ResidentRt& r, std::int32_t g) {
@@ -916,15 +991,14 @@ class Kernel {
       ++r.mesh_msgs;
       if (mx() != nullptr) record_mesh_metrics(r, *e);
       const std::int32_t consumer = base(r) + e->consumer;
-      Event ev;
-      ev.set(EvKind::Mesh, e->side);
-      ev.node = consumer;
-      ev.res = static_cast<std::uint16_t>(r.id);
-      ev.prod = g;
-      ev.aux = epoch_[static_cast<std::size_t>(consumer)];
-      ev.tick = mesh_arrival(r, *e);
-      schedule(ev, obs::PathCategory::MeshTransit, kParentCurrent, from_phys,
-               e->to_phys);
+      Slot s;
+      s.set(EvKind::Mesh, e->side);
+      s.node = consumer;
+      s.res = static_cast<std::uint16_t>(r.id);
+      s.prod = g;
+      s.aux = epoch_[static_cast<std::size_t>(consumer)];
+      schedule(mesh_arrival(r, *e), s, obs::PathCategory::MeshTransit,
+               kParentCurrent, from_phys, e->to_phys);
     }
   }
 
@@ -992,11 +1066,15 @@ class Kernel {
   void on_serial(ResidentRt& r, std::int32_t g, Token tok) {
     const auto u = static_cast<std::size_t>(g);
     const std::int32_t l = local(r, g);
-    NodeRt& n = nodes_[u];
     if (tr() != nullptr) {
       tr()->record({now_, obs::TraceEventKind::TokenDeliver, g, phys_of(r, g),
                     static_cast<std::uint8_t>(tok.cmd), 0});
     }
+    if (passes_untouched(r, l, tok)) {
+      pass_through(r, g, tok);
+      return;
+    }
+    NodeRt& n = nodes_[u];
     const std::uint8_t st = state_[u];
     const bool buffers = r.flag(l, kPlanBuffers);
     // Control-transfer nodes hold the bundle while unfired AND while a
@@ -1174,12 +1252,12 @@ class Kernel {
       parent = hold_edge(g, node_ready_edge_[u], obs::PathCategory::FireStall);
       node_ready_edge_[u] = -1;
     }
-    Event ev;
-    ev.set(EvKind::ExecDone);
-    ev.node = g;
-    ev.res = static_cast<std::uint16_t>(r.id);
-    ev.tick = now_ + cost;
-    schedule(ev, obs::PathCategory::Execution, parent, -1, -1, r.op[l]);
+    Slot s;
+    s.set(EvKind::ExecDone);
+    s.node = g;
+    s.res = static_cast<std::uint16_t>(r.id);
+    schedule(now_ + cost, s, obs::PathCategory::Execution, parent, -1, -1,
+             r.op[l]);
   }
 
   void release_execution_unit(ResidentRt& r, std::int32_t g) {
@@ -1249,12 +1327,12 @@ class Kernel {
                      std::int64_t svc_ticks) {
     state_[static_cast<std::size_t>(g)] |= kInService;
     record_service(r, g, svc, svc_ticks);
-    Event ev;
-    ev.set(EvKind::ServiceDone);
-    ev.node = g;
-    ev.res = static_cast<std::uint16_t>(r.id);
-    ev.tick = ring_done(r, svc, svc_ticks, /*blocking=*/true);
-    schedule(ev, obs::PathCategory::RingService);
+    Slot s;
+    s.set(EvKind::ServiceDone);
+    s.node = g;
+    s.res = static_cast<std::uint16_t>(r.id);
+    schedule(ring_done(r, svc, svc_ticks, /*blocking=*/true), s,
+             obs::PathCategory::RingService);
   }
 
   void on_exec_done(ResidentRt& r, std::int32_t g) {
@@ -1591,7 +1669,7 @@ class Kernel {
   std::array<Occupancy, 4> ring_{};
 
   // ---- calendar ----
-  std::vector<std::vector<Event>> buckets_;
+  std::vector<std::vector<Record>> buckets_;
   std::vector<std::uint64_t> cal_words_;  // one occupancy bit per bucket
   std::vector<Event> overflow_;
   std::vector<Token> flush_scratch_;            // flush_up bundle staging

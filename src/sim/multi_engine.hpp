@@ -5,7 +5,7 @@
 // Where sim::Engine simulates exactly one method per run, a MultiEngine
 // admits any number of independently-anchored residencies into a single
 // (tick, seq) event calendar. Every token bundle carries the dense
-// ResidentId of its owner in the 32-byte event record, node lanes are
+// ResidentId of its owner in its 16-byte calendar slot, node lanes are
 // offset per-residency into one shared struct-of-arrays image, and the
 // physical fabric's transport is genuinely shared: serial-chain links,
 // mesh links, and the four memory/GPP ring channels are occupancy-
@@ -99,7 +99,7 @@ class MultiEngine {
   // `until` sentinel for advance(): run until the calendar drains.
   static constexpr std::int64_t kNoLimit =
       std::numeric_limits<std::int64_t>::max() / 4;
-  // Event::res is 16 bits (sim/kernel.hpp).
+  // Slot::res is 16 bits (sim/kernel.hpp).
   static constexpr std::int32_t kMaxResidents = 65535;
 
   explicit MultiEngine(MachineConfig config, MultiEngineOptions options = {});

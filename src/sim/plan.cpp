@@ -252,6 +252,10 @@ void ExecPlanBuilder::build_into(ExecPlan& out, const bytecode::Method& m,
       f |= kPlanBackwardGoto;
     }
     if (sw) f |= kPlanSwitch;
+    if (g == bytecode::Group::LocalRead || g == bytecode::Group::LocalInc ||
+        g == bytecode::Group::LocalWrite) {
+      f |= kPlanLocal;
+    }
     flags[i] = f;
     branch_kind[i] = i < kinds.size() ? kinds[i] : 0;
     pop_need[i] = inst.pop;

@@ -78,6 +78,7 @@ inline constexpr std::uint8_t kPlanOrdered = 0x2;       // ordered storage
 inline constexpr std::uint8_t kPlanBackwardGoto = 0x4;  // goto, target<linear
 inline constexpr std::uint8_t kPlanSwitch = 0x8;        // table/lookupswitch
 inline constexpr std::uint8_t kPlanGoto = 0x10;         // goto/goto_w
+inline constexpr std::uint8_t kPlanLocal = 0x20;        // local load/iinc/store
 
 class ExecPlanBuilder;
 

@@ -87,8 +87,7 @@ struct CellResult {
   obs::MetricsRegistry registry;
 };
 
-CellResult run_cell(const Built& b, const bytecode::ConstantPool& pool,
-                    const sim::MachineConfig& config,
+CellResult run_cell(const Built& b, const sim::MachineConfig& config,
                     sim::BranchPredictor::Scenario scenario =
                         sim::BranchPredictor::Scenario::BP1) {
   CellResult r;
@@ -110,7 +109,7 @@ TEST(BoundsTiming, LowerBoundIsSoundOnEveryConfiguration) {
   Program p;
   const Built b = build(p, straight_line(p));
   for (const sim::MachineConfig& config : sim::table15_configs()) {
-    const CellResult r = run_cell(b, p.pool, config);
+    const CellResult r = run_cell(b, config);
     ASSERT_TRUE(r.metrics.completed) << config.name;
     ASSERT_TRUE(r.bounds.valid) << config.name;
     EXPECT_GT(r.bounds.lower_bound_ticks, 0) << config.name;
@@ -125,7 +124,7 @@ TEST(BoundsTiming, StraightLineBoundIsTight) {
   Program p;
   const Built b = build(p, straight_line(p));
   for (const char* name : {"Baseline", "Compact2"}) {
-    const CellResult r = run_cell(b, p.pool, sim::config_by_name(name));
+    const CellResult r = run_cell(b, sim::config_by_name(name));
     ASSERT_TRUE(r.metrics.completed) << name;
     EXPECT_EQ(r.bounds.lower_bound_ticks, r.metrics.ticks) << name;
   }
@@ -140,7 +139,7 @@ TEST(BoundsTiming, LoopBoundIsSoundUnderBothScenarios) {
   for (const sim::MachineConfig& config : sim::table15_configs()) {
     for (const auto scenario : {sim::BranchPredictor::Scenario::BP1,
                                 sim::BranchPredictor::Scenario::BP2}) {
-      const CellResult r = run_cell(b, p.pool, config, scenario);
+      const CellResult r = run_cell(b, config, scenario);
       ASSERT_TRUE(r.metrics.completed) << config.name;
       ASSERT_TRUE(r.bounds.valid) << config.name;
       EXPECT_LE(r.bounds.lower_bound_ticks, r.metrics.ticks) << config.name;
@@ -154,7 +153,7 @@ TEST(BoundsTiming, PerNodeFireTicksAreMonotoneAlongTheChain) {
   Program p;
   const Built b = build(p, straight_line(p));
   const sim::MachineConfig config = sim::config_by_name("Compact2");
-  const CellResult r = run_cell(b, p.pool, config);
+  const CellResult r = run_cell(b, config);
   ASSERT_EQ(r.bounds.nodes.size(), b.method.code.size());
   for (std::size_t i = 1; i < r.bounds.nodes.size(); ++i) {
     EXPECT_LT(r.bounds.nodes[i - 1].fire, r.bounds.nodes[i].fire) << i;
@@ -235,7 +234,7 @@ TEST(BoundsResources, TokenBufferBoundDominatesMeasuredHighWater) {
   Program p;
   const Built b = build(p, counting_loop(p));
   for (const sim::MachineConfig& config : sim::table15_configs()) {
-    const CellResult r = run_cell(b, p.pool, config);
+    const CellResult r = run_cell(b, config);
     ASSERT_TRUE(r.metrics.completed) << config.name;
     for (std::size_t phys = 0; phys < r.registry.buffer_hwm_by_node.size();
          ++phys) {
@@ -255,7 +254,7 @@ TEST(BoundsCrossValidation, ImpossiblyFastMetricsTriggerE010) {
   Program p;
   const Built b = build(p, straight_line(p));
   const sim::MachineConfig config = sim::config_by_name("Baseline");
-  const CellResult real = run_cell(b, p.pool, config);
+  const CellResult real = run_cell(b, config);
   ASSERT_GT(real.bounds.lower_bound_ticks, 1);
 
   sim::RunMetrics doctored = real.metrics;
@@ -279,7 +278,7 @@ TEST(BoundsCrossValidation, OverfullBufferHighWaterTriggersE010) {
   Program p;
   const Built b = build(p, counting_loop(p));
   const sim::MachineConfig config = sim::config_by_name("Compact2");
-  const CellResult real = run_cell(b, p.pool, config);
+  const CellResult real = run_cell(b, config);
 
   obs::MetricsRegistry doctored;
   doctored.buffer_hwm_by_node.assign(

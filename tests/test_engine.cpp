@@ -1,10 +1,20 @@
 // Tests for the execution engine: firing rules, token bundle mechanics,
-// loop replay, predictor behaviour, and cross-configuration ordering.
+// loop replay, predictor behaviour, cross-configuration ordering, and the
+// uninstrumented kernel's fast path against the full handler.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "bytecode/assembler.hpp"
 #include "fabric/dataflow_graph.hpp"
+#include "fabric/fabric.hpp"
+#include "fabric/loader.hpp"
+#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
+#include "sim/plan.hpp"
+#include "util/thread_pool.hpp"
+#include "workloads/corpus.hpp"
 
 namespace javaflow::sim {
 namespace {
@@ -364,6 +374,82 @@ TEST(Engine, HeadTestLoopAlsoItersTenTimes) {
   // Test executes 10x (9 stay + 1 exit): iload+ifle 10x, body 9x,
   // goto 9x, exit pair once.
   EXPECT_EQ(r.instructions_fired, 10 + 10 + 9 + 9 + 1 + 1);
+}
+
+// A plain Engine runs the uninstrumented kernel, whose drain loop
+// forwards tokens that cross their node untouched without dispatching
+// them and whose calendar holds 16-byte slots; an Engine with a
+// MetricsRegistry runs the instrumented kernel, which sends every
+// delivery through the full on_serial handler and keeps whole events.
+// On every 4th corpus method, on every config and scenario, the two must
+// agree field for field, and the registry must have counted every
+// serial message the runs report.
+TEST(FastPath, MatchesTheFullHandlerOnEveryFourthCorpusMethod) {
+  const workloads::Corpus corpus = workloads::make_corpus({});
+  std::vector<const bytecode::Method*> methods;
+  std::vector<fabric::DataflowGraph> graphs;
+  for (std::size_t i = 0; i < corpus.program.methods.size(); i += 4) {
+    methods.push_back(&corpus.program.methods[i]);
+    graphs.push_back(
+        fabric::build_dataflow_graph(*methods.back(), corpus.program.pool));
+  }
+  const std::vector<MachineConfig> configs = table15_configs();
+
+  struct ConfigResult {
+    std::size_t cells = 0;
+    std::size_t mismatches = 0;
+    std::string first_mismatch;
+    std::uint64_t serial_messages = 0;  // summed over the runs
+    obs::MetricsRegistry registry;
+  };
+  std::vector<ConfigResult> results(configs.size());
+  util::ThreadPool pool(0);
+  pool.parallel_for(configs.size(), [&](std::size_t ci, unsigned) {
+    const MachineConfig& config = configs[ci];
+    ConfigResult& out = results[ci];
+    const fabric::Fabric fabric(config.fabric_options());
+    ExecPlanBuilder builder;
+    Engine fast(config);
+    EngineOptions instrumented;
+    instrumented.metrics = &out.registry;
+    Engine full(config, instrumented);
+    for (std::size_t mi = 0; mi < methods.size(); ++mi) {
+      const bytecode::Method& m = *methods[mi];
+      const fabric::Placement placement = fabric::load_method(fabric, m);
+      const ExecPlan plan = builder.build(m, graphs[mi], &placement, config);
+      for (const auto scenario : {BranchPredictor::Scenario::BP1,
+                                  BranchPredictor::Scenario::BP2}) {
+        BranchPredictor fast_predictor(scenario);
+        BranchPredictor full_predictor(scenario);
+        const RunMetrics a = fast.run(m, plan, fast_predictor);
+        const RunMetrics b = full.run(m, plan, full_predictor);
+        ++out.cells;
+        out.serial_messages += static_cast<std::uint64_t>(b.serial_messages);
+        if (!(a == b) && out.mismatches++ == 0) {
+          out.first_mismatch =
+              m.name + (scenario == BranchPredictor::Scenario::BP1 ? " BP1"
+                                                                   : " BP2") +
+              ": ticks " + std::to_string(a.ticks) + " vs " +
+              std::to_string(b.ticks) + ", serial messages " +
+              std::to_string(a.serial_messages) + " vs " +
+              std::to_string(b.serial_messages);
+        }
+      }
+    }
+  });
+
+  for (std::size_t ci = 0; ci < configs.size(); ++ci) {
+    const ConfigResult& r = results[ci];
+    EXPECT_EQ(r.cells, 2 * methods.size()) << configs[ci].name;
+    EXPECT_EQ(r.mismatches, 0u)
+        << configs[ci].name << ", first: " << r.first_mismatch;
+    std::uint64_t commands = 0;
+    for (const std::uint64_t n : r.registry.serial_commands) commands += n;
+    EXPECT_EQ(commands, r.serial_messages) << configs[ci].name;
+    EXPECT_EQ(r.registry.serial_messages, r.serial_messages)
+        << configs[ci].name;
+    EXPECT_GT(r.serial_messages, 0u) << configs[ci].name;
+  }
 }
 
 }  // namespace

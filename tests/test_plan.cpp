@@ -1,10 +1,11 @@
 // Pre-lowered execution plans (docs/PERF.md "Execution kernel").
 //
-// The plan is the one static substrate: its route spans decompose
-// MeshTransit attribution exactly as a mesh walk does, the bound
-// analyzer reads it and stays sound against the engine, and one
-// read-only ExecPlan serves any number of concurrent engines (the
-// parallel sweep's cross-lane sharing; run this binary under TSan).
+// The plan is the one static substrate: its classification flags mark
+// exactly the nodes they name, its route spans decompose MeshTransit
+// attribution exactly as a mesh walk does, the bound analyzer reads it
+// and stays sound against the engine, and one read-only ExecPlan serves
+// any number of concurrent engines (the parallel sweep's cross-lane
+// sharing; run this binary under TSan).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -54,6 +55,40 @@ analysis::Sweep plan_sweep(int threads) {
   // shared-plan reads actually happen (and TSan can see them).
   options.allow_oversubscribe = threads > 1;
   return analysis::run_sweep(methods, corpus.program.pool, hot, options);
+}
+
+// kPlanLocal marks exactly the nodes that read or write a local
+// register: the kernel's pass-through test for REGISTER tokens consults
+// the register lane only behind it.
+TEST(PlanFlags, LocalFlagMarksExactlyTheLocalAccessNodes) {
+  const workloads::Corpus& corpus = shared_corpus();
+  const sim::MachineConfig config = sim::config_by_name("Compact2");
+  sim::ExecPlanBuilder builder;
+  sim::ExecPlan plan;
+  std::size_t local_nodes = 0;
+  std::size_t other_nodes = 0;
+  for (const bytecode::Method& m : corpus.program.methods) {
+    const fabric::DataflowGraph graph =
+        fabric::build_dataflow_graph(m, corpus.program.pool);
+    builder.build_into(plan, m, graph, nullptr, config);
+    if (!plan.fits()) continue;
+    for (std::int32_t i = 0; i < plan.node_count(); ++i) {
+      const bytecode::Group g = m.code[static_cast<std::size_t>(i)].group();
+      const bool local = g == bytecode::Group::LocalRead ||
+                         g == bytecode::Group::LocalInc ||
+                         g == bytecode::Group::LocalWrite;
+      EXPECT_EQ((plan.flags()[i] & sim::kPlanLocal) != 0, local)
+          << m.name << " node " << i;
+      if (local) {
+        ++local_nodes;
+        EXPECT_GE(plan.local_reg()[i], 0) << m.name << " node " << i;
+      } else {
+        ++other_nodes;
+      }
+    }
+  }
+  EXPECT_GT(local_nodes, 0u);
+  EXPECT_GT(other_nodes, 0u);
 }
 
 // The parallel sweep shares each phase-A plan read-only across worker

@@ -583,7 +583,9 @@ TEST(RequestStream, DeterministicSortedAndInRange) {
     EXPECT_EQ(a[i].scenario, b[i].scenario);
     EXPECT_GE(a[i].method_index, 0);
     EXPECT_LT(a[i].method_index, 7);
-    if (i > 0) EXPECT_GT(a[i].arrival_tick, a[i - 1].arrival_tick);
+    if (i > 0) {
+      EXPECT_GT(a[i].arrival_tick, a[i - 1].arrival_tick);
+    }
   }
   opt.seed = 43;
   const auto c = serve::make_request_stream(7, opt);

@@ -21,7 +21,9 @@ Checks, in order:
 
 On success the run is appended to the history file (up to a cap of 50
 entries, oldest dropped) so the floor tracks intentional throughput
-changes without hand-editing a constant. Commit the updated history when
+changes without hand-editing a constant. The entry carries the run's
+serial-leg `ns_per_message` (engine execute time per simulated message)
+when BENCH_sweep.json has one. Commit the updated history when
 a PR intentionally shifts performance. --no-append gates without
 recording (e.g. exploratory local runs).
 
@@ -199,6 +201,8 @@ def main(argv: list[str]) -> int:
                 "parallel_cells_per_second", 0.0
             ),
         }
+        if bench.get("ns_per_message") is not None:
+            entry["ns_per_message"] = bench["ns_per_message"]
         if digest is not None:
             entry["snapshot_digest"] = digest
         if serving_rps is not None:

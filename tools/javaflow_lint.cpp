@@ -342,7 +342,7 @@ int main(int argc, char** argv) {
     if (!tightness.empty()) {
       const std::size_t brace = out.rfind('}');
       if (brace != std::string::npos) {
-        out.insert(brace, "," + tightness_json(tightness));
+        out.insert(brace, ',' + tightness_json(tightness));
       }
     }
     std::cout << out << '\n';
