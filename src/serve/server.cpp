@@ -73,14 +73,12 @@ class ServerState {
         handle_completion(*done);
       } else if (next_arrival_ >= requests_.size() && queued_ > 0 &&
                  running_req_.empty()) {
-        // Termination guard: the calendar drained with requests still
-        // queued and nothing executing. Unreachable when admission is
-        // sound (an empty fabric admits any fitting method), but a
-        // forced rejection of the head keeps the server total. With
-        // every method idle, the queue's head is the first ready head.
-        const std::int64_t head = *ready_.begin();
-        outcomes_[static_cast<std::size_t>(head)].rejected = true;
-        dequeue(head);
+        // Unreachable: with nothing executing every resident is idle and
+        // evictable, so the last admission pass placed every method that
+        // fits an empty fabric and rejected the rest. Throwing keeps
+        // `rejected` meaning "can never fit" and the loop finite.
+        throw std::logic_error(
+            "serve: queued requests cannot start on an idle fabric");
       }
       enqueue_due();
       admission_pass();
@@ -159,13 +157,13 @@ class ServerState {
     max_queue_depth_ = std::max(max_queue_depth_, queued_);
   }
 
-  // Drops request `qi` from its method's FIFO (usually its head) and
-  // keeps ready_ equal to the heads of the idle methods' FIFOs.
+  // Drops request `qi`, the head of its method's FIFO, and keeps ready_
+  // equal to the heads of the idle methods' FIFOs.
   void dequeue(std::int64_t qi) {
     const std::size_t mi = method_slot(qi);
     std::deque<std::int64_t>& fifo = waiting_[mi];
-    ready_.erase(fifo.front());
-    fifo.erase(std::find(fifo.begin(), fifo.end(), qi));
+    ready_.erase(qi);
+    fifo.pop_front();
     --queued_;
     if (!fifo.empty() && !executing_[mi]) ready_.insert(fifo.front());
   }
@@ -224,12 +222,11 @@ class ServerState {
     ++evictions_;
   }
 
-  enum class Start { Admitted, Rejected, Blocked, Refused };
-
-  // Tries to start request `qi`, whose method holds no thread: loads the
-  // method if needed (evicting idle-LRU residents), then leases it and
-  // admits a residency.
-  Start try_start(std::int64_t qi) {
+  // Tries to start request `qi`, the FIFO head of a method that holds no
+  // thread: loads the method if needed (evicting idle-LRU residents),
+  // then leases it and admits a residency. Returns false when the method
+  // cannot be placed yet; true once the request is admitted or rejected.
+  bool try_start(std::int64_t qi) {
     const Request& rq = requests_[static_cast<std::size_t>(qi)];
     const bytecode::Method& m = method_of(rq.method_index);
     MethodId mid = -1;
@@ -242,23 +239,25 @@ class ServerState {
         // Exceeds the fabric even when empty: reject outright.
         outcomes_[static_cast<std::size_t>(qi)].rejected = true;
         dequeue(qi);
-        return Start::Rejected;
+        return true;
       }
       const auto placed = place_with_eviction(m, *span);
-      if (!placed) return Start::Blocked;
+      if (!placed) return false;
       mid = *placed;
       loaded_[rq.method_index] = mid;
       owner_[mid] = rq.method_index;
       last_used_[mid] = engine_.now();
       ++loads_;
     }
+    // The method is idle and its loaded plan fits, so neither the lease
+    // nor the admission can fail.
     const FabricManager::Resident* r = mgr_.begin_execute(mid);
-    if (r == nullptr) return Start::Refused;
-    const sim::ResidentId rid = engine_.admit(
-        *r->method, *r->plan, r->phys_delta, rq.scenario, engine_.now());
-    if (rid < 0) {  // residency cap for this fabric lifetime
-      mgr_.end_execute(mid);
-      return Start::Refused;
+    const sim::ResidentId rid =
+        r == nullptr ? -1
+                     : engine_.admit(*r->method, *r->plan, r->phys_delta,
+                                     rq.scenario, engine_.now());
+    if (rid < 0) {
+      throw std::logic_error("serve: an idle, loaded method failed to start");
     }
     executing_[method_slot(qi)] = 1;
     running_req_[rid] = qi;
@@ -267,7 +266,7 @@ class ServerState {
     o.admitted_tick = engine_.now();
     o.plan_shared = r->plan_shared;
     dequeue(qi);
-    return Start::Admitted;
+    return true;
   }
 
   // One walk over the idle methods' FIFO heads in request order. These
@@ -279,45 +278,11 @@ class ServerState {
   // for space). Once a walk ends, every idle method's FIFO is empty or
   // blocked, so a second walk could change nothing.
   void admission_pass() {
-    bool progress = false;
     std::int64_t qi = -1;
     for (auto it = ready_.begin(); it != ready_.end();
          it = ready_.upper_bound(qi)) {
       qi = *it;
-      switch (try_start(qi)) {
-        case Start::Admitted:
-        case Start::Rejected: progress = true; break;
-        case Start::Blocked: return;
-        case Start::Refused: scan_queue(qi, progress); return;
-      }
-    }
-  }
-
-  // A refused admission (the engine's residency cap) leaves a method
-  // idle with its head still waiting, so its later requests are tried
-  // too. From there on the pass is the plain whole-queue scan — every
-  // waiting request of an idle method in request order, repeated while
-  // a pass admits or rejects something — so loads, evictions and
-  // rejections come out in the same order.
-  void scan_queue(std::int64_t after, bool progress) {
-    while (true) {
-      std::vector<std::int64_t> order;
-      for (std::size_t mi = 0; mi < waiting_.size(); ++mi) {
-        if (executing_[mi]) continue;
-        for (const std::int64_t q : waiting_[mi]) {
-          if (q > after) order.push_back(q);
-        }
-      }
-      std::sort(order.begin(), order.end());
-      for (const std::int64_t q : order) {
-        if (executing_[method_slot(q)]) continue;
-        const Start s = try_start(q);
-        if (s == Start::Blocked) return;
-        if (s != Start::Refused) progress = true;
-      }
-      if (!progress) return;
-      progress = false;
-      after = -1;
+      if (!try_start(qi)) return;
     }
   }
 

@@ -8,10 +8,15 @@
 //   * kShared — the serving kernel behind sim::MultiEngine: N residencies
 //     on one calendar, node lanes offset per residency, transport
 //     occupancy-tracked so co-resident flows contend, and fabric-level
-//     overlap accounting. The solo instantiation behind sim::Engine runs
-//     exactly one residency per run(): no residency lookup, no occupancy
-//     windows (an uncontended token's transit is closed-form), and a
-//     reset that keeps every lane's and bucket's capacity across runs.
+//     overlap accounting. A residency that has finished and whose events
+//     have all drained is reclaimed: its residency-table row, predictor
+//     and node-lane window go on free lists for the next admission, so
+//     memory follows the live residencies, not the admission count
+//     (docs/SERVING.md "Residency lifecycle"). The solo instantiation
+//     behind sim::Engine runs exactly one residency per run(): no
+//     residency lookup, no occupancy windows (an uncontended token's
+//     transit is closed-form), and a reset that keeps every lane's and
+//     bucket's capacity across runs.
 //   * kInstr — the telemetry hooks (obs::MetricsRegistry, EventTracer,
 //     FlightRecorder) and exception injection. Solo only; without it
 //     every hook folds to a constant and the hot path carries no
@@ -32,8 +37,10 @@
 #include <deque>
 #include <limits>
 #include <optional>
+#include <stdexcept>
 #include <tuple>
 #include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "bytecode/opcode.hpp"
@@ -123,12 +130,15 @@ enum class EvKind : std::uint8_t { Serial, Mesh, ExecDone, ServiceDone };
 // `prod` is the producing node of a Mesh operand — it feeds the
 // tracer's producer->consumer flow events.
 //
-// `res` is the dense ResidentId of the token's owning residency: always
-// 0 in solo runs, threaded through every handler by the shared kernel
-// so co-resident bundles interleave in one (tick, seq) calendar.
-// Packing the EvKind (2 bits) with the mesh side (6 bits — the widest
-// operand side is an invoke's argument count, well under 64) frees the
-// 16 bits the id needs without growing the slot past one cache quad.
+// `res` is the owning residency's row in the kernel's residency table:
+// always 0 in solo runs, threaded through every handler by the shared
+// kernel so co-resident bundles interleave in one (tick, seq) calendar.
+// It is not the ResidentId — rows are recycled once a residency has
+// finished and its last event has drained, so no event ever outlives
+// the row it names. Packing the EvKind (2 bits) with the mesh side (6
+// bits — the widest operand side is an invoke's argument count, well
+// under 64) frees the 16 bits the row needs without growing the slot
+// past one cache quad.
 //
 // The uninstrumented kernels' calendar buckets hold bare Slots: the
 // bucket is the tick and position in the bucket is seq order, so the
@@ -137,7 +147,7 @@ struct Slot {
   std::int32_t node = -1;
   std::int32_t aux = 0;
   std::int32_t prod = -1;            // Mesh only
-  std::uint16_t res = 0;             // owning residency (0 = solo run)
+  std::uint16_t res = 0;             // owner's row (0 = solo run)
   std::uint8_t kind_side = 0;        // EvKind | (mesh side << 2)
   net::Command cmd = net::Command::HeadToken;  // Serial only
 
@@ -255,29 +265,38 @@ class Kernel {
 
   // ---- shared ----
 
+  // See MultiEngine::admit: -1 only for an unfit plan; a fitting plan
+  // past the live-residency cap throws.
   ResidentId admit(const bytecode::Method& m, const ExecPlan& plan,
                    std::int32_t phys_delta,
                    BranchPredictor::Scenario scenario,
                    std::int64_t start_tick) {
     static_assert(kShared);
-    if (residents_.size() >= static_cast<std::size_t>(
-                                 MultiEngine::kMaxResidents) ||
-        !plan.fits()) {
-      return -1;
+    if (!plan.fits()) return -1;
+    if (free_rows_.empty() &&
+        residents_.size() >=
+            static_cast<std::size_t>(MultiEngine::kMaxResidents)) {
+      throw std::length_error(
+          "MultiEngine: more than kMaxResidents residencies live at once");
+    }
+    if (outcomes_.size() >=
+        static_cast<std::size_t>(std::numeric_limits<ResidentId>::max())) {
+      throw std::length_error("MultiEngine: ResidentId space exhausted");
     }
     grow_ring(calendar_buckets(cfg_, plan.max_phys(), m.max_locals));
-    const auto id = static_cast<ResidentId>(residents_.size());
     ResidentRt& r = add_resident(m, plan, phys_delta,
                                  std::max(start_tick, cal_cur_));
-    predictors_.emplace_back(scenario);
+    if (r.row == predictors_.size()) {
+      predictors_.emplace_back(scenario);
+    } else {
+      predictors_[r.row] = BranchPredictor(scenario);
+    }
     ensure_phys(plan.max_phys() + phys_delta);
     outcomes_.emplace_back();
-    outcomes_.back().resident = id;
-    outcomes_.back().name = m.name;
     outcomes_.back().admitted_tick = r.inject_tick;
     ++running_;
     inject_bundle(r);
-    return id;
+    return r.id;
   }
 
   // Processes events in (tick, seq) order while tick < until; see
@@ -327,8 +346,11 @@ class Kernel {
         const std::size_t first = pos;
         while (pos < bucket.size()) {
           const Record ev = bucket[pos++];
+          if constexpr (kShared) {
+            if (drop_stale(ev)) continue;
+          }
           if constexpr (!kInstr) {
-            if (forward_or_drop(ev)) continue;
+            if (forward_untouched(ev)) continue;
           }
           dispatch(ev);
           if (completion_pending()) [[unlikely]] break;
@@ -368,15 +390,18 @@ class Kernel {
 
   bool idle() const noexcept { return live_events_ == 0; }
   std::int64_t now() const noexcept { return cal_cur_; }
-  std::size_t resident_count() const noexcept { return residents_.size(); }
+  std::size_t resident_count() const noexcept { return outcomes_.size(); }
   std::size_t running_count() const noexcept { return running_; }
+  std::size_t lane_count() const noexcept { return nodes_.size(); }
 
+  // An outcome is filled, and its `resident` field set, when the
+  // residency finishes.
   const ResidentOutcome* outcome(ResidentId r) const noexcept {
-    if (r < 0 || static_cast<std::size_t>(r) >= residents_.size() ||
-        !residents_[static_cast<std::size_t>(r)].done) {
+    if (r < 0 || static_cast<std::size_t>(r) >= outcomes_.size()) {
       return nullptr;
     }
-    return &outcomes_[static_cast<std::size_t>(r)];
+    const ResidentOutcome& out = outcomes_[static_cast<std::size_t>(r)];
+    return out.resident == r ? &out : nullptr;
   }
 
   MultiRunMetrics finish() {
@@ -386,24 +411,29 @@ class Kernel {
     }
     flush_fabric_accounting();
     MultiRunMetrics agg;
-    agg.residents = outcomes_;
     agg.fabric_ticks = now_;
     agg.ticks_exec_1plus = fab_acc1_;
     agg.ticks_exec_2plus = fab_acc2_;
     agg.ticks_res_1plus = res_acc1_;
     agg.ticks_res_2plus = res_acc2_;
-    for (const ResidentRt& r : residents_) {
-      agg.serial_wait_ticks += r.serial_wait;
-      agg.mesh_wait_ticks += r.mesh_wait;
-      agg.ring_wait_ticks += r.ring_wait;
+    // A residency's waits stop growing when it finishes, so its outcome
+    // holds its final totals (its row may serve someone else by now).
+    for (const ResidentOutcome& out : outcomes_) {
+      agg.serial_wait_ticks += out.serial_wait_ticks;
+      agg.mesh_wait_ticks += out.mesh_wait_ticks;
+      agg.ring_wait_ticks += out.ring_wait_ticks;
     }
+    agg.residents = std::move(outcomes_);
     return agg;
   }
 
  private:
   // One residency: a method's plan anchored at `base` in the global
   // node lanes (0 in solo runs) and shifted by `phys_delta` physical
-  // nodes (a whole-row shift, docs/SERVING.md).
+  // nodes (a whole-row shift, docs/SERVING.md). Shared: `id` is the
+  // ResidentId (the admission index, never reused — outcomes and
+  // transport occupancy are keyed by it) and `row` this record's index
+  // in residents_, which the events carry and which is recycled.
   struct ResidentRt {
     const bytecode::Method* method = nullptr;
     const ExecPlan* plan = nullptr;
@@ -431,12 +461,15 @@ class Kernel {
     bool completed = false;
     bool timed_out = false;
     bool exception = false;  // EXCEPTION_TOKEN raised (instrumented)
+    std::uint16_t row = 0;
     std::int64_t end_tick = 0;
     // RunMetrics accumulators.
     std::int64_t fired = 0;
     std::int64_t mesh_msgs = 0;
     std::int64_t serial_msgs = 0;
     int active_exec = 0;
+    // Shared: this residency's events still in a bucket or the spill.
+    std::int32_t pending = 0;
     std::int64_t last_change = 0;
     std::int64_t acc1 = 0;
     std::int64_t acc2 = 0;
@@ -489,9 +522,11 @@ class Kernel {
       return residents_.front();
     }
   }
+  // The Slot::res an event of `r` carries.
+  std::uint16_t row(const ResidentRt& r) const { return kShared ? r.row : 0; }
   BranchPredictor& predictor(const ResidentRt& r) {
     if constexpr (kShared) {
-      return predictors_[static_cast<std::size_t>(r.id)];
+      return predictors_[r.row];
     } else {
       return *predictor_;
     }
@@ -525,8 +560,6 @@ class Kernel {
     r.edge_begin = plan.edge_begin();
     r.edges = plan.edges();
     r.route_links = plan.route_links();
-    r.id = static_cast<std::int32_t>(residents_.size());
-    r.base = kShared ? static_cast<std::int32_t>(nodes_.size()) : 0;
     r.count = plan.node_count();
     r.phys_delta = phys_delta;
     r.slot_delta = phys_delta * idus_;
@@ -534,23 +567,122 @@ class Kernel {
     r.last_change = inject_tick;
 
     if constexpr (kShared) {
-      const auto end = static_cast<std::size_t>(r.base + r.count);
+      r.id = static_cast<std::int32_t>(outcomes_.size());
+      r.row = take_row();
+      r.base = take_window(r.count);
+    } else {
+      r.id = static_cast<std::int32_t>(residents_.size());
+      r.base = 0;
+    }
+    for (std::int32_t i = 0; i < r.count; ++i) {
+      const auto u = static_cast<std::size_t>(r.base + i);
+      fwd_[u] = r.base + i + 1;
+      if constexpr (kShared) {
+        phys_lane_[u] = plan.phys()[i] + phys_delta;
+        res_of_[u] = r.row;
+      }
+    }
+    if constexpr (kShared) {
+      residents_[r.row] = r;
+      return residents_[r.row];
+    } else {
+      residents_.push_back(r);
+      return residents_.back();
+    }
+  }
+
+  // ---- residency recycling (shared) ----
+  //
+  // A residency is reclaimed once it is done and none of its events
+  // remains in a bucket or the spill (`pending` == 0): schedule() counts
+  // its events up and the drain loop counts them down as it consumes or
+  // drops them. From then on no event can name its row or lanes, so the
+  // next admission can take them over. Transport occupancy stays keyed
+  // by the never-reused ResidentId, because a reservation can outlive
+  // its residency's events: a posted MemoryWrite reserves a ring channel
+  // without scheduling anything, and a tick budget drops events whose
+  // links stay reserved.
+
+  // A free residency-table row, or a new one.
+  std::uint16_t take_row() {
+    if (!free_rows_.empty()) {
+      const std::uint16_t row = free_rows_.back();
+      free_rows_.pop_back();
+      return row;
+    }
+    residents_.emplace_back();
+    return static_cast<std::uint16_t>(residents_.size() - 1);
+  }
+
+  // The first lane of a `count`-lane window: a reclaimed window of
+  // exactly that size, reset to a fresh residency's state (each node
+  // keeps its operand buffer's capacity), or new zeroed lanes at the
+  // end. fwd_, phys_lane_ and res_of_ are the caller's to fill.
+  std::int32_t take_window(std::int32_t count) {
+    std::vector<std::int32_t>& spare = free_windows_[count];
+    if (spare.empty()) {
+      const auto base = static_cast<std::int32_t>(nodes_.size());
+      const auto end = static_cast<std::size_t>(base + count);
       nodes_.resize(end);
       state_.resize(end, 0);
       pops_.resize(end, 0);
       epoch_.resize(end, 0);
       fwd_.resize(end);
       distinct_.resize(end, 0);
-      res_of_.resize(end, static_cast<std::uint16_t>(r.id));
+      res_of_.resize(end);
       phys_lane_.resize(end);
+      return base;
     }
-    for (std::int32_t i = 0; i < r.count; ++i) {
-      const auto u = static_cast<std::size_t>(r.base + i);
-      fwd_[u] = r.base + i + 1;
-      if constexpr (kShared) phys_lane_[u] = plan.phys()[i] + phys_delta;
+    const std::int32_t base = spare.back();
+    spare.pop_back();
+    for (std::int32_t g = base; g < base + count; ++g) {
+      const auto u = static_cast<std::size_t>(g);
+      nodes_[u].reset_cold();
+      state_[u] = 0;
+      pops_[u] = 0;
+      epoch_[u] = 0;
+      distinct_[u] = 0;
     }
-    residents_.push_back(r);
-    return residents_.back();
+    return base;
+  }
+
+  // Puts a finished, drained residency's row and lane window on the free
+  // lists. Its lanes may still wait in an execution unit's pending-fire
+  // queue; release_execution_unit would skip them (their owner is done)
+  // without side effects, so removing them now changes nothing — and
+  // keeps a later owner of the window from inheriting them.
+  void reclaim(const ResidentRt& r) {
+    const std::int32_t end = r.base + r.count;
+    if (idus_ > 1) {
+      for (std::int32_t g = r.base; g < end; ++g) {
+        std::erase_if(
+            pending_fire_[static_cast<std::size_t>(
+                phys_lane_[static_cast<std::size_t>(g)])],
+            [&](std::int32_t n) { return n >= r.base && n < end; });
+      }
+    }
+    free_windows_[r.count].push_back(r.base);
+    free_rows_.push_back(r.row);
+  }
+
+  // Shared drain-loop step: counts the event off its residency and, if
+  // the residency has finished, drops it — except that a still-in-flight
+  // execution completion must free its Instruction Execution Unit
+  // (shared with later co-residents) and close the fabric-level overlap
+  // span it holds. The last of a finished residency's events reclaims
+  // it. Returns whether the event was consumed.
+  [[gnu::always_inline]] inline bool drop_stale(const Slot& ev) {
+    ResidentRt& r = residents_[ev.res];
+    --r.pending;
+    if (!r.done) [[likely]] return false;
+    if (ev.kind() == EvKind::ExecDone) {
+      state_[static_cast<std::size_t>(ev.node)] &=
+          static_cast<std::uint8_t>(~kExecuting);
+      exec_delta(r, -1);
+      release_execution_unit(r, ev.node);
+    }
+    if (r.pending == 0) reclaim(r);
+    return true;
   }
 
   // Solo reset: every lane and bucket keeps its capacity (and every
@@ -667,6 +799,7 @@ class Kernel {
                 s.node, from_phys, to_phys, cat, opcode});
     }
     ++live_events_;
+    if constexpr (kShared) ++residents_[s.res].pending;
     if (tick < cal_cur_ + ring_size_) [[likely]] {
       bucket_insert(tick, seq, s);
     } else {
@@ -736,7 +869,8 @@ class Kernel {
     cal_words_[bix >> 6] &= ~(std::uint64_t{1} << (bix & 63));
   }
 
-  // Empties every occupied bucket and the spill.
+  // Empties every occupied bucket and the spill. Shared: every finished
+  // residency still waiting on its events to drain is reclaimed.
   void drop_pending() {
     for (std::size_t w = 0; w < cal_words_.size(); ++w) {
       for (std::uint64_t bits = cal_words_[w]; bits != 0; bits &= bits - 1) {
@@ -747,6 +881,13 @@ class Kernel {
     }
     overflow_.clear();
     live_events_ = 0;
+    if constexpr (kShared) {
+      for (ResidentRt& r : residents_) {
+        const bool undrained = r.pending != 0;
+        r.pending = 0;
+        if (r.done && undrained) reclaim(r);
+      }
+    }
   }
 
   // Tick of the next non-empty bucket strictly after cal_cur, found by
@@ -785,14 +926,11 @@ class Kernel {
 
   // The drain loop's fast path in the uninstrumented kernels: a Serial
   // token that crosses its node untouched is forwarded here without
-  // dispatch(), and a finished residency's token is dropped just as
-  // dispatch() drops it. Returns whether the event was consumed.
-  [[gnu::always_inline]] inline bool forward_or_drop(const Slot& ev) {
+  // dispatch(). Returns whether the event was consumed. (The shared
+  // kernel has already dropped a finished residency's events.)
+  [[gnu::always_inline]] inline bool forward_untouched(const Slot& ev) {
     if (ev.kind() != EvKind::Serial) return false;
     ResidentRt& r = resident(ev.res);
-    if constexpr (kShared) {
-      if (r.done) return true;
-    }
     const Token tok{ev.cmd, ev.aux};
     if (!passes_untouched(r, local(r, ev.node), tok)) return false;
     pass_through(r, ev.node, tok);
@@ -801,21 +939,6 @@ class Kernel {
 
   void dispatch(const Record& ev) {
     ResidentRt& r = resident(ev.res);
-    if constexpr (kShared) {
-      if (r.done) {
-        // A finished residency's stale events are dropped — except that
-        // a still-in-flight execution completion must free its
-        // Instruction Execution Unit (shared with later co-residents)
-        // and close the fabric-level overlap span it holds.
-        if (ev.kind() == EvKind::ExecDone) {
-          state_[static_cast<std::size_t>(ev.node)] &=
-              static_cast<std::uint8_t>(~kExecuting);
-          exec_delta(r, -1);
-          release_execution_unit(r, ev.node);
-        }
-        return;
-      }
-    }
     if constexpr (kInstr) {
       if (fr() != nullptr) cur_edge_ = fr()->edge_of_seq(ev.seq);
     }
@@ -943,7 +1066,7 @@ class Kernel {
     Slot s;
     s.set(EvKind::Serial);
     s.node = to;
-    s.res = static_cast<std::uint16_t>(r.id);
+    s.res = row(r);
     s.cmd = tok.cmd;
     s.aux = tok.reg;
     schedule(arrival + extra, s, obs::PathCategory::SerialTransit, parent);
@@ -994,7 +1117,7 @@ class Kernel {
       Slot s;
       s.set(EvKind::Mesh, e->side);
       s.node = consumer;
-      s.res = static_cast<std::uint16_t>(r.id);
+      s.res = row(r);
       s.prod = g;
       s.aux = epoch_[static_cast<std::size_t>(consumer)];
       schedule(mesh_arrival(r, *e), s, obs::PathCategory::MeshTransit,
@@ -1255,7 +1378,7 @@ class Kernel {
     Slot s;
     s.set(EvKind::ExecDone);
     s.node = g;
-    s.res = static_cast<std::uint16_t>(r.id);
+    s.res = row(r);
     schedule(now_ + cost, s, obs::PathCategory::Execution, parent, -1, -1,
              r.op[l]);
   }
@@ -1330,7 +1453,7 @@ class Kernel {
     Slot s;
     s.set(EvKind::ServiceDone);
     s.node = g;
-    s.res = static_cast<std::uint16_t>(r.id);
+    s.res = row(r);
     schedule(ring_done(r, svc, svc_ticks, /*blocking=*/true), s,
              obs::PathCategory::RingService);
   }
@@ -1574,11 +1697,13 @@ class Kernel {
     if constexpr (kShared) {
       --running_;
       ResidentOutcome& out = outcomes_[static_cast<std::size_t>(r.id)];
+      out.resident = r.id;
       out.metrics = metrics_of(r);
       out.completed_tick = r.completed ? r.end_tick : -1;
       out.serial_wait_ticks = r.serial_wait;
       out.mesh_wait_ticks = r.mesh_wait;
       out.ring_wait_ticks = r.ring_wait;
+      if (r.pending == 0) reclaim(r);
     }
   }
 
@@ -1604,14 +1729,19 @@ class Kernel {
   }
 
   // Finalizes every still-running residency as timed out at `now` and
-  // queues it for advance() to hand back.
+  // queues it for advance() to hand back. Shared rows are recycled, so
+  // row order is not admission order: the queue gets them in ResidentId
+  // order.
   void time_out_running() {
+    const std::size_t first = completed_queue_.size();
     for (ResidentRt& r : residents_) {
       if (r.done) continue;
       r.timed_out = true;
       finalize_resident(r);
       if constexpr (kShared) completed_queue_.push_back(r.id);
     }
+    std::sort(completed_queue_.begin() + static_cast<std::ptrdiff_t>(first),
+              completed_queue_.end());
   }
 
   // The first event past the tick budget times every live residency
@@ -1631,12 +1761,16 @@ class Kernel {
   std::int32_t idus_ = 1;
   bool collapsed_ = false;
 
-  std::vector<ResidentRt> residents_;
-  std::vector<BranchPredictor> predictors_;  // shared: one per residency
+  std::vector<ResidentRt> residents_;        // shared: indexed by row
+  std::vector<BranchPredictor> predictors_;  // shared: one per row
   BranchPredictor* predictor_ = nullptr;     // solo: the caller's
-  std::vector<ResidentOutcome> outcomes_;    // shared
+  std::vector<ResidentOutcome> outcomes_;    // shared: by ResidentId
   std::deque<ResidentId> completed_queue_;   // shared
   std::size_t running_ = 0;                  // shared
+  // Shared free lists: reclaimed rows, and reclaimed lane windows' first
+  // lanes by window size (a window is reused only at its exact size).
+  std::vector<std::uint16_t> free_rows_;
+  std::unordered_map<std::int32_t, std::vector<std::int32_t>> free_windows_;
 
   // ---- node lanes (index = residency base + local node) ----
   std::vector<NodeRt> nodes_;
@@ -1646,7 +1780,7 @@ class Kernel {
   std::vector<std::int32_t> fwd_;  // serial forward target (g + 1 until a
                                    // forward branch fires)
   std::vector<char> distinct_;
-  std::vector<std::uint16_t> res_of_;     // shared
+  std::vector<std::uint16_t> res_of_;     // shared: owner's row
   std::vector<std::int32_t> phys_lane_;   // shared: physical node per lane
   // Instrumented only: latest HEAD arrival, TAIL hold start, and the
   // edge that made each node fire-ready while its execution unit was

@@ -40,6 +40,10 @@ std::size_t MultiEngine::running_count() const noexcept {
   return impl_->running_count();
 }
 
+std::size_t MultiEngine::lane_count() const noexcept {
+  return impl_->lane_count();
+}
+
 const ResidentOutcome* MultiEngine::outcome(ResidentId r) const noexcept {
   return impl_->outcome(r);
 }

@@ -4,8 +4,8 @@
 //
 // Where sim::Engine simulates exactly one method per run, a MultiEngine
 // admits any number of independently-anchored residencies into a single
-// (tick, seq) event calendar. Every token bundle carries the dense
-// ResidentId of its owner in its 16-byte calendar slot, node lanes are
+// (tick, seq) event calendar. Every token bundle carries its owner's
+// residency-table row in its 16-byte calendar slot, node lanes are
 // offset per-residency into one shared struct-of-arrays image, and the
 // physical fabric's transport is genuinely shared: serial-chain links,
 // mesh links, and the four memory/GPP ring channels are occupancy-
@@ -21,6 +21,13 @@
 // distances, so one pre-lowered ExecPlan prices every aligned residency
 // (docs/SERVING.md has the full argument). Unaligned placements get a
 // dedicated plan with phys_delta 0.
+//
+// Lifecycle (docs/SERVING.md "Residency lifecycle"): admit -> run ->
+// finish -> drain -> reclaim. Once a residency has finished and the
+// last of its events has left the calendar, its table row, predictor
+// and node-lane window are recycled for a later admission, so memory is
+// bounded by the residencies live at once, not by how many were ever
+// admitted. Only the per-admission outcome record stays.
 //
 // Determinism: admission order, start ticks, and the per-residency
 // branch scenario fully determine the event sequence. The calendar is
@@ -38,7 +45,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "bytecode/method.hpp"
@@ -49,8 +55,10 @@
 
 namespace javaflow::sim {
 
-// Dense per-fabric residency index (not FabricManager::MethodId — a
-// method re-admitted after idling gets a fresh ResidentId per run).
+// Dense per-fabric residency index: the admission index, never reused
+// (not FabricManager::MethodId — a method re-admitted after idling gets
+// a fresh ResidentId per run). Outcomes are kept by it. The calendar's
+// events name their owner by its recycled table row instead.
 using ResidentId = std::int32_t;
 
 // Per-residency result. `metrics` is bit-identical to a plain
@@ -58,7 +66,6 @@ using ResidentId = std::int32_t;
 // never contends (in particular whenever it runs alone).
 struct ResidentOutcome {
   ResidentId resident = -1;
-  std::string name;
   RunMetrics metrics;
   std::int64_t admitted_tick = 0;
   std::int64_t completed_tick = -1;  // -1 if timed out / never finished
@@ -99,7 +106,9 @@ class MultiEngine {
   // `until` sentinel for advance(): run until the calendar drains.
   static constexpr std::int64_t kNoLimit =
       std::numeric_limits<std::int64_t>::max() / 4;
-  // Slot::res is 16 bits (sim/kernel.hpp).
+  // Residencies live at once — admitted and not yet reclaimed — because
+  // an event names its owner's table row in 16 bits (sim/kernel.hpp).
+  // Not a lifetime cap: rows are recycled.
   static constexpr std::int32_t kMaxResidents = 65535;
 
   explicit MultiEngine(MachineConfig config, MultiEngineOptions options = {});
@@ -108,10 +117,12 @@ class MultiEngine {
   ~MultiEngine();
 
   // Injects a residency's token bundle at max(start_tick, now()). The
-  // plan must fit and stay alive (read-only) for the engine's lifetime;
+  // plan must stay alive (read-only) for the engine's lifetime;
   // `phys_delta` rebases every physical-node index in the plan (0 for a
   // dedicated plan, rows*width/idus-aligned for a shared canonical
-  // plan). Returns -1 when the residency cap is exhausted.
+  // plan). Returns the new ResidentId, or -1 when the plan does not fit.
+  // Throws std::length_error rather than refuse a fitting plan when
+  // kMaxResidents residencies are live at once.
   ResidentId admit(const bytecode::Method& m, const ExecPlan& plan,
                    std::int32_t phys_delta,
                    BranchPredictor::Scenario scenario,
@@ -131,12 +142,17 @@ class MultiEngine {
   std::int64_t now() const noexcept;  // current fabric tick
   std::size_t resident_count() const noexcept;  // total ever admitted
   std::size_t running_count() const noexcept;   // not yet finished
+  // Node lanes allocated: the high-water mark of the live residencies'
+  // lane windows, which recycling keeps independent of the admission
+  // count.
+  std::size_t lane_count() const noexcept;
 
   // Valid once the residency completed or timed out; null before.
   const ResidentOutcome* outcome(ResidentId r) const noexcept;
 
   // Finalizes any still-running residencies (neither completed nor
-  // timed out) and returns the fabric aggregate. Terminal.
+  // timed out) and returns the fabric aggregate, moving the outcome
+  // history into it. Terminal.
   MultiRunMetrics finish();
 
   const MachineConfig& config() const noexcept;

@@ -6,7 +6,9 @@
 //     past the calendar ring or the tick budget cuts the run), any
 //     row-aligned shifted residency must match modulo its slot offset,
 //     and co-resident methods must genuinely overlap (ticks_res_2plus >
-//     0) while every completion stays deterministic;
+//     0) while every completion stays deterministic; recycling a
+//     finished residency's table row and lane window must not change
+//     any result, and lane memory must stay flat over a long run;
 //   * core::FabricManager — plan sharing across aligned residencies and
 //     the persistent-engine execute path (tests/test_fabric_manager.cpp
 //     holds the load/unload/GC edge cases);
@@ -530,6 +532,223 @@ TEST(MultiEngineTimeout, OverBudgetRunsFinalizeAsTimedOut) {
   EXPECT_TRUE(engine.idle());
 }
 
+// ---- residency recycling ----
+
+// Methods for the recycling tests, in this order: the loop; a short
+// arithmetic chain; a forward jump over 60 local increments, taken on
+// the first BP1 execution, whose tokens then cross 60 serial links in
+// one send each — the TAIL some ticks after the rest of the bundle,
+// because an array read ahead of the jump holds it until the ring
+// answers; and an array store, a posted MemoryWrite whose ring
+// reservation outlasts the method.
+Program recycling_program() {
+  Program p = loop_program();
+  {
+    Assembler a(p, "serve.chain(I)I", "serve");
+    a.args({ValueType::Int}).returns(ValueType::Int);
+    a.iload(0).iload(0).op(Op::iadd).iload(0).op(Op::iadd).op(Op::ireturn);
+    p.methods.push_back(a.build());
+  }
+  {
+    Assembler a(p, "serve.skip(IA)I", "serve");
+    a.args({ValueType::Int, ValueType::Ref}).returns(ValueType::Int);
+    auto done = a.new_label();
+    a.aload(1).iload(0).op(Op::iaload).op(Op::pop);
+    a.iload(0).ifgt(done);
+    for (int i = 0; i < 60; ++i) a.iinc(0, 1);
+    a.bind(done);
+    a.iload(0).op(Op::ireturn);
+    p.methods.push_back(a.build());
+  }
+  {
+    Assembler a(p, "serve.put(IA)I", "serve");
+    a.args({ValueType::Int, ValueType::Ref}).returns(ValueType::Int);
+    a.aload(1).iload(0).iload(0).op(Op::iastore);
+    a.iload(0).op(Op::ireturn);
+    p.methods.push_back(a.build());
+  }
+  return p;
+}
+
+// A residency placed by the test: method, plan and row shift.
+struct Placed {
+  const bytecode::Method* method;
+  const ExecPlan* plan;
+  std::int32_t phys_delta;
+};
+
+// The outcome of `succ`, admitted once `pred` has finished and every
+// event of it has drained or been dropped, so that `pred` is reclaimed.
+// The successor takes the predecessor's table row, or, with a
+// `filler`, a fresh row, because the filler takes the freed one first.
+sim::ResidentOutcome successor_outcome(const sim::MachineConfig& cfg,
+                                       std::int64_t max_ticks,
+                                       const Placed& pred,
+                                       const Placed& succ,
+                                       const Placed* filler) {
+  sim::MultiEngineOptions options;
+  options.max_ticks = max_ticks;
+  MultiEngine engine(cfg, options);
+  engine.admit(*pred.method, *pred.plan, pred.phys_delta,
+               BranchPredictor::Scenario::BP1, 0);
+  while (engine.advance().has_value()) {
+  }
+  EXPECT_TRUE(engine.idle());
+  if (filler != nullptr) {
+    // Parked far ahead, so the successor runs, or times out, alone.
+    engine.admit(*filler->method, *filler->plan, filler->phys_delta,
+                 BranchPredictor::Scenario::BP1, engine.now() + 1'000'000);
+  }
+  const sim::ResidentId id =
+      engine.admit(*succ.method, *succ.plan, succ.phys_delta,
+                   BranchPredictor::Scenario::BP1, engine.now());
+  while (engine.advance().has_value()) {
+  }
+  const sim::ResidentOutcome* out = engine.outcome(id);
+  EXPECT_NE(out, nullptr);
+  return out != nullptr ? *out : sim::ResidentOutcome{};
+}
+
+void expect_same_outcome(const sim::ResidentOutcome& got,
+                         const sim::ResidentOutcome& want,
+                         const std::string& what) {
+  EXPECT_EQ(got.metrics, want.metrics) << what;
+  EXPECT_EQ(got.admitted_tick, want.admitted_tick) << what;
+  EXPECT_EQ(got.completed_tick, want.completed_tick) << what;
+  EXPECT_EQ(got.serial_wait_ticks, want.serial_wait_ticks) << what;
+  EXPECT_EQ(got.mesh_wait_ticks, want.mesh_wait_ticks) << what;
+  EXPECT_EQ(got.ring_wait_ticks, want.ring_wait_ticks) << what;
+}
+
+// Transport occupancy is keyed by the ResidentId, never by the recycled
+// table row, because a reservation can outlive its residency: a
+// successor in the same row must queue behind it exactly as one in a
+// fresh row does. A posted MemoryWrite reserves its ring channel without
+// scheduling anything (a long ring.memory_write keeps it open well past
+// the method's end), but only posted writes use that channel and none
+// of them waits or reports a completion, so no result can show that
+// case. A tick budget can: the first event past it (here, part of the
+// jump's bundle arriving) times out a residency whose TAIL is still
+// crossing the jump, and the links the TAIL reserved stay reserved. A
+// successor injected on one of those rows must wait for the dead
+// reservation.
+TEST(MultiEngineRecycling, RowReuseKeepsOccupancyOwnedByResidentId) {
+  const Program p = recycling_program();
+  sim::MachineConfig cfg = sim::config_by_name("Compact2");
+  cfg.ring.memory_write = 400;
+  auto plan_of = [&](std::size_t i) {
+    return ExecPlanBuilder().build(
+        p.methods[i], fabric::build_dataflow_graph(p.methods[i], p.pool),
+        nullptr, cfg);
+  };
+  const ExecPlan chain_plan = plan_of(1);
+  const ExecPlan skip_plan = plan_of(2);
+  const ExecPlan put_plan = plan_of(3);
+  // Far from every other residency's rows.
+  const Placed filler{&p.methods[1], &chain_plan, 100 * cfg.width};
+
+  const Placed put{&p.methods[3], &put_plan, 0};
+  expect_same_outcome(
+      successor_outcome(cfg, MultiEngine::kNoLimit, put, put, nullptr),
+      successor_outcome(cfg, MultiEngine::kNoLimit, put, put, &filler),
+      "posted write");
+
+  const Placed skip{&p.methods[2], &skip_plan, 0};
+  int charged = 0;
+  for (std::int64_t budget = 1; budget < 120; ++budget) {
+    for (std::int32_t row = 1; row <= 6; ++row) {
+      const Placed succ{&p.methods[1], &chain_plan, row * cfg.width};
+      const sim::ResidentOutcome fresh =
+          successor_outcome(cfg, budget, skip, succ, &filler);
+      expect_same_outcome(successor_outcome(cfg, budget, skip, succ, nullptr),
+                          fresh,
+                          "budget " + std::to_string(budget) + " row " +
+                              std::to_string(row));
+      charged += fresh.serial_wait_ticks > 0 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(charged, 0) << "no successor met a dead reservation";
+}
+
+// Residencies that time out together come back from advance() in
+// ResidentId (admission) order, even when recycled rows put them in a
+// different order in the residency table. A short chain and a longer
+// loop finish first, freeing rows 0 and then 1; the next three loops
+// take rows 1, 0 and a new row 2 and are all cut by the tick budget.
+TEST(MultiEngineRecycling, TimedOutResidenciesReturnInAdmissionOrder) {
+  const Program p = recycling_program();
+  const sim::MachineConfig cfg = sim::config_by_name("Compact2");
+  const bytecode::Method& loop = p.methods[0];
+  const bytecode::Method& chain = p.methods[1];
+  const ExecPlan loop_plan = ExecPlanBuilder().build(
+      loop, fabric::build_dataflow_graph(loop, p.pool), nullptr, cfg);
+  const ExecPlan chain_plan = ExecPlanBuilder().build(
+      chain, fabric::build_dataflow_graph(chain, p.pool), nullptr, cfg);
+  sim::MultiEngineOptions options;
+  options.max_ticks = 2'000;
+  MultiEngine engine(cfg, options);
+  const sim::ResidentId short_id =
+      engine.admit(chain, chain_plan, 0, BranchPredictor::Scenario::BP1, 0);
+  const sim::ResidentId long_id = engine.admit(
+      loop, loop_plan, 2 * cfg.width, BranchPredictor::Scenario::BP1, 0);
+  ASSERT_EQ(engine.advance(), std::optional<sim::ResidentId>(short_id));
+  ASSERT_EQ(engine.advance(), std::optional<sim::ResidentId>(long_id));
+  ASSERT_FALSE(engine.advance().has_value());
+  ASSERT_TRUE(engine.idle());
+  ASSERT_LT(engine.now(), options.max_ticks);
+  std::vector<sim::ResidentId> admitted;
+  for (std::int32_t k = 0; k < 3; ++k) {
+    admitted.push_back(engine.admit(loop, loop_plan, 2 * k * cfg.width,
+                                    BranchPredictor::Scenario::BP1,
+                                    options.max_ticks - 5));
+  }
+  std::vector<sim::ResidentId> returned;
+  std::optional<sim::ResidentId> done;
+  while ((done = engine.advance()).has_value()) {
+    EXPECT_TRUE(engine.outcome(*done)->metrics.timed_out) << *done;
+    returned.push_back(*done);
+  }
+  EXPECT_EQ(returned, admitted);
+}
+
+// Lane memory follows the live residencies, not the admission count:
+// 70,000 residencies through one engine — more than the 65,535 rows a
+// calendar slot can name — leave the lane high-water mark where the
+// first 1,000 left it. Each round admits a loop and a chain at the
+// tick the previous round's last completion came back, with that
+// round's tokens still in flight.
+TEST(MultiEngineRecycling, LaneHighWaterIsFlatPastSeventyThousandResidencies) {
+  const Program p = recycling_program();
+  const sim::MachineConfig cfg = sim::config_by_name("Compact2");
+  const bytecode::Method& loop = p.methods[0];
+  const bytecode::Method& chain = p.methods[1];
+  const ExecPlan loop_plan = ExecPlanBuilder().build(
+      loop, fabric::build_dataflow_graph(loop, p.pool), nullptr, cfg);
+  const ExecPlan chain_plan = ExecPlanBuilder().build(
+      chain, fabric::build_dataflow_graph(chain, p.pool), nullptr, cfg);
+  MultiEngine engine(cfg);
+  std::size_t lanes_at_1000 = 0;
+  for (int round = 0; round < 35'000; ++round) {
+    const auto scenario = round % 2 == 0 ? BranchPredictor::Scenario::BP1
+                                         : BranchPredictor::Scenario::BP2;
+    ASSERT_GE(engine.admit(loop, loop_plan, 0, scenario, engine.now()), 0);
+    ASSERT_GE(engine.admit(chain, chain_plan, 2 * cfg.width, scenario,
+                           engine.now()),
+              0);
+    for (int k = 0; k < 2; ++k) {
+      const std::optional<sim::ResidentId> done = engine.advance();
+      ASSERT_TRUE(done.has_value()) << "round " << round;
+      ASSERT_TRUE(engine.outcome(*done)->metrics.completed)
+          << "round " << round;
+    }
+    if (engine.resident_count() == 1'000) lanes_at_1000 = engine.lane_count();
+  }
+  EXPECT_EQ(engine.resident_count(), 70'000u);
+  EXPECT_EQ(engine.running_count(), 0u);
+  EXPECT_GT(lanes_at_1000, 0u);
+  EXPECT_EQ(engine.lane_count(), lanes_at_1000);
+}
+
 // ---- request stream ----
 
 // A five-method serving corpus: the loop plus arithmetic chains of
@@ -825,6 +1044,49 @@ TEST(FabricServe, StrandedResidencyEndsTimedOut) {
       EXPECT_EQ(o.completed_tick, -1);
     }
   }
+}
+
+// A 70,000-request stream on one fabric, more than the 65,535 rows a
+// calendar slot can name: every request completes, none is reported
+// "rejected" although it fits, and a rerun is bit-identical.
+TEST(FabricServe, SeventyThousandRequestStreamCompletes) {
+  const workloads::Corpus kernels =
+      workloads::make_corpus({/*seed=*/20141215, /*total_methods=*/0});
+  serve::RequestStreamOptions stream;
+  stream.num_requests = 70'000;
+  stream.mean_gap_ticks = 1000;
+  stream.hot_methods = 1;
+  const sim::MachineConfig cfg = sim::config_by_name("Compact2");
+  const serve::ServeReport rep = serve::serve(kernels.program, {0, 1}, cfg, stream);
+  EXPECT_EQ(rep.requests, 70'000);
+  EXPECT_EQ(rep.completed, rep.requests);
+  EXPECT_EQ(rep.rejected, 0);
+  EXPECT_EQ(rep.timed_out, 0);
+  EXPECT_EQ(serve::serve(kernels.program, {0, 1}, cfg, stream).digest(),
+            rep.digest());
+}
+
+// A residency is reclaimed only once its last event has drained. In
+// this stream contention lets one residency's TAIL overtake one of its
+// own REGISTER tokens, so the residency completes while that token is
+// still heading for a node in the middle of its chain, and the method's
+// next request is admitted the same tick. Reclaiming at completion
+// would hand the token to whichever residency takes the row and lane
+// window next. Pinned to the digest the engine produced before it
+// recycled anything, when every admission got a fresh row and window.
+TEST(FabricServe, ReclaimWaitsForInFlightTokens) {
+  const workloads::Corpus kernels =
+      workloads::make_corpus({/*seed=*/20141215, /*total_methods=*/0});
+  serve::RequestStreamOptions stream;
+  stream.seed = 10;
+  stream.num_requests = 300;
+  stream.mean_gap_ticks = 24;
+  stream.hot_fraction_256 = 0;
+  const serve::ServeReport rep =
+      serve::serve(kernels.program, all_methods(kernels.program),
+                   sim::config_by_name("Hetero2"), stream);
+  EXPECT_EQ(rep.rejected, 0);
+  EXPECT_EQ(rep.digest(), 7231434583688807187ULL);
 }
 
 // Streams that stress every admission decision — LRU eviction on a tiny

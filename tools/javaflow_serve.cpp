@@ -16,7 +16,8 @@
 // --out - (stdout). --digest prints one "<config> <digest>" line per
 // configuration to stdout instead of JSON — the CI smoke step compares
 // these across runs and thread counts. Exit codes: 0 ok, 1 bad usage,
-// 2 a serving run failed its conservation check.
+// 2 a serving run threw (its conservation check or another server or
+// engine invariant failed).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
