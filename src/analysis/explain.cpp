@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <map>
 #include <ostream>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 
 #include "analysis/bounds.hpp"
@@ -212,13 +210,11 @@ obs::Snapshot build_snapshot(const workloads::Corpus& corpus,
   }
 
   SweepOptions sweep_options;
-  sweep_options.configs = options.configs;
-  sweep_options.scenarios = options.scenarios;
   sweep_options.stride = options.stride;
   sweep_options.threads = options.threads;
   sweep_options.allow_oversubscribe = options.allow_oversubscribe;
-  sweep_options.heartbeat = options.heartbeat;
   sweep_options.attribution = true;
+  sweep_options.check_bounds = true;
   sweep_options.cache = cache::CacheMode::Off;  // instrumented mode
   const Sweep sweep =
       run_sweep(methods, corpus.program.pool, hot, sweep_options);
@@ -232,21 +228,6 @@ obs::Snapshot build_snapshot(const workloads::Corpus& corpus,
     snap.config_texts.push_back(cfg.canonical_text());
   }
 
-  // Static lower bounds, computed once per (method body, config) — the
-  // bound is name-independent, exactly like the attribution, so dedup
-  // duplicates share their leader's value via the method-name map below.
-  std::unordered_map<std::string, const bytecode::Method*> by_name;
-  for (const bytecode::Method& m : corpus.program.methods) {
-    by_name.emplace(m.name, &m);
-  }
-  std::vector<fabric::Fabric> fabrics;
-  fabrics.reserve(sweep.configs.size());
-  for (const sim::MachineConfig& cfg : sweep.configs) {
-    fabrics.emplace_back(cfg.fabric_options());
-  }
-  // (method name, config) -> lower bound; filled lazily per sample.
-  std::map<std::pair<std::string, std::size_t>, std::int64_t> bound_memo;
-
   snap.cells.reserve(sweep.samples.size());
   for (std::size_t i = 0; i < sweep.samples.size(); ++i) {
     const SweepSample& s = sweep.samples[i];
@@ -259,33 +240,13 @@ obs::Snapshot build_snapshot(const workloads::Corpus& corpus,
     cell.timed_out = s.metrics.timed_out;
     cell.exception = s.metrics.exception;
     cell.ticks = s.metrics.ticks;
-    if (i < sweep.attribution.size() && sweep.attribution[i].valid) {
+    if (sweep.attribution[i].valid) {
       cell.attributed = true;
       cell.category_ticks = sweep.attribution[i].category_ticks;
     }
-    if (cell.fits && cell.completed && !cell.timed_out) {
-      const std::pair<std::string, std::size_t> key(s.method,
-                                                    s.config_index);
-      auto it = bound_memo.find(key);
-      if (it == bound_memo.end()) {
-        std::int64_t bound = -1;
-        const auto mit = by_name.find(s.method);
-        if (mit != by_name.end()) {
-          const bytecode::Method& m = *mit->second;
-          const fabric::DataflowGraph graph =
-              fabric::build_dataflow_graph(m, corpus.program.pool);
-          const fabric::Placement placement =
-              fabric::load_method(fabrics[s.config_index], m);
-          const MethodBounds bounds =
-              compute_bounds(m, graph, fabrics[s.config_index], placement,
-                             sweep.configs[s.config_index]);
-          if (bounds.valid && bounds.lower_bound_ticks < kNoBound) {
-            bound = bounds.lower_bound_ticks;
-          }
-        }
-        it = bound_memo.emplace(key, bound).first;
-      }
-      cell.lower_bound = it->second;
+    if (cell.fits && cell.completed && !cell.timed_out &&
+        sweep.lower_bounds[i] < kNoBound) {
+      cell.lower_bound = sweep.lower_bounds[i];
     }
     snap.cells.push_back(std::move(cell));
   }

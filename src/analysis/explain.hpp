@@ -57,20 +57,18 @@ void write_explanation_text(std::ostream& os, const Explanation& ex,
                             const std::vector<std::string>& labels,
                             std::size_t max_steps = 40);
 
+// The snapshot always covers the six Table 15 configs and both branch
+// scenarios.
 struct SnapshotBuildOptions {
-  std::vector<sim::MachineConfig> configs;  // empty = table15_configs()
-  std::vector<sim::BranchPredictor::Scenario> scenarios = {
-      sim::BranchPredictor::Scenario::BP1,
-      sim::BranchPredictor::Scenario::BP2};
   int stride = 1;
   int threads = 1;  // SweepOptions semantics (0 = hardware concurrency)
   bool allow_oversubscribe = false;
-  bool heartbeat = false;
 };
 
-// Runs an attribution sweep (cache forced off — instrumented mode) plus
-// per-(method, config) static bounds, and returns the packaged snapshot
-// in deterministic sweep order.
+// Runs an attribution sweep (cache forced off — instrumented mode) with
+// check_bounds on, so every cell's static lower bound comes from the plan
+// the sweep lowered, and returns the packaged snapshot in deterministic
+// sweep order.
 obs::Snapshot build_snapshot(const workloads::Corpus& corpus,
                              const SnapshotBuildOptions& options);
 

@@ -102,29 +102,24 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
 
   // Each selected method owns a fixed block of config-major cells, so
   // the sample sequence is identical however the methods are scheduled.
-  const std::size_t n_scenarios = options.scenarios.size();
-  const std::size_t cells_per_method = sweep.configs.size() * n_scenarios;
+  const auto& scenarios = SweepOptions::scenarios;
+  const std::size_t n_configs = sweep.configs.size();
+  const std::size_t n_scenarios = scenarios.size();
+  const std::size_t cells_per_method = n_configs * n_scenarios;
   sweep.samples.resize(picks.size() * cells_per_method);
   if (options.attribution) {
     sweep.attribution.resize(sweep.samples.size());
   }
+  if (options.check_bounds) {
+    sweep.lower_bounds.resize(sweep.samples.size());
+  }
 
-  // Lint / bounds debug modes: per-method reports fill pre-sized slots
-  // so the flattened finding order matches the serial sweep for any
-  // thread count.
-  std::vector<LintReport> lint_reports(
-      options.lint || options.check_bounds ? picks.size() : 0);
-
-  // ---- result cache + corpus dedup setup (docs/PERF.md) ----
+  // ---- result cache setup (docs/PERF.md) ----
 
   // Telemetry hooks fire during execution only, so serving cached cells
-  // would silently under-count the registries/tracer: force the cache
-  // off for instrumented sweeps.
-  const bool instrumented = options.collect_metrics ||
-                            options.attribution ||
-                            options.engine.metrics != nullptr ||
-                            options.engine.tracer != nullptr ||
-                            options.engine.flight != nullptr;
+  // would silently under-count the registries: force the cache off for
+  // instrumented sweeps.
+  const bool instrumented = options.collect_metrics || options.attribution;
   cache::CacheMode mode = cache::resolve_cache_mode(options.cache);
   if (instrumented && mode != cache::CacheMode::Off) {
     std::fprintf(stderr,
@@ -139,17 +134,11 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
   }
   sweep.cache.mode = std::string(cache::cache_mode_name(mode));
 
-  // Lint / bounds debug modes report findings per picked method, so
-  // dedup (which skips duplicate picks entirely) would drop duplicates'
-  // findings — both force it off.
-  const bool dedup =
-      options.dedup && !options.lint && !options.check_bounds;
-
-  // Body digests drive both the cache keys and dedup grouping. Hashing
-  // the whole corpus is a few milliseconds — noise next to a single cell.
-  const bool keyed = store.has_value() || dedup;
-  std::vector<cache::Hash128> body_hash(keyed ? picks.size() : 0);
-  for (std::size_t pi = 0; pi < body_hash.size(); ++pi) {
+  // Body digests drive both the dedup grouping and the cache keys.
+  // Hashing the whole corpus is a few milliseconds — noise next to a
+  // single cell.
+  std::vector<cache::Hash128> body_hash(picks.size());
+  for (std::size_t pi = 0; pi < picks.size(); ++pi) {
     body_hash[pi] = cache::hash_method_body(*methods[picks[pi]]);
   }
   cache::Hash128 pool_hash;
@@ -158,21 +147,24 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
   if (store.has_value()) {
     pool_hash = cache::hash_pool(pool);
     engine_hash = cache::hash_engine_options(
-        options.engine, sim::resolve_scheduler(sim::SchedulerKind::Auto));
-    config_hash.reserve(sweep.configs.size());
+        sim::EngineOptions{}, sim::resolve_scheduler(sim::SchedulerKind::Auto));
+    config_hash.reserve(n_configs);
     for (const sim::MachineConfig& cfg : sweep.configs) {
       config_hash.push_back(cache::hash_config(cfg));
     }
   }
 
-  // Corpus dedup: the first pick with a given body digest is the
-  // leader and is the only one simulated; duplicates copy its cells in
-  // a serial post-pass below. `work` preserves pick order, so sample
-  // indexing stays deterministic for every thread count.
+  // Corpus dedup: the first pick with a given body digest is the leader
+  // and is the only one simulated; duplicates copy its cells (the engine
+  // reads the method name only as a workspace-cache tag, so the copies
+  // are exact) in a serial post-pass below. No two work items then share
+  // a cache record, so one lane's store is never another item's probe.
+  // `work` preserves pick order, so sample indexing stays deterministic
+  // for every thread count.
   std::vector<std::size_t> leader_of(picks.size());
   std::vector<std::size_t> work;
   work.reserve(picks.size());
-  if (dedup) {
+  {
     std::map<cache::Hash128, std::size_t> first_with_body;
     for (std::size_t pi = 0; pi < picks.size(); ++pi) {
       const auto [it, inserted] =
@@ -180,18 +172,18 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
       leader_of[pi] = it->second;
       if (inserted) work.push_back(pi);
     }
-  } else {
-    for (std::size_t pi = 0; pi < picks.size(); ++pi) {
-      leader_of[pi] = pi;
-      work.push_back(pi);
-    }
   }
+
+  // Bounds findings (JF-E010) per work item fill pre-sized slots, so the
+  // flattened finding order is the same for every thread count.
+  std::vector<LintReport> lint_reports(
+      options.check_bounds ? work.size() : 0);
 
   // Everything a worker lane owns privately: engines (whose workspaces
   // amortize per-run allocations across the lane's methods), fabrics for
-  // the placement phase, a telemetry registry, cache scratch buffers,
-  // and phase timers. Nothing here is touched by another thread while
-  // the sweep runs.
+  // placement, the in-flight method's graph, placements, plans, bounds
+  // and cache record, a telemetry registry, and phase timers. Nothing
+  // here is touched by another thread while the sweep runs.
   struct LaneState {
     std::vector<sim::Engine> engines;
     std::vector<fabric::Fabric> fabrics;
@@ -206,36 +198,27 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
     // cell's category vector is extracted right after the run.
     obs::FlightRecorder flight;
     SweepProfile::Lane prof;
-    // Plan-lowering scratch (route/edge staging grows monotonically) and
-    // the lane's name interner: each method's cells share one heap
-    // string per name instead of twelve copies.
+    // The in-flight method, one entry per config; each method overwrites
+    // the previous one's, and plan storage keeps its capacity.
+    fabric::DataflowGraph graph;
+    std::vector<fabric::Placement> placements;
+    std::vector<sim::ExecPlan> plans;
+    std::vector<MethodBounds> bounds;
     sim::ExecPlanBuilder plan_builder;
+    cache::MethodRecord record;
+    std::vector<const cache::CellRecord*> cell_hits;
+    // The lane's name interner: each method's cells share one heap
+    // string per name instead of twelve copies.
     util::Interner intern;
     std::size_t stored_records = 0;
     std::size_t verify_mismatch_cells = 0;
   };
 
-  // Per-work-item precompute handed from the prepare phase to the
-  // execute phase. Built by whichever lane draws the item in phase A,
-  // read (possibly by a DIFFERENT lane) in phase B — the thread-pool
-  // barrier between the phases orders the hand-off, and phase B treats
-  // everything here as read-only except the cache record upsert.
-  struct Precomp {
-    bool have_record = false;
-    std::size_t cached_cells = 0;
-    bool full_hit = false;  // every cell served from cache (not verify)
-    std::vector<const cache::CellRecord*> cell_hits;
-    cache::MethodRecord record;
-    fabric::DataflowGraph graph;
-    std::vector<fabric::Placement> placements;
-    std::vector<sim::ExecPlan> plans;  // one per config unless a full hit
-  };
-
   auto make_lane = [&] {
     auto lane = std::make_unique<LaneState>();
-    lane->fabrics.reserve(sweep.configs.size());
-    lane->engines.reserve(sweep.configs.size());
-    sim::EngineOptions engine_options = options.engine;
+    lane->fabrics.reserve(n_configs);
+    lane->engines.reserve(n_configs);
+    sim::EngineOptions engine_options;
     if (options.collect_metrics) engine_options.metrics = &lane->metrics;
     if (options.check_bounds) engine_options.metrics = &lane->bounds_reg;
     if (options.attribution) engine_options.flight = &lane->flight;
@@ -243,6 +226,9 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
       lane->fabrics.emplace_back(cfg.fabric_options());
       lane->engines.emplace_back(cfg, engine_options);
     }
+    lane->placements.resize(n_configs);
+    lane->plans.resize(n_configs);
+    lane->bounds.resize(n_configs);
     return lane;
   };
 
@@ -251,12 +237,12 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
 
   // Opt-in progress heartbeat: at most ~one stderr line a second (plus a
   // final one), claimed by whichever lane crosses the interval first.
-  // With dedup, the denominator is the deduplicated work list; with the
-  // cache on, the line also carries live hit/miss/dedup cell counts. The
-  // ETA comes from the completed-cell rate across all lanes (cells, not
-  // methods, because a full cache hit finishes a method's cells orders
-  // of magnitude faster than the compute path), and every line is
-  // flushed so CI log buffering can't hold progress back.
+  // The denominator is the deduplicated work list; with the cache on,
+  // the line also carries live hit/miss/dedup cell counts. The ETA comes
+  // from the completed-cell rate across all lanes (cells, not methods,
+  // because a full cache hit finishes a method's cells orders of
+  // magnitude faster than the compute path), and every line is flushed
+  // so CI log buffering can't hold progress back.
   std::atomic<std::size_t> methods_done{0};
   std::atomic<std::size_t> cells_done{0};
   std::atomic<std::int64_t> last_beat_ms{0};
@@ -298,84 +284,14 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
     std::fflush(stderr);
   };
 
-  // Phase A, one task per (deduplicated) method: probe the cache, and
-  // for anything not fully served, build the dataflow graph, the
-  // per-config placements, and the per-config execution plans — each
-  // one read-only, shared by every worker lane and both scenarios in
-  // phase B. A full cache hit builds the static structures only when a
-  // static-check mode (lint / bounds) needs them — never the plans, so
-  // the warm-cache fast path stays plan-free.
-  const bool profile = options.profile;
-  std::vector<std::unique_ptr<Precomp>> pre(work.size());
-  auto prepare_method = [&](std::size_t wi, LaneState& lane) {
-    auto t = profile ? Clock::now() : Clock::time_point{};
-    auto lap = [&](double& acc) {
-      if (!profile) return;
-      const auto now = Clock::now();
-      acc += std::chrono::duration<double>(now - t).count();
-      t = now;
-    };
-
-    const std::size_t pi = work[wi];
-    const bytecode::Method& m = *methods[picks[pi]];
-    pre[wi] = std::make_unique<Precomp>();
-    Precomp& p = *pre[wi];
-
-    // ---- cache probe ----
-    if (store.has_value()) {
-      p.cell_hits.assign(cells_per_method, nullptr);
-      p.have_record =
-          store->load(cache::record_key(body_hash[pi], pool_hash),
-                      cache::record_fingerprint(), p.record);
-      if (p.have_record) {
-        for (std::size_t ci = 0; ci < sweep.configs.size(); ++ci) {
-          for (std::size_t si = 0; si < n_scenarios; ++si) {
-            const cache::Hash128 key = cache::cell_key(
-                body_hash[pi], pool_hash, config_hash[ci], engine_hash,
-                options.scenarios[si]);
-            for (const cache::CellRecord& cell : p.record.cells) {
-              if (cell.key == key) {
-                p.cell_hits[ci * n_scenarios + si] = &cell;
-                ++p.cached_cells;
-                break;
-              }
-            }
-          }
-        }
-      }
-      p.full_hit = p.cached_cells == cells_per_method &&
-                   mode != cache::CacheMode::Verify;
-      lap(lane.prof.cache_s);
-    }
-
-    const bool need_static =
-        !p.full_hit || options.lint || options.check_bounds;
-    if (!need_static) return;
-    p.graph = fabric::build_dataflow_graph(m, pool);
-    lap(lane.prof.resolve_s);
-    p.placements.reserve(sweep.configs.size());
-    for (const fabric::Fabric& f : lane.fabrics) {
-      p.placements.push_back(fabric::load_method(f, m));
-    }
-    lap(lane.prof.place_s);
-    if (!p.full_hit) {
-      p.plans.reserve(sweep.configs.size());
-      for (std::size_t ci = 0; ci < sweep.configs.size(); ++ci) {
-        p.plans.push_back(lane.plan_builder.build(
-            m, p.graph, &p.placements[ci], sweep.configs[ci]));
-      }
-      lap(lane.prof.plan_s);
-    }
-  };
-
-  // Phase B, one task per (deduplicated) method: serve full cache hits
-  // from the record, or run every config × scenario cell on this lane's
-  // engines from the shared pre-lowered plans. The item's precompute
-  // block is freed as soon as its cells are done.
+  // One task per deduplicated method, start to finish on one lane: probe
+  // the cache; unless every cell is served, lower the graph, placements
+  // and per-config plans into the lane's scratch (also on a full hit
+  // under check_bounds, whose bounds come from the plans); then run or
+  // serve every config x scenario cell and store the record.
   auto run_method = [&](std::size_t wi, LaneState& lane) {
-    auto t = profile ? Clock::now() : Clock::time_point{};
+    auto t = Clock::now();
     auto lap = [&](double& acc) {
-      if (!profile) return;
       const auto now = Clock::now();
       acc += std::chrono::duration<double>(now - t).count();
       t = now;
@@ -386,48 +302,86 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
     const bool is_hot = hot.contains(m.name);
     const util::InternedString& mname = lane.intern.get(m.name);
     const util::InternedString& bname = lane.intern.get(m.benchmark);
-    SweepSample* out = sweep.samples.data() + pi * cells_per_method;
-    Precomp& p = *pre[wi];
+    const std::size_t first_cell = pi * cells_per_method;
+    SweepSample* out = sweep.samples.data() + first_cell;
 
-    // Full hit outside verify mode: serve every cell from the record.
-    // (Lint and bounds debug modes still check the phase-A graph +
-    // placements — they are static checks — but execution stays
-    // skipped; bounds can then only assert the ticks direction, since
-    // no registry ran.)
-    if (p.full_hit) {
-      if (options.lint) {
-        const bytecode::VerifyResult vr = bytecode::verify(m, pool);
-        lint_graph(m, pool, vr, p.graph, options.lint_options,
-                   lint_reports[pi]);
-        for (std::size_t ci = 0; ci < lane.fabrics.size(); ++ci) {
-          lint_placement(m, lane.fabrics[ci], p.placements[ci], vr,
-                         options.lint_options, lint_reports[pi]);
-        }
-      }
-      if (options.check_bounds) {
-        for (std::size_t ci = 0; ci < sweep.configs.size(); ++ci) {
-          const MethodBounds bounds =
-              compute_bounds(m, p.graph, lane.fabrics[ci],
-                             p.placements[ci], sweep.configs[ci]);
+    // ---- cache probe ----
+    bool have_record = false;
+    std::size_t cached_cells = 0;
+    if (store.has_value()) {
+      lane.cell_hits.assign(cells_per_method, nullptr);
+      have_record =
+          store->load(cache::record_key(body_hash[pi], pool_hash),
+                      cache::record_fingerprint(), lane.record);
+      if (have_record) {
+        for (std::size_t ci = 0; ci < n_configs; ++ci) {
           for (std::size_t si = 0; si < n_scenarios; ++si) {
-            check_metrics_against_bounds(
-                m.name, sweep.configs[ci].name,
-                sweep_scenario_name(options.scenarios[si]),
-                p.cell_hits[ci * n_scenarios + si]->metrics,
-                nullptr, bounds, lint_reports[pi]);
+            const cache::Hash128 key =
+                cache::cell_key(body_hash[pi], pool_hash, config_hash[ci],
+                                engine_hash, scenarios[si]);
+            for (const cache::CellRecord& cell : lane.record.cells) {
+              if (cell.key == key) {
+                lane.cell_hits[ci * n_scenarios + si] = &cell;
+                ++cached_cells;
+                break;
+              }
+            }
           }
         }
       }
+      lap(lane.prof.cache_s);
+    }
+    // Every cell served from the record; verify mode re-executes anyway.
+    const bool full_hit = store.has_value() &&
+                          cached_cells == cells_per_method &&
+                          mode != cache::CacheMode::Verify;
+
+    // ---- lower ----
+    if (!full_hit || options.check_bounds) {
+      lane.graph = fabric::build_dataflow_graph(m, pool);
+      lap(lane.prof.resolve_s);
+      for (std::size_t ci = 0; ci < n_configs; ++ci) {
+        lane.placements[ci] = fabric::load_method(lane.fabrics[ci], m);
+      }
+      lap(lane.prof.place_s);
+      for (std::size_t ci = 0; ci < n_configs; ++ci) {
+        lane.plan_builder.build_into(lane.plans[ci], m, lane.graph,
+                                     &lane.placements[ci],
+                                     sweep.configs[ci]);
+      }
+      lap(lane.prof.plan_s);
+    }
+    if (options.check_bounds) {
+      // The analyzer reads the same lowered image the engine runs.
+      for (std::size_t ci = 0; ci < n_configs; ++ci) {
+        lane.bounds[ci] = compute_bounds(m, lane.plans[ci]);
+        const MethodBounds& b = lane.bounds[ci];
+        for (std::size_t si = 0; si < n_scenarios; ++si) {
+          sweep.lower_bounds[first_cell + ci * n_scenarios + si] =
+              b.valid ? b.lower_bound_ticks : kNoBound;
+        }
+      }
       lap(lane.prof.verify_s);
-      for (std::size_t ci = 0; ci < sweep.configs.size(); ++ci) {
+    }
+
+    // Full hit: serve every cell from the record. Bounds mode can then
+    // only assert the ticks direction, since no registry ran.
+    if (full_hit) {
+      for (std::size_t ci = 0; ci < n_configs; ++ci) {
         for (std::size_t si = 0; si < n_scenarios; ++si) {
           const cache::CellRecord& cell =
-              *p.cell_hits[ci * n_scenarios + si];
+              *lane.cell_hits[ci * n_scenarios + si];
+          if (options.check_bounds) {
+            check_metrics_against_bounds(
+                m.name, sweep.configs[ci].name,
+                sweep_scenario_name(scenarios[si]), cell.metrics, nullptr,
+                lane.bounds[ci], lint_reports[wi]);
+          }
           SweepSample& sample = out[ci * n_scenarios + si];
           sample.method = mname;
           sample.benchmark = bname;
           sample.config_index = ci;
-          sample.scenario = options.scenarios[si];
+          sample.scenario = scenarios[si];
           sample.static_insts = cell.static_insts;
           sample.back_jumps = cell.back_jumps;
           sample.is_hot = is_hot;
@@ -439,12 +393,11 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
       hb_hit_cells.fetch_add(cells_per_method, std::memory_order_relaxed);
       ++lane.prof.methods;
       lane.prof.cells += cells_per_method;
-      pre[wi].reset();
       heartbeat();
       return;
     }
 
-    // ---- compute path ----
+    // ---- execute ----
     std::int32_t back_jumps = 0;
     for (std::size_t i = 0; i < m.code.size(); ++i) {
       if (m.code[i].is_branch() &&
@@ -452,38 +405,21 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
         ++back_jumps;
       }
     }
-    if (options.lint) {
-      const bytecode::VerifyResult vr = bytecode::verify(m, pool);
-      lint_graph(m, pool, vr, p.graph, options.lint_options,
-                 lint_reports[pi]);
-      for (std::size_t ci = 0; ci < lane.fabrics.size(); ++ci) {
-        lint_placement(m, lane.fabrics[ci], p.placements[ci], vr,
-                       options.lint_options, lint_reports[pi]);
-      }
-    }
-    std::vector<MethodBounds> bounds;
-    if (options.check_bounds) {
-      bounds.reserve(sweep.configs.size());
-      for (std::size_t ci = 0; ci < sweep.configs.size(); ++ci) {
-        // The analyzer reads the same lowered image the engine runs.
-        bounds.push_back(compute_bounds(m, p.plans[ci]));
-      }
-    }
     lap(lane.prof.verify_s);
 
-    for (std::size_t ci = 0; ci < sweep.configs.size(); ++ci) {
+    for (std::size_t ci = 0; ci < n_configs; ++ci) {
       for (std::size_t si = 0; si < n_scenarios; ++si) {
-        sim::BranchPredictor predictor(options.scenarios[si]);
+        sim::BranchPredictor predictor(scenarios[si]);
         SweepSample& sample = out[ci * n_scenarios + si];
         sample.method = mname;
         sample.benchmark = bname;
         sample.config_index = ci;
-        sample.scenario = options.scenarios[si];
+        sample.scenario = scenarios[si];
         sample.static_insts = static_cast<std::int32_t>(m.code.size());
         sample.back_jumps = back_jumps;
         sample.is_hot = is_hot;
         if (options.check_bounds) lane.bounds_reg = obs::MetricsRegistry{};
-        sample.metrics = lane.engines[ci].run(m, p.plans[ci], predictor);
+        sample.metrics = lane.engines[ci].run(m, lane.plans[ci], predictor);
         if (options.attribution) {
           obs::AttributeOptions ao;
           ao.mesh_width = sweep.configs[ci].width;
@@ -491,8 +427,7 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
           ao.detail = false;  // the sweep keeps only the category vector
           const obs::Attribution attr = obs::attribute(lane.flight, ao);
           CellAttribution& cell =
-              sweep.attribution[pi * cells_per_method +
-                                ci * n_scenarios + si];
+              sweep.attribution[first_cell + ci * n_scenarios + si];
           // The key invariant: attributed categories sum exactly to the
           // run's ticks. A completed run that fails it is recorded as
           // unattributed (zeros), never as a silently wrong vector.
@@ -504,8 +439,8 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
         if (options.check_bounds) {
           check_metrics_against_bounds(
               m.name, sweep.configs[ci].name,
-              sweep_scenario_name(options.scenarios[si]), sample.metrics,
-              &lane.bounds_reg, bounds[ci], lint_reports[pi]);
+              sweep_scenario_name(scenarios[si]), sample.metrics,
+              &lane.bounds_reg, lane.bounds[ci], lint_reports[wi]);
           if (options.collect_metrics) lane.metrics.merge(lane.bounds_reg);
         }
       }
@@ -517,7 +452,7 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
       bool verify_clean = true;
       if (mode == cache::CacheMode::Verify) {
         for (std::size_t idx = 0; idx < cells_per_method; ++idx) {
-          const cache::CellRecord* cell = p.cell_hits[idx];
+          const cache::CellRecord* cell = lane.cell_hits[idx];
           if (cell == nullptr) continue;
           const SweepSample& fresh = out[idx];
           if (cell->metrics != fresh.metrics ||
@@ -529,15 +464,14 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
                 stderr,
                 "javaflow-cache: VERIFY MISMATCH %s [%s, scenario %d] — "
                 "cached record differs from fresh execution; repairing\n",
-                m.name.c_str(),
-                sweep.configs[idx / n_scenarios].name.c_str(),
-                static_cast<int>(options.scenarios[idx % n_scenarios]));
+                m.name.c_str(), sweep.configs[idx / n_scenarios].name.c_str(),
+                static_cast<int>(scenarios[idx % n_scenarios]));
           }
         }
-        lane.prof.cache_hit_cells += p.cached_cells;
-        lane.prof.cache_miss_cells += cells_per_method - p.cached_cells;
-        hb_hit_cells.fetch_add(p.cached_cells, std::memory_order_relaxed);
-        hb_miss_cells.fetch_add(cells_per_method - p.cached_cells,
+        lane.prof.cache_hit_cells += cached_cells;
+        lane.prof.cache_miss_cells += cells_per_method - cached_cells;
+        hb_hit_cells.fetch_add(cached_cells, std::memory_order_relaxed);
+        hb_miss_cells.fetch_add(cells_per_method - cached_cells,
                                 std::memory_order_relaxed);
       } else {
         lane.prof.cache_miss_cells += cells_per_method;
@@ -549,7 +483,7 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
       // skipping the save keeps repeated verify runs read-only.
       const bool verify_dirty =
           mode == cache::CacheMode::Verify &&
-          (!verify_clean || p.cached_cells != cells_per_method);
+          (!verify_clean || cached_cells != cells_per_method);
       if (mode == cache::CacheMode::ReadWrite || verify_dirty) {
         // Upsert this sweep's cells into the record, preserving cells
         // other sweep contexts (configs, tick budgets) put
@@ -558,14 +492,14 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
         cache::MethodRecord next;
         next.fingerprint = cache::record_fingerprint();
         next.method_name = m.name;
-        if (p.have_record) next.cells = p.record.cells;
-        for (std::size_t ci = 0; ci < sweep.configs.size(); ++ci) {
+        if (have_record) next.cells = lane.record.cells;
+        for (std::size_t ci = 0; ci < n_configs; ++ci) {
           for (std::size_t si = 0; si < n_scenarios; ++si) {
             const SweepSample& fresh = out[ci * n_scenarios + si];
             cache::CellRecord cell;
             cell.key = cache::cell_key(body_hash[pi], pool_hash,
                                        config_hash[ci], engine_hash,
-                                       options.scenarios[si]);
+                                       scenarios[si]);
             cell.static_insts = fresh.static_insts;
             cell.back_jumps = fresh.back_jumps;
             cell.metrics = fresh.metrics;
@@ -589,7 +523,6 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
     }
     ++lane.prof.methods;
     lane.prof.cells += cells_per_method;
-    pre[wi].reset();
     heartbeat();
   };
 
@@ -599,25 +532,14 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
   if (threads <= 1 || work.size() <= 1) {
     lanes.push_back(make_lane());
     for (std::size_t wi = 0; wi < work.size(); ++wi) {
-      prepare_method(wi, *lanes[0]);
-    }
-    for (std::size_t wi = 0; wi < work.size(); ++wi) {
       run_method(wi, *lanes[0]);
     }
   } else {
+    // Lanes never share an Engine (each holds a mutable scratch
+    // workspace), and engines persist across the lane's methods so
+    // allocation reuse still pays off.
     util::ThreadPool workers(threads);
-    // Per-lane state: lanes never share an Engine (each holds a mutable
-    // scratch workspace), and engines persist across the lane's methods
-    // so allocation reuse still pays off. The pool barrier between the
-    // two parallel_for calls publishes every phase-A Precomp (plans
-    // included) before any phase-B lane reads one — an item may land on
-    // a different lane in each phase, and phase B only ever reads the
-    // shared plans.
     lanes.resize(workers.size());
-    workers.parallel_for(work.size(), [&](std::size_t wi, unsigned lane) {
-      if (lanes[lane] == nullptr) lanes[lane] = make_lane();
-      prepare_method(wi, *lanes[lane]);
-    });
     workers.parallel_for(work.size(), [&](std::size_t wi, unsigned lane) {
       if (lanes[lane] == nullptr) lanes[lane] = make_lane();
       run_method(wi, *lanes[lane]);
@@ -653,10 +575,13 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
       sample.method = mname;
       sample.benchmark = bname;
       sample.is_hot = is_hot;
-      // Attribution is name-independent, so a duplicate's vector is its
-      // leader's vector, exactly.
+      // Attribution and bounds are name-independent, so a duplicate's
+      // values are its leader's, exactly.
       if (options.attribution) {
         sweep.attribution[dst + c] = sweep.attribution[src + c];
+      }
+      if (options.check_bounds) {
+        sweep.lower_bounds[dst + c] = sweep.lower_bounds[src + c];
       }
     }
     sweep.profile.lanes[0].dedup_cells += cells_per_method;

@@ -73,7 +73,7 @@ struct CellAttribution {
 // part of the determinism guarantee — only `methods`/`cells` are stable.
 struct SweepProfile {
   struct Lane {
-    double verify_s = 0.0;   // back-jump scan, hot lookup, optional lint
+    double verify_s = 0.0;   // back-jump scan, static bounds
     double resolve_s = 0.0;  // dataflow-graph construction
     double place_s = 0.0;    // per-config fabric placement
     double plan_s = 0.0;     // execution-plan lowering (one per config)
@@ -100,24 +100,21 @@ struct SweepProfile {
 };
 
 struct SweepOptions {
+  // Both branch scenarios, in cell order within each config; every sweep
+  // runs both.
+  static constexpr std::array<sim::BranchPredictor::Scenario, 2> scenarios =
+      {sim::BranchPredictor::Scenario::BP1,
+       sim::BranchPredictor::Scenario::BP2};
   std::vector<sim::MachineConfig> configs;  // default: table15_configs()
-  std::vector<sim::BranchPredictor::Scenario> scenarios = {
-      sim::BranchPredictor::Scenario::BP1,
-      sim::BranchPredictor::Scenario::BP2};
-  sim::EngineOptions engine;
   // Optional subsampling for quick runs: keep every k-th method (1 = all).
   int stride = 1;
-  // Per-phase wall-clock profiling (Sweep::profile). Cheap (a handful of
-  // steady_clock reads per method), so it defaults on.
-  bool profile = true;
   // Opt-in stderr heartbeat: roughly once a second, prints completed
   // methods, methods/s, and the ETA. Progress only — never affects
   // samples. Env knob: JAVAFLOW_SWEEP_HEARTBEAT=1 (bench_common.hpp).
   bool heartbeat = false;
   // Telemetry: aggregate an obs::MetricsRegistry over every cell into
   // Sweep::metrics. Lane-local registries are merged commutatively, so
-  // the aggregate is identical for every thread count. Overrides any
-  // `engine.metrics` pointer while the sweep runs.
+  // the aggregate is identical for every thread count.
   bool collect_metrics = false;
   // Critical-path attribution (docs/OBSERVABILITY.md "Attribution"):
   // attach a lane-local obs::FlightRecorder to every engine and fill
@@ -135,38 +132,27 @@ struct SweepOptions {
   // oversubscribed sweep misreport the machine.
   int threads = 1;
   bool allow_oversubscribe = false;
-  // Debug mode: statically lint every method's dataflow graph (and its
-  // placement on each swept configuration) before executing it. Findings
-  // land in Sweep::lint_findings in method order — identical for every
-  // thread count, like the samples.
-  bool lint = false;
-  LintOptions lint_options;
-  // Cross-validation mode (docs/ANALYSIS.md): statically compute timing
-  // and resource bounds for every method × config and assert them
-  // against what actually happens — `static lower bound <= ticks` and
-  // `buffer HWM <= static token bound` on every executed cell, the ticks
-  // bound alone on cache-served cells (no registry runs there).
-  // Violations land in Sweep::lint_findings as JF-E010, deterministic
-  // and thread-count-invariant like the lint findings.
+  // Cross-validation mode (docs/ANALYSIS.md): compute timing and
+  // resource bounds for every method × config from the plans the sweep
+  // lowers, record each cell's static lower bound in Sweep::lower_bounds,
+  // and assert the bounds against what actually happens — `static lower
+  // bound <= ticks` and `buffer HWM <= static token bound` on every
+  // executed cell, the ticks bound alone on cache-served cells (no
+  // registry runs there). Violations land in Sweep::lint_findings as
+  // JF-E010, once per distinct method body under its first name,
+  // deterministic and thread-count-invariant.
   bool check_bounds = false;
   // Persistent content-addressed result cache (docs/PERF.md "Result
   // cache"). Auto resolves JAVAFLOW_CACHE (unset = Off, the pre-cache
-  // behaviour). Hits skip verify/resolve/place/execute for the whole
-  // method and fill its samples from the cached record; the output stays
-  // deterministically indexed and thread-count-invariant either way.
-  // Telemetry runs (collect_metrics, engine.metrics/tracer/flight) force
-  // the cache off for the sweep — cached cells fire no hooks, so served
-  // results would under-count the registries.
+  // behaviour). Hits skip execution for the whole method and fill its
+  // samples from the cached record; the output stays deterministically
+  // indexed and thread-count-invariant either way. Telemetry runs
+  // (collect_metrics, attribution) force the cache off for the sweep —
+  // cached cells fire no hooks, so served results would under-count.
   cache::CacheMode cache = cache::CacheMode::Auto;
   // Cache directory; empty resolves JAVAFLOW_CACHE_DIR, then
   // $XDG_CACHE_HOME/javaflow, then ~/.cache/javaflow.
   std::string cache_dir;
-  // In-memory corpus dedup: byte-identical method bodies within one
-  // sweep simulate once per (config, scenario) and share results (the
-  // engine reads the method name only as a workspace-cache tag, so the
-  // shared metrics are exact, not approximate). Name-dependent sample
-  // fields (method, benchmark, is_hot) are still filled per method.
-  bool dedup = true;
   // Substring filter over qualified method names ("" = all). Applied
   // before the stride, so `method_filter` + stride 1 sweeps exactly the
   // matching methods. Env knob: JAVAFLOW_BENCH_FILTER (bench_common.hpp).
@@ -179,11 +165,16 @@ struct Sweep {
   // Parallel to `samples` when SweepOptions::attribution is set (empty
   // otherwise): critical-path category ticks per cell.
   std::vector<CellAttribution> attribution;
-  // Populated when SweepOptions::lint and/or check_bounds is set.
+  // Parallel to `samples` when SweepOptions::check_bounds is set (empty
+  // otherwise): the static lower bound on ticks of the cell's (method,
+  // config), MethodBounds::lower_bound_ticks of the plan the sweep
+  // lowered, or kNoBound (analysis/bounds.hpp) where no bound is proven.
+  std::vector<std::int64_t> lower_bounds;
+  // Populated when SweepOptions::check_bounds is set.
   std::vector<LintFinding> lint_findings;
   std::int32_t lint_errors = 0;
   std::int32_t lint_warnings = 0;
-  // Per-phase wall-clock profile (SweepOptions::profile, default on).
+  // Per-phase wall-clock profile.
   SweepProfile profile;
   // Aggregated telemetry (SweepOptions::collect_metrics, default off);
   // identical for every thread count.
@@ -207,7 +198,9 @@ struct Sweep {
 
 // Runs the full sweep. `hot_methods` marks Filter 2 membership (by
 // qualified name). Methods that do not fit or time out are recorded with
-// their flags so tables can report exclusions.
+// their flags so tables can report exclusions. Byte-identical method
+// bodies simulate once and share their cells; the name-dependent sample
+// fields (method, benchmark, is_hot) are still filled per method.
 Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
                 const bytecode::ConstantPool& pool,
                 const std::vector<std::string>& hot_methods,

@@ -1,90 +1,12 @@
 #include "cache/record.hpp"
 
-#include <cstring>
+#include "cache/codec.hpp"
 
 namespace javaflow::cache {
 
 namespace {
 
 constexpr std::uint32_t kMagic = 0x3143464a;  // "JFC1", little-endian
-
-// All integers are encoded little-endian at fixed width, independent of
-// the host, so a cache directory survives a toolchain change (it still
-// will not survive kRecordFormatVersion or fingerprint bumps — by
-// design).
-class Writer {
- public:
-  explicit Writer(std::string& out) : out_(out) {}
-
-  void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v) { fixed(v); }
-  void u64(std::uint64_t v) { fixed(v); }
-  void i32(std::int32_t v) { fixed(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { fixed(static_cast<std::uint64_t>(v)); }
-  void boolean(bool v) { u8(v ? 1 : 0); }
-  void str(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    out_.append(s);
-  }
-
- private:
-  template <typename T>
-  void fixed(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  }
-
-  std::string& out_;
-};
-
-// Bounds-checked cursor: every read can fail, and the first failure
-// poisons the reader so callers can check once at the end of a section.
-class Reader {
- public:
-  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
-
-  bool ok() const { return ok_; }
-  std::size_t pos() const { return pos_; }
-
-  std::uint8_t u8() { return static_cast<std::uint8_t>(fixed<1>()); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(fixed<4>()); }
-  std::uint64_t u64() { return fixed<8>(); }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  bool boolean() { return u8() != 0; }
-  std::string str() {
-    const std::uint32_t n = u32();
-    if (!ok_ || bytes_.size() - pos_ < n) {
-      ok_ = false;
-      return {};
-    }
-    std::string out(bytes_.substr(pos_, n));
-    pos_ += n;
-    return out;
-  }
-
- private:
-  template <std::size_t N>
-  std::uint64_t fixed() {
-    if (!ok_ || bytes_.size() - pos_ < N) {
-      ok_ = false;
-      return 0;
-    }
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < N; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(bytes_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += N;
-    return v;
-  }
-
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
 
 // RunMetrics is serialized field by field. If you add a field to
 // RunMetrics, extend BOTH functions below and bump kRecordFormatVersion
@@ -124,12 +46,6 @@ sim::RunMetrics read_metrics(Reader& r) {
   m.ticks_exec_1plus = r.i64();
   m.ticks_exec_2plus = r.i64();
   return m;
-}
-
-std::uint64_t checksum(std::string_view bytes) {
-  Hasher h;
-  h.bytes(bytes.data(), bytes.size());
-  return h.digest().hi;
 }
 
 bool deserialize_impl(std::string_view bytes, bool check_fingerprint,

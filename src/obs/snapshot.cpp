@@ -10,93 +10,18 @@
 #include <tuple>
 #include <utility>
 
-// Header-only digest helpers; no link dependency on the cache library
-// (which layers above obs).
-#include "cache/hash.hpp"
+// Header-only codec; no link dependency on the cache library (which
+// layers above obs).
+#include "cache/codec.hpp"
 
 namespace javaflow::obs {
 namespace {
 
+using cache::checksum;
+using cache::Reader;
+using cache::Writer;
+
 constexpr std::uint32_t kMagic = 0x3153464a;  // "JFS1", little-endian
-
-// Same fixed-width little-endian encode/decode idiom as
-// cache/record.cpp, so a snapshot directory survives toolchain and host
-// changes exactly like the result cache does.
-class Writer {
- public:
-  explicit Writer(std::string& out) : out_(out) {}
-
-  void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v) { fixed(v); }
-  void u64(std::uint64_t v) { fixed(v); }
-  void i32(std::int32_t v) { fixed(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { fixed(static_cast<std::uint64_t>(v)); }
-  void str(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    out_.append(s);
-  }
-
- private:
-  template <typename T>
-  void fixed(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  }
-
-  std::string& out_;
-};
-
-class Reader {
- public:
-  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
-
-  bool ok() const { return ok_; }
-  std::size_t pos() const { return pos_; }
-
-  std::uint8_t u8() { return static_cast<std::uint8_t>(fixed<1>()); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(fixed<4>()); }
-  std::uint64_t u64() { return fixed<8>(); }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  std::string str() {
-    const std::uint32_t n = u32();
-    if (!ok_ || bytes_.size() - pos_ < n) {
-      ok_ = false;
-      return {};
-    }
-    std::string out(bytes_.substr(pos_, n));
-    pos_ += n;
-    return out;
-  }
-
- private:
-  template <std::size_t N>
-  std::uint64_t fixed() {
-    if (!ok_ || bytes_.size() - pos_ < N) {
-      ok_ = false;
-      return 0;
-    }
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < N; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(bytes_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += N;
-    return v;
-  }
-
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-std::uint64_t checksum(std::string_view bytes) {
-  cache::Hasher h;
-  h.bytes(bytes.data(), bytes.size());
-  return h.digest().hi;
-}
 
 std::uint8_t cell_flags(const SnapshotCell& c) {
   return static_cast<std::uint8_t>(

@@ -7,31 +7,13 @@
 #include <set>
 #include <stdexcept>
 
+#include "cache/hash.hpp"
 #include "core/fabric_manager.hpp"
 #include "sim/multi_engine.hpp"
 
 namespace javaflow::serve {
 
 namespace {
-
-// FNV-1a 64, one 64-bit little-endian word at a time.
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ULL;
-  void word(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffU;
-      h *= 1099511628211ULL;
-    }
-  }
-  void s64(std::int64_t v) { word(static_cast<std::uint64_t>(v)); }
-  void text(const std::string& s) {
-    for (const char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ULL;
-    }
-    word(s.size());
-  }
-};
 
 // One serving run's mutable state, torn down when serve() returns.
 class ServerState {
@@ -336,45 +318,48 @@ class ServerState {
 }  // namespace
 
 std::uint64_t ServeReport::digest() const {
-  Fnv f;
-  f.text(config_name);
-  f.word(seed);
-  f.s64(requests);
-  f.s64(completed);
-  f.s64(rejected);
-  f.s64(timed_out);
-  f.s64(fabric_ticks);
-  f.s64(ticks_res_1plus);
-  f.s64(ticks_res_2plus);
-  f.s64(serial_wait_ticks);
-  f.s64(mesh_wait_ticks);
-  f.s64(ring_wait_ticks);
-  f.s64(loads);
-  f.s64(evictions);
-  f.s64(plans_shared);
-  f.s64(plans_lowered);
-  f.s64(max_queue_depth);
-  f.s64(instructions_fired);
-  f.s64(latency_p50);
-  f.s64(latency_p95);
-  f.s64(latency_p99);
-  f.s64(latency_max);
-  f.s64(latency_mean_x1000);
+  // FNV-1a 64 (the Hasher's first lane). The config name's length
+  // follows its bytes; the pinned digests depend on that order.
+  cache::Hasher f;
+  f.bytes(config_name.data(), config_name.size());
+  f.u64(config_name.size());
+  f.u64(seed);
+  f.i64(requests);
+  f.i64(completed);
+  f.i64(rejected);
+  f.i64(timed_out);
+  f.i64(fabric_ticks);
+  f.i64(ticks_res_1plus);
+  f.i64(ticks_res_2plus);
+  f.i64(serial_wait_ticks);
+  f.i64(mesh_wait_ticks);
+  f.i64(ring_wait_ticks);
+  f.i64(loads);
+  f.i64(evictions);
+  f.i64(plans_shared);
+  f.i64(plans_lowered);
+  f.i64(max_queue_depth);
+  f.i64(instructions_fired);
+  f.i64(latency_p50);
+  f.i64(latency_p95);
+  f.i64(latency_p99);
+  f.i64(latency_max);
+  f.i64(latency_mean_x1000);
   for (const RequestOutcome& o : outcomes) {
-    f.s64(o.request_id);
-    f.s64(o.method_index);
-    f.s64(o.arrival_tick);
-    f.s64(o.admitted_tick);
-    f.s64(o.completed_tick);
-    f.s64(o.latency_ticks);
-    f.s64((o.completed ? 1 : 0) | (o.rejected ? 2 : 0) |
+    f.i64(o.request_id);
+    f.i64(o.method_index);
+    f.i64(o.arrival_tick);
+    f.i64(o.admitted_tick);
+    f.i64(o.completed_tick);
+    f.i64(o.latency_ticks);
+    f.i64((o.completed ? 1 : 0) | (o.rejected ? 2 : 0) |
           (o.timed_out ? 4 : 0) | (o.plan_shared ? 8 : 0));
-    f.s64(o.metrics.ticks);
-    f.s64(o.metrics.instructions_fired);
-    f.s64(o.metrics.mesh_messages);
-    f.s64(o.metrics.serial_messages);
+    f.i64(o.metrics.ticks);
+    f.i64(o.metrics.instructions_fired);
+    f.i64(o.metrics.mesh_messages);
+    f.i64(o.metrics.serial_messages);
   }
-  return f.h;
+  return f.digest().hi;
 }
 
 void ServeReport::write_json(std::ostream& os) const {

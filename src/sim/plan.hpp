@@ -18,10 +18,10 @@
 //   * the static branch classifications (sim::classify_branches), so a
 //     plan-driven run never re-derives them.
 //
-// A plan is read-only after build: the parallel sweep builds each plan
-// once in its precompute phase and shares it across worker lanes and
-// both branch scenarios, and serving residencies of one method share
-// one plan through row shifts.
+// A plan is read-only after build: the sweep builds each plan once per
+// method and config, in the worker lane that runs the method, and shares
+// it across both branch scenarios, and serving residencies of one
+// method share one plan through row shifts.
 #pragma once
 
 #include <algorithm>

@@ -478,5 +478,70 @@ TEST(SweepBounds, CacheServedCellsAreStillChecked) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(SweepBounds, LowerBoundsMatchTheAnalyzer) {
+  // Every Sweep::lower_bounds entry is compute_bounds() on the cell's
+  // (method, config) plan — checked here against plans lowered
+  // independently of the sweep, on computed, deduplicated and
+  // cache-served cells alike.
+  const workloads::Corpus corpus = workloads::make_corpus({});
+  const bytecode::ConstantPool& pool = corpus.program.pool;
+  std::vector<const bytecode::Method*> methods;
+  for (std::size_t i = 0; i < corpus.program.methods.size(); i += 64) {
+    methods.push_back(&corpus.program.methods[i]);
+  }
+  // A byte-identical body under another name: dedup fills its cells
+  // from its leader's.
+  bytecode::Method twin = *methods[1];
+  twin.name = "twin." + twin.name;
+  methods.push_back(&twin);
+
+  const std::string dir = ::testing::TempDir() + "javaflow_bounds_lower";
+  std::filesystem::remove_all(dir);
+  SweepOptions options;
+  options.threads = 2;
+  options.allow_oversubscribe = true;
+  options.check_bounds = true;
+  options.cache = cache::CacheMode::ReadWrite;
+  options.cache_dir = dir;
+  const Sweep cold = run_sweep(methods, pool, {}, options);
+  options.cache = cache::CacheMode::Read;
+  const Sweep warm = run_sweep(methods, pool, {}, options);
+  std::filesystem::remove_all(dir);
+  EXPECT_GT(cold.cache.dedup_cells, 0u);
+  EXPECT_EQ(warm.cache.miss_cells, 0u);
+  EXPECT_GT(warm.cache.hit_cells, 0u);
+  EXPECT_EQ(warm.samples, cold.samples);
+  ASSERT_EQ(cold.lower_bounds.size(), cold.samples.size());
+  ASSERT_EQ(warm.lower_bounds.size(), warm.samples.size());
+
+  const std::size_t n_scenarios = SweepOptions::scenarios.size();
+  const std::size_t per_method = cold.configs.size() * n_scenarios;
+  ASSERT_EQ(cold.samples.size(), methods.size() * per_method);
+  std::size_t proven = 0;
+  for (std::size_t mi = 0; mi < methods.size(); ++mi) {
+    const bytecode::Method& m = *methods[mi];
+    const DataflowGraph graph = fabric::build_dataflow_graph(m, pool);
+    for (std::size_t ci = 0; ci < cold.configs.size(); ++ci) {
+      const sim::MachineConfig& config = cold.configs[ci];
+      const fabric::Fabric f(config.fabric_options());
+      const fabric::Placement placement = fabric::load_method(f, m);
+      const sim::ExecPlan plan =
+          sim::ExecPlanBuilder().build(m, graph, &placement, config);
+      const MethodBounds bounds = compute_bounds(m, plan);
+      const std::int64_t want =
+          bounds.valid ? bounds.lower_bound_ticks : kNoBound;
+      if (want < kNoBound) ++proven;
+      for (std::size_t si = 0; si < n_scenarios; ++si) {
+        const std::size_t cell = mi * per_method + ci * n_scenarios + si;
+        EXPECT_EQ(cold.lower_bounds[cell], want)
+            << m.name << " on " << config.name;
+        EXPECT_EQ(warm.lower_bounds[cell], want)
+            << m.name << " on " << config.name;
+      }
+    }
+  }
+  EXPECT_GT(proven, 0u);
+}
+
 }  // namespace
 }  // namespace javaflow::analysis

@@ -397,24 +397,48 @@ TEST(CacheSweep, DedupSharesResultsAcrossByteIdenticalMethods) {
   p.methods.push_back(tiny_method(p, "bm.odd()I", "bench_a", 9));
   std::vector<const bytecode::Method*> methods;
   for (const bytecode::Method& m : p.methods) methods.push_back(&m);
+  // Only the leader is hot, so the duplicate's hot flag must be
+  // re-stamped, not copied.
+  const std::vector<std::string> hot = {"bm.first()I"};
 
   analysis::SweepOptions options;
   options.cache = cache::CacheMode::Off;
-  analysis::SweepOptions no_dedup = options;
-  no_dedup.dedup = false;
-
   const analysis::Sweep deduped =
-      analysis::run_sweep(methods, p.pool, {"bm.first()I"}, options);
-  const analysis::Sweep plain =
-      analysis::run_sweep(methods, p.pool, {"bm.first()I"}, no_dedup);
-
-  // Identical samples — including per-method metadata (name, benchmark,
-  // hot flag), which dedup must re-stamp per duplicate.
-  EXPECT_EQ(deduped.samples, plain.samples);
+      analysis::run_sweep(methods, p.pool, hot, options);
   const std::size_t cells_per_method = deduped.samples.size() / 3;
   EXPECT_EQ(deduped.cache.dedup_cells, cells_per_method);
-  EXPECT_EQ(plain.cache.dedup_cells, 0u);
   EXPECT_EQ(deduped.profile.total().cells, deduped.samples.size());
+
+  // Each method swept alone is its own leader; its cells must equal its
+  // slice of the deduplicated sweep, name-dependent fields included.
+  for (std::size_t mi = 0; mi < methods.size(); ++mi) {
+    const analysis::Sweep alone =
+        analysis::run_sweep({methods[mi]}, p.pool, hot, options);
+    EXPECT_EQ(alone.cache.dedup_cells, 0u);
+    const auto first =
+        deduped.samples.begin() +
+        static_cast<std::ptrdiff_t>(mi * cells_per_method);
+    const std::vector<analysis::SweepSample> slice(
+        first, first + static_cast<std::ptrdiff_t>(cells_per_method));
+    EXPECT_EQ(slice, alone.samples) << methods[mi]->name;
+  }
+}
+
+TEST(CacheSweep, ColdCountersAreThreadCountInvariant) {
+  // Probe and store run in one task per distinct body, so no lane's
+  // store can turn another item's probe into a hit: the counters must
+  // not depend on how the items spread over lanes.
+  const analysis::Sweep one = corpus_sweep(
+      cache::CacheMode::ReadWrite, temp_store("cold1"), /*threads=*/1);
+  const analysis::Sweep four = corpus_sweep(
+      cache::CacheMode::ReadWrite, temp_store("cold4"), /*threads=*/4);
+  EXPECT_EQ(one.samples, four.samples);
+  EXPECT_EQ(one.cache.hit_cells, four.cache.hit_cells);
+  EXPECT_EQ(one.cache.miss_cells, four.cache.miss_cells);
+  EXPECT_EQ(one.cache.dedup_cells, four.cache.dedup_cells);
+  EXPECT_EQ(one.cache.stored_records, four.cache.stored_records);
+  EXPECT_EQ(one.cache.hit_cells, 0u);
+  EXPECT_GT(one.cache.stored_records, 0u);
 }
 
 TEST(CacheSweep, MethodFilterSelectsMatchingSubset) {

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 
-#include "analysis/figure_of_merit.hpp"
 #include "analysis/lint.hpp"
 #include "bytecode/assembler.hpp"
 #include "bytecode/verifier.hpp"
@@ -376,36 +375,6 @@ TEST(LintCorpus, ParallelAndSerialReportsAgree) {
   EXPECT_EQ(serial.findings, parallel.findings);
   EXPECT_EQ(serial.errors, parallel.errors);
   EXPECT_EQ(serial.warnings, parallel.warnings);
-}
-
-// ---- sweep debug mode ----
-
-TEST(SweepLint, DebugModeLintsEveryGraphBeforeExecuting) {
-  workloads::CorpusOptions corpus_options;
-  corpus_options.total_methods = 0;  // kernels only
-  const workloads::Corpus corpus = workloads::make_corpus(corpus_options);
-  std::vector<const bytecode::Method*> methods;
-  for (const auto& m : corpus.program.methods) methods.push_back(&m);
-
-  SweepOptions options;
-  options.configs = {sim::config_by_name("Baseline"),
-                     sim::config_by_name("Compact2")};
-  options.scenarios = {sim::BranchPredictor::Scenario::BP1};
-  options.stride = 7;
-  options.lint = true;
-  const Sweep sweep =
-      run_sweep(methods, corpus.program.pool, {}, options);
-  EXPECT_EQ(sweep.lint_errors, 0) << to_text(LintReport{
-      sweep.lint_findings, sweep.lint_errors, sweep.lint_warnings, 0, 0});
-  EXPECT_TRUE(sweep.lint_findings.empty());
-  EXPECT_FALSE(sweep.samples.empty());
-
-  // Off by default: no lint work, no findings.
-  options.lint = false;
-  const Sweep plain =
-      run_sweep(methods, corpus.program.pool, {}, options);
-  EXPECT_TRUE(plain.lint_findings.empty());
-  EXPECT_EQ(plain.samples.size(), sweep.samples.size());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -315,6 +316,20 @@ TEST(EnvParsing, ParseLongRejectsGarbage) {
   EXPECT_FALSE(util::parse_long("").has_value());
   EXPECT_FALSE(util::parse_long(nullptr).has_value());
   EXPECT_FALSE(util::parse_long("99999999999999999999").has_value());
+  // The optional range is inclusive; the CLI flags lean on it.
+  EXPECT_EQ(util::parse_long("256", 0, 256).value_or(-1), 256);
+  EXPECT_FALSE(util::parse_long("257", 0, 256).has_value());
+  EXPECT_FALSE(util::parse_long("-7", 1).has_value());
+  EXPECT_FALSE(util::parse_long("4294967297", 0, 2147483647).has_value());
+  // --seed: every unsigned 64-bit value, and nothing strtoull would
+  // negate, skip or wrap.
+  EXPECT_EQ(util::parse_u64("18446744073709551615").value_or(0),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_FALSE(util::parse_u64("18446744073709551616").has_value());
+  EXPECT_FALSE(util::parse_u64("-1").has_value());
+  EXPECT_FALSE(util::parse_u64(" 1").has_value());
+  EXPECT_FALSE(util::parse_u64("1x").has_value());
+  EXPECT_FALSE(util::parse_u64(nullptr).has_value());
 }
 
 TEST(EnvParsing, EnvIntFallsBackOnGarbageAndBounds) {

@@ -51,8 +51,8 @@ analysis::Sweep plan_sweep(int threads) {
   analysis::SweepOptions options;
   options.stride = 32;  // the CI smoke stride: a real corpus slice
   options.threads = threads;
-  // Real worker threads even on small CI hosts, so the cross-lane
-  // shared-plan reads actually happen (and TSan can see them).
+  // Real worker threads even on small CI hosts, so several lanes lower
+  // and run plans at once (and TSan can see them).
   options.allow_oversubscribe = threads > 1;
   return analysis::run_sweep(methods, corpus.program.pool, hot, options);
 }
@@ -91,9 +91,10 @@ TEST(PlanFlags, LocalFlagMarksExactlyTheLocalAccessNodes) {
   EXPECT_GT(other_nodes, 0u);
 }
 
-// The parallel sweep shares each phase-A plan read-only across worker
-// lanes; the result must match the serial sweep exactly (and running
-// this under TSan proves the sharing is race-free).
+// Each parallel lane lowers its methods' plans into its own scratch and
+// reuses that storage from method to method; the result must match the
+// serial sweep exactly (and running this under TSan proves the lanes
+// share nothing mutable).
 TEST(PlanSharing, SerialAndParallelSweepsMatch) {
   const analysis::Sweep serial = plan_sweep(1);
   const analysis::Sweep parallel = plan_sweep(4);

@@ -15,13 +15,13 @@
 // ~/.cache/javaflow). Exits 0 on success, 1 when verify finds mismatches,
 // 2 on usage errors.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 
 #include "analysis/figure_of_merit.hpp"
 #include "cache/key.hpp"
 #include "cache/store.hpp"
+#include "util/env.hpp"
 #include "workloads/corpus.hpp"
 
 using namespace javaflow;
@@ -37,20 +37,14 @@ int usage() {
       "                    ~/.cache/javaflow)\n"
       "  --method SUB      invalidate only: delete records whose method\n"
       "                    name contains SUB (omit to wipe the store)\n"
-      "  --stride K        verify only: keep every K-th corpus method\n"
-      "                    (default 1 = the full corpus)\n"
-      "  --threads N       verify only: sweep workers (0 = auto; default\n"
-      "                    1 = serial)\n");
+      "  --stride K        verify only: keep every K-th corpus method,\n"
+      "                    K >= 1 (default 1 = the full corpus)\n"
+      "  --threads N       verify only: sweep workers, N >= 0 (0 = auto;\n"
+      "                    default 1 = serial)\n");
   return 2;
 }
 
-bool parse_int(const char* s, int& out) {
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  out = static_cast<int>(v);
-  return true;
-}
+constexpr long kIntMax = std::numeric_limits<int>::max();
 
 int run_verify(const std::string& dir, int stride, int threads) {
   workloads::Corpus corpus = workloads::make_corpus({});
@@ -113,13 +107,13 @@ int main(int argc, char** argv) {
       method = v;
       have_method = true;
     } else if (arg == "--stride") {
-      const char* v = next();
-      if (v == nullptr || !parse_int(v, stride) || stride < 1)
-        return usage();
+      const auto n = util::parse_long(next(), 1, kIntMax);
+      if (!n) return usage();
+      stride = static_cast<int>(*n);
     } else if (arg == "--threads") {
-      const char* v = next();
-      if (v == nullptr || !parse_int(v, threads) || threads < 0)
-        return usage();
+      const auto n = util::parse_long(next(), 0, kIntMax);
+      if (!n) return usage();
+      threads = static_cast<int>(*n);
     } else {
       std::fprintf(stderr, "javaflow_cache: unknown option '%s'\n",
                    arg.c_str());

@@ -27,6 +27,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -34,6 +35,7 @@
 #include "analysis/explain.hpp"
 #include "obs/snapshot.hpp"
 #include "sim/config.hpp"
+#include "util/env.hpp"
 #include "workloads/corpus.hpp"
 
 namespace {
@@ -48,7 +50,9 @@ int usage(const char* argv0) {
       "       %s --snapshot <out.jfs> [--stride <n>] [--threads <n>]\n"
       "       %s --diff <a.jfs> <b.jfs> [--json] [--max-rows <n>]\n"
       "       %s --digest <file.jfs>\n"
-      "       %s --list [substring]\n",
+      "       %s --list [substring]\n"
+      "  --stride n >= 1; --threads n >= 0 (0 = auto); --max-steps n >= 0\n"
+      "  (0 = all); --max-rows n >= 0\n",
       argv0, argv0, argv0, argv0, argv0);
   return 2;
 }
@@ -72,16 +76,7 @@ void suggest(const javaflow::workloads::Corpus& corpus,
   }
 }
 
-long parse_count(const char* v, const char* flag) {
-  char* end = nullptr;
-  const long n = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0' || n < 0) {
-    std::fprintf(stderr, "%s expects a non-negative integer, got %s\n",
-                 flag, v);
-    std::exit(2);
-  }
-  return n;
-}
+constexpr long kIntMax = std::numeric_limits<int>::max();
 
 int run_diff(const std::string& a_path, const std::string& b_path,
              bool json, std::size_t max_rows) {
@@ -109,7 +104,8 @@ int run_diff(const std::string& a_path, const std::string& b_path,
 int main(int argc, char** argv) {
   std::string method_name, config_name = "Compact2", scenario_name = "bp1";
   std::string snapshot_path, diff_a, diff_b, digest_path;
-  long stride = 1, threads = 1, max_steps = 40, max_rows = 20;
+  int stride = 1, threads = 1;
+  long max_steps = 40, max_rows = 20;
   bool json = false, list = false;
   std::string list_filter;
 
@@ -146,21 +142,21 @@ int main(int argc, char** argv) {
     } else if (arg == "--json") {
       json = true;
     } else if (arg == "--stride") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      stride = parse_count(v, "--stride");
+      const auto n = javaflow::util::parse_long(value(), 1, kIntMax);
+      if (!n) return usage(argv[0]);
+      stride = static_cast<int>(*n);
     } else if (arg == "--threads") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      threads = parse_count(v, "--threads");
+      const auto n = javaflow::util::parse_long(value(), 0, kIntMax);
+      if (!n) return usage(argv[0]);
+      threads = static_cast<int>(*n);
     } else if (arg == "--max-steps") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      max_steps = parse_count(v, "--max-steps");
+      const auto n = javaflow::util::parse_long(value(), 0);
+      if (!n) return usage(argv[0]);
+      max_steps = *n;
     } else if (arg == "--max-rows") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      max_rows = parse_count(v, "--max-rows");
+      const auto n = javaflow::util::parse_long(value(), 0);
+      if (!n) return usage(argv[0]);
+      max_rows = *n;
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return usage(argv[0]);
@@ -211,8 +207,8 @@ int main(int argc, char** argv) {
 
   if (!snapshot_path.empty()) {
     javaflow::analysis::SnapshotBuildOptions options;
-    options.stride = static_cast<int>(stride > 0 ? stride : 1);
-    options.threads = static_cast<int>(threads);
+    options.stride = stride;
+    options.threads = threads;
     options.allow_oversubscribe = true;
     const javaflow::obs::Snapshot snap =
         javaflow::analysis::build_snapshot(corpus, options);
@@ -226,7 +222,7 @@ int main(int argc, char** argv) {
       if (c.attributed) ++attributed;
     }
     std::fprintf(stderr,
-                 "wrote %s: %zu cells (%zu attributed), stride %ld, "
+                 "wrote %s: %zu cells (%zu attributed), stride %d, "
                  "digest %016" PRIx64 "\n",
                  snapshot_path.c_str(), snap.cells.size(), attributed,
                  stride, javaflow::obs::snapshot_digest(bytes));

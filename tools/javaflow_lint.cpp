@@ -17,11 +17,10 @@
 // never fail the run), 2 on usage errors.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,10 +30,8 @@
 #include "analysis/lint.hpp"
 #include "analysis/model_check.hpp"
 #include "bytecode/textio.hpp"
-#include "fabric/dataflow_graph.hpp"
-#include "fabric/fabric.hpp"
-#include "fabric/loader.hpp"
 #include "sim/config.hpp"
+#include "util/env.hpp"
 #include "workloads/corpus.hpp"
 
 using namespace javaflow;
@@ -50,16 +47,18 @@ int usage() {
       "  --file PATH       lint a .jfasm program image instead of the\n"
       "                    built-in corpus\n"
       "  --kernels-only    restrict the corpus to the hand-written kernels\n"
-      "  --methods N       corpus size (default 1605, Table 16)\n"
-      "  --threads N       worker threads (0 = auto, default; 1 = serial)\n"
-      "  --buffer-cap N    per-node operand buffer capacity (JF-E005)\n"
-      "  --fanout-cap N    consumer-address array limit (JF-E006)\n"
+      "  --methods N       corpus size, N >= 0 (default 1605, Table 16)\n"
+      "  --threads N       worker threads, N >= 0 (0 = auto, default;\n"
+      "                    1 = serial)\n"
+      "  --buffer-cap N    per-node operand buffer capacity, N >= 1\n"
+      "                    (JF-E005)\n"
+      "  --fanout-cap N    consumer-address array limit, N >= 1 (JF-E006)\n"
       "  --no-warnings     suppress warning-severity rules\n"
       "  --bounds          run the static timing/resource bound analyzer\n"
       "                    (JF-E008 / JF-W103, docs/ANALYSIS.md)\n"
       "  --model-check     prove token-flow deadlock-freedom per method\n"
       "                    (JF-E009 on a deadlock witness)\n"
-      "  --bounds-sweep N  execute a stride-N sweep with bound\n"
+      "  --bounds-sweep N  execute a stride-N (N >= 1) sweep with bound\n"
       "                    cross-validation (JF-E010) and report\n"
       "                    predicted/actual tightness per configuration\n"
       "  --json            emit the report as JSON on stdout\n"
@@ -67,11 +66,12 @@ int usage() {
   return 2;
 }
 
-bool parse_int(const char* s, int& out) {
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  out = static_cast<int>(v);
+// Strict parse into an int within [lo, INT_MAX]; false on anything else.
+bool parse_int(const char* s, int lo, int& out) {
+  const std::optional<long> v =
+      util::parse_long(s, lo, std::numeric_limits<int>::max());
+  if (!v) return false;
+  out = static_cast<int>(*v);
   return true;
 }
 
@@ -93,55 +93,25 @@ struct TightnessRow {
   }
 };
 
-// Tightness over the sweep's executed cells. Bounds are recomputed here
-// (once per method x config — the sweep does not export its internal
-// MethodBounds); cached RunMetrics served by the result cache are rated
-// exactly like fresh executions, which is what makes verify-mode replays
-// re-check old records against the current analyzer.
-std::vector<TightnessRow> measure_tightness(
-    const analysis::Sweep& sweep, const bytecode::Program& program) {
-  std::map<std::string, const bytecode::Method*> by_name;
-  for (const bytecode::Method& m : program.methods) by_name[m.name] = &m;
-
+// Tightness over the sweep's completed cells, against the per-cell lower
+// bounds the bounds sweep recorded from its own plans. Cached RunMetrics
+// served by the result cache are rated exactly like fresh executions,
+// which is what makes verify-mode replays re-check old records against
+// the current analyzer.
+std::vector<TightnessRow> measure_tightness(const analysis::Sweep& sweep) {
   std::vector<TightnessRow> rows(sweep.configs.size());
   for (std::size_t ci = 0; ci < sweep.configs.size(); ++ci) {
     rows[ci].config = sweep.configs[ci].name;
   }
-
-  // (method name, config) -> static lower bound, computed lazily.
-  std::map<std::pair<std::string, std::size_t>, std::int64_t> lb_cache;
-  std::vector<fabric::Fabric> fabrics;
-  fabrics.reserve(sweep.configs.size());
-  for (const sim::MachineConfig& cfg : sweep.configs) {
-    fabrics.emplace_back(cfg.fabric_options());
-  }
-
-  for (const analysis::SweepSample& s : sweep.samples) {
+  for (std::size_t i = 0; i < sweep.samples.size(); ++i) {
+    const analysis::SweepSample& s = sweep.samples[i];
     const sim::RunMetrics& mt = s.metrics;
+    const std::int64_t lb = sweep.lower_bounds[i];
     if (!mt.fits || !mt.completed || mt.timed_out || mt.exception ||
-        mt.ticks <= 0) {
+        mt.ticks <= 0 || lb <= 0 || lb >= analysis::kNoBound) {
       continue;
     }
-    const auto key = std::make_pair(s.method, s.config_index);
-    auto it = lb_cache.find(key);
-    if (it == lb_cache.end()) {
-      std::int64_t lb = analysis::kNoBound;
-      const auto mi = by_name.find(s.method);
-      if (mi != by_name.end()) {
-        const bytecode::Method& m = *mi->second;
-        const fabric::DataflowGraph graph =
-            fabric::build_dataflow_graph(m, program.pool);
-        const fabric::Placement placement =
-            fabric::load_method(fabrics[s.config_index], m);
-        const analysis::MethodBounds bounds = analysis::compute_bounds(
-            m, graph, fabrics[s.config_index], placement,
-            sweep.configs[s.config_index]);
-        if (bounds.valid) lb = bounds.lower_bound_ticks;
-      }
-      it = lb_cache.emplace(key, lb).first;
-    }
-    if (it->second <= 0 || it->second >= analysis::kNoBound) continue;
-    rows[s.config_index].add(static_cast<double>(it->second) /
+    rows[s.config_index].add(static_cast<double>(lb) /
                              static_cast<double>(mt.ticks));
   }
   return rows;
@@ -209,7 +179,6 @@ int main(int argc, char** argv) {
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    int value = 0;
     if (arg == "--config") {
       const char* v = next();
       if (v == nullptr) return usage();
@@ -221,19 +190,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--kernels-only") {
       kernels_only = true;
     } else if (arg == "--methods") {
-      const char* v = next();
-      if (v == nullptr || !parse_int(v, methods)) return usage();
+      if (!parse_int(next(), 0, methods)) return usage();
     } else if (arg == "--threads") {
-      const char* v = next();
-      if (v == nullptr || !parse_int(v, threads)) return usage();
+      if (!parse_int(next(), 0, threads)) return usage();
     } else if (arg == "--buffer-cap") {
-      const char* v = next();
-      if (v == nullptr || !parse_int(v, value)) return usage();
-      options.node_buffer_capacity = value;
+      if (!parse_int(next(), 1, options.node_buffer_capacity)) return usage();
     } else if (arg == "--fanout-cap") {
-      const char* v = next();
-      if (v == nullptr || !parse_int(v, value)) return usage();
-      options.mesh_fanout_limit = value;
+      if (!parse_int(next(), 1, options.mesh_fanout_limit)) return usage();
     } else if (arg == "--no-warnings") {
       options.warnings = false;
     } else if (arg == "--bounds") {
@@ -241,11 +204,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--model-check") {
       model_check = true;
     } else if (arg == "--bounds-sweep") {
-      const char* v = next();
-      if (v == nullptr || !parse_int(v, bounds_sweep_stride) ||
-          bounds_sweep_stride < 1) {
-        return usage();
-      }
+      if (!parse_int(next(), 1, bounds_sweep_stride)) return usage();
     } else if (arg == "--json") {
       json = true;
     } else if (arg == "--quiet") {
@@ -326,7 +285,6 @@ int main(int argc, char** argv) {
     sweep_options.stride = bounds_sweep_stride;
     sweep_options.threads = threads;
     sweep_options.check_bounds = true;
-    sweep_options.lint_options = options;
     const analysis::Sweep sweep = analysis::run_sweep(
         sweep_methods, program.pool, {}, sweep_options);
     analysis::LintReport sr;
@@ -334,7 +292,7 @@ int main(int argc, char** argv) {
     sr.errors = sweep.lint_errors;
     sr.warnings = sweep.lint_warnings;
     report.merge(std::move(sr));
-    tightness = measure_tightness(sweep, program);
+    tightness = measure_tightness(sweep);
   }
 
   if (json) {

@@ -13,21 +13,25 @@
 //
 // Defaults: --config Compact2, --seed 1, --requests 64, --mean-gap 64,
 // --hot-fraction 128, --hot 4, --methods = the hand-written kernels,
-// --out - (stdout). --digest prints one "<config> <digest>" line per
-// configuration to stdout instead of JSON — the CI smoke step compares
-// these across runs and thread counts. Exit codes: 0 ok, 1 bad usage,
+// --out - (stdout). Ranges: --seed any unsigned 64-bit value,
+// --requests, --hot and --methods 1..2^31-1, --mean-gap 1..10^9,
+// --hot-fraction 0..256; anything else is a usage error. --digest
+// prints one "<config> <digest>" line per configuration to stdout
+// instead of JSON — the CI smoke step compares these across runs and
+// thread counts. Exit codes: 0 ok, 1 bad usage,
 // 2 a serving run threw (its conservation check or another server or
 // engine invariant failed).
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "serve/server.hpp"
 #include "sim/config.hpp"
+#include "util/env.hpp"
 #include "workloads/corpus.hpp"
 
 namespace {
@@ -37,10 +41,17 @@ int usage(const char* argv0) {
                "usage: %s [--config <name>|all] [--seed <n>] "
                "[--requests <n>] [--mean-gap <ticks>]\n"
                "       [--hot-fraction <n/256>] [--hot <n>] "
-               "[--methods <n>] [--out <file>] [--digest]\n",
+               "[--methods <n>] [--out <file>] [--digest]\n"
+               "  --seed 0..2^64-1; --requests, --hot, --methods "
+               "1..2^31-1;\n"
+               "  --mean-gap 1..1000000000; --hot-fraction 0..256\n",
                argv0);
   return 1;
 }
+
+constexpr long kMaxCount = std::numeric_limits<std::int32_t>::max();
+// Keeps every arrival tick of a maximal stream inside int64.
+constexpr long kMaxMeanGap = 1'000'000'000;
 
 }  // namespace
 
@@ -62,29 +73,29 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage(argv[0]);
       config_name = v;
     } else if (arg == "--seed") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      stream.seed = std::strtoull(v, nullptr, 10);
+      const auto n = javaflow::util::parse_u64(value());
+      if (!n) return usage(argv[0]);
+      stream.seed = *n;
     } else if (arg == "--requests") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      stream.num_requests = static_cast<std::int32_t>(std::atol(v));
+      const auto n = javaflow::util::parse_long(value(), 1, kMaxCount);
+      if (!n) return usage(argv[0]);
+      stream.num_requests = static_cast<std::int32_t>(*n);
     } else if (arg == "--mean-gap") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      stream.mean_gap_ticks = std::atol(v);
+      const auto n = javaflow::util::parse_long(value(), 1, kMaxMeanGap);
+      if (!n) return usage(argv[0]);
+      stream.mean_gap_ticks = *n;
     } else if (arg == "--hot-fraction") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      stream.hot_fraction_256 = static_cast<std::int32_t>(std::atol(v));
+      const auto n = javaflow::util::parse_long(value(), 0, 256);
+      if (!n) return usage(argv[0]);
+      stream.hot_fraction_256 = static_cast<std::int32_t>(*n);
     } else if (arg == "--hot") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      stream.hot_methods = static_cast<std::int32_t>(std::atol(v));
+      const auto n = javaflow::util::parse_long(value(), 1, kMaxCount);
+      if (!n) return usage(argv[0]);
+      stream.hot_methods = static_cast<std::int32_t>(*n);
     } else if (arg == "--methods") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      methods_limit = std::atol(v);
+      const auto n = javaflow::util::parse_long(value(), 1, kMaxCount);
+      if (!n) return usage(argv[0]);
+      methods_limit = *n;
     } else if (arg == "--out") {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);

@@ -30,6 +30,7 @@
 #include "obs/event_tracer.hpp"
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
+#include "util/env.hpp"
 #include "workloads/corpus.hpp"
 
 namespace {
@@ -153,11 +154,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--top") {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);
-      top_n = std::strtol(v, nullptr, 10);
-      if (top_n <= 0) {
+      const auto n = javaflow::util::parse_long(v, 1);
+      if (!n) {
         std::fprintf(stderr, "--top expects a positive count\n");
-        return 1;
+        return usage(argv[0]);
       }
+      top_n = *n;
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return usage(argv[0]);
