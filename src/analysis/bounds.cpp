@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "bytecode/verifier.hpp"
-#include "util/thread_pool.hpp"
-
 namespace javaflow::analysis {
 namespace {
 
@@ -213,17 +210,6 @@ MethodBounds compute_bounds(const bytecode::Method& m,
   return out;
 }
 
-MethodBounds compute_bounds(const bytecode::Method& m,
-                            const fabric::DataflowGraph& graph,
-                            const fabric::Fabric& fabric,
-                            const fabric::Placement& placement,
-                            const sim::MachineConfig& config) {
-  (void)fabric;  // geometry is re-derived from `config` at lowering
-  sim::ExecPlanBuilder builder;
-  const sim::ExecPlan plan = builder.build(m, graph, &placement, config);
-  return compute_bounds(m, plan);
-}
-
 void lint_bounds(const bytecode::Method& m, const sim::MachineConfig& config,
                  const MethodBounds& bounds, const LintOptions& options,
                  LintReport& out) {
@@ -295,44 +281,6 @@ void check_metrics_against_bounds(const std::string& method_name,
               static_cast<std::int32_t>(p), os.str());
     }
   }
-}
-
-LintReport bounds_corpus(const bytecode::Program& program,
-                         const std::vector<sim::MachineConfig>& configs,
-                         const LintOptions& options, int threads) {
-  const std::size_t n = program.methods.size();
-  std::vector<LintReport> per_method(n);
-
-  auto work = [&](std::size_t mi) {
-    const bytecode::Method& m = program.methods[mi];
-    LintReport& rep = per_method[mi];
-    const bytecode::VerifyResult vr = bytecode::verify(m, program.pool);
-    if (!vr.ok) return;  // lint_corpus reports these as JF-E003
-    const fabric::DataflowGraph graph =
-        fabric::build_dataflow_graph(m, program.pool);
-    for (const sim::MachineConfig& config : configs) {
-      const fabric::Fabric fab(config.fabric_options());
-      const fabric::Placement placement = fabric::load_method(fab, m);
-      if (!placement.fits) continue;  // lint_placement reports JF-E007
-      const MethodBounds bounds =
-          compute_bounds(m, graph, fab, placement, config);
-      lint_bounds(m, config, bounds, options, rep);
-      ++rep.placements_linted;
-    }
-    ++rep.methods_linted;
-  };
-
-  const unsigned workers = util::ThreadPool::resolve(threads);
-  if (workers <= 1 || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) work(i);
-  } else {
-    util::ThreadPool pool(workers);
-    pool.parallel_for(n, [&](std::size_t mi, unsigned) { work(mi); });
-  }
-
-  LintReport report;
-  for (LintReport& r : per_method) report.merge(std::move(r));
-  return report;
 }
 
 }  // namespace javaflow::analysis

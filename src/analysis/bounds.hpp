@@ -34,9 +34,6 @@
 
 #include "analysis/lint.hpp"
 #include "bytecode/method.hpp"
-#include "fabric/dataflow_graph.hpp"
-#include "fabric/fabric.hpp"
-#include "fabric/loader.hpp"
 #include "obs/metrics.hpp"
 #include "sim/config.hpp"
 #include "sim/engine.hpp"
@@ -97,16 +94,6 @@ struct MethodBounds {
 MethodBounds compute_bounds(const bytecode::Method& m,
                             const sim::ExecPlan& plan);
 
-// Convenience wrapper for callers holding the un-lowered pieces: lowers
-// (graph, placement, config) to a plan and delegates. `graph` must be
-// the dataflow graph of `m` and `placement` a load of it onto `fabric`
-// built from `config`.
-MethodBounds compute_bounds(const bytecode::Method& m,
-                            const fabric::DataflowGraph& graph,
-                            const fabric::Fabric& fabric,
-                            const fabric::Placement& placement,
-                            const sim::MachineConfig& config);
-
 // Static resource rules over a computed bound: JF-E008 when a node
 // provably needs more operand buffering than `options.node_buffer_capacity`
 // provides, JF-W103 when the occupancy upper bound exceeds it without a
@@ -127,14 +114,5 @@ void check_metrics_against_bounds(const std::string& method_name,
                                   const obs::MetricsRegistry* registry,
                                   const MethodBounds& bounds,
                                   LintReport& out);
-
-// Runs compute_bounds + lint_bounds for every method of `program` on
-// every config. `threads` follows SweepOptions semantics (1 = inline,
-// 0 = hardware concurrency); finding order is deterministic for every
-// thread count. Methods that fail verification are skipped (lint_corpus
-// already reports those as JF-E003).
-LintReport bounds_corpus(const bytecode::Program& program,
-                         const std::vector<sim::MachineConfig>& configs,
-                         const LintOptions& options = {}, int threads = 1);
 
 }  // namespace javaflow::analysis

@@ -35,7 +35,9 @@ std::string_view scenario_display_name(
 Explanation explain_method(const bytecode::Method& m,
                            const bytecode::ConstantPool& pool,
                            const sim::MachineConfig& config,
-                           sim::BranchPredictor::Scenario scenario) {
+                           sim::BranchPredictor::Scenario scenario,
+                           obs::EventTracer* tracer,
+                           obs::MetricsRegistry* metrics) {
   Explanation ex;
   ex.method = m.name;
   ex.config = config.name;
@@ -54,6 +56,8 @@ Explanation explain_method(const bytecode::Method& m,
   obs::FlightRecorder flight;
   sim::EngineOptions engine_options;
   engine_options.flight = &flight;
+  engine_options.tracer = tracer;
+  engine_options.metrics = metrics;
   sim::Engine engine(config, engine_options);
   sim::BranchPredictor predictor(scenario);
   ex.metrics = engine.run(m, plan, predictor);

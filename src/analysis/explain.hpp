@@ -6,7 +6,8 @@
 //     flight recorder attached and return the realized critical path in
 //     detail mode, together with the static lower bound from
 //     analysis::compute_bounds so the renderer can show per-category
-//     attribution and the slack over the provable minimum.
+//     attribution and the slack over the provable minimum. The same run
+//     can also feed an event tracer and a metrics registry.
 //
 //   * build_snapshot — run an attribution sweep over a corpus slice and
 //     package every cell (ticks, category vector, lower bound, outcome
@@ -43,11 +44,16 @@ struct Explanation {
 
 // Runs one cell with the flight recorder and static bound analyzer.
 // Never throws; failures (does not fit, timeout, broken attribution)
-// come back as ok=false with `error` set.
+// come back as ok=false with `error` set. `tracer` and `metrics`, when
+// non-null, are attached to the same engine run (EngineOptions
+// semantics): they record it whenever the method fits, completed or
+// not, exactly as they would on an engine with only those two hooks.
 Explanation explain_method(const bytecode::Method& m,
                            const bytecode::ConstantPool& pool,
                            const sim::MachineConfig& config,
-                           sim::BranchPredictor::Scenario scenario);
+                           sim::BranchPredictor::Scenario scenario,
+                           obs::EventTracer* tracer = nullptr,
+                           obs::MetricsRegistry* metrics = nullptr);
 
 // Deterministic text rendering: outcome line, bound + slack, the
 // category table, and the critical path capped at `max_steps` hops

@@ -1,12 +1,15 @@
 #include "analysis/lint.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
+#include <span>
 #include <sstream>
 #include <tuple>
 #include <utility>
 
+#include "analysis/bounds.hpp"
+#include "analysis/model_check.hpp"
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
 namespace javaflow::analysis {
@@ -72,25 +75,6 @@ std::vector<std::pair<std::int32_t, std::int32_t>> token_loop_intervals(
     }
   }
   return loops;
-}
-
-void json_escape(std::ostream& os, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -486,22 +470,54 @@ void lint_placement(const Method& m, const fabric::Fabric& fabric,
   }
 }
 
+namespace {
+
+// Lowering scratch owned by one worker lane: the builder and the plan it
+// rebuilds in place keep their capacity from one placement to the next.
+struct LaneScratch {
+  sim::ExecPlanBuilder builder;
+  sim::ExecPlan plan;
+};
+
+// Every rule for one method, in the report's fixed order: the graph
+// rules, the model check, then per config its placement rules and bound
+// rules. The method is verified and its graph built once; each config
+// is placed and lowered once. `fabrics[i]` is built from `configs[i]`.
+void lint_one(const Method& m, const bytecode::ConstantPool& pool,
+              std::span<const sim::MachineConfig> configs,
+              std::span<const fabric::Fabric> fabrics,
+              const LintOptions& options, LaneScratch& scratch,
+              LintReport& out) {
+  const bytecode::VerifyResult vr = bytecode::verify(m, pool);
+  if (!vr.ok) {
+    ++out.methods_linted;
+    out.add(LintRule::OperandMismatch, m.name, -1, -1,
+            "method fails ByteCode verification: " + vr.error);
+    return;
+  }
+  const DataflowGraph graph = fabric::build_dataflow_graph(m, pool);
+  lint_graph(m, pool, vr, graph, options, out);
+  lint_model_check(m, model_check(m, graph), options, out);
+  for (std::size_t ci = 0; ci < configs.size(); ++ci) {
+    const fabric::Placement placement = fabric::load_method(fabrics[ci], m);
+    lint_placement(m, fabrics[ci], placement, vr, options, out);
+    if (!placement.fits) continue;  // JF-E007 says why; nothing to bound
+    scratch.builder.build_into(scratch.plan, m, graph, &placement,
+                               configs[ci]);
+    lint_bounds(m, configs[ci], compute_bounds(m, scratch.plan), options,
+                out);
+  }
+}
+
+}  // namespace
+
 LintReport lint_method(const Method& m, const bytecode::ConstantPool& pool,
                        const sim::MachineConfig& config,
                        const LintOptions& options) {
-  LintReport report;
-  const bytecode::VerifyResult vr = bytecode::verify(m, pool);
-  if (!vr.ok) {
-    ++report.methods_linted;
-    report.add(LintRule::OperandMismatch, m.name, -1, -1,
-               "method fails ByteCode verification: " + vr.error);
-    return report;
-  }
-  const DataflowGraph graph = fabric::build_dataflow_graph(m, pool);
-  lint_graph(m, pool, vr, graph, options, report);
   const fabric::Fabric fabric(config.fabric_options());
-  const fabric::Placement placement = fabric::load_method(fabric, m);
-  lint_placement(m, fabric, placement, vr, options, report);
+  LaneScratch scratch;
+  LintReport report;
+  lint_one(m, pool, {&config, 1}, {&fabric, 1}, options, scratch, report);
   return report;
 }
 
@@ -516,31 +532,24 @@ LintReport lint_corpus(const bytecode::Program& program,
     fabrics.emplace_back(config.fabric_options());
   }
 
+  // One report slot per method, concatenated in method order, keeps the
+  // findings identical for every thread count.
   const std::size_t n = program.methods.size();
   std::vector<LintReport> per_method(n);
-  auto lint_one = [&](std::size_t mi) {
-    const Method& m = program.methods[mi];
-    LintReport& report = per_method[mi];
-    const bytecode::VerifyResult vr = bytecode::verify(m, program.pool);
-    if (!vr.ok) {
-      ++report.methods_linted;
-      report.add(LintRule::OperandMismatch, m.name, -1, -1,
-                 "method fails ByteCode verification: " + vr.error);
-      return;
-    }
-    const DataflowGraph graph = fabric::build_dataflow_graph(m, program.pool);
-    lint_graph(m, program.pool, vr, graph, options, report);
-    for (const fabric::Fabric& f : fabrics) {
-      lint_placement(m, f, fabric::load_method(f, m), vr, options, report);
-    }
-  };
-
   const unsigned workers = util::ThreadPool::resolve(threads);
   if (workers <= 1 || n <= 1) {
-    for (std::size_t mi = 0; mi < n; ++mi) lint_one(mi);
+    LaneScratch scratch;
+    for (std::size_t mi = 0; mi < n; ++mi) {
+      lint_one(program.methods[mi], program.pool, configs, fabrics, options,
+               scratch, per_method[mi]);
+    }
   } else {
     util::ThreadPool pool(workers);
-    pool.parallel_for(n, [&](std::size_t mi, unsigned) { lint_one(mi); });
+    std::vector<LaneScratch> scratch(pool.size());
+    pool.parallel_for(n, [&](std::size_t mi, unsigned lane) {
+      lint_one(program.methods[mi], program.pool, configs, fabrics, options,
+               scratch[lane], per_method[mi]);
+    });
   }
 
   LintReport report;
@@ -620,10 +629,10 @@ std::string to_json(const LintReport& report) {
     os << "{\"rule\":\"" << lint_rule_id(f.rule) << "\",\"name\":\""
        << lint_rule_name(f.rule) << "\",\"severity\":\""
        << lint_severity_name(f.severity) << "\",\"method\":\"";
-    json_escape(os, f.method);
+    util::json_escape(os, f.method);
     os << "\",\"pc\":" << f.pc << ",\"slot\":" << f.slot
        << ",\"message\":\"";
-    json_escape(os, f.message);
+    util::json_escape(os, f.message);
     os << "\"}";
   }
   os << "]}";
@@ -641,7 +650,7 @@ std::string to_json(const LintReport& report,
     if (!first) os << ',';
     first = false;
     os << '"';
-    json_escape(os, c.canonical_text());
+    util::json_escape(os, c.canonical_text());
     os << '"';
   }
   os << "],\"rules\":{";

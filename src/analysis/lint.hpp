@@ -121,8 +121,9 @@ struct LintReport {
 //
 // The layered entry points mirror how artifacts become available: graph
 // rules need only (method, verify result, graph); placement rules add a
-// fabric + placement. `lint_method` composes the whole pipeline and
-// `lint_corpus` fans it out over every method of a program.
+// fabric + placement; the bound rules (analysis/bounds.hpp) add a lowered
+// plan and the deadlock rules (analysis/model_check.hpp) the graph alone.
+// `lint_method` and `lint_corpus` run all of them in one pass per method.
 
 // Graph-level rules: JF-E001..JF-E006, JF-W101, JF-W102. `vr` must be the
 // verify result for `m` (lint reuses its entry_depth/entry_stack for
@@ -139,18 +140,25 @@ void lint_placement(const bytecode::Method& m, const fabric::Fabric& fabric,
                     const bytecode::VerifyResult& vr,
                     const LintOptions& options, LintReport& out);
 
-// Verifies `m`, builds its dataflow graph, loads it onto a fabric built
-// from `config`, and runs every rule. A verification failure is itself
-// reported as a JF-E003 finding (the machine must never load such code).
+// Lints one method on one config: verifies it and builds its dataflow
+// graph once, runs the graph rules and the token-flow model checker
+// (JF-E009), then places it on a fabric built from `config`, runs the
+// placement rules and, when it fits, lowers one plan and runs the bound
+// rules (JF-E008 / JF-W103) on it. A verification failure is reported as
+// a lone JF-E003 (the machine must never load such code); a placement
+// that does not fit as a lone JF-E007, with no bounds.
 LintReport lint_method(const bytecode::Method& m,
                        const bytecode::ConstantPool& pool,
                        const sim::MachineConfig& config,
                        const LintOptions& options = {});
 
-// Lints every method of `program`: graph rules once per method, placement
-// rules once per (method, config). `threads` follows SweepOptions
-// semantics (1 = inline, 0 = hardware concurrency, n = exactly n); the
-// report's finding order is deterministic for every thread count.
+// lint_method over every method of `program` and every config, in one
+// walk: each method is verified and its graph built once, and each
+// (method, config) placed and lowered once. Within a method, findings
+// come in the order graph rules, model check, then per config placement
+// and bound rules. `threads` follows SweepOptions semantics (1 = inline,
+// 0 = hardware concurrency, n = exactly n); the report is identical for
+// every thread count.
 LintReport lint_corpus(const bytecode::Program& program,
                        const std::vector<sim::MachineConfig>& configs,
                        const LintOptions& options = {}, int threads = 1);

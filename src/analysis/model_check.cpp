@@ -5,9 +5,6 @@
 #include <sstream>
 #include <unordered_set>
 
-#include "bytecode/verifier.hpp"
-#include "util/thread_pool.hpp"
-
 namespace javaflow::analysis {
 namespace {
 
@@ -444,35 +441,6 @@ void lint_model_check(const bytecode::Method& m, const ModelCheckResult& r,
       }
       break;
   }
-}
-
-LintReport model_check_corpus(const bytecode::Program& program,
-                              const ModelCheckOptions& options, int threads) {
-  const std::size_t n = program.methods.size();
-  std::vector<LintReport> per_method(n);
-
-  auto work = [&](std::size_t mi) {
-    const bytecode::Method& m = program.methods[mi];
-    LintReport& rep = per_method[mi];
-    const bytecode::VerifyResult vr = bytecode::verify(m, program.pool);
-    if (!vr.ok) return;  // lint_corpus reports these as JF-E003
-    const fabric::DataflowGraph graph =
-        fabric::build_dataflow_graph(m, program.pool);
-    lint_model_check(m, model_check(m, graph, options), LintOptions{}, rep);
-    ++rep.methods_linted;
-  };
-
-  const unsigned workers = util::ThreadPool::resolve(threads);
-  if (workers <= 1 || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) work(i);
-  } else {
-    util::ThreadPool pool(workers);
-    pool.parallel_for(n, [&](std::size_t mi, unsigned) { work(mi); });
-  }
-
-  LintReport report;
-  for (LintReport& r : per_method) report.merge(std::move(r));
-  return report;
 }
 
 }  // namespace javaflow::analysis

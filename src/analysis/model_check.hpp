@@ -66,10 +66,4 @@ ModelCheckResult model_check(const bytecode::Method& m,
 void lint_model_check(const bytecode::Method& m, const ModelCheckResult& r,
                       const LintOptions& options, LintReport& out);
 
-// Model-checks every method of `program`; deterministic for every thread
-// count (SweepOptions semantics). Unverifiable methods are skipped.
-LintReport model_check_corpus(const bytecode::Program& program,
-                              const ModelCheckOptions& options = {},
-                              int threads = 1);
-
 }  // namespace javaflow::analysis

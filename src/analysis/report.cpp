@@ -5,6 +5,8 @@
 #include <iomanip>
 #include <sstream>
 
+#include "util/json.hpp"
+
 namespace javaflow::analysis {
 
 Table& Table::columns(std::vector<std::string> names) {
@@ -103,15 +105,6 @@ void print_header(const std::string& text, std::ostream& os) {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 void write_profile_lane(std::ostream& os, const SweepProfile::Lane& lane) {
   os << "{\"verify_s\":" << lane.verify_s
      << ",\"resolve_s\":" << lane.resolve_s
@@ -140,8 +133,9 @@ void write_sweep_json(std::ostream& os, const Sweep& sweep, int indent) {
   for (std::size_t ci = 0; ci < sweep.configs.size(); ++ci) {
     const FomRow& f = fom[ci];
     const NetworkRow& n = net[ci];
-    os << in2 << "{\"name\": \"" << json_escape(n.config) << "\""
-       << ", \"samples\": " << n.samples
+    os << in2 << "{\"name\": \"";
+    util::json_escape(os, n.config);
+    os << "\", \"samples\": " << n.samples
        << ", \"ipc_mean\": " << f.ipc_mean
        << ", \"fm_mean\": " << f.fm_mean
        << ", \"mesh_messages\": " << n.total_mesh_messages
@@ -157,9 +151,9 @@ void write_sweep_json(std::ostream& os, const Sweep& sweep, int indent) {
   // Result-cache outcome (docs/PERF.md "Result cache"). The counters are
   // cell-granular and thread-count-invariant; the dir is omitted because
   // it is host-local noise for cross-run comparison.
-  os << in1 << "\"cache\": {"
-     << "\"mode\": \"" << json_escape(sweep.cache.mode) << "\""
-     << ", \"hit_cells\": " << sweep.cache.hit_cells
+  os << in1 << "\"cache\": {\"mode\": \"";
+  util::json_escape(os, sweep.cache.mode);
+  os << "\", \"hit_cells\": " << sweep.cache.hit_cells
      << ", \"miss_cells\": " << sweep.cache.miss_cells
      << ", \"dedup_cells\": " << sweep.cache.dedup_cells
      << ", \"stored_records\": " << sweep.cache.stored_records
@@ -174,8 +168,9 @@ void write_sweep_json(std::ostream& os, const Sweep& sweep, int indent) {
     os << in1 << "\"attribution\": [\n";
     for (std::size_t ci = 0; ci < attr.size(); ++ci) {
       const AttributionRow& a = attr[ci];
-      os << in2 << "{\"name\": \"" << json_escape(a.config) << "\""
-         << ", \"samples\": " << a.samples
+      os << in2 << "{\"name\": \"";
+      util::json_escape(os, a.config);
+      os << "\", \"samples\": " << a.samples
          << ", \"total_ticks\": " << a.total_ticks;
       for (std::size_t c = 0; c < obs::kNumPathCategories; ++c) {
         os << ", \""

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "fabric/dataflow_graph.hpp"
-#include "fabric/resolver.hpp"
 
 namespace javaflow {
 
@@ -21,11 +20,11 @@ FabricManager::Canon& FabricManager::ensure_canon(
     return c;
   }
   // First sighting (or a recycled allocation holding a different
-  // method): lower the fresh-fabric canonical layout once.
-  const fabric::DataflowGraph graph =
-      fabric::build_dataflow_graph(m, pool);
+  // method): build the graph and lower the fresh-fabric canonical layout
+  // once.
+  c.graph = fabric::build_dataflow_graph(m, pool);
   c.plan = std::make_unique<sim::ExecPlan>();
-  plan_builder_.build_into(*c.plan, m, graph, nullptr, config_);
+  plan_builder_.build_into(*c.plan, m, c.graph, nullptr, config_);
   c.code_size = m.code.size();
   c.name = m.name;
   return c;
@@ -47,9 +46,6 @@ std::optional<FabricManager::MethodId> FabricManager::load(
     placement = fabric::load_method(fabric_, m, occupied_, /*first_slot=*/0);
   }
   if (!placement.fits) return std::nullopt;
-  fabric::ResolutionResult resolution =
-      fabric::resolve(fabric_, m, placement, pool);
-  if (!resolution.ok) return std::nullopt;
 
   Resident r;
   r.id = next_id_++;
@@ -93,8 +89,8 @@ std::optional<FabricManager::MethodId> FabricManager::load(
     ++plans_shared_;
   } else {
     r.dedicated_plan = std::make_unique<sim::ExecPlan>();
-    plan_builder_.build_into(*r.dedicated_plan, m, resolution.graph,
-                             &placement, config_);
+    plan_builder_.build_into(*r.dedicated_plan, m, canon.graph, &placement,
+                             config_);
     r.plan = r.dedicated_plan.get();
     r.phys_delta = 0;
     ++plans_lowered_;
@@ -163,16 +159,13 @@ std::optional<std::int64_t> FabricManager::quiesce_and_rebind(MethodId id) {
     if (g == bytecode::Group::MemRead || g == bytecode::Group::MemWrite ||
         g == bytecode::Group::MemConstant) {
       ++storage_nodes;
-      fabric_.ring().record_request(net::RingService::ConstantRead);
     }
   }
   // Pointer refreshes overlap the serial walk (each storage node issues
   // its ring request as the token passes); the total cost is the two
   // token circulations plus the last node's outstanding ring trip.
   const std::int64_t tail_trip =
-      storage_nodes > 0 ? fabric_.ring().service_mesh_cycles(
-                              net::RingService::ConstantRead)
-                        : 0;
+      storage_nodes > 0 ? config_.ring.constant_read : 0;
   return 2 * span + tail_trip;
 }
 

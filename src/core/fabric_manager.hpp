@@ -26,6 +26,7 @@
 #include <string>
 
 #include "bytecode/method.hpp"
+#include "fabric/dataflow_graph.hpp"
 #include "fabric/loader.hpp"
 #include "sim/branch_predictor.hpp"
 #include "sim/config.hpp"
@@ -56,9 +57,10 @@ class FabricManager {
   explicit FabricManager(sim::MachineConfig config,
                          sim::EngineOptions engine_options = {});
 
-  // Loads + resolves a method around the existing residents, preferring
-  // `first_slot` (falling back to a scan from 0 when the hint does not
-  // fit). Returns nullopt if it cannot be placed within the node budget.
+  // Loads a method around the existing residents, preferring `first_slot`
+  // (falling back to a scan from 0 when the hint does not fit), and
+  // lowers its plan from the method's dataflow graph. Returns nullopt if
+  // it cannot be placed within the node budget.
   std::optional<MethodId> load(const bytecode::Method& m,
                                const bytecode::ConstantPool& pool,
                                std::int32_t first_slot = 0);
@@ -106,13 +108,15 @@ class FabricManager {
   std::int64_t plans_lowered() const noexcept { return plans_lowered_; }
 
  private:
-  // Canonical fresh-fabric lowering of one method, shared by every
-  // row-aligned residency. Keyed by method identity (pointer + size +
+  // A method's dataflow graph and its canonical fresh-fabric lowering,
+  // shared by every row-aligned residency; dedicated plans are lowered
+  // from the same graph. Keyed by method identity (pointer + size +
   // name, like the engine workspace caches) and kept across unloads so
-  // a method cycled through the fabric never re-lowers.
+  // a method cycled through the fabric never rebuilds or re-lowers.
   struct Canon {
     std::size_t code_size = 0;
     std::string name;
+    fabric::DataflowGraph graph;
     std::unique_ptr<sim::ExecPlan> plan;
   };
 

@@ -14,11 +14,6 @@ std::string_view layout_name(LayoutKind k) noexcept {
   return "?";
 }
 
-Fabric::Fabric(FabricOptions options)
-    : options_(options),
-      serial_(options.capacity),
-      ring_(options.ring_latencies) {}
-
 NodeType Fabric::slot_type(std::int32_t slot) const {
   switch (options_.layout) {
     case LayoutKind::Collapsed:

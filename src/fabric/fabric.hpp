@@ -16,8 +16,6 @@
 #include <optional>
 
 #include "bytecode/opcode.hpp"
-#include "net/ring_network.hpp"
-#include "net/serial_network.hpp"
 
 namespace javaflow::fabric {
 
@@ -32,15 +30,13 @@ std::string_view layout_name(LayoutKind k) noexcept;
 
 struct FabricOptions {
   LayoutKind layout = LayoutKind::Compact;
-  std::int32_t width = 10;           // mesh row width (§7.2)
-  std::int32_t capacity = 10000;     // Instruction Node budget (§2.1:
-                                     // "1,000 to 10,000 cores")
-  net::RingLatencies ring_latencies; // service-time assumptions
+  std::int32_t capacity = 10000;  // Instruction Node budget (§2.1:
+                                  // "1,000 to 10,000 cores")
 };
 
 class Fabric {
  public:
-  explicit Fabric(FabricOptions options);
+  explicit Fabric(FabricOptions options) : options_(options) {}
 
   const FabricOptions& options() const noexcept { return options_; }
   bool collapsed() const noexcept {
@@ -52,24 +48,8 @@ class Fabric {
   bool slot_accepts(std::int32_t slot, bytecode::NodeType type) const;
   bytecode::NodeType slot_type(std::int32_t slot) const;
 
-  const net::SerialNetwork& serial() const noexcept { return serial_; }
-  net::SerialNetwork& serial() noexcept { return serial_; }
-  const net::RingNetwork& ring() const noexcept { return ring_; }
-  net::RingNetwork& ring() noexcept { return ring_; }
-
-  // Serial transit in ticks between two chain slots (1 tick per hop;
-  // free when collapsed). The anchor sits at virtual slot -1.
-  std::int64_t serial_ticks(std::int32_t from_slot,
-                            std::int32_t to_slot) const {
-    return serial_.transit_ticks(from_slot < 0 ? 0 : from_slot,
-                                 to_slot < 0 ? 0 : to_slot, collapsed()) +
-           ((from_slot < 0 || to_slot < 0) && !collapsed() ? 1 : 0);
-  }
-
  private:
   FabricOptions options_;
-  net::SerialNetwork serial_;
-  net::RingNetwork ring_;
 };
 
 }  // namespace javaflow::fabric

@@ -76,17 +76,8 @@ class MeshNetwork {
     }
   }
 
-  void record_message(std::int64_t hop_count) noexcept {
-    ++messages_;
-    total_hops_ += hop_count;
-  }
-  std::uint64_t messages() const noexcept { return messages_; }
-  std::uint64_t total_hops() const noexcept { return total_hops_; }
-
  private:
   std::int32_t width_;
-  std::uint64_t messages_ = 0;
-  std::uint64_t total_hops_ = 0;
 };
 
 }  // namespace javaflow::net

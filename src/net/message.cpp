@@ -32,17 +32,4 @@ std::string_view ring_service_name(RingService s) noexcept {
   return "?";
 }
 
-DataType data_type_for(bytecode::ValueType t) noexcept {
-  using bytecode::ValueType;
-  switch (t) {
-    case ValueType::Int: return DataType::Int;
-    case ValueType::Long: return DataType::Long;
-    case ValueType::Float: return DataType::Float;
-    case ValueType::Double: return DataType::Double;
-    case ValueType::Ref: return DataType::Ref;
-    case ValueType::Void: return DataType::None;
-  }
-  return DataType::None;
-}
-
 }  // namespace javaflow::net

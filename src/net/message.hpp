@@ -1,14 +1,14 @@
-// On-chip network message model (paper §6.1, Figures 14-16).
+// On-chip network vocabulary (paper §6.1, Figures 14 and 19).
 //
 // Serial messages ride the two ordered networks (forward/down and
 // reverse/up); mesh messages carry producer->consumer DataFlow operands;
-// ring messages reach the Memory subsystem and the GPP.
+// ring messages reach the Memory subsystem and the GPP. The engine routes
+// only the command of a serial message (plus a register number, see
+// sim/kernel.hpp) and the service kind of a ring request.
 #pragma once
 
 #include <cstdint>
 #include <string_view>
-
-#include "bytecode/method.hpp"
 
 namespace javaflow::net {
 
@@ -37,44 +37,6 @@ enum class Command : std::uint8_t {
 
 std::string_view command_name(Command c) noexcept;
 
-// Figure 15 — strongly-typed payload tag. Run-time validation of these
-// tags is what lets the fabric raise type-mismatch exceptions.
-enum class DataType : std::uint8_t { None, Int, Long, Float, Double, Ref };
-
-DataType data_type_for(bytecode::ValueType t) noexcept;
-
-// Sentinels for the serial `toLinearAddress` field (Figure 16): most
-// messages address "the next instruction" or, during needs-up resolution,
-// "the previous instruction".
-inline constexpr std::int32_t kToNext = -1;
-inline constexpr std::int32_t kToPrevious = -2;
-
-// Figure 16 — serial message. `instance_id` tags the
-// Thread-Class-Method-Instance so only the owning method's nodes react.
-struct SerialMessage {
-  Command cmd = Command::HeadToken;
-  std::int32_t to_linear = kToNext;
-  std::int32_t from_linear = -1;
-  std::int32_t instance_id = 0;
-  DataType type = DataType::None;
-  std::int32_t reg = -1;       // REGISTER_TOKEN register number
-  std::int64_t payload = 0;    // data / mesh address / memory order number
-  std::uint8_t side = 0;       // NeedRequest: consumer side
-  std::uint8_t branch_id = 0;  // NeedRequest: path tag at merges
-};
-
-// Mesh (DataFlow) operand transfer. Producer and consumer are identified
-// by their fabric (x, y, p) addresses — flattened to a chain slot index —
-// plus the consumer side the operand lands in.
-struct MeshMessage {
-  std::int32_t from_slot = -1;
-  std::int32_t to_slot = -1;
-  std::int32_t instance_id = 0;
-  std::uint8_t side = 1;
-  DataType type = DataType::None;
-  std::int64_t data = 0;
-};
-
 // Ring transaction kinds (Memory / GPP interface, Figure 19).
 enum class RingService : std::uint8_t {
   MemoryRead,
@@ -84,12 +46,5 @@ enum class RingService : std::uint8_t {
 };
 
 std::string_view ring_service_name(RingService s) noexcept;
-
-struct RingMessage {
-  RingService service = RingService::MemoryRead;
-  std::int32_t slot = -1;        // requesting fabric slot
-  std::int32_t instance_id = 0;
-  std::int64_t order_tag = 0;    // MEMORY_TOKEN sequence number
-};
 
 }  // namespace javaflow::net

@@ -1,4 +1,4 @@
-// Memory / GPP ring networks (paper §6.1, Figure 19).
+// Memory / GPP ring service times (paper §6.1, Figure 19).
 //
 // Selected (storage/control) Instruction Nodes interface to high-speed
 // rings that reach the Memory subsystem and the controlling General
@@ -6,12 +6,11 @@
 // constants (Figure 25 "service times ... assumed to be constant"); the
 // values here are the reproduction's documented assumptions (DESIGN.md)
 // and apply uniformly to every configuration, so Figure-of-Merit ratios
-// are insensitive to them.
+// are insensitive to them. Reads and GPP services stall the requesting
+// node until the reply returns; writes are posted (§6.3 Storage).
 #pragma once
 
 #include <cstdint>
-
-#include "net/message.hpp"
 
 namespace javaflow::net {
 
@@ -24,41 +23,6 @@ struct RingLatencies {
   std::int64_t memory_write = 4;   // posted; the node does not stall
   std::int64_t constant_read = 4;  // unordered Method Area access
   std::int64_t gpp_service = 12;   // calls, object services
-};
-
-class RingNetwork {
- public:
-  explicit RingNetwork(RingLatencies latencies = RingLatencies{})
-      : latencies_(latencies) {}
-
-  std::int64_t service_mesh_cycles(RingService s) const noexcept {
-    switch (s) {
-      case RingService::MemoryRead: return latencies_.memory_read;
-      case RingService::MemoryWrite: return latencies_.memory_write;
-      case RingService::ConstantRead: return latencies_.constant_read;
-      case RingService::GppService: return latencies_.gpp_service;
-    }
-    return latencies_.memory_read;
-  }
-
-  // True if the node must stall in `waitingForService` until the reply
-  // returns (reads and GPP services); writes are posted (§6.3 Storage).
-  static bool blocking(RingService s) noexcept {
-    return s != RingService::MemoryWrite;
-  }
-
-  void record_request(RingService s) noexcept {
-    ++requests_[static_cast<std::size_t>(s)];
-  }
-  std::uint64_t requests(RingService s) const noexcept {
-    return requests_[static_cast<std::size_t>(s)];
-  }
-
-  const RingLatencies& latencies() const noexcept { return latencies_; }
-
- private:
-  RingLatencies latencies_;
-  std::uint64_t requests_[4] = {0, 0, 0, 0};
 };
 
 }  // namespace javaflow::net

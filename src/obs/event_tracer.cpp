@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "net/message.hpp"
+#include "util/json.hpp"
 
 namespace javaflow::obs {
 
@@ -18,13 +19,6 @@ constexpr int kSerialTid = 0;
 constexpr int kMeshTid = 1;
 constexpr int kRingTid = 2;
 
-void write_escaped(std::ostream& os, std::string_view s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-}
-
 class EventWriter {
  public:
   explicit EventWriter(std::ostream& os) : os_(os) {}
@@ -34,7 +28,7 @@ class EventWriter {
     if (!first_) os_ << ",\n";
     first_ = false;
     os_ << "    {\"ph\":\"" << ph << "\",\"name\":\"";
-    write_escaped(os_, name);
+    util::json_escape(os_, name);
     os_ << "\",\"pid\":" << pid << ",\"tid\":" << tid;
     return os_;
   }
@@ -42,7 +36,7 @@ class EventWriter {
   void meta(const char* kind, int pid, std::int64_t tid,
             std::string_view value) {
     begin("M", kind, pid, tid) << ",\"args\":{\"name\":\"";
-    write_escaped(os_, value);
+    util::json_escape(os_, value);
     os_ << "\"}}";
   }
 
@@ -116,11 +110,11 @@ void write_chrome_trace(std::ostream& os, const EventTracer& tracer,
 
   os << "{\n  \"displayTimeUnit\": \"ms\",\n  \"otherData\": {"
      << "\"method\": \"";
-  write_escaped(os, meta.method);
+  util::json_escape(os, meta.method);
   os << "\", \"config\": \"";
-  write_escaped(os, meta.config);
+  util::json_escape(os, meta.config);
   os << "\", \"scenario\": \"";
-  write_escaped(os, meta.scenario);
+  util::json_escape(os, meta.scenario);
   os << "\", \"serial_per_mesh\": " << meta.serial_per_mesh
      << ", \"time_unit\": \"serial ticks (1 tick = 1us in the viewer)\"},\n"
      << "  \"traceEvents\": [\n";

@@ -1,7 +1,6 @@
 #include "obs/snapshot.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -13,6 +12,7 @@
 // Header-only codec; no link dependency on the cache library (which
 // layers above obs).
 #include "cache/codec.hpp"
+#include "util/json.hpp"
 
 namespace javaflow::obs {
 namespace {
@@ -28,29 +28,6 @@ std::uint8_t cell_flags(const SnapshotCell& c) {
       (c.fits ? 1u : 0u) | (c.completed ? 2u : 0u) |
       (c.timed_out ? 4u : 0u) | (c.exception ? 8u : 0u) |
       (c.attributed ? 16u : 0u));
-}
-
-// Minimal JSON string escaper (obs cannot reach analysis/report's).
-void json_escape(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(ch));
-          os << buf;
-        } else {
-          os << ch;
-        }
-    }
-  }
-  os << '"';
 }
 
 }  // namespace
@@ -350,34 +327,35 @@ void write_diff_json(std::ostream& os, const SnapshotDiff& d) {
      << ",\n  \"net_tick_drift\": " << d.net_tick_drift
      << ",\n  \"net_category_drift\": {";
   for (std::size_t k = 0; k < kNumPathCategories; ++k) {
-    if (k != 0) os << ", ";
-    json_escape(os, path_category_name(static_cast<PathCategory>(k)));
-    os << ": " << d.net_category_drift[k];
+    os << (k != 0 ? ", \"" : "\"");
+    util::json_escape(os, path_category_name(static_cast<PathCategory>(k)));
+    os << "\": " << d.net_category_drift[k];
   }
   os << "},\n  \"notes\": [";
   for (std::size_t i = 0; i < d.notes.size(); ++i) {
-    if (i != 0) os << ", ";
-    json_escape(os, d.notes[i]);
+    os << (i != 0 ? ", \"" : "\"");
+    util::json_escape(os, d.notes[i]);
+    os << '"';
   }
   os << "],\n  \"changed\": [";
   for (std::size_t i = 0; i < d.changed.size(); ++i) {
     const SnapshotDiff::CellDelta& c = d.changed[i];
-    os << (i == 0 ? "\n" : ",\n") << "    {\"method\": ";
-    json_escape(os, c.method);
-    os << ", \"config\": ";
-    json_escape(os, c.config);
-    os << ", \"scenario\": ";
-    json_escape(os, snapshot_scenario_name(c.scenario));
-    os << ", \"only_in_a\": " << (c.only_in_a ? "true" : "false")
+    os << (i == 0 ? "\n" : ",\n") << "    {\"method\": \"";
+    util::json_escape(os, c.method);
+    os << "\", \"config\": \"";
+    util::json_escape(os, c.config);
+    os << "\", \"scenario\": \"";
+    util::json_escape(os, snapshot_scenario_name(c.scenario));
+    os << "\", \"only_in_a\": " << (c.only_in_a ? "true" : "false")
        << ", \"only_in_b\": " << (c.only_in_b ? "true" : "false")
        << ", \"flags_changed\": " << (c.flags_changed ? "true" : "false")
        << ", \"ticks_a\": " << c.ticks_a << ", \"ticks_b\": " << c.ticks_b
        << ", \"lower_a\": " << c.lower_a << ", \"lower_b\": " << c.lower_b
        << ", \"delta\": {";
     for (std::size_t k = 0; k < kNumPathCategories; ++k) {
-      if (k != 0) os << ", ";
-      json_escape(os, path_category_name(static_cast<PathCategory>(k)));
-      os << ": " << c.delta[k];
+      os << (k != 0 ? ", \"" : "\"");
+      util::json_escape(os, path_category_name(static_cast<PathCategory>(k)));
+      os << "\": " << c.delta[k];
     }
     os << "}}";
   }

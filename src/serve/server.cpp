@@ -10,6 +10,7 @@
 #include "cache/hash.hpp"
 #include "core/fabric_manager.hpp"
 #include "sim/multi_engine.hpp"
+#include "util/json.hpp"
 
 namespace javaflow::serve {
 
@@ -363,8 +364,9 @@ std::uint64_t ServeReport::digest() const {
 }
 
 void ServeReport::write_json(std::ostream& os) const {
-  os << "{\"config\": \"" << config_name << "\""
-     << ", \"seed\": " << seed
+  os << "{\"config\": \"";
+  util::json_escape(os, config_name);
+  os << "\", \"seed\": " << seed
      << ", \"requests\": " << requests
      << ", \"completed\": " << completed
      << ", \"rejected\": " << rejected

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "fabric/fabric.hpp"
+#include "net/ring_network.hpp"
 
 namespace javaflow::sim {
 
@@ -40,7 +41,7 @@ struct MachineConfig {
     return layout == fabric::LayoutKind::Collapsed;
   }
   fabric::FabricOptions fabric_options() const {
-    return fabric::FabricOptions{layout, width, capacity, ring};
+    return fabric::FabricOptions{layout, capacity};
   }
 
   // Versioned, stable, field-complete textual form — the input to the

@@ -55,10 +55,9 @@
 
 namespace javaflow::sim::detail {
 
-// The slice of a net::SerialMessage the engine actually routes: every
-// other field stays at its default through the whole simulation, so
-// events and held tokens carry just {cmd, reg} instead of the full
-// Figure 16 record.
+// The slice of a Figure 16 serial message the engine actually routes:
+// every other field stays at its default through the whole simulation,
+// so events and held tokens carry just {cmd, reg}.
 struct Token {
   net::Command cmd = net::Command::HeadToken;
   std::int32_t reg = -1;

@@ -4,8 +4,8 @@
 // hand-crafted straight-line graphs, the JF-E008/W103 resource rules,
 // deadlock proofs (including the JF-W101 token-covered back edge that
 // JF-E004 cannot certify), refutation of hand-crafted deadlocking
-// graphs, the cross-validation rule JF-E010, and the corpus-wide
-// acceptance runs in both serial and parallel.
+// graphs, the cross-validation rule JF-E010, the corpus-wide acceptance
+// runs of each analyzer, and the sweep's per-cell bound checks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -72,6 +72,15 @@ Built build(Program& p, bytecode::Method m) {
   return b;
 }
 
+// The plan the bound analyzer reads: the method placed on a fresh fabric
+// built from `config`.
+sim::ExecPlan lower(const Built& b, const sim::MachineConfig& config) {
+  sim::ExecPlan plan =
+      sim::ExecPlanBuilder().build(b.method, b.graph, nullptr, config);
+  EXPECT_TRUE(plan.fits()) << config.name;
+  return plan;
+}
+
 void reindex(DataflowGraph& g, std::size_t n) {
   g.consumers_of.assign(n, {});
   for (const Edge& e : g.edges) {
@@ -79,8 +88,8 @@ void reindex(DataflowGraph& g, std::size_t n) {
   }
 }
 
-// Computes bounds and runs the engine on the SAME placement so measured
-// ticks and buffer high-water marks are directly comparable.
+// Computes bounds and runs the engine on the SAME plan so measured ticks
+// and buffer high-water marks are directly comparable.
 struct CellResult {
   MethodBounds bounds;
   sim::RunMetrics metrics;
@@ -91,15 +100,13 @@ CellResult run_cell(const Built& b, const sim::MachineConfig& config,
                     sim::BranchPredictor::Scenario scenario =
                         sim::BranchPredictor::Scenario::BP1) {
   CellResult r;
-  const fabric::Fabric f(config.fabric_options());
-  const fabric::Placement placement = fabric::load_method(f, b.method);
-  EXPECT_TRUE(placement.fits) << config.name;
-  r.bounds = compute_bounds(b.method, b.graph, f, placement, config);
+  const sim::ExecPlan plan = lower(b, config);
+  r.bounds = compute_bounds(b.method, plan);
   sim::EngineOptions options;
   options.metrics = &r.registry;
   sim::Engine engine(config, options);
   sim::BranchPredictor predictor(scenario);
-  r.metrics = engine.run(b.method, b.graph, placement, predictor);
+  r.metrics = engine.run(b.method, plan, predictor);
   return r;
 }
 
@@ -168,10 +175,7 @@ TEST(BoundsResources, TinyCapacityTriggersE008) {
   Program p;
   const Built b = build(p, straight_line(p));
   const sim::MachineConfig config = sim::config_by_name("Compact2");
-  const fabric::Fabric f(config.fabric_options());
-  const fabric::Placement placement = fabric::load_method(f, b.method);
-  const MethodBounds bounds =
-      compute_bounds(b.method, b.graph, f, placement, config);
+  const MethodBounds bounds = compute_bounds(b.method, lower(b, config));
 
   LintOptions options;
   options.node_buffer_capacity = 1;  // iadd provably needs 2 operands
@@ -206,10 +210,7 @@ TEST(BoundsResources, MergeFanInAboveCapacityWarnsW103) {
   Built b = build(p, a.build());
 
   const sim::MachineConfig config = sim::config_by_name("Compact2");
-  const fabric::Fabric f(config.fabric_options());
-  const fabric::Placement placement = fabric::load_method(f, b.method);
-  const MethodBounds bounds =
-      compute_bounds(b.method, b.graph, f, placement, config);
+  const MethodBounds bounds = compute_bounds(b.method, lower(b, config));
   ASSERT_GT(bounds.operand_hi.size(), 5u);
   ASSERT_GE(bounds.operand_hi[5], 2);  // ireturn@5 has two producers
 
@@ -391,26 +392,51 @@ TEST(ModelCheck, TinyStateBudgetIsInconclusiveNeverWrong) {
 }
 
 // ---- corpus-wide acceptance ----
+//
+// lint_corpus runs both analyzers in its one walk (tests/test_lint.cpp);
+// these drive each analyzer on its own, so a corpus-wide regression is
+// pinned to the analyzer rather than to the driver.
 
 TEST(BoundsCorpus, FullCorpusIsCleanOnEveryConfiguration) {
   const workloads::Corpus corpus = workloads::make_corpus({});
-  const LintReport report = bounds_corpus(
-      corpus.program, sim::table15_configs(), {}, /*threads=*/0);
+  const std::vector<sim::MachineConfig> configs = sim::table15_configs();
+  sim::ExecPlanBuilder builder;
+  sim::ExecPlan plan;
+  LintReport report;
+  std::size_t lowered = 0;
+  for (const bytecode::Method& m : corpus.program.methods) {
+    const DataflowGraph graph =
+        fabric::build_dataflow_graph(m, corpus.program.pool);
+    for (const sim::MachineConfig& config : configs) {
+      builder.build_into(plan, m, graph, nullptr, config);
+      ASSERT_TRUE(plan.fits()) << m.name << " on " << config.name;
+      lint_bounds(m, config, compute_bounds(m, plan), {}, report);
+      ++lowered;
+    }
+  }
   EXPECT_EQ(report.errors, 0) << to_text(report);
   EXPECT_EQ(report.warnings, 0) << to_text(report);
-  EXPECT_EQ(report.methods_linted, corpus.program.methods.size());
+  EXPECT_EQ(lowered, corpus.program.methods.size() * configs.size());
 }
 
 TEST(BoundsCorpus, ParallelAndSerialReportsAgree) {
+  // One-operand buffers make the bound analyzer flag (JF-E008) the nodes
+  // that provably need two, so serial and parallel walks must agree on
+  // real bound findings, each computed on a plan lowered into a worker's
+  // own scratch.
   workloads::CorpusOptions options;
   options.total_methods = 120;
   const workloads::Corpus corpus = workloads::make_corpus(options);
   const std::vector<sim::MachineConfig> configs = {
       sim::config_by_name("Compact2")};
+  LintOptions lint;
+  lint.node_buffer_capacity = 1;
   const LintReport serial =
-      bounds_corpus(corpus.program, configs, {}, /*threads=*/1);
+      lint_corpus(corpus.program, configs, lint, /*threads=*/1);
   const LintReport parallel =
-      bounds_corpus(corpus.program, configs, {}, /*threads=*/4);
+      lint_corpus(corpus.program, configs, lint, /*threads=*/4);
+  ASSERT_TRUE(serial.has(LintRule::BufferBoundOverflow))
+      << to_summary(serial);
   EXPECT_EQ(serial.findings, parallel.findings);
   EXPECT_EQ(serial.errors, parallel.errors);
   EXPECT_EQ(serial.warnings, parallel.warnings);
@@ -418,11 +444,18 @@ TEST(BoundsCorpus, ParallelAndSerialReportsAgree) {
 
 TEST(ModelCheckCorpus, FullCorpusProvesDeadlockFreedom) {
   const workloads::Corpus corpus = workloads::make_corpus({});
-  const LintReport report =
-      model_check_corpus(corpus.program, {}, /*threads=*/0);
+  LintReport report;
+  std::size_t proved = 0;
+  for (const bytecode::Method& m : corpus.program.methods) {
+    const DataflowGraph graph =
+        fabric::build_dataflow_graph(m, corpus.program.pool);
+    const ModelCheckResult r = model_check(m, graph);
+    if (r.verdict == ModelVerdict::Proved) ++proved;
+    lint_model_check(m, r, {}, report);
+  }
   EXPECT_EQ(report.errors, 0) << to_text(report);
   EXPECT_EQ(report.warnings, 0) << to_text(report);
-  EXPECT_EQ(report.methods_linted, corpus.program.methods.size());
+  EXPECT_EQ(proved, corpus.program.methods.size());
 }
 
 // ---- sweep integration: SweepOptions::check_bounds ----

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "bytecode/assembler.hpp"
+#include "fabric/dataflow_graph.hpp"
 #include "fabric/fabric.hpp"
 #include "fabric/loader.hpp"
+#include "sim/config.hpp"
+#include "sim/plan.hpp"
 
 namespace javaflow::fabric {
 namespace {
@@ -149,10 +152,29 @@ TEST(Loader, LoadCyclesArePipelined) {
 }
 
 TEST(Fabric, SerialTicksRespectCollapsedMode) {
-  const Fabric normal = make(LayoutKind::Compact);
-  const Fabric collapsed = make(LayoutKind::Collapsed);
-  EXPECT_EQ(normal.serial_ticks(0, 12), 12);
-  EXPECT_EQ(collapsed.serial_ticks(0, 12), 0);
+  // The layout alone decides what a serial hop costs: the same machine
+  // with its fabric switched to Collapsed lowers to a free chain.
+  Program p;
+  Assembler a(p, "t.line()I", "test");
+  a.returns(ValueType::Int);
+  a.iconst(1);
+  for (int i = 0; i < 6; ++i) a.iconst(1).op(Op::iadd);
+  a.op(Op::ireturn);
+  const auto m = a.build();
+  const DataflowGraph graph = build_dataflow_graph(m, p.pool);
+
+  const sim::MachineConfig normal = sim::config_by_name("Compact2");
+  sim::MachineConfig collapsed = normal;
+  collapsed.layout = LayoutKind::Collapsed;
+  EXPECT_FALSE(Fabric(normal.fabric_options()).collapsed());
+  EXPECT_TRUE(Fabric(collapsed.fabric_options()).collapsed());
+
+  sim::ExecPlanBuilder builder;
+  const sim::ExecPlan normal_plan = builder.build(m, graph, nullptr, normal);
+  const sim::ExecPlan collapsed_plan =
+      builder.build(m, graph, nullptr, collapsed);
+  EXPECT_EQ(normal_plan.serial_ticks_between(0, 12), 12);
+  EXPECT_EQ(collapsed_plan.serial_ticks_between(0, 12), 0);
 }
 
 TEST(Fabric, LayoutNames) {

@@ -9,7 +9,8 @@
 //   * the stride-32 attribution snapshot, byte for byte against the
 //     committed bench/reference_stride32.jfs;
 //   * the stride-32 telemetry registry (MetricsRegistry JSON);
-//   * Chrome-trace JSON of a loop program on every config × scenario;
+//   * Chrome-trace JSON of a loop program on every config × scenario,
+//     and that explain_method's run records the same trace and registry;
 //   * RunMetrics and traces of runs whose events spill past the
 //     calendar ring and of runs cut by the tick budget;
 //   * the result-cache engine-options digest, so cached cells keep
@@ -30,6 +31,7 @@
 #include "cache/key.hpp"
 #include "fabric/dataflow_graph.hpp"
 #include "obs/event_tracer.hpp"
+#include "obs/metrics.hpp"
 #include "obs/snapshot.hpp"
 #include "sim/engine.hpp"
 #include "workloads/corpus.hpp"
@@ -190,6 +192,53 @@ TEST(Golden, LoopTraceJsonOnEveryConfigAndScenario) {
       ASSERT_TRUE(run.metrics.completed) << cfg.name;
       EXPECT_EQ(run.trace_digest, kTrace[i]) << cfg.name << " " << i;
       ++i;
+    }
+  }
+}
+
+// explain_method carries the tracer and the registry on its own
+// flight-recorded run: they record exactly what a run with only those two
+// hooks records, the hooks change neither RunMetrics nor the
+// attribution, and the attribution still validates.
+TEST(ExplainHooks, TraceAndRegistryMatchAHooksOnlyRun) {
+  const Program p = loop_program();
+  const bytecode::Method& m = p.methods[0];
+  const fabric::DataflowGraph graph = fabric::build_dataflow_graph(m, p.pool);
+  auto json = [&](const obs::EventTracer& tracer,
+                  const obs::MetricsRegistry& registry) {
+    obs::TraceMeta meta;
+    meta.method = m.name;
+    meta.node_labels.assign(m.code.size(), "n");
+    std::ostringstream os;
+    obs::write_chrome_trace(os, tracer, meta);
+    registry.write_json(os);
+    return os.str();
+  };
+  for (const sim::MachineConfig& cfg : sim::table15_configs()) {
+    for (const Scenario scenario : {Scenario::BP1, Scenario::BP2}) {
+      obs::EventTracer tracer;
+      obs::MetricsRegistry registry;
+      sim::EngineOptions options;
+      options.tracer = &tracer;
+      options.metrics = &registry;
+      sim::Engine engine(cfg, options);
+      sim::BranchPredictor predictor(scenario);
+      const sim::RunMetrics hooked = engine.run(m, graph, predictor);
+
+      obs::EventTracer ex_tracer;
+      obs::MetricsRegistry ex_registry;
+      const analysis::Explanation ex = analysis::explain_method(
+          m, p.pool, cfg, scenario, &ex_tracer, &ex_registry);
+      const analysis::Explanation plain =
+          analysis::explain_method(m, p.pool, cfg, scenario);
+      ASSERT_TRUE(ex.ok) << cfg.name << ": " << ex.error;
+      EXPECT_TRUE(ex.attribution.valid) << cfg.name;
+      EXPECT_EQ(ex.attribution.ticks, ex.metrics.ticks) << cfg.name;
+      EXPECT_EQ(ex.metrics, hooked) << cfg.name;
+      EXPECT_EQ(ex.metrics, plain.metrics) << cfg.name;
+      EXPECT_EQ(ex.attribution, plain.attribution) << cfg.name;
+      EXPECT_EQ(json(ex_tracer, ex_registry), json(tracer, registry))
+          << cfg.name;
     }
   }
 }

@@ -1,7 +1,8 @@
 // Fabric lint tests: each rule id must fire on a hand-crafted malformed
 // artifact (graph corruption, bad placement, capacity/fan-out overrun),
-// the clean cases must stay silent, and the full 1605-method corpus must
-// lint clean on every Table 15 configuration.
+// the clean cases must stay silent, lint_corpus must run the bound
+// analyzer and the model checker in its one pass, and the full
+// 1605-method corpus must lint clean on every Table 15 configuration.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -44,6 +45,22 @@ bytecode::Method counting_loop(Program& p) {
   a.iinc(0, -1);                     // 4
   a.iload(0).ifgt(body);             // 5,6
   a.iload(1).op(Op::ireturn);        // 7,8
+  return a.build();
+}
+
+// A value carried on the operand stack around a loop: side 1 of iadd@2
+// merges iconst@0 with iadd@2's own previous result, a back edge the
+// mesh never delivers. The method verifies, but the abstract token flow
+// reaches a stuck state (JF-E009).
+bytecode::Method stack_carried_loop(Program& p) {
+  Assembler a(p, "lint.carried(I)I", "test");
+  a.args({ValueType::Int}).returns(ValueType::Int);
+  auto body = a.new_label();
+  a.iconst(1);               // 0
+  a.bind(body);
+  a.iconst(2).op(Op::iadd);  // 1,2
+  a.iload(0).ifgt(body);     // 3,4
+  a.op(Op::ireturn);         // 5
   return a.build();
 }
 
@@ -360,6 +377,44 @@ TEST(LintCorpus, FullCorpusLintsCleanOnEveryConfiguration) {
   EXPECT_EQ(report.methods_linted, corpus.program.methods.size());
   EXPECT_EQ(report.placements_linted,
             corpus.program.methods.size() * 6);
+}
+
+TEST(LintCorpus, OnePassRunsTheBoundAnalyzerAndTheModelChecker) {
+  // With one-operand buffers the bound analyzer proves straight_line's
+  // iadd overflows (JF-E008); the model checker finds the carried loop's
+  // deadlock (JF-E009). Within a method the graph rules come first, then
+  // the model check, then the placement and bound rules.
+  Program p;
+  p.methods.push_back(straight_line(p));
+  p.methods.push_back(stack_carried_loop(p));
+  LintOptions options;
+  options.node_buffer_capacity = 1;
+  const LintReport report =
+      lint_corpus(p, {sim::config_by_name("Compact2")}, options);
+  EXPECT_EQ(report.methods_linted, 2u);
+  EXPECT_EQ(report.placements_linted, 2u);
+
+  auto first = [&](LintRule rule, const std::string& method) {
+    const auto it = std::find_if(
+        report.findings.begin(), report.findings.end(),
+        [&](const LintFinding& f) {
+          return f.rule == rule && f.method == method;
+        });
+    return it - report.findings.begin();
+  };
+  const auto none = static_cast<std::ptrdiff_t>(report.findings.size());
+  const auto straight_graph = first(LintRule::CapacityOverflow,
+                                    "lint.straight()I");
+  const auto straight_bound = first(LintRule::BufferBoundOverflow,
+                                    "lint.straight()I");
+  const auto carried_graph = first(LintRule::BackEdge, "lint.carried(I)I");
+  const auto carried_model = first(LintRule::TokenDeadlock,
+                                   "lint.carried(I)I");
+  ASSERT_LT(straight_bound, none) << to_text(report);
+  ASSERT_LT(carried_model, none) << to_text(report);
+  EXPECT_LT(straight_graph, straight_bound) << to_text(report);
+  EXPECT_LT(straight_bound, carried_graph) << to_text(report);
+  EXPECT_LT(carried_graph, carried_model) << to_text(report);
 }
 
 TEST(LintCorpus, ParallelAndSerialReportsAgree) {

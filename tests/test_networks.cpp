@@ -1,25 +1,84 @@
-// Tests for the on-chip network models (serial chain, mesh, rings).
+// Tests for the on-chip network models: the serial chain as the lowered
+// plan prices it, the mesh routing model, the ring service times and
+// blocking rules as the engine applies them, and the network command
+// names.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
+
+#include "bytecode/assembler.hpp"
+#include "fabric/dataflow_graph.hpp"
 #include "net/mesh_network.hpp"
 #include "net/message.hpp"
 #include "net/ring_network.hpp"
-#include "net/serial_network.hpp"
+#include "obs/event_tracer.hpp"
+#include "obs/metrics.hpp"
+#include "sim/config.hpp"
+#include "sim/engine.hpp"
+#include "sim/plan.hpp"
 
 namespace javaflow::net {
 namespace {
 
+using bytecode::Assembler;
+using bytecode::Op;
+using bytecode::Program;
+using bytecode::ValueType;
+
+// Straight-line code of 2 * adds + 2 instructions; Compact places it on
+// the chain in instruction order.
+bytecode::Method chain(Program& p, int adds) {
+  Assembler a(p, "net.chain()I", "test");
+  a.returns(ValueType::Int);
+  a.iconst(1);
+  for (int i = 0; i < adds; ++i) a.iconst(1).op(Op::iadd);
+  a.op(Op::ireturn);
+  return a.build();
+}
+
+sim::ExecPlan lower(const Program& p, const bytecode::Method& m,
+                    const sim::MachineConfig& config) {
+  const fabric::DataflowGraph graph = fabric::build_dataflow_graph(m, p.pool);
+  return sim::ExecPlanBuilder().build(m, graph, nullptr, config);
+}
+
+std::size_t index(RingService s) { return static_cast<std::size_t>(s); }
+
+// The serial chain's hop model is ExecPlan::serial_ticks_between, which
+// the engine and the bound analyzer both read.
 TEST(SerialNetwork, HopsAreChainDistance) {
-  SerialNetwork s(100);
-  EXPECT_EQ(s.hops(0, 0), 0);
-  EXPECT_EQ(s.hops(0, 5), 5);
-  EXPECT_EQ(s.hops(7, 2), 5);  // reverse network is symmetric
+  Program p;
+  const bytecode::Method m = chain(p, 5);  // 12 instructions
+  const sim::ExecPlan plan = lower(p, m, sim::config_by_name("Compact2"));
+  ASSERT_TRUE(plan.fits());
+  ASSERT_EQ(plan.node_count(), 12);
+  for (std::int32_t i = 0; i < plan.node_count(); ++i) {
+    ASSERT_EQ(plan.phys()[i], i);
+  }
+  EXPECT_EQ(plan.hop_ticks(), 1);
+  EXPECT_EQ(plan.serial_ticks_between(0, 5), 5);
+  EXPECT_EQ(plan.serial_ticks_between(7, 2), 5);  // reverse network
+  EXPECT_EQ(plan.serial_ticks_between(2, 7), 5);
+  EXPECT_EQ(plan.serial_ticks_between(4, 4), 1);  // never free on a chain
+  // The bundle anchor sits one hop below slot 0.
+  EXPECT_EQ(plan.serial_ticks_between(-1, 0), 1);
+  EXPECT_EQ(plan.serial_ticks_between(-1, 11), 12);
 }
 
 TEST(SerialNetwork, CollapsedTransitIsFree) {
-  SerialNetwork s(100);
-  EXPECT_EQ(s.transit_ticks(0, 50, /*collapsed=*/true), 0);
-  EXPECT_EQ(s.transit_ticks(0, 50, /*collapsed=*/false), 50);
+  Program p;
+  const bytecode::Method m = chain(p, 25);  // 52 instructions
+  const sim::ExecPlan collapsed =
+      lower(p, m, sim::config_by_name("Baseline"));
+  const sim::ExecPlan compact = lower(p, m, sim::config_by_name("Compact2"));
+  ASSERT_TRUE(collapsed.fits());
+  ASSERT_TRUE(compact.fits());
+  ASSERT_TRUE(collapsed.collapsed());
+  EXPECT_EQ(collapsed.serial_ticks_between(0, 50), 0);
+  EXPECT_EQ(collapsed.serial_ticks_between(-1, 50), 0);
+  EXPECT_EQ(compact.serial_ticks_between(0, 50), 50);
 }
 
 TEST(MeshNetwork, SerpentineCoordinates) {
@@ -61,24 +120,74 @@ TEST(MeshNetwork, CollapsedDistanceIsOne) {
 }
 
 TEST(RingNetwork, LatenciesAndBlocking) {
-  RingNetwork ring;
-  EXPECT_GT(ring.service_mesh_cycles(RingService::MemoryRead), 0);
-  EXPECT_GT(ring.service_mesh_cycles(RingService::GppService),
-            ring.service_mesh_cycles(RingService::MemoryRead));
-  // Posted writes do not stall the node (§6.3 Storage Operations).
-  EXPECT_FALSE(RingNetwork::blocking(RingService::MemoryWrite));
-  EXPECT_TRUE(RingNetwork::blocking(RingService::MemoryRead));
-  EXPECT_TRUE(RingNetwork::blocking(RingService::GppService));
+  // The default service times (DESIGN.md): a GPP round trip outlasts a
+  // memory read, which itself costs at least one mesh cycle.
+  const RingLatencies ring;
+  EXPECT_GT(ring.memory_read, 0);
+  EXPECT_GT(ring.gpp_service, ring.memory_read);
+
+  // One array read, one call and one array store. Reads and GPP services
+  // stall the node until the reply returns; the write is posted (§6.3
+  // Storage Operations), so no reply is ever traced for it.
+  Program p;
+  Assembler a(p, "net.ring(A)V", "test");
+  a.args({ValueType::Ref}).returns(ValueType::Void);
+  a.aload(0).iconst(0);
+  a.aload(0).iconst(1).op(Op::iaload);
+  a.invokestatic("lib.f(I)I", 1, ValueType::Int);
+  a.op(Op::iastore);
+  a.op(Op::return_);
+  const bytecode::Method m = a.build();
+
+  obs::EventTracer tracer;
+  sim::EngineOptions options;
+  options.tracer = &tracer;
+  sim::Engine engine(sim::config_by_name("Compact2"), options);
+  sim::BranchPredictor predictor(sim::BranchPredictor::Scenario::BP1);
+  const fabric::DataflowGraph graph = fabric::build_dataflow_graph(m, p.pool);
+  const sim::RunMetrics r = engine.run(m, graph, predictor);
+  ASSERT_TRUE(r.completed);
+
+  std::array<int, obs::MetricsRegistry::kNumRingServices> started{};
+  std::array<int, obs::MetricsRegistry::kNumRingServices> completed{};
+  for (const obs::TraceEvent& e : tracer.events()) {
+    if (e.kind == obs::TraceEventKind::ServiceStart) ++started[e.aux];
+    if (e.kind == obs::TraceEventKind::ServiceComplete) ++completed[e.aux];
+  }
+  for (const RingService s : {RingService::MemoryRead,
+                              RingService::GppService,
+                              RingService::MemoryWrite}) {
+    EXPECT_EQ(started[index(s)], 1) << ring_service_name(s);
+  }
+  EXPECT_EQ(completed[index(RingService::MemoryRead)], 1);
+  EXPECT_EQ(completed[index(RingService::GppService)], 1);
+  EXPECT_EQ(completed[index(RingService::MemoryWrite)], 0);
 }
 
 TEST(RingNetwork, CountsRequests) {
-  RingNetwork ring;
-  ring.record_request(RingService::MemoryRead);
-  ring.record_request(RingService::MemoryRead);
-  ring.record_request(RingService::GppService);
-  EXPECT_EQ(ring.requests(RingService::MemoryRead), 2u);
-  EXPECT_EQ(ring.requests(RingService::GppService), 1u);
-  EXPECT_EQ(ring.requests(RingService::MemoryWrite), 0u);
+  // Two array reads and one call: the registry counts each ring request
+  // once, by service.
+  Program p;
+  Assembler a(p, "net.reads(A)I", "test");
+  a.args({ValueType::Ref}).returns(ValueType::Int);
+  a.aload(0).iconst(0).op(Op::iaload);
+  a.aload(0).iconst(1).op(Op::iaload);
+  a.op(Op::iadd);
+  a.invokestatic("lib.f(I)I", 1, ValueType::Int);
+  a.op(Op::ireturn);
+  const bytecode::Method m = a.build();
+
+  obs::MetricsRegistry registry;
+  sim::EngineOptions options;
+  options.metrics = &registry;
+  sim::Engine engine(sim::config_by_name("Compact2"), options);
+  sim::BranchPredictor predictor(sim::BranchPredictor::Scenario::BP1);
+  const fabric::DataflowGraph graph = fabric::build_dataflow_graph(m, p.pool);
+  const sim::RunMetrics r = engine.run(m, graph, predictor);
+  ASSERT_TRUE(r.completed);
+  EXPECT_EQ(registry.ring_requests[index(RingService::MemoryRead)], 2u);
+  EXPECT_EQ(registry.ring_requests[index(RingService::GppService)], 1u);
+  EXPECT_EQ(registry.ring_requests[index(RingService::MemoryWrite)], 0u);
 }
 
 TEST(Messages, CommandNamesMatchFigure14) {
@@ -89,14 +198,6 @@ TEST(Messages, CommandNamesMatchFigure14) {
   EXPECT_EQ(command_name(Command::HeadToken), "HEAD_TOKEN");
   EXPECT_EQ(command_name(Command::TailToken), "TAIL_TOKEN");
   EXPECT_EQ(command_name(Command::QuieseToken), "QUIESE_TOKEN");
-}
-
-TEST(Messages, DataTypeMapping) {
-  using bytecode::ValueType;
-  EXPECT_EQ(data_type_for(ValueType::Int), DataType::Int);
-  EXPECT_EQ(data_type_for(ValueType::Double), DataType::Double);
-  EXPECT_EQ(data_type_for(ValueType::Ref), DataType::Ref);
-  EXPECT_EQ(data_type_for(ValueType::Void), DataType::None);
 }
 
 }  // namespace

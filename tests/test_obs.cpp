@@ -1,7 +1,8 @@
 // Tests for the observability layer: histogram bucketing, the no-op
 // guarantee of a disabled engine, trace determinism across repeated
 // runs, registry/RunMetrics consistency, sweep-level metric aggregation
-// (serial == parallel), and the hardened env parsing.
+// (serial == parallel), JSON string escaping in every report writer,
+// and the hardened env parsing.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -11,11 +12,14 @@
 #include <vector>
 
 #include "analysis/figure_of_merit.hpp"
+#include "analysis/lint.hpp"
 #include "analysis/report.hpp"
 #include "bytecode/assembler.hpp"
 #include "fabric/dataflow_graph.hpp"
 #include "obs/event_tracer.hpp"
 #include "obs/metrics.hpp"
+#include "obs/snapshot.hpp"
+#include "serve/server.hpp"
 #include "sim/engine.hpp"
 #include "util/env.hpp"
 #include "workloads/corpus.hpp"
@@ -304,6 +308,77 @@ TEST(SweepTelemetry, NetworkRowsAggregatePerConfig) {
     EXPECT_GT(row.mean_serial_messages, 0.0) << row.config;
   }
   EXPECT_GT(usable_rows, 0u);
+}
+
+// ---- JSON string escaping ----
+
+// Every writer that puts a name into JSON escapes it the same way: a
+// quote, a backslash, a newline and byte 0x01 come out as \", \\, \n
+// and \u0001, and no raw control byte reaches the output (the writers'
+// own line breaks between tokens are the only newlines).
+TEST(JsonEscape, EveryWriterEscapesQuotesBackslashesAndControlBytes) {
+  const std::string name = "a\"b\\c\nd\x01z";
+  const std::string escaped = "a\\\"b\\\\c\\nd\\u0001z";
+  std::vector<std::pair<std::string, std::string>> outputs;
+
+  {
+    obs::EventTracer tracer;
+    obs::TraceMeta meta;
+    meta.method = name;
+    meta.config = name;
+    meta.scenario = name;
+    std::ostringstream os;
+    obs::write_chrome_trace(os, tracer, meta);
+    outputs.emplace_back("write_chrome_trace", os.str());
+  }
+  {
+    Program p;
+    Assembler a(p, "t.json()I", "test");
+    a.returns(ValueType::Int);
+    a.iconst(1).op(Op::ireturn);
+    p.methods.push_back(a.build());
+    sim::MachineConfig config = sim::config_by_name("Compact2");
+    config.name = name;
+    analysis::SweepOptions options;
+    options.configs = {config};
+    options.cache = cache::CacheMode::Off;
+    const analysis::Sweep sweep =
+        analysis::run_sweep({&p.methods[0]}, p.pool, {}, options);
+    std::ostringstream os;
+    analysis::write_sweep_json(os, sweep);
+    outputs.emplace_back("write_sweep_json", os.str());
+  }
+  {
+    serve::ServeReport report;
+    report.config_name = name;
+    std::ostringstream os;
+    report.write_json(os);
+    outputs.emplace_back("ServeReport::write_json", os.str());
+  }
+  {
+    analysis::LintReport report;
+    report.add(analysis::LintRule::DanglingEdge, name, -1, -1, name);
+    outputs.emplace_back("lint to_json", analysis::to_json(report));
+  }
+  {
+    obs::SnapshotDiff diff;
+    diff.notes.push_back(name);
+    obs::SnapshotDiff::CellDelta cell;
+    cell.method = name;
+    cell.config = name;
+    diff.changed.push_back(cell);
+    std::ostringstream os;
+    obs::write_diff_json(os, diff);
+    outputs.emplace_back("write_diff_json", os.str());
+  }
+
+  for (const auto& [writer, json] : outputs) {
+    EXPECT_NE(json.find(escaped), std::string::npos) << writer << ": " << json;
+    for (const char c : json) {
+      EXPECT_FALSE(c != '\n' && static_cast<unsigned char>(c) < 0x20)
+          << writer << " wrote raw byte " << int(c);
+    }
+  }
 }
 
 // ---- env parsing ----

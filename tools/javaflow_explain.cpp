@@ -3,10 +3,20 @@
 // Three modes over src/obs/critpath + src/obs/snapshot:
 //
 //   javaflow_explain <method> [--config <name>] [--scenario bp1|bp2]
+//                    [--trace <file>] [--metrics <file>] [--top <n>]
 //     Runs one cell with the flight recorder and prints the realized
 //     critical path: per-category attribution (summing exactly to the
 //     run's ticks), the delta against the static lower bound from
-//     analysis::compute_bounds, and the slowest on-path hops.
+//     analysis::compute_bounds, and the slowest on-path hops. The same
+//     run can also carry the cycle-accurate event tracer and the metrics
+//     registry: --trace writes a Chrome trace-event / Perfetto JSON
+//     timeline (one track per fabric node, one per network), --metrics
+//     the run's MetricsRegistry JSON, and --top N lists the N hottest
+//     fabric nodes, mesh links and opcodes on stderr, so stdout stays
+//     the explanation. All three are written whenever the method fits,
+//     even if it does not complete. Exit codes: 0 explained, 1 not
+//     explained (does not fit, timeout, broken attribution), 2 usage,
+//     IO error or unknown method.
 //
 //   javaflow_explain --snapshot <out.jfs> [--stride <n>] [--threads <n>]
 //     Runs an attribution sweep over the corpus (all Table 15 configs ×
@@ -21,6 +31,7 @@
 //   javaflow_explain --digest <file.jfs>
 //     Prints the snapshot's integrity digest (the identity bench_gate.py
 //     records in BENCH_history.json).
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -30,9 +41,12 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/explain.hpp"
+#include "obs/event_tracer.hpp"
+#include "obs/metrics.hpp"
 #include "obs/snapshot.hpp"
 #include "sim/config.hpp"
 #include "util/env.hpp"
@@ -46,13 +60,14 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s <method> [--config <name>] [--scenario bp1|bp2]\n"
-      "       [--max-steps <n>]\n"
+      "       [--max-steps <n>] [--trace <file>] [--metrics <file>]\n"
+      "       [--top <n>]\n"
       "       %s --snapshot <out.jfs> [--stride <n>] [--threads <n>]\n"
       "       %s --diff <a.jfs> <b.jfs> [--json] [--max-rows <n>]\n"
       "       %s --digest <file.jfs>\n"
       "       %s --list [substring]\n"
       "  --stride n >= 1; --threads n >= 0 (0 = auto); --max-steps n >= 0\n"
-      "  (0 = all); --max-rows n >= 0\n",
+      "  (0 = all); --max-rows n >= 0; --top n >= 1\n",
       argv0, argv0, argv0, argv0, argv0);
   return 2;
 }
@@ -77,6 +92,54 @@ void suggest(const javaflow::workloads::Corpus& corpus,
 }
 
 constexpr long kIntMax = std::numeric_limits<int>::max();
+
+// --top N: hottest fabric nodes / mesh links / opcodes by count, ties
+// broken by key so the listing is deterministic.
+void print_top(const javaflow::obs::MetricsRegistry& metrics,
+               std::size_t top_n) {
+  using Entry = std::pair<std::uint64_t, std::string>;
+  auto print = [&](const char* title, std::vector<Entry> entries) {
+    std::stable_sort(entries.begin(), entries.end(),
+                     [](const Entry& a, const Entry& b) {
+                       return a.first != b.first ? a.first > b.first
+                                                 : a.second < b.second;
+                     });
+    if (entries.size() > top_n) entries.resize(top_n);
+    std::fprintf(stderr, "top %s:\n", title);
+    for (const Entry& e : entries) {
+      std::fprintf(stderr, "  %10llu  %s\n",
+                   static_cast<unsigned long long>(e.first),
+                   e.second.c_str());
+    }
+  };
+
+  std::vector<Entry> nodes;
+  for (std::size_t slot = 0; slot < metrics.firings_by_node.size(); ++slot) {
+    if (metrics.firings_by_node[slot] == 0) continue;
+    nodes.emplace_back(metrics.firings_by_node[slot],
+                       "slot " + std::to_string(slot));
+  }
+  print("nodes (firings)", std::move(nodes));
+
+  std::vector<Entry> links;
+  for (const auto& [key, load] : metrics.mesh_link_load) {
+    links.emplace_back(
+        load, "slot " + std::to_string(key.first) + " " +
+                  std::string(javaflow::obs::link_dir_name(
+                      static_cast<javaflow::obs::LinkDir>(key.second))));
+  }
+  print("mesh links (traversals)", std::move(links));
+
+  std::vector<Entry> opcodes;
+  for (std::size_t op = 0; op < metrics.firings_by_opcode.size(); ++op) {
+    if (metrics.firings_by_opcode[op] == 0) continue;
+    opcodes.emplace_back(
+        metrics.firings_by_opcode[op],
+        std::string(javaflow::bytecode::op_name(
+            static_cast<javaflow::bytecode::Op>(op))));
+  }
+  print("opcodes (firings)", std::move(opcodes));
+}
 
 int run_diff(const std::string& a_path, const std::string& b_path,
              bool json, std::size_t max_rows) {
@@ -104,8 +167,9 @@ int run_diff(const std::string& a_path, const std::string& b_path,
 int main(int argc, char** argv) {
   std::string method_name, config_name = "Compact2", scenario_name = "bp1";
   std::string snapshot_path, diff_a, diff_b, digest_path;
+  std::string trace_path, metrics_path;
   int stride = 1, threads = 1;
-  long max_steps = 40, max_rows = 20;
+  long max_steps = 40, max_rows = 20, top_n = 0;
   bool json = false, list = false;
   std::string list_filter;
 
@@ -139,6 +203,18 @@ int main(int argc, char** argv) {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);
       digest_path = v;
+    } else if (arg == "--trace") {
+      const char* v = value();
+      if (v == nullptr) return usage(argv[0]);
+      trace_path = v;
+    } else if (arg == "--metrics") {
+      const char* v = value();
+      if (v == nullptr) return usage(argv[0]);
+      metrics_path = v;
+    } else if (arg == "--top") {
+      const auto n = javaflow::util::parse_long(value(), 1);
+      if (!n) return usage(argv[0]);
+      top_n = *n;
     } else if (arg == "--json") {
       json = true;
     } else if (arg == "--stride") {
@@ -257,9 +333,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Only the requested hooks are attached: without them the run is the
+  // plain flight-recorded explanation.
+  javaflow::obs::EventTracer tracer;
+  javaflow::obs::MetricsRegistry metrics;
   const javaflow::analysis::Explanation ex =
-      javaflow::analysis::explain_method(*m, corpus.program.pool, config,
-                                         scenario);
+      javaflow::analysis::explain_method(
+          *m, corpus.program.pool, config, scenario,
+          trace_path.empty() ? nullptr : &tracer,
+          metrics_path.empty() && top_n == 0 ? nullptr : &metrics);
   std::vector<std::string> labels;
   labels.reserve(m->code.size());
   for (std::size_t i = 0; i < m->code.size(); ++i) {
@@ -270,5 +352,32 @@ int main(int argc, char** argv) {
   javaflow::analysis::write_explanation_text(
       std::cout, ex, labels, static_cast<std::size_t>(max_steps));
   std::cout.flush();
+
+  if (ex.metrics.fits) {
+    if (!trace_path.empty()) {
+      javaflow::obs::TraceMeta meta;
+      meta.method = m->name;
+      meta.config = config.name;
+      meta.scenario = ex.scenario;
+      meta.serial_per_mesh = config.serial_per_mesh;
+      meta.node_labels = std::move(labels);
+      std::ofstream f(trace_path);
+      if (!f) {
+        std::fprintf(stderr, "cannot open %s\n", trace_path.c_str());
+        return 2;
+      }
+      javaflow::obs::write_chrome_trace(f, tracer, meta);
+    }
+    if (!metrics_path.empty()) {
+      std::ofstream f(metrics_path);
+      if (!f) {
+        std::fprintf(stderr, "cannot open %s\n", metrics_path.c_str());
+        return 2;
+      }
+      metrics.write_json(f);
+      f << "\n";
+    }
+    if (top_n > 0) print_top(metrics, static_cast<std::size_t>(top_n));
+  }
   return ex.ok ? 0 : 1;
 }

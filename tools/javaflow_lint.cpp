@@ -1,14 +1,13 @@
 // javaflow_lint — static verification of the corpus' dataflow graphs,
-// placements and token ordering (rule catalogue in docs/LINT.md).
+// placements and token ordering (rule catalogue in docs/LINT.md). Every
+// run includes the static bound analyzer and the token-flow model
+// checker (docs/ANALYSIS.md), in the same pass over the corpus.
 //
 //   javaflow_lint                          lint the full 1605-method corpus
 //                                          on every Table 15 configuration
 //   javaflow_lint --config Compact2        one configuration only
 //   javaflow_lint --json                   machine-readable findings
 //   javaflow_lint --file corpus.jfasm      lint a program image instead
-//   javaflow_lint --bounds --model-check   add the static bound analyzer
-//                                          and token-flow model checker
-//                                          (docs/ANALYSIS.md)
 //   javaflow_lint --bounds-sweep 32        cross-validate the bounds
 //                                          against a stride-32 engine
 //                                          sweep and report tightness
@@ -28,10 +27,10 @@
 #include "analysis/bounds.hpp"
 #include "analysis/figure_of_merit.hpp"
 #include "analysis/lint.hpp"
-#include "analysis/model_check.hpp"
 #include "bytecode/textio.hpp"
 #include "sim/config.hpp"
 #include "util/env.hpp"
+#include "util/json.hpp"
 #include "workloads/corpus.hpp"
 
 using namespace javaflow;
@@ -51,13 +50,9 @@ int usage() {
       "  --threads N       worker threads, N >= 0 (0 = auto, default;\n"
       "                    1 = serial)\n"
       "  --buffer-cap N    per-node operand buffer capacity, N >= 1\n"
-      "                    (JF-E005)\n"
+      "                    (JF-E005, JF-E008)\n"
       "  --fanout-cap N    consumer-address array limit, N >= 1 (JF-E006)\n"
       "  --no-warnings     suppress warning-severity rules\n"
-      "  --bounds          run the static timing/resource bound analyzer\n"
-      "                    (JF-E008 / JF-W103, docs/ANALYSIS.md)\n"
-      "  --model-check     prove token-flow deadlock-freedom per method\n"
-      "                    (JF-E009 on a deadlock witness)\n"
       "  --bounds-sweep N  execute a stride-N (N >= 1) sweep with bound\n"
       "                    cross-validation (JF-E010) and report\n"
       "                    predicted/actual tightness per configuration\n"
@@ -137,26 +132,26 @@ std::string tightness_text(const std::vector<TightnessRow>& rows) {
 }
 
 std::string tightness_json(const std::vector<TightnessRow>& rows) {
-  std::string out = "\"tightness\":[";
+  std::ostringstream os;
+  os << "\"tightness\":[";
   char buf[256];
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const TightnessRow& r = rows[i];
     const double mean =
         r.cells > 0 ? r.ratio_sum / static_cast<double>(r.cells) : 0.0;
+    os << (i > 0 ? "," : "") << "{\"config\":\"";
+    util::json_escape(os, r.config);
     std::snprintf(buf, sizeof buf,
-                  "%s{\"config\":\"%s\",\"cells\":%zu,\"mean\":%.6f,"
-                  "\"histogram\":[",
-                  i > 0 ? "," : "", r.config.c_str(), r.cells, mean);
-    out += buf;
+                  "\",\"cells\":%zu,\"mean\":%.6f,\"histogram\":[",
+                  r.cells, mean);
+    os << buf;
     for (int b = 0; b < 10; ++b) {
-      std::snprintf(buf, sizeof buf, "%s%zu", b > 0 ? "," : "",
-                    r.histogram[b]);
-      out += buf;
+      os << (b > 0 ? "," : "") << r.histogram[b];
     }
-    out += "]}";
+    os << "]}";
   }
-  out += "]";
-  return out;
+  os << "]";
+  return os.str();
 }
 
 }  // namespace
@@ -167,8 +162,6 @@ int main(int argc, char** argv) {
   bool kernels_only = false;
   bool json = false;
   bool quiet = false;
-  bool bounds = false;
-  bool model_check = false;
   int bounds_sweep_stride = 0;  // 0 = no cross-validation sweep
   int methods = 1605;
   int threads = 0;
@@ -199,10 +192,6 @@ int main(int argc, char** argv) {
       if (!parse_int(next(), 1, options.mesh_fanout_limit)) return usage();
     } else if (arg == "--no-warnings") {
       options.warnings = false;
-    } else if (arg == "--bounds") {
-      bounds = true;
-    } else if (arg == "--model-check") {
-      model_check = true;
     } else if (arg == "--bounds-sweep") {
       if (!parse_int(next(), 1, bounds_sweep_stride)) return usage();
     } else if (arg == "--json") {
@@ -254,24 +243,6 @@ int main(int argc, char** argv) {
 
   analysis::LintReport report =
       analysis::lint_corpus(program, configs, options, threads);
-
-  // The analyzer passes fold their findings into the same report; the
-  // methods/placements tallies are zeroed before merging so the summary
-  // keeps counting each method once.
-  if (bounds) {
-    analysis::LintReport b =
-        analysis::bounds_corpus(program, configs, options, threads);
-    b.methods_linted = 0;
-    b.placements_linted = 0;
-    report.merge(std::move(b));
-  }
-  if (model_check) {
-    analysis::LintReport mc =
-        analysis::model_check_corpus(program, {}, threads);
-    mc.methods_linted = 0;
-    mc.placements_linted = 0;
-    report.merge(std::move(mc));
-  }
 
   std::vector<TightnessRow> tightness;
   if (bounds_sweep_stride > 0) {
