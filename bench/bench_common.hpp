@@ -10,28 +10,29 @@
 //                                  hardware-thread count with a stderr
 //                                  warning. Output is identical for every
 //                                  setting (see docs/PERF.md).
-//   JAVAFLOW_SWEEP_HEARTBEAT=1     opt-in stderr progress heartbeat
-//                                  (methods/s + ETA, plus cache hit/miss/
-//                                  dedup cells when the cache is on).
 //   JAVAFLOW_BENCH_FILTER=<substr> sweep only methods whose qualified
 //                                  name contains <substr> (fast local
 //                                  iteration on one method); default all.
 //   JAVAFLOW_CACHE=<mode>          persistent result cache: off (default),
-//                                  read, readwrite, or verify
-//                                  (docs/PERF.md "Result cache").
+//                                  read or readwrite (docs/PERF.md
+//                                  "Result cache").
 //   JAVAFLOW_CACHE_DIR=<dir>       cache directory; default
 //                                  $XDG_CACHE_HOME/javaflow or
 //                                  ~/.cache/javaflow.
+// The library reads none of them; this header maps them onto options.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/figure_of_merit.hpp"
 #include "analysis/report.hpp"
+#include "cache/store.hpp"
 #include "jvm/interpreter.hpp"
 #include "util/env.hpp"
 #include "workloads/corpus.hpp"
@@ -47,23 +48,32 @@ inline int env_threads() {
   return static_cast<int>(util::env_int("JAVAFLOW_THREADS", 0, 0));
 }
 
-inline bool env_heartbeat() {
-  return util::env_flag("JAVAFLOW_SWEEP_HEARTBEAT");
-}
-
-inline std::string env_filter() {
-  return std::string(util::env_string("JAVAFLOW_BENCH_FILTER", ""));
+// Maps JAVAFLOW_CACHE / JAVAFLOW_CACHE_DIR onto the sweep's cache
+// options. Unset or empty means off; any value other than "off", "read"
+// or "readwrite" warns on stderr and falls back to off.
+inline void apply_cache_env(analysis::SweepOptions& options) {
+  const std::string_view text = util::env_string("JAVAFLOW_CACHE", "off");
+  const std::optional<cache::CacheMode> mode =
+      cache::cache_mode_from_name(text);
+  if (!mode.has_value()) {
+    std::fprintf(stderr,
+                 "warning: ignoring JAVAFLOW_CACHE=\"%.*s\" (expected "
+                 "\"off\", \"read\", or \"readwrite\"); using off\n",
+                 static_cast<int>(text.size()), text.data());
+  }
+  options.cache = mode.value_or(cache::CacheMode::Off);
+  if (options.cache != cache::CacheMode::Off) {
+    options.cache_dir = cache::resolve_cache_dir("");
+  }
 }
 
 // Applies every sweep-shaping env knob to `options` in one place so all
-// table/ablation binaries inherit new knobs for free. The result cache
-// itself needs no wiring here: SweepOptions::cache defaults to Auto,
-// which run_sweep resolves via JAVAFLOW_CACHE / JAVAFLOW_CACHE_DIR.
+// table/ablation binaries inherit new knobs for free.
 inline void apply_env(analysis::SweepOptions& options) {
   options.stride = env_stride();
   options.threads = env_threads();
-  options.heartbeat = env_heartbeat();
-  options.method_filter = env_filter();
+  options.method_filter = util::env_string("JAVAFLOW_BENCH_FILTER", "");
+  apply_cache_env(options);
 }
 
 // ---- run metadata (BENCH_*.json provenance) ----

@@ -15,10 +15,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 
 #include "bench_common.hpp"
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -123,7 +125,10 @@ int main() {
   const char* cache_dir_env = std::getenv("JAVAFLOW_CACHE_DIR");
   const char* filter_env = std::getenv("JAVAFLOW_BENCH_FILTER");
   const auto env_json = [](const char* v) {
-    return v ? '"' + std::string(v) + '"' : std::string("null");
+    if (v == nullptr) return std::string("null");
+    std::ostringstream os;
+    javaflow::util::json_escape(os << '"', v);
+    return os.str() + '"';
   };
 
   std::ofstream json("BENCH_sweep.json");

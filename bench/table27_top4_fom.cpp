@@ -66,8 +66,9 @@ void fom_by_suite(const javaflow::bench::Context& ctx,
 int main() {
   javaflow::bench::Context ctx;
   // Tables 27-28 need every kernel method, so sweep the kernels directly
-  // (no stride subsampling).
+  // (no stride subsampling); only the cache knobs apply.
   javaflow::analysis::SweepOptions options;
+  javaflow::bench::apply_cache_env(options);
   const auto sweep = javaflow::analysis::run_sweep(
       ctx.kernel_methods(), ctx.corpus.program.pool,
       ctx.hot_method_names(), options);

@@ -23,7 +23,7 @@
 // unproven) replace JF-E005's method-level max_stack heuristic with
 // per-node intervals; JF-E010 fires when measured engine metrics
 // contradict a proven bound (the cross-validation layer used by
-// `SweepOptions::check_bounds` and cache verify replays).
+// `SweepOptions::check_bounds`).
 #pragma once
 
 #include <cstdint>

@@ -219,7 +219,6 @@ obs::Snapshot build_snapshot(const workloads::Corpus& corpus,
   sweep_options.allow_oversubscribe = options.allow_oversubscribe;
   sweep_options.attribution = true;
   sweep_options.check_bounds = true;
-  sweep_options.cache = cache::CacheMode::Off;  // instrumented mode
   const Sweep sweep =
       run_sweep(methods, corpus.program.pool, hot, sweep_options);
 

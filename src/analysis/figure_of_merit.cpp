@@ -1,13 +1,12 @@
 #include "analysis/figure_of_merit.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <memory>
-#include <unordered_set>
-
 #include <map>
+#include <memory>
+#include <stdexcept>
+#include <unordered_set>
 
 #include "analysis/bounds.hpp"
 #include "cache/key.hpp"
@@ -74,6 +73,10 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
                 const bytecode::ConstantPool& pool,
                 const std::vector<std::string>& hot_methods,
                 const SweepOptions& options) {
+  if (options.cache != cache::CacheMode::Off && options.cache_dir.empty()) {
+    throw std::invalid_argument(
+        "run_sweep: the result cache is on but cache_dir is empty");
+  }
   Sweep sweep;
   sweep.configs = options.configs.empty() ? sim::table15_configs()
                                           : options.configs;
@@ -120,7 +123,7 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
   // would silently under-count the registries: force the cache off for
   // instrumented sweeps.
   const bool instrumented = options.collect_metrics || options.attribution;
-  cache::CacheMode mode = cache::resolve_cache_mode(options.cache);
+  cache::CacheMode mode = options.cache;
   if (instrumented && mode != cache::CacheMode::Off) {
     std::fprintf(stderr,
                  "javaflow-cache: telemetry enabled, disabling the result "
@@ -128,10 +131,7 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
     mode = cache::CacheMode::Off;
   }
   std::optional<cache::CacheStore> store;
-  if (mode != cache::CacheMode::Off) {
-    store.emplace(cache::resolve_cache_dir(options.cache_dir));
-    sweep.cache.dir = store->dir();
-  }
+  if (mode != cache::CacheMode::Off) store.emplace(options.cache_dir);
   sweep.cache.mode = std::string(cache::cache_mode_name(mode));
 
   // Body digests drive both the dedup grouping and the cache keys.
@@ -156,11 +156,10 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
 
   // Corpus dedup: the first pick with a given body digest is the leader
   // and is the only one simulated; duplicates copy its cells (the engine
-  // reads the method name only as a workspace-cache tag, so the copies
-  // are exact) in a serial post-pass below. No two work items then share
-  // a cache record, so one lane's store is never another item's probe.
-  // `work` preserves pick order, so sample indexing stays deterministic
-  // for every thread count.
+  // never reads the method name, so the copies are exact) in a serial
+  // post-pass below. No two work items then share a cache record, so one
+  // lane's store is never another item's probe. `work` preserves pick
+  // order, so sample indexing stays deterministic for every thread count.
   std::vector<std::size_t> leader_of(picks.size());
   std::vector<std::size_t> work;
   work.reserve(picks.size());
@@ -206,12 +205,10 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
     std::vector<MethodBounds> bounds;
     sim::ExecPlanBuilder plan_builder;
     cache::MethodRecord record;
-    std::vector<const cache::CellRecord*> cell_hits;
     // The lane's name interner: each method's cells share one heap
     // string per name instead of twelve copies.
     util::Interner intern;
     std::size_t stored_records = 0;
-    std::size_t verify_mismatch_cells = 0;
   };
 
   auto make_lane = [&] {
@@ -235,55 +232,6 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
   using Clock = std::chrono::steady_clock;
   const auto sweep_t0 = Clock::now();
 
-  // Opt-in progress heartbeat: at most ~one stderr line a second (plus a
-  // final one), claimed by whichever lane crosses the interval first.
-  // The denominator is the deduplicated work list; with the cache on,
-  // the line also carries live hit/miss/dedup cell counts. The ETA comes
-  // from the completed-cell rate across all lanes (cells, not methods,
-  // because a full cache hit finishes a method's cells orders of
-  // magnitude faster than the compute path), and every line is flushed
-  // so CI log buffering can't hold progress back.
-  std::atomic<std::size_t> methods_done{0};
-  std::atomic<std::size_t> cells_done{0};
-  std::atomic<std::int64_t> last_beat_ms{0};
-  std::atomic<std::size_t> hb_hit_cells{0};
-  std::atomic<std::size_t> hb_miss_cells{0};
-  const std::size_t cells_planned = work.size() * cells_per_method;
-  const std::size_t dedup_cells_planned =
-      (picks.size() - work.size()) * cells_per_method;
-  auto heartbeat = [&] {
-    if (!options.heartbeat) return;
-    const std::size_t done = methods_done.fetch_add(1) + 1;
-    const std::size_t cells =
-        cells_done.fetch_add(cells_per_method) + cells_per_method;
-    const double elapsed =
-        std::chrono::duration<double>(Clock::now() - sweep_t0).count();
-    const auto now_ms = static_cast<std::int64_t>(elapsed * 1000.0);
-    std::int64_t last = last_beat_ms.load(std::memory_order_relaxed);
-    if (now_ms - last < 1000 && done != work.size()) return;
-    if (!last_beat_ms.compare_exchange_strong(last, now_ms)) return;
-    const double cell_rate =
-        elapsed > 0.0 ? static_cast<double>(cells) / elapsed : 0.0;
-    const double eta =
-        cell_rate > 0.0
-            ? static_cast<double>(cells_planned - cells) / cell_rate
-            : 0.0;
-    if (mode != cache::CacheMode::Off) {
-      std::fprintf(stderr,
-                   "sweep: %zu/%zu methods (%.0f cells/s, ETA %.0f s, "
-                   "cache %zu hit / %zu miss / %zu dedup cells)\n",
-                   done, work.size(), cell_rate, eta,
-                   hb_hit_cells.load(std::memory_order_relaxed),
-                   hb_miss_cells.load(std::memory_order_relaxed),
-                   dedup_cells_planned);
-    } else {
-      std::fprintf(stderr,
-                   "sweep: %zu/%zu methods (%.0f cells/s, ETA %.0f s)\n",
-                   done, work.size(), cell_rate, eta);
-    }
-    std::fflush(stderr);
-  };
-
   // One task per deduplicated method, start to finish on one lane: probe
   // the cache; unless every cell is served, lower the graph, placements
   // and per-config plans into the lane's scratch (also on a full hit
@@ -305,36 +253,43 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
     const std::size_t first_cell = pi * cells_per_method;
     SweepSample* out = sweep.samples.data() + first_cell;
 
+    // The cell-identity and name fields, the same however a cell's
+    // results are produced.
+    for (std::size_t idx = 0; idx < cells_per_method; ++idx) {
+      out[idx].method = mname;
+      out[idx].benchmark = bname;
+      out[idx].config_index = idx / n_scenarios;
+      out[idx].scenario = scenarios[idx % n_scenarios];
+      out[idx].is_hot = is_hot;
+    }
+
     // ---- cache probe ----
+    // Only a record holding every cell serves the method. A partial one
+    // executes, and counts as misses, all of the method's cells, which
+    // overwrites whatever the probe filled in.
     bool have_record = false;
-    std::size_t cached_cells = 0;
+    bool full_hit = false;
     if (store.has_value()) {
-      lane.cell_hits.assign(cells_per_method, nullptr);
       have_record =
           store->load(cache::record_key(body_hash[pi], pool_hash),
                       cache::record_fingerprint(), lane.record);
-      if (have_record) {
-        for (std::size_t ci = 0; ci < n_configs; ++ci) {
-          for (std::size_t si = 0; si < n_scenarios; ++si) {
-            const cache::Hash128 key =
-                cache::cell_key(body_hash[pi], pool_hash, config_hash[ci],
-                                engine_hash, scenarios[si]);
-            for (const cache::CellRecord& cell : lane.record.cells) {
-              if (cell.key == key) {
-                lane.cell_hits[ci * n_scenarios + si] = &cell;
-                ++cached_cells;
-                break;
-              }
-            }
-          }
+      full_hit = have_record;
+      for (std::size_t idx = 0; full_hit && idx < cells_per_method; ++idx) {
+        const cache::Hash128 key = cache::cell_key(
+            body_hash[pi], pool_hash, config_hash[idx / n_scenarios],
+            engine_hash, scenarios[idx % n_scenarios]);
+        const auto cell = std::find_if(
+            lane.record.cells.begin(), lane.record.cells.end(),
+            [&](const cache::CellRecord& c) { return c.key == key; });
+        full_hit = cell != lane.record.cells.end();
+        if (full_hit) {
+          out[idx].static_insts = cell->static_insts;
+          out[idx].back_jumps = cell->back_jumps;
+          out[idx].metrics = cell->metrics;
         }
       }
       lap(lane.prof.cache_s);
     }
-    // Every cell served from the record; verify mode re-executes anyway.
-    const bool full_hit = store.has_value() &&
-                          cached_cells == cells_per_method &&
-                          mode != cache::CacheMode::Verify;
 
     // ---- lower ----
     if (!full_hit || options.check_bounds) {
@@ -364,36 +319,21 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
       lap(lane.prof.verify_s);
     }
 
-    // Full hit: serve every cell from the record. Bounds mode can then
+    // Full hit: every cell came from the record. Bounds mode can then
     // only assert the ticks direction, since no registry ran.
     if (full_hit) {
-      for (std::size_t ci = 0; ci < n_configs; ++ci) {
-        for (std::size_t si = 0; si < n_scenarios; ++si) {
-          const cache::CellRecord& cell =
-              *lane.cell_hits[ci * n_scenarios + si];
-          if (options.check_bounds) {
-            check_metrics_against_bounds(
-                m.name, sweep.configs[ci].name,
-                sweep_scenario_name(scenarios[si]), cell.metrics, nullptr,
-                lane.bounds[ci], lint_reports[wi]);
-          }
-          SweepSample& sample = out[ci * n_scenarios + si];
-          sample.method = mname;
-          sample.benchmark = bname;
-          sample.config_index = ci;
-          sample.scenario = scenarios[si];
-          sample.static_insts = cell.static_insts;
-          sample.back_jumps = cell.back_jumps;
-          sample.is_hot = is_hot;
-          sample.metrics = cell.metrics;
-        }
+      for (std::size_t idx = 0; options.check_bounds && idx < cells_per_method;
+           ++idx) {
+        const std::size_t ci = idx / n_scenarios;
+        check_metrics_against_bounds(
+            m.name, sweep.configs[ci].name,
+            sweep_scenario_name(scenarios[idx % n_scenarios]),
+            out[idx].metrics, nullptr, lane.bounds[ci], lint_reports[wi]);
       }
       lap(lane.prof.cache_s);
       lane.prof.cache_hit_cells += cells_per_method;
-      hb_hit_cells.fetch_add(cells_per_method, std::memory_order_relaxed);
       ++lane.prof.methods;
       lane.prof.cells += cells_per_method;
-      heartbeat();
       return;
     }
 
@@ -411,13 +351,8 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
       for (std::size_t si = 0; si < n_scenarios; ++si) {
         sim::BranchPredictor predictor(scenarios[si]);
         SweepSample& sample = out[ci * n_scenarios + si];
-        sample.method = mname;
-        sample.benchmark = bname;
-        sample.config_index = ci;
-        sample.scenario = scenarios[si];
         sample.static_insts = static_cast<std::int32_t>(m.code.size());
         sample.back_jumps = back_jumps;
-        sample.is_hot = is_hot;
         if (options.check_bounds) lane.bounds_reg = obs::MetricsRegistry{};
         sample.metrics = lane.engines[ci].run(m, lane.plans[ci], predictor);
         if (options.attribution) {
@@ -447,48 +382,12 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
     }
     lap(lane.prof.execute_s);
 
-    // ---- verify / store ----
+    // ---- store ----
     if (store.has_value()) {
-      bool verify_clean = true;
-      if (mode == cache::CacheMode::Verify) {
-        for (std::size_t idx = 0; idx < cells_per_method; ++idx) {
-          const cache::CellRecord* cell = lane.cell_hits[idx];
-          if (cell == nullptr) continue;
-          const SweepSample& fresh = out[idx];
-          if (cell->metrics != fresh.metrics ||
-              cell->static_insts != fresh.static_insts ||
-              cell->back_jumps != fresh.back_jumps) {
-            ++lane.verify_mismatch_cells;
-            verify_clean = false;
-            std::fprintf(
-                stderr,
-                "javaflow-cache: VERIFY MISMATCH %s [%s, scenario %d] — "
-                "cached record differs from fresh execution; repairing\n",
-                m.name.c_str(), sweep.configs[idx / n_scenarios].name.c_str(),
-                static_cast<int>(scenarios[idx % n_scenarios]));
-          }
-        }
-        lane.prof.cache_hit_cells += cached_cells;
-        lane.prof.cache_miss_cells += cells_per_method - cached_cells;
-        hb_hit_cells.fetch_add(cached_cells, std::memory_order_relaxed);
-        hb_miss_cells.fetch_add(cells_per_method - cached_cells,
-                                std::memory_order_relaxed);
-      } else {
-        lane.prof.cache_miss_cells += cells_per_method;
-        hb_miss_cells.fetch_add(cells_per_method,
-                                std::memory_order_relaxed);
-      }
-
-      // Verify on an intact, fully cached method has nothing to write;
-      // skipping the save keeps repeated verify runs read-only.
-      const bool verify_dirty =
-          mode == cache::CacheMode::Verify &&
-          (!verify_clean || cached_cells != cells_per_method);
-      if (mode == cache::CacheMode::ReadWrite || verify_dirty) {
+      lane.prof.cache_miss_cells += cells_per_method;
+      if (mode == cache::CacheMode::ReadWrite) {
         // Upsert this sweep's cells into the record, preserving cells
-        // other sweep contexts (configs, tick budgets) put
-        // there. Verify mode repairs mismatching entries by the same
-        // path, since fresh values overwrite matching keys.
+        // other sweep contexts (configs, tick budgets) put there.
         cache::MethodRecord next;
         next.fingerprint = cache::record_fingerprint();
         next.method_name = m.name;
@@ -523,7 +422,6 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
     }
     ++lane.prof.methods;
     lane.prof.cells += cells_per_method;
-    heartbeat();
   };
 
   const unsigned threads = util::ThreadPool::resolve_clamped(
@@ -553,7 +451,6 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
     }
     sweep.profile.lanes.push_back(lane->prof);
     sweep.cache.stored_records += lane->stored_records;
-    sweep.cache.verify_mismatch_cells += lane->verify_mismatch_cells;
     if (options.collect_metrics) sweep.metrics.merge(lane->metrics);
   }
 

@@ -83,8 +83,7 @@ struct SweepProfile {
     std::size_t cells = 0;
     // Result-cache counters (docs/PERF.md "Result cache"). Cell-granular
     // and, summed over lanes, identical for every thread count:
-    //   cache_hit_cells  — served from a cached record, execution skipped
-    //                      (verify mode: record present and compared);
+    //   cache_hit_cells  — served from a cached record, execution skipped;
     //   cache_miss_cells — executed because no usable record existed;
     //   dedup_cells      — copied from a byte-identical method's cells
     //                      within this sweep (always on lane 0: the
@@ -108,10 +107,6 @@ struct SweepOptions {
   std::vector<sim::MachineConfig> configs;  // default: table15_configs()
   // Optional subsampling for quick runs: keep every k-th method (1 = all).
   int stride = 1;
-  // Opt-in stderr heartbeat: roughly once a second, prints completed
-  // methods, methods/s, and the ETA. Progress only — never affects
-  // samples. Env knob: JAVAFLOW_SWEEP_HEARTBEAT=1 (bench_common.hpp).
-  bool heartbeat = false;
   // Telemetry: aggregate an obs::MetricsRegistry over every cell into
   // Sweep::metrics. Lane-local registries are merged commutatively, so
   // the aggregate is identical for every thread count.
@@ -143,15 +138,15 @@ struct SweepOptions {
   // deterministic and thread-count-invariant.
   bool check_bounds = false;
   // Persistent content-addressed result cache (docs/PERF.md "Result
-  // cache"). Auto resolves JAVAFLOW_CACHE (unset = Off, the pre-cache
-  // behaviour). Hits skip execution for the whole method and fill its
-  // samples from the cached record; the output stays deterministically
-  // indexed and thread-count-invariant either way. Telemetry runs
-  // (collect_metrics, attribution) force the cache off for the sweep —
-  // cached cells fire no hooks, so served results would under-count.
-  cache::CacheMode cache = cache::CacheMode::Auto;
-  // Cache directory; empty resolves JAVAFLOW_CACHE_DIR, then
-  // $XDG_CACHE_HOME/javaflow, then ~/.cache/javaflow.
+  // cache"), off by default. Hits skip execution for the whole method
+  // and fill its samples from the cached record; the output stays
+  // deterministically indexed and thread-count-invariant either way.
+  // Telemetry runs (collect_metrics, attribution) force the cache off
+  // for the sweep — cached cells fire no hooks, so served results would
+  // under-count.
+  cache::CacheMode cache = cache::CacheMode::Off;
+  // Cache directory, used exactly as given; must be non-empty when the
+  // cache is on.
   std::string cache_dir;
   // Substring filter over qualified method names ("" = all). Applied
   // before the stride, so `method_filter` + stride 1 sweeps exactly the
@@ -182,16 +177,11 @@ struct Sweep {
   // Result-cache outcome for this sweep (docs/PERF.md "Result cache").
   // Counters are cell-granular and thread-count-invariant.
   struct CacheStats {
-    std::string mode;  // resolved mode the sweep actually ran with
-    std::string dir;   // resolved directory ("" when mode == "off")
+    std::string mode;  // mode the sweep ran with (telemetry forces off)
     std::size_t hit_cells = 0;
     std::size_t miss_cells = 0;
     std::size_t dedup_cells = 0;
     std::size_t stored_records = 0;
-    // Verify mode only: cells whose cached record differed from a fresh
-    // execution. Always 0 for a healthy cache; mismatching records are
-    // repaired in place and warned about on stderr.
-    std::size_t verify_mismatch_cells = 0;
   };
   CacheStats cache;
 };
@@ -200,7 +190,10 @@ struct Sweep {
 // qualified name). Methods that do not fit or time out are recorded with
 // their flags so tables can report exclusions. Byte-identical method
 // bodies simulate once and share their cells; the name-dependent sample
-// fields (method, benchmark, is_hot) are still filled per method.
+// fields (method, benchmark, is_hot) are still filled per method. No
+// environment variable is read (bench/bench_common.hpp maps them onto
+// the options). Throws std::invalid_argument when the cache is on with
+// an empty cache_dir.
 Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
                 const bytecode::ConstantPool& pool,
                 const std::vector<std::string>& hot_methods,

@@ -149,16 +149,13 @@ void write_sweep_json(std::ostream& os, const Sweep& sweep, int indent) {
   os << in1 << "],\n";
 
   // Result-cache outcome (docs/PERF.md "Result cache"). The counters are
-  // cell-granular and thread-count-invariant; the dir is omitted because
-  // it is host-local noise for cross-run comparison.
+  // cell-granular and thread-count-invariant.
   os << in1 << "\"cache\": {\"mode\": \"";
   util::json_escape(os, sweep.cache.mode);
   os << "\", \"hit_cells\": " << sweep.cache.hit_cells
      << ", \"miss_cells\": " << sweep.cache.miss_cells
      << ", \"dedup_cells\": " << sweep.cache.dedup_cells
-     << ", \"stored_records\": " << sweep.cache.stored_records
-     << ", \"verify_mismatch_cells\": " << sweep.cache.verify_mismatch_cells
-     << "},\n";
+     << ", \"stored_records\": " << sweep.cache.stored_records << "},\n";
 
   // Critical-path attribution (docs/OBSERVABILITY.md "Attribution"),
   // present only when the sweep ran with SweepOptions::attribution: per

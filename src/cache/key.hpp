@@ -70,8 +70,7 @@ inline constexpr std::uint32_t record_fingerprint() noexcept {
 
 // Digest of the simulation-relevant method body. Two methods with equal
 // body digests produce identical RunMetrics in every cell (the engine
-// reads the name only as a workspace-cache tag), which is what corpus
-// dedup relies on.
+// never reads the name), which is what corpus dedup relies on.
 Hash128 hash_method_body(const bytecode::Method& m);
 
 // Digest of the full constant pool (all entries, all payload fields).

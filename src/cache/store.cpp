@@ -1,7 +1,6 @@
 #include "cache/store.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -17,41 +16,19 @@ namespace fs = std::filesystem;
 
 std::string_view cache_mode_name(CacheMode m) noexcept {
   switch (m) {
-    case CacheMode::Auto: return "auto";
     case CacheMode::Off: return "off";
     case CacheMode::Read: return "read";
     case CacheMode::ReadWrite: return "readwrite";
-    case CacheMode::Verify: return "verify";
   }
   return "?";
 }
 
 std::optional<CacheMode> cache_mode_from_name(
     std::string_view name) noexcept {
-  if (name == "auto") return CacheMode::Auto;
   if (name == "off") return CacheMode::Off;
   if (name == "read") return CacheMode::Read;
   if (name == "readwrite") return CacheMode::ReadWrite;
-  if (name == "verify") return CacheMode::Verify;
   return std::nullopt;
-}
-
-CacheMode resolve_cache_mode(CacheMode requested) noexcept {
-  if (requested != CacheMode::Auto) return requested;
-  const char* env = std::getenv("JAVAFLOW_CACHE");
-  if (env == nullptr || *env == '\0') return CacheMode::Off;
-  const std::optional<CacheMode> m = cache_mode_from_name(env);
-  if (!m.has_value() || *m == CacheMode::Auto) {
-    if (!m.has_value()) {
-      std::fprintf(stderr,
-                   "warning: ignoring JAVAFLOW_CACHE=\"%s\" (expected "
-                   "\"off\", \"read\", \"readwrite\", or \"verify\"); "
-                   "using off\n",
-                   env);
-    }
-    return CacheMode::Off;
-  }
-  return *m;
 }
 
 std::string resolve_cache_dir(const std::string& requested) {

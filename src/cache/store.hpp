@@ -16,36 +16,26 @@
 
 namespace javaflow::cache {
 
-// How a sweep uses the cache (SweepOptions::cache / JAVAFLOW_CACHE):
-//   Auto       — resolve via JAVAFLOW_CACHE; unset means Off.
-//   Off        — no cache at all (the pre-cache behaviour, the default).
+// How a sweep uses the cache (SweepOptions::cache):
+//   Off        — no cache at all (the default).
 //   Read       — consume hits, never write.
 //   ReadWrite  — consume hits, store misses.
-//   Verify     — re-execute every cell and assert cached records match
-//                bit-exactly; mismatches are counted, reported, and
-//                repaired in place. Results always come from the fresh
-//                execution.
-enum class CacheMode : std::uint8_t { Auto, Off, Read, ReadWrite, Verify };
+enum class CacheMode : std::uint8_t { Off, Read, ReadWrite };
 
 std::string_view cache_mode_name(CacheMode m) noexcept;
 
-// Parses "off" / "read" / "readwrite" / "verify" (also "auto").
+// Parses "off" / "read" / "readwrite"; nullopt for anything else.
 std::optional<CacheMode> cache_mode_from_name(std::string_view name) noexcept;
 
-// Auto -> JAVAFLOW_CACHE (stderr warning on unknown values, falling back
-// to Off); anything else passes through.
-CacheMode resolve_cache_mode(CacheMode requested) noexcept;
-
-// Directory resolution: `requested` if non-empty, else JAVAFLOW_CACHE_DIR,
-// else $XDG_CACHE_HOME/javaflow, else $HOME/.cache/javaflow, else
-// ./.javaflow-cache as a last resort.
+// Default directory for the bench harnesses and javaflow_cache (a sweep
+// uses its cache_dir as given): `requested` if non-empty, else
+// JAVAFLOW_CACHE_DIR, else $XDG_CACHE_HOME/javaflow, else
+// $HOME/.cache/javaflow, else ./.javaflow-cache as a last resort.
 std::string resolve_cache_dir(const std::string& requested);
 
 class CacheStore {
  public:
   explicit CacheStore(std::string dir) : dir_(std::move(dir)) {}
-
-  const std::string& dir() const noexcept { return dir_; }
 
   // Absolute path of the record file for `key`.
   std::string path_for(const Hash128& key) const;

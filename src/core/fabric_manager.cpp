@@ -6,10 +6,9 @@
 
 namespace javaflow {
 
-FabricManager::FabricManager(sim::MachineConfig config,
-                             sim::EngineOptions engine_options)
+FabricManager::FabricManager(sim::MachineConfig config)
     : config_(std::move(config)),
-      engine_(config_, engine_options),
+      engine_(config_),
       fabric_(config_.fabric_options()),
       occupied_(static_cast<std::size_t>(config_.capacity), false) {}
 

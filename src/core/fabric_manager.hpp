@@ -54,8 +54,7 @@ class FabricManager {
     std::unique_ptr<sim::ExecPlan> dedicated_plan;
   };
 
-  explicit FabricManager(sim::MachineConfig config,
-                         sim::EngineOptions engine_options = {});
+  explicit FabricManager(sim::MachineConfig config);
 
   // Loads a method around the existing residents, preferring `first_slot`
   // (falling back to a scan from 0 when the hint does not fit), and
@@ -111,8 +110,9 @@ class FabricManager {
   // A method's dataflow graph and its canonical fresh-fabric lowering,
   // shared by every row-aligned residency; dedicated plans are lowered
   // from the same graph. Keyed by method identity (pointer + size +
-  // name, like the engine workspace caches) and kept across unloads so
-  // a method cycled through the fabric never rebuilds or re-lowers.
+  // name) and kept across unloads so a method cycled through the fabric
+  // never rebuilds or re-lowers; like Resident's raw method pointer, the
+  // key requires a loaded method to outlive the manager unchanged.
   struct Canon {
     std::size_t code_size = 0;
     std::string name;

@@ -39,10 +39,8 @@ struct DeployedMethod {
 
 class JavaFlowMachine {
  public:
-  explicit JavaFlowMachine(sim::MachineConfig config,
-                           sim::EngineOptions engine_options = {})
-      : config_(std::move(config)),
-        engine_(config_, engine_options) {}
+  explicit JavaFlowMachine(sim::MachineConfig config)
+      : config_(std::move(config)), engine_(config_) {}
 
   const sim::MachineConfig& config() const noexcept { return config_; }
 
@@ -62,11 +60,8 @@ class JavaFlowMachine {
   // Execute a deployed method under a branch scenario.
   sim::RunMetrics execute(const DeployedMethod& d,
                           sim::BranchPredictor::Scenario scenario) {
-    if (!d.ok()) {
-      throw std::runtime_error("execute: method is not deployed");
-    }
     sim::BranchPredictor predictor(scenario);
-    return engine_.run(*d.method, d.resolution.graph, predictor);
+    return execute(d, predictor);
   }
   sim::RunMetrics execute(const DeployedMethod& d,
                           sim::BranchPredictor& predictor) {

@@ -23,8 +23,8 @@
 // Determinism: the stream is a pure function of its seed, the engine
 // calendar is single-threaded, and every server decision (scan order,
 // eviction ties, percentile ranks) is integer-ordered — repeated runs
-// produce bit-identical ServeReports (digest()), independent of
-// JAVAFLOW_THREADS.
+// produce bit-identical ServeReports (digest()). No environment
+// variable is read.
 #pragma once
 
 #include <cstdint>

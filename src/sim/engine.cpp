@@ -1,8 +1,7 @@
 #include "sim/engine.hpp"
 
-#include <algorithm>
 #include <memory>
-#include <string>
+#include <utility>
 #include <variant>
 
 #include "sim/kernel.hpp"
@@ -32,46 +31,10 @@ struct detail::EngineWorkspace {
 
   SoloKernel kernel;
 
-  // Lowered-plan cache for the graph overloads: the plan for the most
-  // recent method, keyed on address + size + name (so a recycled
-  // allocation holding a different method cannot alias a stale plan)
-  // plus a slot-lane equality check when the caller supplies an
-  // external placement (the fabric manager re-places co-resident
-  // methods, so the same method can legitimately arrive with different
-  // slots). The builder's scratch and the plan's arena both grow
-  // monotonically across rebuilds.
-  const bytecode::Method* plan_method = nullptr;
-  std::size_t plan_code_size = 0;
-  std::string plan_name;
-  bool plan_valid = false;
-  bool plan_external = false;
+  // Scratch for the graph overload: rebuilt on every call, keeping the
+  // builder's buffers and the plan's arena capacity.
   ExecPlan plan;
   ExecPlanBuilder plan_builder;
-
-  const ExecPlan& plan_for(const bytecode::Method& m,
-                           const fabric::DataflowGraph& graph,
-                           const fabric::Placement* placement,
-                           const MachineConfig& config) {
-    if (plan_valid && plan_method == &m && plan_code_size == m.code.size() &&
-        plan_name == m.name) {
-      if (placement == nullptr) {
-        if (!plan_external) return plan;
-      } else if (plan.fits() == placement->fits &&
-                 (!placement->fits ||
-                  (plan.max_slot() == placement->max_slot &&
-                   std::equal(placement->slot_of.begin(),
-                              placement->slot_of.end(), plan.slot())))) {
-        return plan;
-      }
-    }
-    plan_builder.build_into(plan, m, graph, placement, config);
-    plan_valid = true;
-    plan_external = placement != nullptr;
-    plan_method = &m;
-    plan_code_size = m.code.size();
-    plan_name = m.name;
-    return plan;
-  }
 };
 
 Engine::Engine(MachineConfig config, EngineOptions options)
@@ -86,14 +49,8 @@ Engine::~Engine() = default;
 RunMetrics Engine::run(const bytecode::Method& m,
                        const fabric::DataflowGraph& graph,
                        BranchPredictor& predictor) {
-  return run(m, ws_->plan_for(m, graph, nullptr, config_), predictor);
-}
-
-RunMetrics Engine::run(const bytecode::Method& m,
-                       const fabric::DataflowGraph& graph,
-                       const fabric::Placement& placement,
-                       BranchPredictor& predictor) {
-  return run(m, ws_->plan_for(m, graph, &placement, config_), predictor);
+  ws_->plan_builder.build_into(ws_->plan, m, graph, nullptr, config_);
+  return run(m, ws_->plan, predictor);
 }
 
 RunMetrics Engine::run(const bytecode::Method& m, const ExecPlan& plan,

@@ -17,8 +17,6 @@
 
 #include "bytecode/method.hpp"
 #include "fabric/dataflow_graph.hpp"
-#include "fabric/fabric.hpp"
-#include "fabric/loader.hpp"
 #include "sim/branch_predictor.hpp"
 #include "sim/config.hpp"
 #include "sim/plan.hpp"
@@ -33,9 +31,9 @@ namespace javaflow::sim {
 
 namespace detail {
 // Heap allocations (the kernel's calendar, node lanes and operand
-// buffers, and the lowered-plan cache) that persist across an Engine's
-// run() calls so repeated runs reuse capacity instead of re-allocating.
-// Defined in engine.cpp.
+// buffers, and the graph overload's plan scratch) that persist across an
+// Engine's run() calls so repeated runs reuse capacity instead of
+// re-allocating. Defined in engine.cpp.
 struct EngineWorkspace;
 }  // namespace detail
 
@@ -125,17 +123,11 @@ class Engine {
   // Runs one method to completion (or timeout). The dataflow graph must
   // have been built for `m` (it is configuration-independent, so callers
   // build it once and reuse it across configurations and predictors).
+  // Every call places the method on a fresh fabric and lowers it into
+  // workspace scratch, so the result depends on the arguments alone: a
+  // method edited in place between calls runs as edited.
   RunMetrics run(const bytecode::Method& m,
                  const fabric::DataflowGraph& graph,
-                 BranchPredictor& predictor);
-
-  // Run with an externally computed placement — used when several
-  // methods are co-resident and the fabric manager owns slot assignment
-  // (§6.2 "Management and Cleanup"). Both graph overloads lower the
-  // method to an ExecPlan, cached in the workspace for repeated runs.
-  RunMetrics run(const bytecode::Method& m,
-                 const fabric::DataflowGraph& graph,
-                 const fabric::Placement& placement,
                  BranchPredictor& predictor);
 
   // Run from a pre-lowered plan (docs/PERF.md "Execution kernel"). The

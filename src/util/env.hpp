@@ -64,14 +64,6 @@ inline long env_int(const char* name, long fallback, long min_ok) noexcept {
   return *v;
 }
 
-// True for a set-and-truthy flag variable ("1", "true", "yes", "on").
-inline bool env_flag(const char* name) noexcept {
-  const char* text = std::getenv(name);
-  if (text == nullptr) return false;
-  const std::string_view v(text);
-  return v == "1" || v == "true" || v == "yes" || v == "on";
-}
-
 // Reads a free-form string variable. Unset (or set empty) -> fallback.
 // No validation beyond non-emptiness: callers that accept only an
 // enumerated set (e.g. JAVAFLOW_CACHE) parse and warn themselves.

@@ -473,7 +473,6 @@ TEST(SweepBounds, StridedCorpusSweepValidatesBothDirections) {
   options.threads = 0;
   options.allow_oversubscribe = true;
   options.check_bounds = true;
-  options.cache = cache::CacheMode::Off;
   const Sweep sweep = run_sweep(methods, corpus.program.pool, {}, options);
   EXPECT_FALSE(sweep.samples.empty());
   EXPECT_EQ(sweep.lint_errors, 0) << to_text(LintReport{
@@ -483,7 +482,7 @@ TEST(SweepBounds, StridedCorpusSweepValidatesBothDirections) {
 TEST(SweepBounds, CacheServedCellsAreStillChecked) {
   // A warm read-mode sweep serves whole methods from the record; bounds
   // mode must still assert the ticks direction on those cached cells
-  // (the JF-E010 replay check used by JAVAFLOW_CACHE=verify).
+  // (the JF-E010 replay check).
   const std::string dir =
       ::testing::TempDir() + "javaflow_bounds_cache";
   std::filesystem::remove_all(dir);

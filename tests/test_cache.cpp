@@ -1,13 +1,16 @@
 // Tests for the persistent sweep result cache (src/cache/): key
 // derivation stability, record-format robustness (truncation, bit rot,
 // stale fingerprints all degrade to a miss), store round trips, and the
-// run_sweep integration — warm hits, verify mode, corpus dedup, and the
-// method filter must all reproduce cold results bit-for-bit.
+// run_sweep integration — warm hits, the off-vs-read comparison,
+// corpus dedup, and the method filter must all reproduce cold results
+// bit-for-bit, and no environment variable may turn the cache on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "cache/key.hpp"
 #include "cache/record.hpp"
 #include "cache/store.hpp"
+#include "serve/server.hpp"
 #include "sim/config.hpp"
 #include "workloads/corpus.hpp"
 
@@ -265,18 +269,26 @@ TEST(CacheStore, InvalidateMatchesStoredMethodNames) {
 
 // ---- run_sweep integration ----
 
-analysis::Sweep corpus_sweep(cache::CacheMode mode, const std::string& dir,
-                             int threads = 1, int stride = 61,
-                             const std::string& filter = "") {
+const workloads::Corpus& corpus() {
   static const workloads::Corpus corpus = workloads::make_corpus({});
+  return corpus;
+}
+
+analysis::Sweep sweep_corpus(const analysis::SweepOptions& options) {
   std::vector<const bytecode::Method*> methods;
-  for (const bytecode::Method& m : corpus.program.methods) {
+  for (const bytecode::Method& m : corpus().program.methods) {
     methods.push_back(&m);
   }
   std::vector<std::string> hot;
-  for (std::size_t i = 0; i < corpus.kernel_methods; ++i) {
-    hot.push_back(corpus.program.methods[i].name);
+  for (std::size_t i = 0; i < corpus().kernel_methods; ++i) {
+    hot.push_back(corpus().program.methods[i].name);
   }
+  return analysis::run_sweep(methods, corpus().program.pool, hot, options);
+}
+
+analysis::Sweep corpus_sweep(cache::CacheMode mode, const std::string& dir,
+                             int threads = 1, int stride = 61,
+                             const std::string& filter = "") {
   analysis::SweepOptions options;
   options.stride = stride;
   options.threads = threads;
@@ -284,7 +296,7 @@ analysis::Sweep corpus_sweep(cache::CacheMode mode, const std::string& dir,
   options.cache = mode;
   options.cache_dir = dir;
   options.method_filter = filter;
-  return analysis::run_sweep(methods, corpus.program.pool, hot, options);
+  return sweep_corpus(options);
 }
 
 TEST(CacheSweep, WarmHitsReproduceColdResults) {
@@ -351,7 +363,8 @@ TEST(CacheSweep, VerifyCatchesAndRepairsPoisonedRecords) {
   const analysis::Sweep cold = corpus_sweep(cache::CacheMode::ReadWrite, dir);
 
   // Poison one record with a plausible-but-wrong result: valid checksum,
-  // valid keys, corrupted metrics. Only verify mode can catch this.
+  // valid keys, corrupted metrics. Only a comparison against execution
+  // can catch this.
   const cache::CacheStore store(dir);
   std::string path;
   cache::MethodRecord poisoned;
@@ -370,22 +383,53 @@ TEST(CacheSweep, VerifyCatchesAndRepairsPoisonedRecords) {
     f << cache::serialize_record(poisoned);
   }
 
-  // Read mode serves the poison (the cost of trusting the cache)…
-  const analysis::Sweep tainted = corpus_sweep(cache::CacheMode::Read, dir);
-  EXPECT_NE(tainted.samples, cold.samples);
+  // The comparison javaflow_cache verify makes: the Read sweep serves
+  // the poison, so it differs from the Off sweep in the poisoned cell
+  // only (once per method sharing the record's body).
+  const analysis::Sweep off = corpus_sweep(cache::CacheMode::Off, "");
+  EXPECT_EQ(off.samples, cold.samples);
+  const analysis::Sweep read = corpus_sweep(cache::CacheMode::Read, dir);
+  ASSERT_EQ(read.samples.size(), off.samples.size());
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < off.samples.size(); ++i) {
+    if (read.samples[i] == off.samples[i]) continue;
+    ++mismatches;
+    EXPECT_EQ(read.samples[i].metrics.ticks,
+              off.samples[i].metrics.ticks + 9999);
+  }
+  EXPECT_GT(mismatches, 0u);
 
-  // …verify mode detects it, reports it, serves fresh results, and
-  // repairs the record in place.
-  const analysis::Sweep verify = corpus_sweep(cache::CacheMode::Verify, dir);
-  EXPECT_EQ(verify.samples, cold.samples);
-  EXPECT_GT(verify.cache.verify_mismatch_cells, 0u);
-  EXPECT_GT(verify.cache.stored_records, 0u);
+  // Once the record is removed, Read equals Off again.
+  const bytecode::Method* victim = nullptr;
+  for (const bytecode::Method& m : corpus().program.methods) {
+    if (m.name == poisoned.method_name) victim = &m;
+  }
+  ASSERT_NE(victim, nullptr);
+  const cache::Hash128 key =
+      cache::record_key(cache::hash_method_body(*victim),
+                        cache::hash_pool(corpus().program.pool));
+  ASSERT_EQ(store.path_for(key), path);
+  ASSERT_TRUE(store.remove(key));
+  EXPECT_EQ(corpus_sweep(cache::CacheMode::Read, dir).samples, off.samples);
+}
 
-  const analysis::Sweep clean = corpus_sweep(cache::CacheMode::Verify, dir);
-  EXPECT_EQ(clean.samples, cold.samples);
-  EXPECT_EQ(clean.cache.verify_mismatch_cells, 0u);
-  // An intact, fully cached store makes verify read-only.
-  EXPECT_EQ(clean.cache.stored_records, 0u);
+// A record holding only some of a method's cells serves none of them:
+// the method executes, and counts as misses, all of its cells.
+TEST(CacheSweep, PartialRecordExecutesEveryCell) {
+  analysis::SweepOptions options;
+  options.stride = 61;
+  options.cache = cache::CacheMode::ReadWrite;
+  options.cache_dir = temp_store("partial");
+  options.configs = {sim::config_by_name("Baseline")};
+  ASSERT_GT(sweep_corpus(options).cache.stored_records, 0u);
+
+  options.cache = cache::CacheMode::Read;
+  options.configs.clear();  // all six: each record holds 2 of 12 cells
+  const analysis::Sweep read = sweep_corpus(options);
+  EXPECT_EQ(read.cache.hit_cells, 0u);
+  EXPECT_EQ(read.cache.miss_cells + read.cache.dedup_cells,
+            read.samples.size());
+  EXPECT_EQ(read.samples, corpus_sweep(cache::CacheMode::Off, "").samples);
 }
 
 TEST(CacheSweep, DedupSharesResultsAcrossByteIdenticalMethods) {
@@ -401,8 +445,7 @@ TEST(CacheSweep, DedupSharesResultsAcrossByteIdenticalMethods) {
   // re-stamped, not copied.
   const std::vector<std::string> hot = {"bm.first()I"};
 
-  analysis::SweepOptions options;
-  options.cache = cache::CacheMode::Off;
+  const analysis::SweepOptions options;
   const analysis::Sweep deduped =
       analysis::run_sweep(methods, p.pool, hot, options);
   const std::size_t cells_per_method = deduped.samples.size() / 3;
@@ -454,6 +497,44 @@ TEST(CacheSweep, MethodFilterSelectsMatchingSubset) {
       cache::CacheMode::Off, "", /*threads=*/1, /*stride=*/1,
       "no.such.method.anywhere");
   EXPECT_EQ(none.samples.size(), 0u);
+}
+
+// A run is a function of its arguments: with the cache variables and
+// JAVAFLOW_THREADS exported, a sweep that leaves the cache options at
+// their defaults, and a serving run, behave as with the variables unset;
+// a cache turned on without a directory throws.
+TEST(CacheSweep, DefaultSweepAndServeReadNoEnvironment) {
+  const char* const vars[] = {"JAVAFLOW_CACHE", "JAVAFLOW_CACHE_DIR",
+                              "JAVAFLOW_THREADS"};
+  const std::string dir = temp_store("env");
+  analysis::SweepOptions options;
+  options.stride = 61;
+  serve::RequestStreamOptions stream;
+  stream.num_requests = 16;
+  const auto serve_digest = [&] {
+    return serve::serve(corpus().program, {0, 1, 2, 3},
+                        sim::config_by_name("Compact2"), stream)
+        .digest();
+  };
+
+  for (const char* v : vars) ::unsetenv(v);
+  const analysis::Sweep plain = sweep_corpus(options);
+  const std::uint64_t plain_digest = serve_digest();
+  ::setenv("JAVAFLOW_CACHE", "readwrite", 1);
+  ::setenv("JAVAFLOW_CACHE_DIR", dir.c_str(), 1);
+  ::setenv("JAVAFLOW_THREADS", "7", 1);
+  const analysis::Sweep swept = sweep_corpus(options);
+  const std::uint64_t swept_digest = serve_digest();
+  analysis::SweepOptions no_dir = options;  // never falls back to the env
+  no_dir.cache = cache::CacheMode::Read;
+  EXPECT_THROW(sweep_corpus(no_dir), std::invalid_argument);
+  for (const char* v : vars) ::unsetenv(v);
+
+  EXPECT_EQ(swept.cache.mode, "off");
+  EXPECT_EQ(swept.cache.stored_records, 0u);
+  EXPECT_FALSE(std::filesystem::exists(dir));
+  EXPECT_EQ(swept.samples, plain.samples);
+  EXPECT_EQ(swept_digest, plain_digest);
 }
 
 }  // namespace

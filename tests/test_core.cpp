@@ -95,5 +95,27 @@ TEST(JavaFlowMachine, ExternalPredictorIsHonored) {
   EXPECT_LT(r.coverage(), 1.0);
 }
 
+// An in-place edit keeps the method's address, code size and name; the
+// same machine must still run it as edited, like a fresh machine does.
+// fadd costs more than iadd (Table 17), so the loop gets slower.
+TEST(JavaFlowMachine, InPlaceEditRunsAsEdited) {
+  Program p;
+  bytecode::Method m = sample(p);
+  const sim::MachineConfig cfg = sim::config_by_name("Compact2");
+  const auto bp1 = sim::BranchPredictor::Scenario::BP1;
+  JavaFlowMachine machine(cfg);
+  const sim::RunMetrics before =
+      machine.execute(machine.deploy(m, p.pool), bp1);
+
+  for (bytecode::Instruction& inst : m.code) {
+    if (inst.op == Op::iadd) inst.op = Op::fadd;
+  }
+  const sim::RunMetrics after =
+      machine.execute(machine.deploy(m, p.pool), bp1);
+  JavaFlowMachine fresh(cfg);
+  EXPECT_EQ(after, fresh.execute(fresh.deploy(m, p.pool), bp1));
+  EXPECT_GT(after.ticks, before.ticks);
+}
+
 }  // namespace
 }  // namespace javaflow

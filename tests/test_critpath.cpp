@@ -45,7 +45,6 @@ analysis::Sweep attribution_sweep(int threads) {
   options.threads = threads;
   options.allow_oversubscribe = true;
   options.attribution = true;
-  options.cache = cache::CacheMode::Off;
   return analysis::run_sweep(methods, corpus().program.pool, {}, options);
 }
 

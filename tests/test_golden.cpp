@@ -82,7 +82,6 @@ std::string metrics_digest(const sim::RunMetrics& m) {
 TEST(Golden, FullCorpusRunMetricsDigest) {
   analysis::SweepOptions options;
   options.threads = 0;
-  options.cache = cache::CacheMode::Off;
   const analysis::Sweep sweep =
       analysis::run_sweep(corpus_methods(), corpus().program.pool, {},
                           options);

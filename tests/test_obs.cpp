@@ -341,7 +341,6 @@ TEST(JsonEscape, EveryWriterEscapesQuotesBackslashesAndControlBytes) {
     config.name = name;
     analysis::SweepOptions options;
     options.configs = {config};
-    options.cache = cache::CacheMode::Off;
     const analysis::Sweep sweep =
         analysis::run_sweep({&p.methods[0]}, p.pool, {}, options);
     std::ostringstream os;
@@ -416,19 +415,6 @@ TEST(EnvParsing, EnvIntFallsBackOnGarbageAndBounds) {
   EXPECT_EQ(util::env_int("JAVAFLOW_TEST_ENV", 7, 0), 12);
   ::unsetenv("JAVAFLOW_TEST_ENV");
   EXPECT_EQ(util::env_int("JAVAFLOW_TEST_ENV", 7, 0), 7);
-}
-
-TEST(EnvParsing, EnvFlagAcceptsTruthyValuesOnly) {
-  ::setenv("JAVAFLOW_TEST_FLAG", "1", 1);
-  EXPECT_TRUE(util::env_flag("JAVAFLOW_TEST_FLAG"));
-  ::setenv("JAVAFLOW_TEST_FLAG", "true", 1);
-  EXPECT_TRUE(util::env_flag("JAVAFLOW_TEST_FLAG"));
-  ::setenv("JAVAFLOW_TEST_FLAG", "0", 1);
-  EXPECT_FALSE(util::env_flag("JAVAFLOW_TEST_FLAG"));
-  ::setenv("JAVAFLOW_TEST_FLAG", "maybe", 1);
-  EXPECT_FALSE(util::env_flag("JAVAFLOW_TEST_FLAG"));
-  ::unsetenv("JAVAFLOW_TEST_FLAG");
-  EXPECT_FALSE(util::env_flag("JAVAFLOW_TEST_FLAG"));
 }
 
 }  // namespace

@@ -228,10 +228,10 @@ TEST(PlanSharing, OnePlanServesConcurrentEngines) {
   EXPECT_TRUE(results[0].completed);
 }
 
-// Dedup-class reuse inside one engine: the workspace plan cache must
-// serve repeated runs of the same (method, placement) without changing
-// results, and rebuild when the method changes.
-TEST(PlanSharing, WorkspacePlanCacheIsTransparent) {
+// One engine, several methods: the graph overload lowers each call's
+// method itself, so a repeated run reproduces the first and a second
+// method through the same engine runs on its own plan.
+TEST(PlanSharing, ReusedEngineLowersEachMethodItsOwnPlan) {
   const Program p = loop_program();
   const fabric::DataflowGraph graph =
       fabric::build_dataflow_graph(p.methods[0], p.pool);
@@ -239,13 +239,11 @@ TEST(PlanSharing, WorkspacePlanCacheIsTransparent) {
   sim::Engine engine(cfg);
 
   sim::BranchPredictor bp1(sim::BranchPredictor::Scenario::BP1);
-  const sim::RunMetrics cold = engine.run(p.methods[0], graph, bp1);
+  const sim::RunMetrics first = engine.run(p.methods[0], graph, bp1);
   sim::BranchPredictor bp1_again(sim::BranchPredictor::Scenario::BP1);
-  const sim::RunMetrics warm = engine.run(p.methods[0], graph, bp1_again);
-  EXPECT_EQ(cold, warm);
+  const sim::RunMetrics again = engine.run(p.methods[0], graph, bp1_again);
+  EXPECT_EQ(first, again);
 
-  // A different method through the same engine must not be served the
-  // cached plan.
   Program q;
   Assembler a(q, "plan.add(II)I", "plan");
   a.args({ValueType::Int, ValueType::Int}).returns(ValueType::Int);
@@ -256,7 +254,7 @@ TEST(PlanSharing, WorkspacePlanCacheIsTransparent) {
   sim::BranchPredictor bp1_q(sim::BranchPredictor::Scenario::BP1);
   const sim::RunMetrics other = engine.run(q.methods[0], qgraph, bp1_q);
   EXPECT_TRUE(other.completed);
-  EXPECT_NE(other.ticks, warm.ticks);
+  EXPECT_NE(other.ticks, again.ticks);
 }
 
 }  // namespace

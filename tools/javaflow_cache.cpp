@@ -6,17 +6,19 @@
 //   javaflow_cache invalidate --method SUB  delete records whose method name
 //                                           contains SUB (no --method: wipe
 //                                           the whole store)
-//   javaflow_cache verify [--stride K]      re-execute the corpus sweep in
-//                                           verify mode and compare every
-//                                           cached cell bit-for-bit
+//   javaflow_cache verify [--stride K]      sweep the corpus with the cache
+//                                           off, sweep it again from the
+//                                           store, compare every cell, and
+//                                           remove each disagreeing record
 //
-// All subcommands honour --dir PATH (default: the same resolution the
-// sweep uses — JAVAFLOW_CACHE_DIR, then $XDG_CACHE_HOME/javaflow, then
+// All subcommands honour --dir PATH (default: the bench harnesses'
+// resolution — JAVAFLOW_CACHE_DIR, then $XDG_CACHE_HOME/javaflow, then
 // ~/.cache/javaflow). Exits 0 on success, 1 when verify finds mismatches,
 // 2 on usage errors.
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "analysis/figure_of_merit.hpp"
 #include "cache/key.hpp"
@@ -46,36 +48,65 @@ int usage() {
 
 constexpr long kIntMax = std::numeric_limits<int>::max();
 
+// Runs the corpus sweep twice, with the cache off and then served from
+// the store (Read), and compares every cell bit for bit. Each record
+// with a cell that disagrees is removed, so the next readwrite sweep
+// refills it from execution.
 int run_verify(const std::string& dir, int stride, int threads) {
-  workloads::Corpus corpus = workloads::make_corpus({});
+  const workloads::Corpus corpus = workloads::make_corpus({});
+  const bytecode::ConstantPool& pool = corpus.program.pool;
   std::vector<const bytecode::Method*> methods;
   methods.reserve(corpus.program.methods.size());
   for (const bytecode::Method& m : corpus.program.methods) {
     methods.push_back(&m);
   }
-  std::vector<std::string> hot;
-  for (std::size_t i = 0; i < corpus.kernel_methods; ++i) {
-    hot.push_back(corpus.program.methods[i].name);
-  }
 
+  // No hot set: Filter 2 membership labels samples but is not cached.
   analysis::SweepOptions options;
   options.stride = stride;
   options.threads = threads;
-  options.cache = cache::CacheMode::Verify;
+  const analysis::Sweep executed =
+      analysis::run_sweep(methods, pool, {}, options);
+  options.cache = cache::CacheMode::Read;
   options.cache_dir = dir;
-  const analysis::Sweep sweep = analysis::run_sweep(
-      methods, corpus.program.pool, hot, options);
+  const analysis::Sweep served =
+      analysis::run_sweep(methods, pool, {}, options);
+
+  // Sample i belongs to the (i / cells_per_method)-th picked method, and
+  // the stride picks every stride-th corpus method.
+  const std::size_t cells_per_method =
+      executed.configs.size() * analysis::SweepOptions::scenarios.size();
+  const cache::CacheStore store(dir);
+  const cache::Hash128 pool_hash = cache::hash_pool(pool);
+  std::size_t mismatches = 0;
+  std::size_t removed = 0;
+  for (std::size_t i = 0; i < executed.samples.size(); ++i) {
+    const analysis::SweepSample& want = executed.samples[i];
+    if (served.samples[i] == want) continue;
+    ++mismatches;
+    std::fprintf(stderr, "javaflow_cache: MISMATCH %s [%s, scenario %d]\n",
+                 want.method.c_str(),
+                 executed.configs[want.config_index].name.c_str(),
+                 static_cast<int>(want.scenario));
+    const bytecode::Method& m =
+        *methods[i / cells_per_method * static_cast<std::size_t>(stride)];
+    if (store.remove(
+            cache::record_key(cache::hash_method_body(m), pool_hash))) {
+      ++removed;
+    }
+  }
 
   std::printf(
       "verify: %zu cells (%zu cached, %zu uncached), %zu mismatching, "
-      "%zu record(s) repaired\n",
-      sweep.samples.size(), sweep.cache.hit_cells, sweep.cache.miss_cells,
-      sweep.cache.verify_mismatch_cells, sweep.cache.stored_records);
-  if (sweep.cache.verify_mismatch_cells != 0) {
+      "%zu record(s) removed\n",
+      executed.samples.size(), served.cache.hit_cells,
+      served.cache.miss_cells, mismatches, removed);
+  if (mismatches != 0) {
     std::fprintf(stderr,
                  "javaflow_cache: verify FAILED — %zu cell(s) differed "
-                 "from fresh execution (now repaired; rerun to confirm)\n",
-                 sweep.cache.verify_mismatch_cells);
+                 "from execution (their records are removed; the next "
+                 "readwrite sweep refills them)\n",
+                 mismatches);
     return 1;
   }
   return 0;

@@ -89,10 +89,8 @@ struct TightnessRow {
 };
 
 // Tightness over the sweep's completed cells, against the per-cell lower
-// bounds the bounds sweep recorded from its own plans. Cached RunMetrics
-// served by the result cache are rated exactly like fresh executions,
-// which is what makes verify-mode replays re-check old records against
-// the current analyzer.
+// bounds the bounds sweep recorded from its own plans. The sweep runs
+// with the result cache off, so every rated cell was executed.
 std::vector<TightnessRow> measure_tightness(const analysis::Sweep& sweep) {
   std::vector<TightnessRow> rows(sweep.configs.size());
   for (std::size_t ci = 0; ci < sweep.configs.size(); ++ci) {

@@ -17,8 +17,8 @@
 // --requests, --hot and --methods 1..2^31-1, --mean-gap 1..10^9,
 // --hot-fraction 0..256; anything else is a usage error. --digest
 // prints one "<config> <digest>" line per configuration to stdout
-// instead of JSON — the CI smoke step compares these across runs and
-// thread counts. Exit codes: 0 ok, 1 bad usage,
+// instead of JSON — the CI smoke step compares these across runs. No
+// environment variable is read. Exit codes: 0 ok, 1 bad usage,
 // 2 a serving run threw (its conservation check or another server or
 // engine invariant failed).
 #include <cstdint>
