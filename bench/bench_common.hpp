@@ -35,6 +35,7 @@
 #include "cache/store.hpp"
 #include "jvm/interpreter.hpp"
 #include "util/env.hpp"
+#include "util/thread_pool.hpp"
 #include "workloads/corpus.hpp"
 
 namespace javaflow::bench {
@@ -43,9 +44,13 @@ inline int env_stride() {
   return static_cast<int>(util::env_int("JAVAFLOW_BENCH_STRIDE", 1, 1));
 }
 
+// The sweep's worker count: JAVAFLOW_THREADS resolved (0 = auto, one
+// worker per hardware thread) and clamped to the hardware threads with a
+// stderr warning, since these harnesses report timings and an
+// oversubscribed sweep misreports the machine.
 inline int env_threads() {
-  // 0 = auto: one worker per hardware thread.
-  return static_cast<int>(util::env_int("JAVAFLOW_THREADS", 0, 0));
+  return static_cast<int>(util::ThreadPool::resolve_clamped(
+      static_cast<int>(util::env_int("JAVAFLOW_THREADS", 0, 0))));
 }
 
 // Maps JAVAFLOW_CACHE / JAVAFLOW_CACHE_DIR onto the sweep's cache

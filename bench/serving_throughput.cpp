@@ -5,10 +5,10 @@
 // BENCH_serving.json so the serving perf trajectory is tracked across
 // PRs (tools/bench_gate.py --serving).
 //
-// Knobs: JAVAFLOW_SERVE_SEED / _REQUESTS / _MEAN_GAP override the
-// stream shape for local experiments (the CI smoke run uses the
-// defaults); JAVAFLOW_THREADS must not change any digest — the engine
-// calendar is single-threaded by design.
+// The stream shape is fixed (seed 1, 96 requests, mean gap 48 ticks) and
+// no environment variable is read, so every history entry measures the
+// same stream; `javaflow_serve --seed/--requests/--mean-gap` runs any
+// other shape.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -55,12 +55,9 @@ int main() {
   }
 
   javaflow::serve::RequestStreamOptions stream;
-  stream.seed = static_cast<std::uint64_t>(
-      javaflow::util::env_int("JAVAFLOW_SERVE_SEED", 1, 1));
-  stream.num_requests = static_cast<std::int32_t>(
-      javaflow::util::env_int("JAVAFLOW_SERVE_REQUESTS", 96, 1));
-  stream.mean_gap_ticks =
-      javaflow::util::env_int("JAVAFLOW_SERVE_MEAN_GAP", 48, 1);
+  stream.seed = 1;
+  stream.num_requests = 96;
+  stream.mean_gap_ticks = 48;
 
   std::printf("serving_throughput: seed=%llu requests=%d mean_gap=%lld\n",
               static_cast<unsigned long long>(stream.seed),

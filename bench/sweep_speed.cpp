@@ -21,7 +21,6 @@
 
 #include "bench_common.hpp"
 #include "util/json.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -32,10 +31,8 @@ struct TimedSweep {
   double seconds = 0.0;
 };
 
-TimedSweep timed_sweep(const javaflow::bench::Context& ctx, int threads) {
-  javaflow::analysis::SweepOptions options;
-  javaflow::bench::apply_env(options);
-  options.threads = threads;
+TimedSweep timed_sweep(const javaflow::bench::Context& ctx,
+                       const javaflow::analysis::SweepOptions& options) {
   const auto t0 = Clock::now();
   TimedSweep out;
   out.sweep = javaflow::analysis::run_sweep(
@@ -80,14 +77,17 @@ MessageCost message_cost(const javaflow::analysis::Sweep& sweep) {
 
 int main() {
   javaflow::bench::Context ctx;
-  const unsigned threads = javaflow::util::ThreadPool::resolve_clamped(
-      javaflow::bench::env_threads());
+  javaflow::analysis::SweepOptions options;
+  javaflow::bench::apply_env(options);  // threads: clamped JAVAFLOW_THREADS
+  const unsigned threads = static_cast<unsigned>(options.threads);
 
   std::printf("sweep_speed: stride=%d, parallel leg uses %u thread(s)\n",
-              javaflow::bench::env_stride(), threads);
+              options.stride, threads);
 
-  const TimedSweep serial = timed_sweep(ctx, 1);
-  const TimedSweep parallel = timed_sweep(ctx, static_cast<int>(threads));
+  javaflow::analysis::SweepOptions serial_options = options;
+  serial_options.threads = 1;
+  const TimedSweep serial = timed_sweep(ctx, serial_options);
+  const TimedSweep parallel = timed_sweep(ctx, options);
 
   const std::size_t cells = serial.sweep.samples.size();
   const bool identical = serial.sweep.samples == parallel.sweep.samples;

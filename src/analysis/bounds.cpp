@@ -242,7 +242,7 @@ void check_metrics_against_bounds(const std::string& method_name,
                                   std::string_view config_name,
                                   std::string_view scenario_name,
                                   const sim::RunMetrics& metrics,
-                                  const obs::MetricsRegistry* registry,
+                                  const obs::MetricsRegistry& registry,
                                   const MethodBounds& bounds,
                                   LintReport& out) {
   if (!bounds.valid || !metrics.fits || !metrics.completed ||
@@ -266,8 +266,7 @@ void check_metrics_against_bounds(const std::string& method_name,
     tag(os);
     out.add(LintRule::BoundViolation, method_name, -1, -1, os.str());
   }
-  if (registry == nullptr) return;
-  const auto& hwm = registry->buffer_hwm_by_node;
+  const auto& hwm = registry.buffer_hwm_by_node;
   for (std::size_t p = 0; p < hwm.size(); ++p) {
     if (hwm[p] == 0) continue;
     const std::int32_t limit =

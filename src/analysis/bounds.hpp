@@ -22,8 +22,8 @@
 // The bound rules JF-E008 (definite overflow) / JF-W103 (possible,
 // unproven) replace JF-E005's method-level max_stack heuristic with
 // per-node intervals; JF-E010 fires when measured engine metrics
-// contradict a proven bound (the cross-validation layer used by
-// `SweepOptions::check_bounds`).
+// contradict a proven bound (the cross-validation layer of an analysis
+// sweep, `SweepOptions::analyze`).
 #pragma once
 
 #include <cstdint>
@@ -104,14 +104,13 @@ void lint_bounds(const bytecode::Method& m, const sim::MachineConfig& config,
 
 // Cross-validation (JF-E010): measured engine results must respect the
 // static bounds. `registry` carries the per-physical-node buffer
-// high-water marks of exactly this run, or null when only cached
-// RunMetrics are available (then only the ticks bound is checked).
-// No-op for cells the engine did not complete normally.
+// high-water marks of exactly this run. No-op for cells the engine did
+// not complete normally.
 void check_metrics_against_bounds(const std::string& method_name,
                                   std::string_view config_name,
                                   std::string_view scenario_name,
                                   const sim::RunMetrics& metrics,
-                                  const obs::MetricsRegistry* registry,
+                                  const obs::MetricsRegistry& registry,
                                   const MethodBounds& bounds,
                                   LintReport& out);
 

@@ -216,9 +216,7 @@ obs::Snapshot build_snapshot(const workloads::Corpus& corpus,
   SweepOptions sweep_options;
   sweep_options.stride = options.stride;
   sweep_options.threads = options.threads;
-  sweep_options.allow_oversubscribe = options.allow_oversubscribe;
-  sweep_options.attribution = true;
-  sweep_options.check_bounds = true;
+  sweep_options.analyze = true;
   const Sweep sweep =
       run_sweep(methods, corpus.program.pool, hot, sweep_options);
 

@@ -9,7 +9,7 @@
 //     attribution and the slack over the provable minimum. The same run
 //     can also feed an event tracer and a metrics registry.
 //
-//   * build_snapshot — run an attribution sweep over a corpus slice and
+//   * build_snapshot — run an analysis sweep over a corpus slice and
 //     package every cell (ticks, category vector, lower bound, outcome
 //     flags) into an obs::Snapshot for .jfs serialization and diffing.
 //
@@ -68,13 +68,12 @@ void write_explanation_text(std::ostream& os, const Explanation& ex,
 struct SnapshotBuildOptions {
   int stride = 1;
   int threads = 1;  // SweepOptions semantics (0 = hardware concurrency)
-  bool allow_oversubscribe = false;
 };
 
-// Runs an attribution sweep (cache forced off — instrumented mode) with
-// check_bounds on, so every cell's static lower bound comes from the plan
-// the sweep lowered, and returns the packaged snapshot in deterministic
-// sweep order.
+// Runs an analysis sweep (SweepOptions::analyze, so the cache is off),
+// in which every cell's static lower bound comes from the plan the sweep
+// lowered, and returns the packaged snapshot in deterministic sweep
+// order.
 obs::Snapshot build_snapshot(const workloads::Corpus& corpus,
                              const SnapshotBuildOptions& options);
 

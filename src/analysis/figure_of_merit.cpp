@@ -110,21 +110,19 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
   const std::size_t n_scenarios = scenarios.size();
   const std::size_t cells_per_method = n_configs * n_scenarios;
   sweep.samples.resize(picks.size() * cells_per_method);
-  if (options.attribution) {
+  if (options.analyze) {
     sweep.attribution.resize(sweep.samples.size());
-  }
-  if (options.check_bounds) {
     sweep.lower_bounds.resize(sweep.samples.size());
   }
 
   // ---- result cache setup (docs/PERF.md) ----
 
-  // Telemetry hooks fire during execution only, so serving cached cells
-  // would silently under-count the registries: force the cache off for
-  // instrumented sweeps.
-  const bool instrumented = options.collect_metrics || options.attribution;
+  // Analysis reads what only execution produces — the dependency edges
+  // behind the attribution and each run's buffer high-water marks — so
+  // an analysis sweep runs with the cache off: no cell is served from a
+  // record and no record is stored.
   cache::CacheMode mode = options.cache;
-  if (instrumented && mode != cache::CacheMode::Off) {
+  if (options.analyze && mode != cache::CacheMode::Off) {
     std::fprintf(stderr,
                  "javaflow-cache: telemetry enabled, disabling the result "
                  "cache for this sweep\n");
@@ -175,25 +173,21 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
 
   // Bounds findings (JF-E010) per work item fill pre-sized slots, so the
   // flattened finding order is the same for every thread count.
-  std::vector<LintReport> lint_reports(
-      options.check_bounds ? work.size() : 0);
+  std::vector<LintReport> lint_reports(options.analyze ? work.size() : 0);
 
   // Everything a worker lane owns privately: engines (whose workspaces
   // amortize per-run allocations across the lane's methods), fabrics for
   // placement, the in-flight method's graph, placements, plans, bounds
-  // and cache record, a telemetry registry, and phase timers. Nothing
+  // and cache record, the analysis scratch, and phase timers. Nothing
   // here is touched by another thread while the sweep runs.
   struct LaneState {
     std::vector<sim::Engine> engines;
     std::vector<fabric::Fabric> fabrics;
-    obs::MetricsRegistry metrics;
-    // check_bounds scratch: the lane's engines write each run's counters
-    // here so the per-run buffer high-water marks can be checked against
-    // the static bound; reset before every run. When collect_metrics is
-    // also on, each run's counters are merged into `metrics` afterwards
-    // (the merge is commutative, so the aggregate is unchanged).
-    obs::MetricsRegistry bounds_reg;
-    // Attribution scratch: each engine run resets and refills it; the
+    // Analysis scratch: the lane's engines write each run's counters
+    // here so the run's buffer high-water marks can be checked against
+    // the static bound; reset before every run.
+    obs::MetricsRegistry registry;
+    // Analysis scratch: each engine run resets and refills it; the
     // cell's category vector is extracted right after the run.
     obs::FlightRecorder flight;
     SweepProfile::Lane prof;
@@ -216,9 +210,10 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
     lane->fabrics.reserve(n_configs);
     lane->engines.reserve(n_configs);
     sim::EngineOptions engine_options;
-    if (options.collect_metrics) engine_options.metrics = &lane->metrics;
-    if (options.check_bounds) engine_options.metrics = &lane->bounds_reg;
-    if (options.attribution) engine_options.flight = &lane->flight;
+    if (options.analyze) {
+      engine_options.metrics = &lane->registry;
+      engine_options.flight = &lane->flight;
+    }
     for (const sim::MachineConfig& cfg : sweep.configs) {
       lane->fabrics.emplace_back(cfg.fabric_options());
       lane->engines.emplace_back(cfg, engine_options);
@@ -233,10 +228,9 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
   const auto sweep_t0 = Clock::now();
 
   // One task per deduplicated method, start to finish on one lane: probe
-  // the cache; unless every cell is served, lower the graph, placements
-  // and per-config plans into the lane's scratch (also on a full hit
-  // under check_bounds, whose bounds come from the plans); then run or
-  // serve every config x scenario cell and store the record.
+  // the cache, and stop there if it serves every cell; otherwise lower
+  // the graph, placements and per-config plans into the lane's scratch,
+  // run every config x scenario cell and store the record.
   auto run_method = [&](std::size_t wi, LaneState& lane) {
     auto t = Clock::now();
     auto lap = [&](double& acc) {
@@ -290,23 +284,26 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
       }
       lap(lane.prof.cache_s);
     }
+    if (full_hit) {
+      lane.prof.cache_hit_cells += cells_per_method;
+      ++lane.prof.methods;
+      lane.prof.cells += cells_per_method;
+      return;
+    }
 
     // ---- lower ----
-    if (!full_hit || options.check_bounds) {
-      lane.graph = fabric::build_dataflow_graph(m, pool);
-      lap(lane.prof.resolve_s);
-      for (std::size_t ci = 0; ci < n_configs; ++ci) {
-        lane.placements[ci] = fabric::load_method(lane.fabrics[ci], m);
-      }
-      lap(lane.prof.place_s);
-      for (std::size_t ci = 0; ci < n_configs; ++ci) {
-        lane.plan_builder.build_into(lane.plans[ci], m, lane.graph,
-                                     &lane.placements[ci],
-                                     sweep.configs[ci]);
-      }
-      lap(lane.prof.plan_s);
+    lane.graph = fabric::build_dataflow_graph(m, pool);
+    lap(lane.prof.resolve_s);
+    for (std::size_t ci = 0; ci < n_configs; ++ci) {
+      lane.placements[ci] = fabric::load_method(lane.fabrics[ci], m);
     }
-    if (options.check_bounds) {
+    lap(lane.prof.place_s);
+    for (std::size_t ci = 0; ci < n_configs; ++ci) {
+      lane.plan_builder.build_into(lane.plans[ci], m, lane.graph,
+                                   &lane.placements[ci], sweep.configs[ci]);
+    }
+    lap(lane.prof.plan_s);
+    if (options.analyze) {
       // The analyzer reads the same lowered image the engine runs.
       for (std::size_t ci = 0; ci < n_configs; ++ci) {
         lane.bounds[ci] = compute_bounds(m, lane.plans[ci]);
@@ -317,24 +314,6 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
         }
       }
       lap(lane.prof.verify_s);
-    }
-
-    // Full hit: every cell came from the record. Bounds mode can then
-    // only assert the ticks direction, since no registry ran.
-    if (full_hit) {
-      for (std::size_t idx = 0; options.check_bounds && idx < cells_per_method;
-           ++idx) {
-        const std::size_t ci = idx / n_scenarios;
-        check_metrics_against_bounds(
-            m.name, sweep.configs[ci].name,
-            sweep_scenario_name(scenarios[idx % n_scenarios]),
-            out[idx].metrics, nullptr, lane.bounds[ci], lint_reports[wi]);
-      }
-      lap(lane.prof.cache_s);
-      lane.prof.cache_hit_cells += cells_per_method;
-      ++lane.prof.methods;
-      lane.prof.cells += cells_per_method;
-      return;
     }
 
     // ---- execute ----
@@ -353,12 +332,10 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
         SweepSample& sample = out[ci * n_scenarios + si];
         sample.static_insts = static_cast<std::int32_t>(m.code.size());
         sample.back_jumps = back_jumps;
-        if (options.check_bounds) lane.bounds_reg = obs::MetricsRegistry{};
+        if (options.analyze) lane.registry = obs::MetricsRegistry{};
         sample.metrics = lane.engines[ci].run(m, lane.plans[ci], predictor);
-        if (options.attribution) {
+        if (options.analyze) {
           obs::AttributeOptions ao;
-          ao.mesh_width = sweep.configs[ci].width;
-          ao.collapsed = sweep.configs[ci].collapsed();
           ao.detail = false;  // the sweep keeps only the category vector
           const obs::Attribution attr = obs::attribute(lane.flight, ao);
           CellAttribution& cell =
@@ -370,13 +347,10 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
             cell.valid = true;
             cell.category_ticks = attr.category_ticks;
           }
-        }
-        if (options.check_bounds) {
           check_metrics_against_bounds(
               m.name, sweep.configs[ci].name,
               sweep_scenario_name(scenarios[si]), sample.metrics,
-              &lane.bounds_reg, lane.bounds[ci], lint_reports[wi]);
-          if (options.collect_metrics) lane.metrics.merge(lane.bounds_reg);
+              lane.registry, lane.bounds[ci], lint_reports[wi]);
         }
       }
     }
@@ -424,8 +398,7 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
     lane.prof.cells += cells_per_method;
   };
 
-  const unsigned threads = util::ThreadPool::resolve_clamped(
-      options.threads, options.allow_oversubscribe);
+  const unsigned threads = util::ThreadPool::resolve(options.threads);
   std::vector<std::unique_ptr<LaneState>> lanes;
   if (threads <= 1 || work.size() <= 1) {
     lanes.push_back(make_lane());
@@ -451,7 +424,6 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
     }
     sweep.profile.lanes.push_back(lane->prof);
     sweep.cache.stored_records += lane->stored_records;
-    if (options.collect_metrics) sweep.metrics.merge(lane->metrics);
   }
 
   // Dedup fill: duplicates copy their leader's cells and re-stamp the
@@ -474,10 +446,8 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
       sample.is_hot = is_hot;
       // Attribution and bounds are name-independent, so a duplicate's
       // values are its leader's, exactly.
-      if (options.attribution) {
+      if (options.analyze) {
         sweep.attribution[dst + c] = sweep.attribution[src + c];
-      }
-      if (options.check_bounds) {
         sweep.lower_bounds[dst + c] = sweep.lower_bounds[src + c];
       }
     }

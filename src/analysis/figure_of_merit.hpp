@@ -14,7 +14,6 @@
 #include "bytecode/method.hpp"
 #include "cache/store.hpp"
 #include "obs/critpath.hpp"
-#include "obs/metrics.hpp"
 #include "sim/config.hpp"
 #include "sim/engine.hpp"
 #include "util/intern.hpp"
@@ -51,8 +50,8 @@ struct SweepSample {
   bool operator==(const SweepSample&) const = default;
 };
 
-// Critical-path attribution for one sweep cell (SweepOptions::
-// attribution): the per-category tick totals from obs::attribute().
+// Critical-path attribution for one sweep cell (SweepOptions::analyze):
+// the per-category tick totals from obs::attribute().
 // `valid` requires a completed run whose attributed categories sum
 // exactly to the cell's RunMetrics.ticks; invalid cells keep zeros.
 // Name-independent, so dedup copies are exact.
@@ -107,43 +106,28 @@ struct SweepOptions {
   std::vector<sim::MachineConfig> configs;  // default: table15_configs()
   // Optional subsampling for quick runs: keep every k-th method (1 = all).
   int stride = 1;
-  // Telemetry: aggregate an obs::MetricsRegistry over every cell into
-  // Sweep::metrics. Lane-local registries are merged commutatively, so
-  // the aggregate is identical for every thread count.
-  bool collect_metrics = false;
-  // Critical-path attribution (docs/OBSERVABILITY.md "Attribution"):
-  // attach a lane-local obs::FlightRecorder to every engine and fill
-  // Sweep::attribution with per-cell category tick vectors. Attribution
-  // is an instrumented mode — like the registries, it forces the result
-  // cache off (cached cells record no dependency edges). Deterministic
-  // and thread-count-invariant like the samples.
-  bool attribution = false;
   // Worker threads for the sweep: 1 (default) runs in-line on the
   // calling thread; 0 uses one worker per hardware thread; n >= 2 uses
-  // exactly n workers. The sweep shards per method and writes samples at
-  // precomputed indices, so the output is identical for every setting.
-  // Requests beyond std::thread::hardware_concurrency() are clamped with
-  // a stderr warning unless allow_oversubscribe is set — timings from an
-  // oversubscribed sweep misreport the machine.
+  // exactly n workers, taken as given (the bench harnesses clamp their
+  // JAVAFLOW_THREADS request to the hardware first). The sweep shards per
+  // method and writes samples at precomputed indices, so the output is
+  // identical for every setting.
   int threads = 1;
-  bool allow_oversubscribe = false;
-  // Cross-validation mode (docs/ANALYSIS.md): compute timing and
-  // resource bounds for every method × config from the plans the sweep
-  // lowers, record each cell's static lower bound in Sweep::lower_bounds,
-  // and assert the bounds against what actually happens — `static lower
-  // bound <= ticks` and `buffer HWM <= static token bound` on every
-  // executed cell, the ticks bound alone on cache-served cells (no
-  // registry runs there). Violations land in Sweep::lint_findings as
-  // JF-E010, once per distinct method body under its first name,
-  // deterministic and thread-count-invariant.
-  bool check_bounds = false;
+  // Analysis sweep (docs/ANALYSIS.md, docs/OBSERVABILITY.md
+  // "Attribution"): every executed cell also gets its critical-path
+  // category vector (Sweep::attribution), the static lower bound of the
+  // plan the sweep lowered for it (Sweep::lower_bounds), and the JF-E010
+  // cross-check of its RunMetrics and buffer high-water marks against
+  // the static bounds (Sweep::lint_findings, once per distinct method
+  // body under its first name). Analysis reads what only execution
+  // produces, so it forces the result cache off for the sweep.
+  // Deterministic and thread-count-invariant like the samples.
+  bool analyze = false;
   // Persistent content-addressed result cache (docs/PERF.md "Result
   // cache"), off by default. Hits skip execution for the whole method
   // and fill its samples from the cached record; the output stays
   // deterministically indexed and thread-count-invariant either way.
-  // Telemetry runs (collect_metrics, attribution) force the cache off
-  // for the sweep — cached cells fire no hooks, so served results would
-  // under-count.
+  // An analysis sweep (`analyze`) runs with the cache off.
   cache::CacheMode cache = cache::CacheMode::Off;
   // Cache directory, used exactly as given; must be non-empty when the
   // cache is on.
@@ -157,27 +141,24 @@ struct SweepOptions {
 struct Sweep {
   std::vector<sim::MachineConfig> configs;
   std::vector<SweepSample> samples;
-  // Parallel to `samples` when SweepOptions::attribution is set (empty
+  // Parallel to `samples` when SweepOptions::analyze is set (empty
   // otherwise): critical-path category ticks per cell.
   std::vector<CellAttribution> attribution;
-  // Parallel to `samples` when SweepOptions::check_bounds is set (empty
+  // Parallel to `samples` when SweepOptions::analyze is set (empty
   // otherwise): the static lower bound on ticks of the cell's (method,
   // config), MethodBounds::lower_bound_ticks of the plan the sweep
   // lowered, or kNoBound (analysis/bounds.hpp) where no bound is proven.
   std::vector<std::int64_t> lower_bounds;
-  // Populated when SweepOptions::check_bounds is set.
+  // JF-E010 findings, populated when SweepOptions::analyze is set.
   std::vector<LintFinding> lint_findings;
   std::int32_t lint_errors = 0;
   std::int32_t lint_warnings = 0;
   // Per-phase wall-clock profile.
   SweepProfile profile;
-  // Aggregated telemetry (SweepOptions::collect_metrics, default off);
-  // identical for every thread count.
-  obs::MetricsRegistry metrics;
   // Result-cache outcome for this sweep (docs/PERF.md "Result cache").
   // Counters are cell-granular and thread-count-invariant.
   struct CacheStats {
-    std::string mode;  // mode the sweep ran with (telemetry forces off)
+    std::string mode;  // mode the sweep ran with (analysis forces off)
     std::size_t hit_cells = 0;
     std::size_t miss_cells = 0;
     std::size_t dedup_cells = 0;
@@ -265,7 +246,7 @@ struct NetworkRow {
 std::vector<NetworkRow> network_rows(const Sweep& sweep);
 
 // Per-config critical-path attribution totals (sweeps run with
-// SweepOptions::attribution): summed category ticks over attributed
+// SweepOptions::analyze): summed category ticks over attributed
 // usable cells. The per-row invariant total(category_ticks) ==
 // total_ticks holds by construction of obs::attribute().
 struct AttributionRow {

@@ -227,7 +227,7 @@ void lint_graph(const Method& m, const bytecode::ConstantPool& pool,
       if (vr.entry_depth[idx] < inst.pop) {
         out.add(LintRule::OperandMismatch, m.name, i, -1,
                 "entry stack shallower than the instruction's pops");
-      } else if (options.check_types && vr.ok &&
+      } else if (vr.ok &&
                  info.pop != bytecode::kVarCount &&
                  idx < vr.entry_stack.size() &&
                  vr.entry_stack[idx].size() ==

@@ -97,8 +97,6 @@ struct LintOptions {
   // Consumer-address array size per node (§4.2 targetDataFlowAddresses).
   // Table 10 measures corpus fan-out at <= 4 without optimization.
   std::int32_t mesh_fanout_limit = 16;
-  // JF-E003 operand typing from VerifyResult::entry_stack.
-  bool check_types = true;
   // Emit the warning-severity rules (JF-W101/JF-W102).
   bool warnings = true;
 };

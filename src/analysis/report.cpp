@@ -158,7 +158,7 @@ void write_sweep_json(std::ostream& os, const Sweep& sweep, int indent) {
      << ", \"stored_records\": " << sweep.cache.stored_records << "},\n";
 
   // Critical-path attribution (docs/OBSERVABILITY.md "Attribution"),
-  // present only when the sweep ran with SweepOptions::attribution: per
+  // present only when the sweep ran with SweepOptions::analyze: per
   // config, the summed category vector over attributed usable cells.
   if (!sweep.attribution.empty()) {
     const std::vector<AttributionRow> attr = attribution_rows(sweep);

@@ -25,7 +25,6 @@
 
 #include "bytecode/method.hpp"
 #include "cache/hash.hpp"
-#include "obs/critpath.hpp"
 #include "sim/branch_predictor.hpp"
 #include "sim/config.hpp"
 #include "sim/engine.hpp"
@@ -42,24 +41,16 @@ namespace javaflow::cache {
 // (and `javaflow_cache prune` deletes the stale files).
 inline constexpr std::uint32_t kEngineFingerprint = 1;
 
-// Analyzer version (docs/ANALYSIS.md): bump whenever the static bound /
-// model-check semantics change (cost model, fixpoint rules, state
-// abstraction). Folded into the record fingerprint so cached metrics
-// produced under older analyzer semantics can never mask a bounds
-// regression when a verify-mode replay re-checks them.
-inline constexpr std::uint32_t kAnalysisFingerprint = 1;
-
 // The fingerprint stamped on (and demanded of) record files: an FNV-1a
-// fold over every version constant whose semantics cached metrics can
+// fold over the version constants whose semantics cached RunMetrics
 // depend on — plan lowering (cached metrics flow through the engine's
-// plans and the plan-based bound analyzer), the execution kernel, the
-// analyzer, and the critical-path attribution format. Bumping any
-// constant invalidates every existing record.
+// plans) and the execution kernel. Records hold RunMetrics only: an
+// analysis sweep reads no record, so no analyzer or attribution version
+// belongs here. Bumping either constant invalidates every existing
+// record.
 inline constexpr std::uint32_t record_fingerprint() noexcept {
   std::uint32_t h = 2166136261u;  // FNV-1a 32 offset basis
-  for (const std::uint32_t v :
-       {sim::kPlanFingerprint, kEngineFingerprint, kAnalysisFingerprint,
-        obs::kAttributionFingerprint}) {
+  for (const std::uint32_t v : {sim::kPlanFingerprint, kEngineFingerprint}) {
     for (int i = 0; i < 4; ++i) {
       h ^= (v >> (8 * i)) & 0xffu;
       h *= 16777619u;

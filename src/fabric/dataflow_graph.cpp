@@ -52,21 +52,6 @@ std::vector<Edge> DataflowGraph::producers_of(std::int32_t consumer,
   return out;
 }
 
-std::size_t DataflowGraph::producer_count(std::int32_t consumer,
-                                          std::uint8_t side) const {
-  std::size_t n = 0;
-  for (const Edge& e : edges) {
-    if (e.consumer == consumer && e.side == side) ++n;
-  }
-  return n;
-}
-
-std::size_t DataflowGraph::max_fan_out() const {
-  std::size_t best = 0;
-  for (const auto& out : consumers_of) best = std::max(best, out.size());
-  return best;
-}
-
 DataflowGraph build_dataflow_graph(const bytecode::Method& m,
                                    const bytecode::ConstantPool& pool) {
   (void)pool;

@@ -43,18 +43,10 @@ struct DataflowGraph {
   std::vector<Edge> producers_of(std::int32_t consumer,
                                  std::uint8_t side) const;
 
-  // Number of resolved producers feeding one consumer operand side —
-  // producers_of(...).size() without materializing the edges.
-  std::size_t producer_count(std::int32_t consumer, std::uint8_t side) const;
-
   // Fan-out of a producer: number of consumer links it must send on fire.
   std::size_t fan_out(std::int32_t producer) const {
     return consumers_of[static_cast<std::size_t>(producer)].size();
   }
-
-  // Largest consumer array any producer carries (§4.2
-  // "targetDataFlowAddresses" sizing).
-  std::size_t max_fan_out() const;
 };
 
 // Builds the graph. The method must verify (callers pass methods produced

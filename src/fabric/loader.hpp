@@ -31,12 +31,9 @@ struct Placement {
                             static_cast<double>(insts);
   }
 
-  // Read-only introspection for analysis passes: whether `linear` was
-  // assigned a chain slot, and that slot (-1 when unassigned or out of
-  // range — never throws, so lint rules can report instead of crash).
-  bool placed(std::int32_t linear) const noexcept {
-    return slot(linear) >= 0;
-  }
+  // Read-only introspection for analysis passes: the chain slot assigned
+  // to `linear` (-1 when unassigned or out of range — never throws, so
+  // lint rules can report instead of crash).
   std::int32_t slot(std::int32_t linear) const noexcept {
     if (linear < 0 ||
         static_cast<std::size_t>(linear) >= slot_of.size()) {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "net/mesh_network.hpp"
-#include "obs/metrics.hpp"
 #include "sim/plan.hpp"
 
 namespace javaflow::obs {
@@ -24,40 +22,13 @@ std::string_view path_category_name(PathCategory c) noexcept {
 namespace {
 
 // Spread a MeshTransit segment's ticks over the physical links of its
-// X-Y route (same serpentine routing the engine's metrics use). Integer
-// division with the remainder on the final link keeps the per-link sum
-// exactly equal to the segment — no fractional ticks to lose.
-void attribute_links(const net::MeshNetwork& mesh, const PathStep& step,
+// X-Y route, read from the plan's precomputed route span: the links, in
+// the order net::MeshNetwork::for_each_route_link walks them
+// (tests/test_plan.cpp). Integer division with the remainder on the
+// final link keeps the per-link sum exactly equal to the segment — no
+// fractional ticks to lose.
+void attribute_links(const sim::ExecPlan& plan, const PathStep& step,
                      Attribution& out) {
-  std::int32_t hops = 0;
-  mesh.for_each_route_link(step.from_phys, step.to_phys,
-                           [&](std::int32_t, std::int32_t, std::int32_t) {
-                             ++hops;
-                           });
-  if (hops == 0) return;  // self-delivery: no link traversed
-  const std::int64_t per = step.ticks() / hops;
-  std::int64_t spent = 0;
-  std::int32_t seen = 0;
-  mesh.for_each_route_link(
-      step.from_phys, step.to_phys,
-      [&](std::int32_t src, std::int32_t dx, std::int32_t dy) {
-        const LinkDir dir = dx > 0   ? LinkDir::East
-                            : dx < 0 ? LinkDir::West
-                            : dy > 0 ? LinkDir::North
-                                     : LinkDir::South;
-        ++seen;
-        const std::int64_t share =
-            seen == hops ? step.ticks() - spent : per;
-        spent += share;
-        out.link_ticks[{src, static_cast<std::uint8_t>(dir)}] += share;
-      });
-}
-
-// Same spreading, but over a plan's precomputed route span: the links
-// (and their order) are exactly what for_each_route_link would walk, so
-// the two decompositions agree tick-for-tick (tests/test_plan.cpp).
-void attribute_links_plan(const sim::ExecPlan& plan, const PathStep& step,
-                          Attribution& out) {
   const sim::ExecPlan::RouteSpan r =
       plan.find_route(step.from_phys, step.to_phys);
   if (r.count == 0) return;  // self-delivery: no link traversed
@@ -120,21 +91,11 @@ Attribution attribute(const FlightRecorder& fr,
   if (opts.detail) {
     // Recorded back-to-front; present injection-first.
     std::reverse(out.steps.begin(), out.steps.end());
-    if (opts.plan != nullptr) {
-      if (!opts.plan->collapsed()) {
-        for (const PathStep& s : out.steps) {
-          if (s.category == PathCategory::MeshTransit && s.from_phys >= 0 &&
-              s.to_phys >= 0) {
-            attribute_links_plan(*opts.plan, s, out);
-          }
-        }
-      }
-    } else if (opts.mesh_width > 0 && !opts.collapsed) {
-      const net::MeshNetwork mesh(opts.mesh_width);
+    if (opts.plan != nullptr && !opts.plan->collapsed()) {
       for (const PathStep& s : out.steps) {
         if (s.category == PathCategory::MeshTransit && s.from_phys >= 0 &&
             s.to_phys >= 0) {
-          attribute_links(mesh, s, out);
+          attribute_links(*opts.plan, s, out);
         }
       }
     }

@@ -54,10 +54,10 @@ inline constexpr std::size_t kNumPathCategories = 7;
 std::string_view path_category_name(PathCategory c) noexcept;
 
 // Version stamp over the category enum *and* the edge-recording rules.
-// Folded into cache::record_fingerprint() and embedded in snapshot
-// files, so both cached sweep records and .jfs snapshots invalidate when
-// attribution semantics change. Bump on any change to PathCategory
-// values, hold-edge splicing, or parent selection.
+// Embedded in snapshot files, so .jfs snapshots invalidate when
+// attribution semantics change (cache records hold no attribution).
+// Bump on any change to PathCategory values, hold-edge splicing, or
+// parent selection.
 inline constexpr std::uint32_t kAttributionFingerprint = 1;
 
 // One dependency edge: this event's delay segment [from_tick, to_tick]
@@ -138,22 +138,15 @@ struct PathStep {
 };
 
 struct AttributeOptions {
-  // Mesh width of the configuration (> 0 enables per-physical-link
-  // decomposition of MeshTransit segments via X-Y routing). Collapsed
-  // (Baseline) meshes have no meaningful route; leave width at 0 or set
-  // `collapsed` and link attribution is skipped.
-  std::int32_t mesh_width = 0;
-  bool collapsed = false;
   // Collect the full step list and per-node/opcode/link aggregates.
   // Sweep-scale callers that only need the category vector turn this
   // off.
   bool detail = true;
   // Pre-lowered execution plan of the run being attributed (docs/PERF.md
-  // "Execution kernel"). When set, MeshTransit link decomposition replays
-  // the plan's precomputed X-Y route spans instead of re-walking a
-  // net::MeshNetwork — same links, same order, no routing work. The
-  // plan's own collapsed flag gates the decomposition, so mesh_width /
-  // collapsed above are ignored.
+  // "Execution kernel"). In detail mode, MeshTransit steps are spread
+  // over the physical links of the plan's precomputed X-Y route spans.
+  // Without a plan, or on a collapsed (Baseline) plan, which has no
+  // meaningful route, link_ticks stays empty.
   const sim::ExecPlan* plan = nullptr;
 };
 

@@ -45,13 +45,6 @@ void Histogram::record(std::int64_t value) noexcept {
   max = std::max(max, v);
 }
 
-void Histogram::merge(const Histogram& other) noexcept {
-  for (std::size_t i = 0; i < kBuckets; ++i) buckets[i] += other.buckets[i];
-  count += other.count;
-  sum += other.sum;
-  max = std::max(max, other.max);
-}
-
 std::string_view link_dir_name(LinkDir d) noexcept {
   switch (d) {
     case LinkDir::East: return "east";
@@ -83,48 +76,6 @@ void MetricsRegistry::buffer_high_water(std::int32_t phys_slot,
 void MetricsRegistry::mesh_link(std::int32_t src_phys_slot, LinkDir dir) {
   ++mesh_dir_hops[static_cast<std::size_t>(dir)];
   ++mesh_link_load[{src_phys_slot, static_cast<std::uint8_t>(dir)}];
-}
-
-void MetricsRegistry::merge(const MetricsRegistry& other) {
-  serial_messages += other.serial_messages;
-  serial_hop_ticks += other.serial_hop_ticks;
-  for (std::size_t i = 0; i < kNumCommands; ++i) {
-    serial_commands[i] += other.serial_commands[i];
-  }
-  mesh_messages += other.mesh_messages;
-  mesh_transit_cycles += other.mesh_transit_cycles;
-  for (std::size_t i = 0; i < kNumLinkDirs; ++i) {
-    mesh_dir_hops[i] += other.mesh_dir_hops[i];
-  }
-  for (const auto& [link, n] : other.mesh_link_load) {
-    mesh_link_load[link] += n;
-  }
-  if (firings_by_node.size() < other.firings_by_node.size()) {
-    firings_by_node.resize(other.firings_by_node.size(), 0);
-  }
-  for (std::size_t i = 0; i < other.firings_by_node.size(); ++i) {
-    firings_by_node[i] += other.firings_by_node[i];
-  }
-  if (buffer_hwm_by_node.size() < other.buffer_hwm_by_node.size()) {
-    buffer_hwm_by_node.resize(other.buffer_hwm_by_node.size(), 0);
-  }
-  for (std::size_t i = 0; i < other.buffer_hwm_by_node.size(); ++i) {
-    buffer_hwm_by_node[i] =
-        std::max(buffer_hwm_by_node[i], other.buffer_hwm_by_node[i]);
-  }
-  for (std::size_t i = 0; i < kNumOpcodes; ++i) {
-    firings_by_opcode[i] += other.firings_by_opcode[i];
-  }
-  for (std::size_t i = 0; i < kNumGroups; ++i) {
-    exec_ticks_by_group[i].merge(other.exec_ticks_by_group[i]);
-  }
-  fire_stall_ticks.merge(other.fire_stall_ticks);
-  tail_hold_ticks.merge(other.tail_hold_ticks);
-  for (std::size_t i = 0; i < kNumRingServices; ++i) {
-    ring_requests[i] += other.ring_requests[i];
-    ring_latency_ticks[i].merge(other.ring_latency_ticks[i]);
-  }
-  runs += other.runs;
 }
 
 void MetricsRegistry::write_json(std::ostream& os, int indent) const {

@@ -19,10 +19,10 @@
 // pointer (the default) makes every hook a single branch, so the
 // instrumented engine is a guaranteed no-op when telemetry is off
 // (verified by bench/sweep_speed staying within noise of the pre-layer
-// baseline). Counters accumulate across runs; merge() folds lane-local
-// registries into a sweep-level aggregate. All mutating operations are
-// commutative (add / max / bucket-add), so a parallel sweep's merged
-// registry is identical to the serial sweep's for any thread count.
+// baseline). Counters accumulate across runs, and every recording
+// operation is commutative (add / max / bucket-add), so a registry
+// attached to several engines holds the same values whatever order
+// their runs come in.
 #pragma once
 
 #include <array>
@@ -50,7 +50,6 @@ struct Histogram {
   std::uint64_t max = 0;
 
   void record(std::int64_t value) noexcept;
-  void merge(const Histogram& other) noexcept;
   double mean() const noexcept {
     return count > 0 ? static_cast<double>(sum) / static_cast<double>(count)
                      : 0.0;
@@ -108,9 +107,6 @@ struct MetricsRegistry {
   void node_firing(std::int32_t phys_slot, std::uint8_t opcode) noexcept;
   void buffer_high_water(std::int32_t phys_slot, std::size_t depth);
   void mesh_link(std::int32_t src_phys_slot, LinkDir dir);
-
-  // Commutative fold of another registry into this one.
-  void merge(const MetricsRegistry& other);
 
   // Deterministic JSON export (stable key order, no floats beyond means).
   void write_json(std::ostream& os, int indent = 0) const;

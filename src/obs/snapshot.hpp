@@ -1,5 +1,5 @@
 // Run-snapshot files (.jfs): versioned, checksummed capture of one
-// attribution sweep — per-config per-method ticks, critical-path
+// analysis sweep — per-config per-method ticks, critical-path
 // category vectors, static lower bounds, and scheduler/stride metadata.
 //
 // A snapshot is the diffable unit of "where do the ticks go": commit a

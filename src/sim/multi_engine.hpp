@@ -31,8 +31,8 @@
 //
 // Determinism: admission order, start ticks, and the per-residency
 // branch scenario fully determine the event sequence. The calendar is
-// single-threaded; repeated runs with the same admissions are
-// bit-identical, independent of JAVAFLOW_THREADS.
+// single-threaded and reads no environment; repeated runs with the same
+// admissions are bit-identical.
 //
 // MultiEngine runs the shared instantiation of the one execution kernel
 // (sim/kernel.hpp); sim::Engine runs its solo instantiation. Single-

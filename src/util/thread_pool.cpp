@@ -80,11 +80,10 @@ unsigned ThreadPool::resolve(int requested) noexcept {
                         : hardware_threads();
 }
 
-unsigned ThreadPool::resolve_clamped(int requested,
-                                     bool allow_oversubscribe) noexcept {
+unsigned ThreadPool::resolve_clamped(int requested) noexcept {
   const unsigned n = resolve(requested);
   const unsigned hw = hardware_threads();
-  if (allow_oversubscribe || n <= hw) return n;
+  if (n <= hw) return n;
   std::fprintf(stderr,
                "warning: clamping %u requested worker threads to the %u "
                "hardware thread(s) on this host\n",

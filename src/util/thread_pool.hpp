@@ -57,14 +57,12 @@ class ThreadPool {
   static unsigned resolve(int requested) noexcept;
 
   // resolve(), then clamp to hardware_threads() with a one-line stderr
-  // warning when the request exceeds it. Oversubscribing the sweep never
-  // changes its output (it is deterministic by construction) but it
-  // misreports the machine — the PR 3 BENCH_sweep.json recorded a 0.97x
-  // "speedup" from 4 workers on a 1-hardware-thread host. Callers that
-  // genuinely want oversubscription (determinism tests on small hosts)
-  // pass allow_oversubscribe = true.
-  static unsigned resolve_clamped(int requested,
-                                  bool allow_oversubscribe = false) noexcept;
+  // warning when the request exceeds it. For callers that report
+  // timings: oversubscribing a sweep never changes its output (it is
+  // deterministic by construction) but it misreports the machine — one
+  // BENCH_sweep.json recorded a 0.97x "speedup" from 4 workers on a
+  // 1-hardware-thread host. The library itself takes counts as given.
+  static unsigned resolve_clamped(int requested) noexcept;
 
  private:
   void worker_loop();

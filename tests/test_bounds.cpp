@@ -262,7 +262,7 @@ TEST(BoundsCrossValidation, ImpossiblyFastMetricsTriggerE010) {
   doctored.ticks = real.bounds.lower_bound_ticks - 1;
   LintReport report;
   check_metrics_against_bounds(b.method.name, config.name, "BP1", doctored,
-                               nullptr, real.bounds, report);
+                               real.registry, real.bounds, report);
   ASSERT_TRUE(report.has(LintRule::BoundViolation)) << to_text(report);
   EXPECT_EQ(lint_rule_id(LintRule::BoundViolation), "JF-E010");
   EXPECT_FALSE(report.clean());
@@ -270,7 +270,7 @@ TEST(BoundsCrossValidation, ImpossiblyFastMetricsTriggerE010) {
   // The genuine measurement passes both directions.
   LintReport clean;
   check_metrics_against_bounds(b.method.name, config.name, "BP1",
-                               real.metrics, &real.registry, real.bounds,
+                               real.metrics, real.registry, real.bounds,
                                clean);
   EXPECT_TRUE(clean.findings.empty()) << to_text(clean);
 }
@@ -291,7 +291,7 @@ TEST(BoundsCrossValidation, OverfullBufferHighWaterTriggersE010) {
   }
   LintReport report;
   check_metrics_against_bounds(b.method.name, config.name, "BP1",
-                               real.metrics, &doctored, real.bounds, report);
+                               real.metrics, doctored, real.bounds, report);
   EXPECT_TRUE(report.has(LintRule::BoundViolation)) << to_text(report);
 }
 
@@ -458,7 +458,7 @@ TEST(ModelCheckCorpus, FullCorpusProvesDeadlockFreedom) {
   EXPECT_EQ(proved, corpus.program.methods.size());
 }
 
-// ---- sweep integration: SweepOptions::check_bounds ----
+// ---- sweep integration: SweepOptions::analyze ----
 
 TEST(SweepBounds, StridedCorpusSweepValidatesBothDirections) {
   // Every executed cell asserts lower_bound <= ticks AND measured buffer
@@ -471,20 +471,18 @@ TEST(SweepBounds, StridedCorpusSweepValidatesBothDirections) {
   SweepOptions options;
   options.stride = 16;
   options.threads = 0;
-  options.allow_oversubscribe = true;
-  options.check_bounds = true;
+  options.analyze = true;
   const Sweep sweep = run_sweep(methods, corpus.program.pool, {}, options);
   EXPECT_FALSE(sweep.samples.empty());
   EXPECT_EQ(sweep.lint_errors, 0) << to_text(LintReport{
       sweep.lint_findings, sweep.lint_errors, sweep.lint_warnings, 0, 0});
 }
 
-TEST(SweepBounds, CacheServedCellsAreStillChecked) {
-  // A warm read-mode sweep serves whole methods from the record; bounds
-  // mode must still assert the ticks direction on those cached cells
-  // (the JF-E010 replay check).
-  const std::string dir =
-      ::testing::TempDir() + "javaflow_bounds_cache";
+TEST(SweepBounds, AnalysisSweepNeverReadsTheCache) {
+  // A store that holds every cell of the slice, filled by a plain sweep:
+  // an analysis sweep asked to read it runs with the cache off instead,
+  // so every cell is executed and checked, exactly as without a store.
+  const std::string dir = ::testing::TempDir() + "javaflow_bounds_cache";
   std::filesystem::remove_all(dir);
 
   const workloads::Corpus corpus = workloads::make_corpus({});
@@ -493,28 +491,37 @@ TEST(SweepBounds, CacheServedCellsAreStillChecked) {
 
   SweepOptions options;
   options.stride = 128;
-  options.threads = 0;
-  options.allow_oversubscribe = true;
+  options.threads = 2;
   options.cache = cache::CacheMode::ReadWrite;
   options.cache_dir = dir;
-  const Sweep cold = run_sweep(methods, corpus.program.pool, {}, options);
-  EXPECT_GT(cold.cache.stored_records, 0u);
+  const Sweep fill = run_sweep(methods, corpus.program.pool, {}, options);
+  EXPECT_GT(fill.cache.stored_records, 0u);
 
-  options.check_bounds = true;
+  options.analyze = true;
   options.cache = cache::CacheMode::Read;
-  const Sweep warm = run_sweep(methods, corpus.program.pool, {}, options);
-  EXPECT_GT(warm.cache.hit_cells, 0u);
-  EXPECT_EQ(warm.lint_errors, 0) << to_text(LintReport{
-      warm.lint_findings, warm.lint_errors, warm.lint_warnings, 0, 0});
-  EXPECT_EQ(warm.samples.size(), cold.samples.size());
+  const Sweep read = run_sweep(methods, corpus.program.pool, {}, options);
+  options.cache = cache::CacheMode::Off;
+  const Sweep off = run_sweep(methods, corpus.program.pool, {}, options);
   std::filesystem::remove_all(dir);
+
+  EXPECT_EQ(read.cache.mode, "off");
+  EXPECT_EQ(read.cache.hit_cells, 0u);
+  EXPECT_EQ(read.cache.stored_records, 0u);
+  ASSERT_FALSE(read.samples.empty());
+  EXPECT_EQ(read.samples, off.samples);
+  EXPECT_EQ(read.samples, fill.samples);
+  EXPECT_EQ(read.attribution, off.attribution);
+  EXPECT_EQ(read.lower_bounds, off.lower_bounds);
+  EXPECT_EQ(read.lint_findings, off.lint_findings);
+  EXPECT_EQ(read.lint_errors, 0) << to_text(LintReport{
+      read.lint_findings, read.lint_errors, read.lint_warnings, 0, 0});
 }
 
 TEST(SweepBounds, LowerBoundsMatchTheAnalyzer) {
   // Every Sweep::lower_bounds entry is compute_bounds() on the cell's
   // (method, config) plan — checked here against plans lowered
-  // independently of the sweep, on computed, deduplicated and
-  // cache-served cells alike.
+  // independently of the sweep, on computed and deduplicated cells
+  // alike.
   const workloads::Corpus corpus = workloads::make_corpus({});
   const bytecode::ConstantPool& pool = corpus.program.pool;
   std::vector<const bytecode::Method*> methods;
@@ -527,34 +534,22 @@ TEST(SweepBounds, LowerBoundsMatchTheAnalyzer) {
   twin.name = "twin." + twin.name;
   methods.push_back(&twin);
 
-  const std::string dir = ::testing::TempDir() + "javaflow_bounds_lower";
-  std::filesystem::remove_all(dir);
   SweepOptions options;
   options.threads = 2;
-  options.allow_oversubscribe = true;
-  options.check_bounds = true;
-  options.cache = cache::CacheMode::ReadWrite;
-  options.cache_dir = dir;
-  const Sweep cold = run_sweep(methods, pool, {}, options);
-  options.cache = cache::CacheMode::Read;
-  const Sweep warm = run_sweep(methods, pool, {}, options);
-  std::filesystem::remove_all(dir);
-  EXPECT_GT(cold.cache.dedup_cells, 0u);
-  EXPECT_EQ(warm.cache.miss_cells, 0u);
-  EXPECT_GT(warm.cache.hit_cells, 0u);
-  EXPECT_EQ(warm.samples, cold.samples);
-  ASSERT_EQ(cold.lower_bounds.size(), cold.samples.size());
-  ASSERT_EQ(warm.lower_bounds.size(), warm.samples.size());
+  options.analyze = true;
+  const Sweep sweep = run_sweep(methods, pool, {}, options);
+  EXPECT_GT(sweep.cache.dedup_cells, 0u);
+  ASSERT_EQ(sweep.lower_bounds.size(), sweep.samples.size());
 
   const std::size_t n_scenarios = SweepOptions::scenarios.size();
-  const std::size_t per_method = cold.configs.size() * n_scenarios;
-  ASSERT_EQ(cold.samples.size(), methods.size() * per_method);
+  const std::size_t per_method = sweep.configs.size() * n_scenarios;
+  ASSERT_EQ(sweep.samples.size(), methods.size() * per_method);
   std::size_t proven = 0;
   for (std::size_t mi = 0; mi < methods.size(); ++mi) {
     const bytecode::Method& m = *methods[mi];
     const DataflowGraph graph = fabric::build_dataflow_graph(m, pool);
-    for (std::size_t ci = 0; ci < cold.configs.size(); ++ci) {
-      const sim::MachineConfig& config = cold.configs[ci];
+    for (std::size_t ci = 0; ci < sweep.configs.size(); ++ci) {
+      const sim::MachineConfig& config = sweep.configs[ci];
       const fabric::Fabric f(config.fabric_options());
       const fabric::Placement placement = fabric::load_method(f, m);
       const sim::ExecPlan plan =
@@ -565,9 +560,7 @@ TEST(SweepBounds, LowerBoundsMatchTheAnalyzer) {
       if (want < kNoBound) ++proven;
       for (std::size_t si = 0; si < n_scenarios; ++si) {
         const std::size_t cell = mi * per_method + ci * n_scenarios + si;
-        EXPECT_EQ(cold.lower_bounds[cell], want)
-            << m.name << " on " << config.name;
-        EXPECT_EQ(warm.lower_bounds[cell], want)
+        EXPECT_EQ(sweep.lower_bounds[cell], want)
             << m.name << " on " << config.name;
       }
     }

@@ -292,7 +292,6 @@ analysis::Sweep corpus_sweep(cache::CacheMode mode, const std::string& dir,
   analysis::SweepOptions options;
   options.stride = stride;
   options.threads = threads;
-  options.allow_oversubscribe = true;  // single-hardware-thread CI hosts
   options.cache = mode;
   options.cache_dir = dir;
   options.method_filter = filter;

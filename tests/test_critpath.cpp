@@ -43,8 +43,7 @@ analysis::Sweep attribution_sweep(int threads) {
   analysis::SweepOptions options;
   options.stride = 32;  // the CI smoke stride: a real corpus slice
   options.threads = threads;
-  options.allow_oversubscribe = true;
-  options.attribution = true;
+  options.analyze = true;
   return analysis::run_sweep(methods, corpus().program.pool, {}, options);
 }
 
@@ -52,7 +51,6 @@ obs::Snapshot stride32_snapshot(int threads) {
   analysis::SnapshotBuildOptions options;
   options.stride = 32;
   options.threads = threads;
-  options.allow_oversubscribe = true;
   return analysis::build_snapshot(corpus(), options);
 }
 
@@ -298,11 +296,10 @@ TEST(Snapshot, SaveLoadRoundTripsThroughDisk) {
 
 // ---- fingerprints ----
 
-// record_fingerprint() is an FNV-1a 32 fold over, in order: plan
-// lowering, execution kernel, analyzer, and attribution versions.
-// Recomputing the fold here pins both the constant set and the fold
-// order — bumping any version constant (or
-// reordering the fold) must change the stamped fingerprint.
+// record_fingerprint() is an FNV-1a 32 fold over, in order: the plan
+// lowering and execution kernel versions. Recomputing the fold here pins
+// both the constant set and the fold order — bumping either version
+// constant (or reordering the fold) must change the stamped fingerprint.
 TEST(Fingerprint, VersionConstantsAreFoldedIntoCacheRecords) {
   const auto fold = [](std::initializer_list<std::uint32_t> vs) {
     std::uint32_t h = 2166136261u;
@@ -315,14 +312,12 @@ TEST(Fingerprint, VersionConstantsAreFoldedIntoCacheRecords) {
     return h;
   };
   EXPECT_EQ(cache::record_fingerprint(),
-            fold({sim::kPlanFingerprint, cache::kEngineFingerprint,
-                  cache::kAnalysisFingerprint,
-                  obs::kAttributionFingerprint}));
-  // Sensitivity: a bump of any single constant moves the fingerprint.
+            fold({sim::kPlanFingerprint, cache::kEngineFingerprint}));
+  // Sensitivity: a bump of either constant moves the fingerprint.
   EXPECT_NE(cache::record_fingerprint(),
-            fold({sim::kPlanFingerprint, cache::kEngineFingerprint + 1,
-                  cache::kAnalysisFingerprint,
-                  obs::kAttributionFingerprint}));
+            fold({sim::kPlanFingerprint + 1, cache::kEngineFingerprint}));
+  EXPECT_NE(cache::record_fingerprint(),
+            fold({sim::kPlanFingerprint, cache::kEngineFingerprint + 1}));
 }
 
 }  // namespace

@@ -8,7 +8,8 @@
 //     (1605 methods × 6 Table 15 configs × 2 scenarios);
 //   * the stride-32 attribution snapshot, byte for byte against the
 //     committed bench/reference_stride32.jfs;
-//   * the stride-32 telemetry registry (MetricsRegistry JSON);
+//   * the telemetry registry (MetricsRegistry JSON) of the runs a
+//     stride-32 sweep makes;
 //   * Chrome-trace JSON of a loop program on every config × scenario,
 //     and that explain_method's run records the same trace and registry;
 //   * RunMetrics and traces of runs whose events spill past the
@@ -20,6 +21,7 @@
 #include <array>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -111,16 +113,32 @@ TEST(Golden, Stride32SnapshotMatchesCommittedReference) {
   EXPECT_TRUE(bytes == reference);
 }
 
+// One registry attached to the six Table 15 engines records the runs a
+// stride-32 sweep makes: the first of each distinct method body among
+// every 32nd corpus method, on every config under both scenarios.
 TEST(Golden, Stride32MetricsRegistryJson) {
-  analysis::SweepOptions options;
-  options.stride = 32;
-  options.threads = 0;
-  options.collect_metrics = true;
-  const analysis::Sweep sweep =
-      analysis::run_sweep(corpus_methods(), corpus().program.pool, {},
-                          options);
+  obs::MetricsRegistry registry;
+  sim::EngineOptions engine_options;
+  engine_options.metrics = &registry;
+  std::vector<sim::Engine> engines;
+  for (const sim::MachineConfig& cfg : sim::table15_configs()) {
+    engines.emplace_back(cfg, engine_options);
+  }
+  const std::vector<bytecode::Method>& methods = corpus().program.methods;
+  std::set<cache::Hash128> bodies;
+  for (std::size_t i = 0; i < methods.size(); i += 32) {
+    if (!bodies.insert(cache::hash_method_body(methods[i])).second) continue;
+    const fabric::DataflowGraph graph =
+        fabric::build_dataflow_graph(methods[i], corpus().program.pool);
+    for (sim::Engine& engine : engines) {
+      for (const Scenario scenario : analysis::SweepOptions::scenarios) {
+        sim::BranchPredictor predictor(scenario);
+        engine.run(methods[i], graph, predictor);
+      }
+    }
+  }
   std::ostringstream os;
-  sweep.metrics.write_json(os);
+  registry.write_json(os);
   EXPECT_EQ(cache::to_hex(cache::hash_bytes(os.str())),
             "910209d1a7462c32e289d72aec243125");
 }

@@ -39,11 +39,8 @@ TEST(ThreadPool, ResolveClampedCapsAtHardwareThreads) {
   EXPECT_EQ(util::ThreadPool::resolve_clamped(1), 1u);
   EXPECT_EQ(util::ThreadPool::resolve_clamped(0), hw);
   EXPECT_EQ(util::ThreadPool::resolve_clamped(static_cast<int>(hw)), hw);
-  // Oversubscription clamps (with a stderr warning) unless allowed.
+  // Oversubscription clamps, with a stderr warning.
   EXPECT_EQ(util::ThreadPool::resolve_clamped(static_cast<int>(hw) + 3), hw);
-  EXPECT_EQ(util::ThreadPool::resolve_clamped(static_cast<int>(hw) + 3,
-                                              /*allow_oversubscribe=*/true),
-            hw + 3);
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
@@ -96,10 +93,6 @@ analysis::Sweep corpus_sweep(int threads, int stride) {
   analysis::SweepOptions options;
   options.stride = stride;
   options.threads = threads;
-  // Determinism coverage must exercise multiple lanes even on a
-  // single-hardware-thread CI host, where the clamp would fold every
-  // request back to one worker.
-  options.allow_oversubscribe = true;
   return analysis::run_sweep(methods, corpus.program.pool, hot, options);
 }
 
@@ -115,6 +108,17 @@ TEST(ParallelSweep, MatchesSerialOnStridedCorpus) {
         << parallel.samples[i].method << ")";
   }
   EXPECT_EQ(serial.samples, parallel.samples);
+}
+
+// run_sweep takes the worker count as given, also beyond the hardware
+// threads: only the bench harnesses, which report timings, clamp.
+TEST(ParallelSweep, ThreadCountIsTakenLiterally) {
+  const unsigned threads = util::ThreadPool::hardware_threads() + 1;
+  const analysis::Sweep serial = corpus_sweep(/*threads=*/1, /*stride=*/97);
+  const analysis::Sweep wide =
+      corpus_sweep(static_cast<int>(threads), /*stride=*/97);
+  EXPECT_EQ(wide.profile.lanes.size(), threads);
+  EXPECT_EQ(wide.samples, serial.samples);
 }
 
 TEST(ParallelSweep, ThreadsOneMatchesDefaultOptions) {

@@ -8,6 +8,7 @@
 // sharing; run this binary under TSan).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,7 +19,9 @@
 #include "fabric/dataflow_graph.hpp"
 #include "fabric/fabric.hpp"
 #include "fabric/loader.hpp"
+#include "net/mesh_network.hpp"
 #include "obs/critpath.hpp"
+#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include "sim/plan.hpp"
 #include "workloads/corpus.hpp"
@@ -51,9 +54,6 @@ analysis::Sweep plan_sweep(int threads) {
   analysis::SweepOptions options;
   options.stride = 32;  // the CI smoke stride: a real corpus slice
   options.threads = threads;
-  // Real worker threads even on small CI hosts, so several lanes lower
-  // and run plans at once (and TSan can see them).
-  options.allow_oversubscribe = threads > 1;
   return analysis::run_sweep(methods, corpus.program.pool, hot, options);
 }
 
@@ -124,10 +124,12 @@ Program loop_program() {
 
 // ---- attribution link decomposition ----
 
-// AttributeOptions::plan replays the plan's precomputed X-Y route spans
-// instead of walking net::MeshNetwork; the per-link tick map must agree
-// exactly.
+// AttributeOptions::plan spreads each on-path mesh step over the plan's
+// precomputed X-Y route span: every span must be the route
+// net::MeshNetwork walks, link for link, and the per-link ticks must sum
+// to the ticks of the routed mesh steps.
 TEST(PlanEquality, LinkDecompositionMatchesMeshWalk) {
+  std::int64_t routed_total = 0;
   const Program p = loop_program();
   const fabric::DataflowGraph graph =
       fabric::build_dataflow_graph(p.methods[0], p.pool);
@@ -148,18 +150,44 @@ TEST(PlanEquality, LinkDecompositionMatchesMeshWalk) {
         engine.run(p.methods[0], plan, predictor);
     ASSERT_TRUE(metrics.completed) << cfg.name;
 
-    obs::AttributeOptions mesh_opts;
-    mesh_opts.mesh_width = cfg.width;
-    mesh_opts.collapsed = cfg.collapsed();
-    const obs::Attribution via_mesh = obs::attribute(flight, mesh_opts);
+    obs::AttributeOptions opts;
+    opts.plan = &plan;
+    const obs::Attribution attr = obs::attribute(flight, opts);
+    ASSERT_TRUE(attr.valid) << cfg.name;
 
-    obs::AttributeOptions plan_opts;
-    plan_opts.plan = &plan;
-    const obs::Attribution via_plan = obs::attribute(flight, plan_opts);
-
-    ASSERT_TRUE(via_mesh.valid) << cfg.name;
-    EXPECT_EQ(via_mesh, via_plan) << cfg.name;
+    const net::MeshNetwork mesh(cfg.width);
+    std::int64_t routed = 0;
+    for (const obs::PathStep& s : attr.steps) {
+      if (cfg.collapsed() || s.category != obs::PathCategory::MeshTransit ||
+          s.from_phys < 0 || s.to_phys < 0) {
+        continue;
+      }
+      std::vector<sim::PlanRouteLink> walked;
+      mesh.for_each_route_link(
+          s.from_phys, s.to_phys,
+          [&](std::int32_t src, std::int32_t dx, std::int32_t dy) {
+            const obs::LinkDir dir = dx > 0   ? obs::LinkDir::East
+                                     : dx < 0 ? obs::LinkDir::West
+                                     : dy > 0 ? obs::LinkDir::North
+                                              : obs::LinkDir::South;
+            walked.push_back({src, static_cast<std::uint8_t>(dir)});
+          });
+      const sim::ExecPlan::RouteSpan span =
+          plan.find_route(s.from_phys, s.to_phys);
+      ASSERT_EQ(static_cast<std::size_t>(span.count), walked.size())
+          << cfg.name;
+      for (std::size_t i = 0; i < walked.size(); ++i) {
+        EXPECT_EQ(span.links[i].src_phys, walked[i].src_phys) << cfg.name;
+        EXPECT_EQ(span.links[i].dir, walked[i].dir) << cfg.name;
+      }
+      if (!walked.empty()) routed += s.ticks();
+    }
+    std::int64_t link_ticks = 0;
+    for (const auto& [link, ticks] : attr.link_ticks) link_ticks += ticks;
+    EXPECT_EQ(link_ticks, routed) << cfg.name;
+    routed_total += routed;
   }
+  EXPECT_GT(routed_total, 0);
 }
 
 // ---- bound analyzer on the lowered image ----

@@ -19,7 +19,7 @@
 //     IO error or unknown method.
 //
 //   javaflow_explain --snapshot <out.jfs> [--stride <n>] [--threads <n>]
-//     Runs an attribution sweep over the corpus (all Table 15 configs ×
+//     Runs an analysis sweep over the corpus (all Table 15 configs ×
 //     both scenarios) and writes a versioned, checksummed snapshot file.
 //     Deterministic: the same corpus and stride produce byte-identical
 //     files for every thread count.
@@ -285,7 +285,6 @@ int main(int argc, char** argv) {
     javaflow::analysis::SnapshotBuildOptions options;
     options.stride = stride;
     options.threads = threads;
-    options.allow_oversubscribe = true;
     const javaflow::obs::Snapshot snap =
         javaflow::analysis::build_snapshot(corpus, options);
     if (!javaflow::obs::save_snapshot(snap, snapshot_path)) {

@@ -253,7 +253,7 @@ int main(int argc, char** argv) {
     sweep_options.configs = configs;
     sweep_options.stride = bounds_sweep_stride;
     sweep_options.threads = threads;
-    sweep_options.check_bounds = true;
+    sweep_options.analyze = true;
     const analysis::Sweep sweep = analysis::run_sweep(
         sweep_methods, program.pool, {}, sweep_options);
     analysis::LintReport sr;
