@@ -198,6 +198,8 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
     std::vector<sim::ExecPlan> plans;
     std::vector<MethodBounds> bounds;
     sim::ExecPlanBuilder plan_builder;
+    // The in-flight method's cell keys, in cell order.
+    std::vector<cache::Hash128> keys;
     cache::MethodRecord record;
     // The lane's name interner: each method's cells share one heap
     // string per name instead of twelve copies.
@@ -221,6 +223,7 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
     lane->placements.resize(n_configs);
     lane->plans.resize(n_configs);
     lane->bounds.resize(n_configs);
+    lane->keys.resize(cells_per_method);
     return lane;
   };
 
@@ -264,14 +267,14 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
     bool have_record = false;
     bool full_hit = false;
     if (store.has_value()) {
+      cache::cell_keys(body_hash[pi], pool_hash, config_hash, engine_hash,
+                       scenarios, lane.keys);
       have_record =
           store->load(cache::record_key(body_hash[pi], pool_hash),
                       cache::record_fingerprint(), lane.record);
       full_hit = have_record;
       for (std::size_t idx = 0; full_hit && idx < cells_per_method; ++idx) {
-        const cache::Hash128 key = cache::cell_key(
-            body_hash[pi], pool_hash, config_hash[idx / n_scenarios],
-            engine_hash, scenarios[idx % n_scenarios]);
+        const cache::Hash128& key = lane.keys[idx];
         const auto cell = std::find_if(
             lane.record.cells.begin(), lane.record.cells.end(),
             [&](const cache::CellRecord& c) { return c.key == key; });
@@ -366,26 +369,22 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
         next.fingerprint = cache::record_fingerprint();
         next.method_name = m.name;
         if (have_record) next.cells = lane.record.cells;
-        for (std::size_t ci = 0; ci < n_configs; ++ci) {
-          for (std::size_t si = 0; si < n_scenarios; ++si) {
-            const SweepSample& fresh = out[ci * n_scenarios + si];
-            cache::CellRecord cell;
-            cell.key = cache::cell_key(body_hash[pi], pool_hash,
-                                       config_hash[ci], engine_hash,
-                                       scenarios[si]);
-            cell.static_insts = fresh.static_insts;
-            cell.back_jumps = fresh.back_jumps;
-            cell.metrics = fresh.metrics;
-            bool replaced = false;
-            for (cache::CellRecord& existing : next.cells) {
-              if (existing.key == cell.key) {
-                existing = cell;
-                replaced = true;
-                break;
-              }
+        for (std::size_t idx = 0; idx < cells_per_method; ++idx) {
+          const SweepSample& fresh = out[idx];
+          cache::CellRecord cell;
+          cell.key = lane.keys[idx];
+          cell.static_insts = fresh.static_insts;
+          cell.back_jumps = fresh.back_jumps;
+          cell.metrics = fresh.metrics;
+          bool replaced = false;
+          for (cache::CellRecord& existing : next.cells) {
+            if (existing.key == cell.key) {
+              existing = cell;
+              replaced = true;
+              break;
             }
-            if (!replaced) next.cells.push_back(cell);
           }
+          if (!replaced) next.cells.push_back(cell);
         }
         if (store->save(cache::record_key(body_hash[pi], pool_hash),
                         next)) {

@@ -28,6 +28,8 @@ struct Hash128 {
 
 // Lower-case 32-hex-digit spelling (file names, CLI output).
 std::string to_hex(const Hash128& h);
+// The same 32 digits written to out[0..31], with no terminator.
+void to_hex(const Hash128& h, char* out) noexcept;
 
 class Hasher {
  public:

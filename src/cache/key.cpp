@@ -20,11 +20,37 @@ void append_instruction(Hasher& h, const bytecode::Instruction& inst) {
   h.u8(inst.push);
 }
 
+// A cell key's bytes, in order: engine fingerprint, method body, pool
+// (the part every cell of a method shares), then config, engine options
+// and scenario. cell_key and cell_keys both hash through these three.
+Hasher cell_prefix(std::uint32_t engine_fingerprint,
+                   const Hash128& method_body, const Hash128& pool) {
+  Hasher h;
+  h.u32(engine_fingerprint);
+  h.u64(method_body.hi);
+  h.u64(method_body.lo);
+  h.u64(pool.hi);
+  h.u64(pool.lo);
+  return h;
+}
+
+void add_config(Hasher& h, const Hash128& config,
+                const Hash128& engine_options) {
+  h.u64(config.hi);
+  h.u64(config.lo);
+  h.u64(engine_options.hi);
+  h.u64(engine_options.lo);
+}
+
+Hash128 finish_cell(Hasher h, sim::BranchPredictor::Scenario scenario) {
+  h.u8(static_cast<std::uint8_t>(scenario));
+  return h.digest();
+}
+
 }  // namespace
 
-std::string to_hex(const Hash128& h) {
+void to_hex(const Hash128& h, char* out) noexcept {
   static const char* digits = "0123456789abcdef";
-  std::string out(32, '0');
   for (int i = 0; i < 16; ++i) {
     const std::uint64_t word = i < 8 ? h.hi : h.lo;
     const int shift = 8 * (7 - (i % 8));
@@ -32,6 +58,11 @@ std::string to_hex(const Hash128& h) {
     out[2 * static_cast<std::size_t>(i)] = digits[byte >> 4];
     out[2 * static_cast<std::size_t>(i) + 1] = digits[byte & 0xf];
   }
+}
+
+std::string to_hex(const Hash128& h) {
+  std::string out(32, '0');
+  to_hex(h, out.data());
   return out;
 }
 
@@ -117,18 +148,25 @@ Hash128 cell_key(const Hash128& method_body, const Hash128& pool,
                  const Hash128& config, const Hash128& engine_options,
                  sim::BranchPredictor::Scenario scenario,
                  std::uint32_t engine_fingerprint) {
-  Hasher h;
-  h.u32(engine_fingerprint);
-  h.u64(method_body.hi);
-  h.u64(method_body.lo);
-  h.u64(pool.hi);
-  h.u64(pool.lo);
-  h.u64(config.hi);
-  h.u64(config.lo);
-  h.u64(engine_options.hi);
-  h.u64(engine_options.lo);
-  h.u8(static_cast<std::uint8_t>(scenario));
-  return h.digest();
+  Hasher h = cell_prefix(engine_fingerprint, method_body, pool);
+  add_config(h, config, engine_options);
+  return finish_cell(h, scenario);
+}
+
+void cell_keys(const Hash128& method_body, const Hash128& pool,
+               std::span<const Hash128> configs,
+               const Hash128& engine_options,
+               std::span<const sim::BranchPredictor::Scenario> scenarios,
+               std::span<Hash128> out) {
+  const Hasher prefix = cell_prefix(kEngineFingerprint, method_body, pool);
+  std::size_t cell = 0;
+  for (const Hash128& config : configs) {
+    Hasher h = prefix;
+    add_config(h, config, engine_options);
+    for (const sim::BranchPredictor::Scenario scenario : scenarios) {
+      out[cell++] = finish_cell(h, scenario);
+    }
+  }
 }
 
 }  // namespace javaflow::cache

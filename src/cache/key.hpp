@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "bytecode/method.hpp"
 #include "cache/hash.hpp"
@@ -85,5 +86,17 @@ Hash128 cell_key(const Hash128& method_body, const Hash128& pool,
                  const Hash128& config, const Hash128& engine_options,
                  sim::BranchPredictor::Scenario scenario,
                  std::uint32_t engine_fingerprint = kEngineFingerprint);
+
+// Every cell key of one method in a sweep's config-major cell order:
+// out[ci * scenarios.size() + si] = cell_key(method_body, pool,
+// configs[ci], engine_options, scenarios[si]). The (fingerprint, body,
+// pool) prefix is hashed once and each config once, so a method's keys
+// cost about a third of that many cell_key calls. `out` must hold
+// configs.size() * scenarios.size() keys.
+void cell_keys(const Hash128& method_body, const Hash128& pool,
+               std::span<const Hash128> configs,
+               const Hash128& engine_options,
+               std::span<const sim::BranchPredictor::Scenario> scenarios,
+               std::span<Hash128> out);
 
 }  // namespace javaflow::cache

@@ -1,11 +1,19 @@
 #include "cache/store.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <optional>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cache/key.hpp"
@@ -13,6 +21,56 @@
 namespace javaflow::cache {
 
 namespace fs = std::filesystem;
+
+namespace {
+
+// A record's path relative to <dir>/v1: "<2 hex>/<32 hex>.jfc", NUL
+// terminated, formatted without touching the heap.
+struct RecordName {
+  char text[2 + 1 + 32 + 4 + 1];
+
+  explicit RecordName(const Hash128& key) noexcept {
+    to_hex(key, text + 3);
+    text[0] = text[3];
+    text[1] = text[4];
+    text[2] = '/';
+    std::memcpy(text + 35, ".jfc", 5);  // with the terminator
+  }
+};
+
+// Reads the whole file behind `fd` into the calling thread's buffer and
+// closes `fd`. The view stays valid until the thread's next call.
+// Nullopt when the file is not a regular file of at most
+// kMaxRecordBytes, or when fstat or the one read fails or comes back
+// short.
+std::optional<std::string_view> read_record_file(int fd) {
+  thread_local std::vector<char> buffer;
+  std::optional<std::string_view> bytes;
+  struct stat st {};
+  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) &&
+      static_cast<std::uintmax_t>(st.st_size) <= kMaxRecordBytes) {
+    const auto size = static_cast<std::size_t>(st.st_size);
+    if (buffer.size() < size) buffer.resize(size);
+    if (::read(fd, buffer.data(), size) == static_cast<ssize_t>(size)) {
+      bytes.emplace(buffer.data(), size);
+    }
+  }
+  ::close(fd);
+  return bytes;
+}
+
+// Writes all of `bytes` to `fd`, resuming after partial writes.
+bool write_all(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
+}  // namespace
 
 std::string_view cache_mode_name(CacheMode m) noexcept {
   switch (m) {
@@ -49,24 +107,18 @@ std::string resolve_cache_dir(const std::string& requested) {
 }
 
 std::string CacheStore::path_for(const Hash128& key) const {
-  const std::string hex = to_hex(key);
-  std::string path = dir_;
-  path += "/v1/";
-  path += hex.substr(0, 2);
-  path += '/';
-  path += hex;
-  path += ".jfc";
-  return path;
+  return root_ + RecordName(key).text;
 }
 
 bool CacheStore::load(const Hash128& key, std::uint32_t fingerprint,
                       MethodRecord& out) const {
-  std::ifstream in(path_for(key), std::ios::binary);
-  if (!in.is_open()) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) return false;
-  return deserialize_record(buf.view(), fingerprint, out);
+  // O_NONBLOCK: a FIFO at a record's path must not stall the open; on a
+  // regular file it changes nothing.
+  const int fd =
+      ::open(path_for(key).c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
+  if (fd < 0) return false;
+  const std::optional<std::string_view> bytes = read_record_file(fd);
+  return bytes.has_value() && deserialize_record(*bytes, fingerprint, out);
 }
 
 bool CacheStore::save(const Hash128& key, const MethodRecord& record) const {
@@ -75,26 +127,23 @@ bool CacheStore::save(const Hash128& key, const MethodRecord& record) const {
   fs::create_directories(fs::path(path).parent_path(), ec);
   if (ec) return false;
 
-  // Unique temp name per thread so parallel lanes storing different
-  // records in the same shard never collide; rename is atomic within
-  // the directory, so readers see either the old or the new record.
-  std::ostringstream tmp_name;
-  tmp_name << path << ".tmp." << std::this_thread::get_id();
-  const std::string tmp = tmp_name.str();
-  {
-    std::ofstream outf(tmp, std::ios::binary | std::ios::trunc);
-    if (!outf.is_open()) return false;
-    const std::string bytes = serialize_record(record);
-    outf.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!outf.good()) {
-      outf.close();
-      fs::remove(tmp, ec);
-      return false;
-    }
-  }
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
+  // The temp name carries the process and the thread, so no two live
+  // writers — lanes of one sweep or processes sharing the directory —
+  // ever write one file; O_TRUNC reuses a temp file a killed writer left
+  // behind. rename is atomic within the directory, so readers see
+  // either the old or the new record.
+  char suffix[64];
+  std::snprintf(suffix, sizeof suffix, ".tmp.%ld.%zx",
+                static_cast<long>(::getpid()),
+                std::hash<std::thread::id>{}(std::this_thread::get_id()));
+  const std::string tmp = path + suffix;
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) return false;
+  const bool written = write_all(fd, serialize_record(record));
+  if (::close(fd) != 0 || !written ||
+      ::rename(tmp.c_str(), path.c_str()) != 0) {
+    ::unlink(tmp.c_str());
     return false;
   }
   return true;
@@ -109,27 +158,28 @@ void CacheStore::walk(
     std::uint32_t fingerprint,
     const std::function<void(const WalkEntry&)>& visit) const {
   std::error_code ec;
-  const fs::path root = fs::path(dir_) / "v1";
+  const fs::path root = root_;
   if (!fs::is_directory(root, ec)) return;
-  std::vector<std::string> paths;
+  std::vector<std::pair<std::string, std::uintmax_t>> files;  // path, size
   for (fs::recursive_directory_iterator it(root, ec), end;
        !ec && it != end; it.increment(ec)) {
     if (it->is_regular_file(ec) && it->path().extension() == ".jfc") {
-      paths.push_back(it->path().string());
+      std::error_code size_ec;
+      const std::uintmax_t bytes = it->file_size(size_ec);
+      files.emplace_back(it->path().string(), size_ec ? 0 : bytes);
     }
   }
-  std::sort(paths.begin(), paths.end());
-  for (const std::string& path : paths) {
+  std::sort(files.begin(), files.end());
+  for (auto& [path, bytes] : files) {
     WalkEntry entry;
-    entry.path = path;
-    entry.bytes = fs::file_size(path, ec);
-    if (ec) entry.bytes = 0;
-    std::ifstream in(path, std::ios::binary);
-    if (in.is_open()) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      if (!in.bad() &&
-          deserialize_record_any_fingerprint(buf.view(), entry.record)) {
+    entry.path = std::move(path);
+    entry.bytes = bytes;
+    const int fd =
+        ::open(entry.path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
+    if (fd >= 0) {
+      const std::optional<std::string_view> data = read_record_file(fd);
+      if (data.has_value() &&
+          deserialize_record_any_fingerprint(*data, entry.record)) {
         entry.valid = true;
         entry.current = entry.record.fingerprint == fingerprint;
       }

@@ -2,11 +2,15 @@
 // (docs/PERF.md "Result cache").
 //
 // Layout: <dir>/v1/<first-2-hex>/<32-hex>.jfc — one record file per
-// (method body, pool) digest, sharded over 256 subdirectories. Writes go
-// through a temp file + rename, so readers never observe a half-written
-// record; a torn or corrupted file deserializes to "no record" (a miss).
+// (method body, pool) digest, sharded over 256 subdirectories. A load
+// opens the record file and reads it with a single read(2). A save
+// writes a temp file named after the process and thread, so no two live
+// writers ever share one, and renames it over the record, so readers
+// never observe a half-written record; a torn or corrupted file
+// deserializes to "no record" (a miss).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -33,16 +37,25 @@ std::optional<CacheMode> cache_mode_from_name(std::string_view name) noexcept;
 // $HOME/.cache/javaflow, else ./.javaflow-cache as a last resort.
 std::string resolve_cache_dir(const std::string& requested);
 
+// The largest file a load or walk reads: about 850 times a full-corpus
+// record. A bigger file, or anything but a regular file, is not a
+// record: a load misses and a walk reports it corrupt, unread.
+inline constexpr std::size_t kMaxRecordBytes = std::size_t{1} << 20;
+
+// Loads may run concurrently from any number of threads, and so may
+// saves of different keys.
 class CacheStore {
  public:
-  explicit CacheStore(std::string dir) : dir_(std::move(dir)) {}
+  explicit CacheStore(std::string dir) : root_(std::move(dir) + "/v1/") {}
 
-  // Absolute path of the record file for `key`.
+  // Path of the record file for `key`.
   std::string path_for(const Hash128& key) const;
 
-  // Loads and validates the record for `key`. False on missing file,
-  // unreadable file, or any record anomaly (including a fingerprint
-  // other than `fingerprint`) — all of which are plain misses.
+  // Loads and validates the record for `key`. False on a missing file,
+  // a failed or short read, a file that is not a regular file of at
+  // most kMaxRecordBytes, or any record anomaly (including a
+  // fingerprint other than `fingerprint`) — all of which are plain
+  // misses, never exceptions.
   bool load(const Hash128& key, std::uint32_t fingerprint,
             MethodRecord& out) const;
 
@@ -64,7 +77,8 @@ class CacheStore {
     MethodRecord record;   // populated when valid
   };
 
-  // Visits every *.jfc file under the store in sorted path order.
+  // Visits every regular *.jfc file under the store in sorted path
+  // order.
   void walk(std::uint32_t fingerprint,
             const std::function<void(const WalkEntry&)>& visit) const;
 
@@ -85,7 +99,7 @@ class CacheStore {
   std::uintmax_t invalidate(const std::string& method_substr) const;
 
  private:
-  std::string dir_;
+  std::string root_;  // "<dir>/v1/", the prefix of every record path
 };
 
 }  // namespace javaflow::cache

@@ -5,13 +5,18 @@
 // corpus dedup, and the method filter must all reproduce cold results
 // bit-for-bit, and no environment variable may turn the cache on.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/figure_of_merit.hpp"
@@ -120,6 +125,36 @@ TEST(CacheKey, CellKeyCoversEveryInput) {
                             cache::kEngineFingerprint + 1));
 }
 
+// cell_keys hashes the shared prefix once; every key it finishes must be
+// the one cell_key derives from scratch, in config-major cell order.
+TEST(CacheKey, CellKeysMatchCellKey) {
+  Program p;
+  const std::vector<sim::MachineConfig> configs = sim::table15_configs();
+  std::vector<cache::Hash128> config_hash;
+  for (const sim::MachineConfig& cfg : configs) {
+    config_hash.push_back(cache::hash_config(cfg));
+  }
+  const cache::Hash128 pool = cache::hash_pool(p.pool);
+  const cache::Hash128 engine = cache::hash_engine_options(
+      sim::EngineOptions{}, sim::resolve_scheduler(sim::SchedulerKind::Auto));
+  const auto& scenarios = analysis::SweepOptions::scenarios;
+  for (const std::int32_t constant : {0, 7, -3, 1 << 20}) {
+    const cache::Hash128 body = cache::hash_method_body(
+        tiny_method(p, "bm.k()I", "bm", constant));
+    std::vector<cache::Hash128> keys(configs.size() * scenarios.size());
+    cache::cell_keys(body, pool, config_hash, engine, scenarios, keys);
+    for (std::size_t ci = 0; ci < configs.size(); ++ci) {
+      for (std::size_t si = 0; si < scenarios.size(); ++si) {
+        EXPECT_EQ(keys[ci * scenarios.size() + si],
+                  cache::cell_key(body, pool, config_hash[ci], engine,
+                                  scenarios[si]))
+            << "constant " << constant << ", " << configs[ci].name
+            << ", scenario " << si;
+      }
+    }
+  }
+}
+
 // ---- record format ----
 
 cache::MethodRecord sample_record() {
@@ -173,6 +208,19 @@ TEST(CacheRecord, RejectsEveryTruncation) {
   // Trailing garbage is an anomaly too.
   EXPECT_FALSE(cache::deserialize_record(bytes + "x",
                                          cache::kEngineFingerprint, out));
+
+  // The same prefixes as record files cut short on disk: every one is a
+  // store miss.
+  const cache::CacheStore store(temp_store("truncation"));
+  const cache::Hash128 key = cache::hash_bytes("truncated");
+  ASSERT_TRUE(store.save(key, sample_record()));
+  const std::string path = store.path_for(key);
+  ASSERT_EQ(std::filesystem::file_size(path), bytes.size());
+  for (std::size_t n = bytes.size(); n-- > 0;) {
+    std::filesystem::resize_file(path, n);
+    EXPECT_FALSE(store.load(key, cache::kEngineFingerprint, out))
+        << "a " << n << "-byte file loaded";
+  }
 }
 
 TEST(CacheRecord, RejectsEverySingleBitOfRot) {
@@ -208,7 +256,18 @@ TEST(CacheStore, SaveLoadRemoveRoundTrip) {
 
   cache::MethodRecord out;
   EXPECT_FALSE(store.load(key, cache::kEngineFingerprint, out));
+  // A temp file that a killed writer with this process id and thread
+  // left behind does not block the save, and the save consumes it.
+  char suffix[64];
+  std::snprintf(suffix, sizeof suffix, ".tmp.%ld.%zx",
+                static_cast<long>(::getpid()),
+                std::hash<std::thread::id>{}(std::this_thread::get_id()));
+  const std::string stale_tmp = store.path_for(key) + suffix;
+  std::filesystem::create_directories(
+      std::filesystem::path(stale_tmp).parent_path());
+  std::ofstream(stale_tmp) << "torn";
   ASSERT_TRUE(store.save(key, r));
+  EXPECT_FALSE(std::filesystem::exists(stale_tmp));
   ASSERT_TRUE(store.load(key, cache::kEngineFingerprint, out));
   EXPECT_EQ(out, r);
   // A fingerprint the record was not produced under is a miss.
@@ -265,6 +324,52 @@ TEST(CacheStore, InvalidateMatchesStoredMethodNames) {
   // No substring: wipe everything.
   EXPECT_EQ(store.invalidate(""), 1u);
   EXPECT_EQ(store.stats(cache::kEngineFingerprint).files, 0u);
+}
+
+// Only a regular file of at most kMaxRecordBytes is read: a directory at
+// a record's path, a FIFO, and a well-formed record one byte over the
+// ceiling are all misses, and the walk reports the oversized file
+// corrupt, so prune removes it.
+TEST(CacheStore, LoadRejectsNonRecordFiles) {
+  const cache::CacheStore store(temp_store("non_records"));
+  const std::size_t header = cache::serialize_record({}).size();
+
+  // The largest record the ceiling admits loads.
+  cache::MethodRecord largest;
+  largest.fingerprint = cache::kEngineFingerprint;
+  largest.method_name.assign(cache::kMaxRecordBytes - header, 'm');
+  ASSERT_EQ(cache::serialize_record(largest).size(), cache::kMaxRecordBytes);
+  const cache::Hash128 largest_key = cache::hash_bytes("largest");
+  ASSERT_TRUE(store.save(largest_key, largest));
+  cache::MethodRecord out;
+  ASSERT_TRUE(store.load(largest_key, cache::kEngineFingerprint, out));
+  EXPECT_EQ(out, largest);
+
+  cache::MethodRecord oversized = largest;
+  oversized.method_name.push_back('m');
+  const cache::Hash128 oversized_key = cache::hash_bytes("oversized");
+  ASSERT_TRUE(store.save(oversized_key, oversized));
+  EXPECT_FALSE(store.load(oversized_key, cache::kEngineFingerprint, out));
+
+  const cache::Hash128 dir_key = cache::hash_bytes("directory");
+  std::filesystem::create_directories(store.path_for(dir_key));
+  EXPECT_FALSE(store.load(dir_key, cache::kEngineFingerprint, out));
+
+  const cache::Hash128 fifo_key = cache::hash_bytes("fifo");
+  ASSERT_TRUE(store.save(fifo_key, sample_record()));
+  std::filesystem::remove(store.path_for(fifo_key));
+  ASSERT_EQ(::mkfifo(store.path_for(fifo_key).c_str(), 0600), 0);
+  EXPECT_FALSE(store.load(fifo_key, cache::kEngineFingerprint, out));
+
+  // The walk sees two regular record files: the largest record and the
+  // oversized one, which it counts as corrupt without reading it.
+  const cache::CacheStore::Stats s = store.stats(cache::kEngineFingerprint);
+  EXPECT_EQ(s.files, 2u);
+  EXPECT_EQ(s.corrupt_files, 1u);
+  EXPECT_EQ(s.bytes, 2 * cache::kMaxRecordBytes + 1);
+  EXPECT_EQ(store.prune(cache::kEngineFingerprint), 1u);
+  EXPECT_FALSE(std::filesystem::exists(store.path_for(oversized_key)));
+  EXPECT_TRUE(store.load(largest_key, cache::kEngineFingerprint, out));
 }
 
 // ---- run_sweep integration ----
