@@ -23,8 +23,6 @@
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
-#include <ctime>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -79,33 +77,6 @@ inline void apply_env(analysis::SweepOptions& options) {
   options.threads = env_threads();
   options.method_filter = util::env_string("JAVAFLOW_BENCH_FILTER", "");
   apply_cache_env(options);
-}
-
-// ---- run metadata (BENCH_*.json provenance) ----
-
-// Current UTC time as ISO 8601 ("2026-08-06T12:34:56Z").
-inline std::string iso_timestamp_utc() {
-  const std::time_t now = std::time(nullptr);
-  std::tm tm{};
-  gmtime_r(&now, &tm);
-  char buf[32];
-  std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm);
-  return buf;
-}
-
-// HEAD commit of the repository the benchmark runs from ("unknown" when
-// git or the repo is unavailable — e.g. a distributed binary).
-inline std::string git_sha() {
-  FILE* pipe = popen("git rev-parse HEAD 2>/dev/null", "r");
-  if (pipe == nullptr) return "unknown";
-  char buf[64] = {0};
-  const std::size_t n = fread(buf, 1, sizeof(buf) - 1, pipe);
-  pclose(pipe);
-  std::string sha(buf, n);
-  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) {
-    sha.pop_back();
-  }
-  return sha.size() == 40 ? sha : "unknown";
 }
 
 struct Context {

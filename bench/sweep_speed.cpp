@@ -1,7 +1,8 @@
 // Sweep throughput harness: times the Chapter 7 method × config ×
 // scenario sweep serial vs parallel, verifies the two runs produce
-// identical sample sequences, and emits BENCH_sweep.json so the perf
-// trajectory is tracked across PRs.
+// identical sample sequences (exit 1 if not), and writes the timings and
+// the sweep report to BENCH_sweep.json. A local timing tool: perfbench
+// (perfbench/run.py) is the throughput record.
 //
 // Knobs (see docs/PERF.md): JAVAFLOW_BENCH_STRIDE subsamples the corpus
 // for smoke runs; JAVAFLOW_THREADS sizes the parallel leg (0 = one
@@ -12,15 +13,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
-#include <thread>
 
 #include "bench_common.hpp"
-#include "util/json.hpp"
 
 namespace {
 
@@ -116,39 +113,9 @@ int main() {
               serial.sweep.cache.miss_cells, serial.sweep.cache.dedup_cells);
   std::printf("  identical output: %s\n", identical ? "yes" : "NO");
 
-  // Run metadata so BENCH_sweep.json files are comparable across PRs:
-  // which commit, when, on how many hardware threads, and with which env
-  // knobs in effect.
-  const char* threads_env = std::getenv("JAVAFLOW_THREADS");
-  const char* stride_env = std::getenv("JAVAFLOW_BENCH_STRIDE");
-  const char* cache_env = std::getenv("JAVAFLOW_CACHE");
-  const char* cache_dir_env = std::getenv("JAVAFLOW_CACHE_DIR");
-  const char* filter_env = std::getenv("JAVAFLOW_BENCH_FILTER");
-  const auto env_json = [](const char* v) {
-    if (v == nullptr) return std::string("null");
-    std::ostringstream os;
-    javaflow::util::json_escape(os << '"', v);
-    return os.str() + '"';
-  };
-
   std::ofstream json("BENCH_sweep.json");
   json << "{\n"
        << "  \"benchmark\": \"sweep_speed\",\n"
-       << "  \"metadata\": {\n"
-       << "    \"git_sha\": \"" << javaflow::bench::git_sha() << "\",\n"
-       << "    \"timestamp_utc\": \""
-       << javaflow::bench::iso_timestamp_utc() << "\",\n"
-       << "    \"hardware_threads\": "
-       << std::thread::hardware_concurrency() << ",\n"
-       << "    \"env_javaflow_threads\": " << env_json(threads_env)
-       << ",\n"
-       << "    \"env_javaflow_bench_stride\": " << env_json(stride_env)
-       << ",\n"
-       << "    \"env_javaflow_cache\": " << env_json(cache_env) << ",\n"
-       << "    \"env_javaflow_cache_dir\": " << env_json(cache_dir_env)
-       << ",\n"
-       << "    \"env_javaflow_bench_filter\": " << env_json(filter_env)
-       << "\n  },\n"
        << "  \"cells\": " << cells << ",\n"
        << "  \"stride\": " << javaflow::bench::env_stride() << ",\n"
        << "  \"threads\": " << threads << ",\n"

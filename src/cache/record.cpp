@@ -58,37 +58,36 @@ bool deserialize_impl(std::string_view bytes, bool check_fingerprint,
   Reader trailer(bytes.substr(bytes.size() - 8));
   if (trailer.u64() != checksum(body)) return false;
 
+  // Parse straight into `out`, so a lane that loads record after record
+  // reuses its cell vector's capacity; on failure `out` is unspecified.
   Reader r(body);
   if (r.u32() != kMagic) return false;
   if (r.u32() != kRecordFormatVersion) return false;
-  MethodRecord rec;
-  rec.fingerprint = r.u32();
+  out.fingerprint = r.u32();
   if (!r.ok()) return false;
-  if (check_fingerprint && rec.fingerprint != expected_fingerprint) {
+  if (check_fingerprint && out.fingerprint != expected_fingerprint) {
     return false;
   }
-  rec.method_name = r.str();
+  out.method_name = r.str();
   const std::uint32_t count = r.u32();
   if (!r.ok()) return false;
   // A cell entry is at least 16 (key) + 8 + metrics bytes; reject counts
   // the remaining bytes cannot possibly hold before reserving.
   if (count > body.size() / 24) return false;
-  rec.cells.reserve(count);
+  out.cells.clear();
+  out.cells.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    CellRecord cell;
+    CellRecord& cell = out.cells.emplace_back();
     cell.key.hi = r.u64();
     cell.key.lo = r.u64();
     cell.static_insts = r.i32();
     cell.back_jumps = r.i32();
     cell.metrics = read_metrics(r);
     if (!r.ok()) return false;
-    rec.cells.push_back(cell);
   }
   // Trailing garbage between the last cell and the checksum is an
   // anomaly too.
-  if (r.pos() != body.size()) return false;
-  out = std::move(rec);
-  return true;
+  return r.pos() == body.size();
 }
 
 }  // namespace

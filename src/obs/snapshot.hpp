@@ -69,8 +69,9 @@ std::string serialize_snapshot(const Snapshot& snap);
 // failing opaquely.
 bool deserialize_snapshot(std::string_view bytes, Snapshot& out);
 
-// The trailing integrity checksum of a serialized snapshot — the
-// identity bench_gate.py records next to cells/s in BENCH_history.json.
+// The trailing integrity checksum of a serialized snapshot — one 64-bit
+// identity for a whole sweep's results, which `javaflow_explain
+// --snapshot` prints and perfbench's sweep_cold compares.
 // Returns 0 for anything shorter than a trailer.
 std::uint64_t snapshot_digest(std::string_view serialized);
 

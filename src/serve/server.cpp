@@ -22,17 +22,12 @@ class ServerState {
   ServerState(const bytecode::Program& program,
               const std::vector<std::int32_t>& methods,
               const sim::MachineConfig& config,
-              const std::vector<Request>& requests,
-              const ServeOptions& options)
+              const std::vector<Request>& requests)
       : program_(program),
         methods_(methods),
         requests_(requests),
         mgr_(config),
-        engine_(config, [&] {
-          sim::MultiEngineOptions mo;
-          mo.max_ticks = options.max_fabric_ticks;
-          return mo;
-        }()),
+        engine_(config),
         waiting_(methods.size()),
         executing_(methods.size(), 0) {
     outcomes_.resize(requests.size());
@@ -394,11 +389,10 @@ void ServeReport::write_json(std::ostream& os) const {
 ServeReport serve(const bytecode::Program& program,
                   const std::vector<std::int32_t>& methods,
                   const sim::MachineConfig& config,
-                  const RequestStreamOptions& stream,
-                  const ServeOptions& options) {
+                  const RequestStreamOptions& stream) {
   const std::vector<Request> requests = make_request_stream(
       static_cast<std::int32_t>(methods.size()), stream);
-  ServerState state(program, methods, config, requests, options);
+  ServerState state(program, methods, config, requests);
   state.run();
   ServeReport rep = state.report(config, stream.seed);
   bool one_flag = true;

@@ -50,16 +50,11 @@ struct RequestOutcome {
   std::int64_t latency_ticks = -1;   // completed - arrival
   bool completed = false;
   bool rejected = false;   // method can never fit on this fabric
-  // Fabric tick budget exhausted mid-run, or stranded: the calendar
-  // drained while the residency still ran, so it could never finish.
+  // Stranded: the calendar drained while the residency still ran, so it
+  // could never finish.
   bool timed_out = false;
   bool plan_shared = false;
   sim::RunMetrics metrics;  // valid when completed or timed_out
-};
-
-struct ServeOptions {
-  // Absolute fabric-tick budget for the whole serving run.
-  std::int64_t max_fabric_ticks = std::int64_t{1} << 40;
 };
 
 struct ServeReport {
@@ -107,7 +102,6 @@ struct ServeReport {
 ServeReport serve(const bytecode::Program& program,
                   const std::vector<std::int32_t>& methods,
                   const sim::MachineConfig& config,
-                  const RequestStreamOptions& stream,
-                  const ServeOptions& options = {});
+                  const RequestStreamOptions& stream);
 
 }  // namespace javaflow::serve

@@ -194,6 +194,18 @@ TEST(CacheRecord, RoundTripIsByteStable) {
   EXPECT_EQ(back, r);
   // Re-serializing the parsed record reproduces the original bytes.
   EXPECT_EQ(cache::serialize_record(back), bytes);
+
+  // A lane parses record after record into one `out`: what a longer
+  // record (more cells, a longer name) left there must not survive.
+  cache::MethodRecord longer = sample_record();
+  longer.method_name = "bm.aMuchLongerMethodName(IJDLjava/lang/String;)V";
+  longer.cells.insert(longer.cells.end(), r.cells.begin(), r.cells.end());
+  ASSERT_TRUE(cache::deserialize_record(cache::serialize_record(longer),
+                                        cache::kEngineFingerprint, back));
+  ASSERT_EQ(back, longer);
+  ASSERT_TRUE(
+      cache::deserialize_record(bytes, cache::kEngineFingerprint, back));
+  EXPECT_EQ(back, r);
 }
 
 TEST(CacheRecord, RejectsEveryTruncation) {

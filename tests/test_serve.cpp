@@ -972,26 +972,6 @@ TEST(FabricServe, QueueDepthAndLatencyPercentiles) {
   EXPECT_GT(rep.latency_max, rep.latency_p50);
 }
 
-// An over-tight fabric budget times requests out instead of hanging the
-// server; accounting still balances.
-TEST(FabricServe, FabricTickBudgetTimesRequestsOut) {
-  const Program p = loop_program();
-  serve::RequestStreamOptions stream;
-  stream.seed = 2;
-  stream.num_requests = 5;
-  stream.mean_gap_ticks = 4;
-  serve::ServeOptions options;
-  options.max_fabric_ticks = 10;  // below any loop completion
-  const serve::ServeReport rep = serve::serve(
-      p, {0}, sim::config_by_name("Compact2"), stream, options);
-  EXPECT_EQ(rep.completed, 0);
-  EXPECT_EQ(rep.timed_out, rep.requests);
-  for (const serve::RequestOutcome& o : rep.outcomes) {
-    EXPECT_TRUE(o.timed_out);
-    EXPECT_EQ(o.completed_tick, -1);
-  }
-}
-
 // The digest moves when behavior moves: a different seed or a different
 // config cannot collide on these small streams.
 TEST(FabricServe, DigestTracksBehavior) {
@@ -1042,7 +1022,9 @@ TEST(FabricServe, StrandedResidencyEndsTimedOut) {
 
 // A 70,000-request stream on one fabric, more than the 65,535 rows a
 // calendar slot can name: every request completes, none is reported
-// "rejected" although it fits, and a rerun is bit-identical.
+// "rejected" although it fits, and a rerun is bit-identical. A sparse
+// stream whose run outlasts 2^40 ticks completes every request too:
+// serving has no tick budget of its own to time them out.
 TEST(FabricServe, SeventyThousandRequestStreamCompletes) {
   const workloads::Corpus kernels =
       workloads::make_corpus({/*seed=*/20141215, /*total_methods=*/0});
@@ -1058,6 +1040,54 @@ TEST(FabricServe, SeventyThousandRequestStreamCompletes) {
   EXPECT_EQ(rep.timed_out, 0);
   EXPECT_EQ(serve::serve(kernels.program, {0, 1}, cfg, stream).digest(),
             rep.digest());
+
+  serve::RequestStreamOptions sparse = stream;
+  sparse.num_requests = 1200;
+  sparse.mean_gap_ticks = 1'000'000'000;
+  const serve::ServeReport long_run =
+      serve::serve(kernels.program, {0, 1}, cfg, sparse);
+  EXPECT_EQ(long_run.completed, 1200);
+  EXPECT_EQ(long_run.timed_out, 0);
+  EXPECT_GT(long_run.fabric_ticks, std::int64_t{1} << 40);
+}
+
+// One kernel stream (seed 1, 96 requests, mean gap 48, the default hot
+// set) on every Table 15 config: every request completes, each report
+// matches its pinned digest, and the fabrics with room for several
+// kernels overlap residencies (Chapter 8 superposition).
+TEST(FabricServe, KernelStreamMatchesPinnedDigestsOnEveryConfig) {
+  const workloads::Corpus kernels =
+      workloads::make_corpus({/*seed=*/20141215, /*total_methods=*/0});
+  serve::RequestStreamOptions stream;
+  stream.seed = 1;
+  stream.num_requests = 96;
+  stream.mean_gap_ticks = 48;
+  struct Pin {
+    const char* config;
+    std::uint64_t digest;
+    bool must_overlap;
+  };
+  const Pin pins[] = {
+      {"Baseline", 5822891224880000665ULL, true},
+      {"Compact10", 3939259167393990589ULL, true},
+      {"Compact4", 15199436679840093437ULL, true},
+      {"Compact2", 4517889217754025592ULL, false},
+      {"Sparse2", 10531960556499737667ULL, false},
+      {"Hetero2", 6803778896200314394ULL, false},
+  };
+  ASSERT_EQ(std::size(pins), sim::table15_configs().size());
+  for (const Pin& pin : pins) {
+    const serve::ServeReport rep =
+        serve::serve(kernels.program, all_methods(kernels.program),
+                     sim::config_by_name(pin.config), stream);
+    EXPECT_EQ(rep.completed, 96) << pin.config;
+    EXPECT_EQ(rep.rejected, 0) << pin.config;
+    EXPECT_EQ(rep.timed_out, 0) << pin.config;
+    EXPECT_EQ(rep.digest(), pin.digest) << pin.config;
+    if (pin.must_overlap) {
+      EXPECT_GT(rep.ticks_res_2plus, 0) << pin.config;
+    }
+  }
 }
 
 // A residency is reclaimed only once its last event has drained. In

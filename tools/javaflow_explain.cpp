@@ -20,17 +20,14 @@
 //
 //   javaflow_explain --snapshot <out.jfs> [--stride <n>] [--threads <n>]
 //     Runs an analysis sweep over the corpus (all Table 15 configs ×
-//     both scenarios) and writes a versioned, checksummed snapshot file.
-//     Deterministic: the same corpus and stride produce byte-identical
-//     files for every thread count.
+//     both scenarios), writes a versioned, checksummed snapshot file and
+//     prints its integrity digest on stderr. Deterministic: the same
+//     corpus and stride produce byte-identical files for every thread
+//     count.
 //
 //   javaflow_explain --diff <a.jfs> <b.jfs> [--json] [--max-rows <n>]
 //     Diffs two snapshots. Exit codes signal drift for CI wiring:
 //     0 = identical, 1 = drift (or incomparable), 2 = usage/IO error.
-//
-//   javaflow_explain --digest <file.jfs>
-//     Prints the snapshot's integrity digest (the identity bench_gate.py
-//     records in BENCH_history.json).
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
@@ -64,11 +61,10 @@ int usage(const char* argv0) {
       "       [--top <n>]\n"
       "       %s --snapshot <out.jfs> [--stride <n>] [--threads <n>]\n"
       "       %s --diff <a.jfs> <b.jfs> [--json] [--max-rows <n>]\n"
-      "       %s --digest <file.jfs>\n"
       "       %s --list [substring]\n"
       "  --stride n >= 1; --threads n >= 0 (0 = auto); --max-steps n >= 0\n"
       "  (0 = all); --max-rows n >= 0; --top n >= 1\n",
-      argv0, argv0, argv0, argv0, argv0);
+      argv0, argv0, argv0, argv0);
   return 2;
 }
 
@@ -166,7 +162,7 @@ int run_diff(const std::string& a_path, const std::string& b_path,
 
 int main(int argc, char** argv) {
   std::string method_name, config_name = "Compact2", scenario_name = "bp1";
-  std::string snapshot_path, diff_a, diff_b, digest_path;
+  std::string snapshot_path, diff_a, diff_b;
   std::string trace_path, metrics_path;
   int stride = 1, threads = 1;
   long max_steps = 40, max_rows = 20, top_n = 0;
@@ -199,10 +195,6 @@ int main(int argc, char** argv) {
       if (a == nullptr || b == nullptr) return usage(argv[0]);
       diff_a = a;
       diff_b = b;
-    } else if (arg == "--digest") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      digest_path = v;
     } else if (arg == "--trace") {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);
@@ -246,24 +238,6 @@ int main(int argc, char** argv) {
   if (!diff_a.empty()) {
     return run_diff(diff_a, diff_b, json,
                     static_cast<std::size_t>(max_rows));
-  }
-
-  if (!digest_path.empty()) {
-    std::ifstream f(digest_path, std::ios::binary);
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", digest_path.c_str());
-      return 2;
-    }
-    const std::string bytes((std::istreambuf_iterator<char>(f)),
-                            std::istreambuf_iterator<char>());
-    javaflow::obs::Snapshot snap;
-    if (!javaflow::obs::deserialize_snapshot(bytes, snap)) {
-      std::fprintf(stderr, "not a valid snapshot: %s\n",
-                   digest_path.c_str());
-      return 2;
-    }
-    std::printf("%016" PRIx64 "\n", javaflow::obs::snapshot_digest(bytes));
-    return 0;
   }
 
   const javaflow::workloads::Corpus corpus =
