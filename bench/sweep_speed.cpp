@@ -43,15 +43,21 @@ double rate(std::size_t cells, double seconds) {
   return seconds > 0.0 ? static_cast<double>(cells) / seconds : 0.0;
 }
 
-// The serial leg's algorithmic cost and host constant: simulated
-// messages (serial + mesh) per cell, and engine execute time per
-// message. Both come from the samples and the sweep profile, so the hot
-// path carries no counter for them. ns_per_message is absent when the
-// cache served any cell: those cells count messages but no execute
-// time.
+// The serial leg's algorithmic cost and host constant: modelled
+// messages (serial + mesh) per cell, the share of them the loop
+// fast-forward accounted without simulating, calendar spills per cell,
+// and engine execute time per modelled and per simulated message. The
+// message count comes from the samples, the rest from the sweep
+// profile, so the hot path carries no counter for them. The ns figures
+// are absent when the cache served any cell: those cells count messages
+// but no execute time.
 struct MessageCost {
   double per_cell = 0.0;
+  double fast_forwarded_per_cell = 0.0;
+  double fast_forwarded_share = 0.0;
+  double spills_per_cell = 0.0;
   std::optional<double> ns_per_message;
+  std::optional<double> ns_per_simulated_message;
 };
 
 MessageCost message_cost(const javaflow::analysis::Sweep& sweep) {
@@ -61,13 +67,27 @@ MessageCost message_cost(const javaflow::analysis::Sweep& sweep) {
   }
   MessageCost cost;
   if (messages == 0) return cost;
-  cost.per_cell = static_cast<double>(messages) /
-                  static_cast<double>(sweep.samples.size());
+  const javaflow::analysis::SweepProfile::Lane total = sweep.profile.total();
+  const auto cells = static_cast<double>(sweep.samples.size());
+  cost.per_cell = static_cast<double>(messages) / cells;
+  cost.fast_forwarded_per_cell = static_cast<double>(total.ff_messages) / cells;
+  cost.fast_forwarded_share =
+      static_cast<double>(total.ff_messages) / static_cast<double>(messages);
+  cost.spills_per_cell = static_cast<double>(total.spills) / cells;
   if (sweep.cache.hit_cells == 0) {
-    cost.ns_per_message = sweep.profile.total().execute_s * 1e9 /
-                          static_cast<double>(messages);
+    cost.ns_per_message =
+        total.execute_s * 1e9 / static_cast<double>(messages);
+    const std::int64_t simulated = messages - total.ff_messages;
+    if (simulated > 0) {
+      cost.ns_per_simulated_message =
+          total.execute_s * 1e9 / static_cast<double>(simulated);
+    }
   }
   return cost;
+}
+
+std::string json_number(const std::optional<double>& v) {
+  return v ? std::to_string(*v) : std::string("null");
 }
 
 }  // namespace
@@ -105,6 +125,14 @@ int main() {
     std::printf("  messages: %.1f per cell (cache-served: no ns/message)\n",
                 cost.per_cell);
   }
+  std::printf("  fast-forwarded: %.1f %% of messages (%.1f per cell)",
+              100.0 * cost.fast_forwarded_share,
+              cost.fast_forwarded_per_cell);
+  if (cost.ns_per_simulated_message) {
+    std::printf(", %.2f ns per simulated message",
+                *cost.ns_per_simulated_message);
+  }
+  std::printf("\n  spills:   %.3f per cell\n", cost.spills_per_cell);
   std::printf("  parallel: %.3f s (%.1f cells/s)\n", parallel.seconds,
               rate(cells, parallel.seconds));
   std::printf("  speedup:  %.2fx on %u thread(s)\n", speedup, threads);
@@ -124,10 +152,13 @@ int main() {
        << "  \"serial_cells_per_second\": " << rate(cells, serial.seconds)
        << ",\n"
        << "  \"messages_per_cell\": " << cost.per_cell << ",\n"
-       << "  \"ns_per_message\": "
-       << (cost.ns_per_message ? std::to_string(*cost.ns_per_message)
-                               : std::string("null"))
+       << "  \"ns_per_message\": " << json_number(cost.ns_per_message)
        << ",\n"
+       << "  \"fast_forwarded_messages_per_cell\": "
+       << cost.fast_forwarded_per_cell << ",\n"
+       << "  \"spills_per_cell\": " << cost.spills_per_cell << ",\n"
+       << "  \"ns_per_simulated_message\": "
+       << json_number(cost.ns_per_simulated_message) << ",\n"
        << "  \"parallel_cells_per_second\": "
        << rate(cells, parallel.seconds) << ",\n"
        << "  \"speedup\": " << speedup << ",\n"

@@ -43,6 +43,9 @@ SweepProfile::Lane SweepProfile::total() const {
     t.cache_hit_cells += l.cache_hit_cells;
     t.cache_miss_cells += l.cache_miss_cells;
     t.dedup_cells += l.dedup_cells;
+    t.ff_periods += l.ff_periods;
+    t.ff_messages += l.ff_messages;
+    t.spills += l.spills;
   }
   return t;
 }
@@ -337,6 +340,10 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
         sample.back_jumps = back_jumps;
         if (options.analyze) lane.registry = obs::MetricsRegistry{};
         sample.metrics = lane.engines[ci].run(m, lane.plans[ci], predictor);
+        const sim::RunWork& work = lane.engines[ci].last_work();
+        lane.prof.ff_periods += work.ff_periods;
+        lane.prof.ff_messages += work.ff_messages;
+        lane.prof.spills += work.spills;
         if (options.analyze) {
           obs::AttributeOptions ao;
           ao.detail = false;  // the sweep keeps only the category vector

@@ -90,6 +90,17 @@ struct SweepProfile {
     std::size_t cache_hit_cells = 0;
     std::size_t cache_miss_cells = 0;
     std::size_t dedup_cells = 0;
+    // Engine work counters over the executed cells (sim::RunWork; docs/
+    // PERF.md "Loop fast-forward"). Deterministic and, summed over lanes,
+    // identical for every thread count; kept out of RunMetrics and the
+    // cache key:
+    //   ff_periods  — loop periods the fast-forward skipped;
+    //   ff_messages — serial + mesh messages those periods account for,
+    //                 counted in the samples but never simulated;
+    //   spills      — events scheduled past the calendar ring.
+    std::int64_t ff_periods = 0;
+    std::int64_t ff_messages = 0;
+    std::int64_t spills = 0;
   };
   std::vector<Lane> lanes;  // index = worker lane; serial sweeps use [0]
   double wall_s = 0.0;      // whole-sweep wall clock

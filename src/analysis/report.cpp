@@ -115,7 +115,10 @@ void write_profile_lane(std::ostream& os, const SweepProfile::Lane& lane) {
      << ",\"methods\":" << lane.methods << ",\"cells\":" << lane.cells
      << ",\"cache_hit_cells\":" << lane.cache_hit_cells
      << ",\"cache_miss_cells\":" << lane.cache_miss_cells
-     << ",\"dedup_cells\":" << lane.dedup_cells << "}";
+     << ",\"dedup_cells\":" << lane.dedup_cells
+     << ",\"ff_periods\":" << lane.ff_periods
+     << ",\"ff_messages\":" << lane.ff_messages
+     << ",\"spills\":" << lane.spills << "}";
 }
 
 }  // namespace

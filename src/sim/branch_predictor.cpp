@@ -33,4 +33,33 @@ std::vector<std::uint8_t> classify_branches(const bytecode::Method& m) {
   return kinds;
 }
 
+bool BranchPredictor::decide(std::int32_t site, BranchKind kind) {
+  if (scenario_ == Scenario::Trace) {
+    auto it = trace_.find(site);
+    if (it != trace_.end() && !it->second.empty()) {
+      const bool taken = it->second.front();
+      it->second.pop_front();
+      return taken;
+    }
+    // Trace exhausted: leave the loop so execution terminates.
+    return kind == BranchKind::LoopExit;
+  }
+  std::int32_t& count = slot(counts_of(kind), site);
+  return taken_at(kind, count++);
+}
+
+std::int32_t BranchPredictor::decide_switch(std::int32_t site,
+                                            std::int32_t num_targets) {
+  if (scenario_ == Scenario::Trace) {
+    auto it = switch_trace_.find(site);
+    if (it != switch_trace_.end() && !it->second.empty()) {
+      const std::int32_t arm = it->second.front();
+      it->second.pop_front();
+      return arm < num_targets ? arm : num_targets - 1;
+    }
+    return num_targets - 1;  // exhausted: take the default arm
+  }
+  return switch_arm_at(slot(switch_counts_, site)++, num_targets);
+}
+
 }  // namespace javaflow::sim

@@ -39,46 +39,17 @@ class BranchPredictor {
 
   explicit BranchPredictor(Scenario scenario) : scenario_(scenario) {}
 
+  // decide() and decide_switch() are out of line (branch_predictor.cpp):
+  // inlined into the kernel's control handler they changed its hot
+  // loop's code layout and cost a full sweep about 15 %.
+
   // Outcome for the conditional jump at linear address `site`.
-  bool decide(std::int32_t site, BranchKind kind) {
-    if (scenario_ == Scenario::Trace) {
-      auto it = trace_.find(site);
-      if (it != trace_.end() && !it->second.empty()) {
-        const bool taken = it->second.front();
-        it->second.pop_front();
-        return taken;
-      }
-      // Trace exhausted: leave the loop so execution terminates.
-      return kind == BranchKind::LoopExit;
-    }
-    if (kind == BranchKind::Backward) {
-      const int count = back_count_[site]++;
-      return (count % 10) < 9;  // 9 taken, 10th falls through
-    }
-    if (kind == BranchKind::LoopExit) {
-      const int count = back_count_[site]++;
-      return (count % 10) == 9;  // stay in the loop 9 times, exit 10th
-    }
-    const int count = fwd_count_[site]++;
-    const bool first_taken = scenario_ == Scenario::BP1;
-    return (count % 2 == 0) == first_taken;
-  }
+  bool decide(std::int32_t site, BranchKind kind);
 
   // Case selection for tableswitch/lookupswitch at `site` among
   // `num_targets` arms (incl. default, index num_targets-1): round-robin,
   // the switch-dispatch analogue of the alternating forward predictor.
-  std::int32_t decide_switch(std::int32_t site, std::int32_t num_targets) {
-    if (scenario_ == Scenario::Trace) {
-      auto it = switch_trace_.find(site);
-      if (it != switch_trace_.end() && !it->second.empty()) {
-        const std::int32_t arm = it->second.front();
-        it->second.pop_front();
-        return arm < num_targets ? arm : num_targets - 1;
-      }
-      return num_targets - 1;  // exhausted: take the default arm
-    }
-    return switch_count_[site]++ % num_targets;
-  }
+  std::int32_t decide_switch(std::int32_t site, std::int32_t num_targets);
 
   // Trace mode: append a recorded outcome for a site.
   void feed_trace(std::int32_t site, bool taken) {
@@ -89,17 +60,71 @@ class BranchPredictor {
   }
 
   Scenario scenario() const noexcept { return scenario_; }
-  void reset() {
-    fwd_count_.clear();
-    back_count_.clear();
-    switch_count_.clear();
+
+  // ---- counters (BP1/BP2) ----
+  //
+  // A synthetic outcome is a pure function of the branch kind, the
+  // scenario and how often its site has decided before: Backward and
+  // LoopExit sites share one counter per site, Forward sites and switch
+  // sites have their own. The loop fast-forward (docs/PERF.md "Loop
+  // fast-forward") reads the counters, predicts outcomes from them and
+  // advances them over the periods it skips.
+
+  // Decisions made so far at a conditional jump of `kind` (or a switch)
+  // at `site`.
+  std::int32_t count(std::int32_t site, BranchKind kind) const {
+    return read(counts_of(kind), site);
+  }
+  std::int32_t switch_count(std::int32_t site) const {
+    return read(switch_counts_, site);
+  }
+  void advance(std::int32_t site, BranchKind kind, std::int32_t by) {
+    slot(counts_of(kind), site) += by;
+  }
+  void advance_switch(std::int32_t site, std::int32_t by) {
+    slot(switch_counts_, site) += by;
+  }
+
+  // What decide() returns at a site of `kind` whose counter reads
+  // `count` (BP1/BP2).
+  bool taken_at(BranchKind kind, std::int64_t count) const {
+    switch (kind) {
+      case BranchKind::Backward: return count % 10 < 9;  // 10th falls through
+      case BranchKind::LoopExit: return count % 10 == 9;  // exits on the 10th
+      case BranchKind::Forward: break;
+    }
+    return (count % 2 == 0) == (scenario_ == Scenario::BP1);
+  }
+  // What decide_switch() returns at a counter of `count`.
+  static std::int32_t switch_arm_at(std::int64_t count,
+                                    std::int32_t num_targets) {
+    return static_cast<std::int32_t>(count % num_targets);
   }
 
  private:
+  std::vector<std::int32_t>& counts_of(BranchKind kind) {
+    return kind == BranchKind::Forward ? fwd_counts_ : back_counts_;
+  }
+  const std::vector<std::int32_t>& counts_of(BranchKind kind) const {
+    return kind == BranchKind::Forward ? fwd_counts_ : back_counts_;
+  }
+  static std::int32_t& slot(std::vector<std::int32_t>& counts,
+                            std::int32_t site) {
+    const auto s = static_cast<std::size_t>(site);
+    if (s >= counts.size()) counts.resize(s + 1, 0);
+    return counts[s];
+  }
+  static std::int32_t read(const std::vector<std::int32_t>& counts,
+                           std::int32_t site) {
+    const auto s = static_cast<std::size_t>(site);
+    return s < counts.size() ? counts[s] : 0;
+  }
+
   Scenario scenario_;
-  std::map<std::int32_t, int> fwd_count_;
-  std::map<std::int32_t, int> back_count_;
-  std::map<std::int32_t, int> switch_count_;
+  // Per-site decision counters, indexed by site (absent = 0).
+  std::vector<std::int32_t> fwd_counts_;
+  std::vector<std::int32_t> back_counts_;
+  std::vector<std::int32_t> switch_counts_;
   std::map<std::int32_t, std::deque<bool>> trace_;
   std::map<std::int32_t, std::deque<std::int32_t>> switch_trace_;
 };

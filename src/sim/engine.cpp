@@ -30,6 +30,7 @@ struct detail::EngineWorkspace {
       : kernel(make_kernel(config, options)) {}
 
   SoloKernel kernel;
+  RunWork work;  // the latest run's
 
   // Scratch for the graph overload: rebuilt on every call, keeping the
   // builder's buffers and the plan's arena capacity.
@@ -59,13 +60,20 @@ RunMetrics Engine::run(const bytecode::Method& m, const ExecPlan& plan,
     // An unfit run leaves the recorder without a terminal edge, which
     // attribute() reports as invalid — never as zeros.
     if (options_.flight != nullptr) options_.flight->reset();
+    ws_->work = RunWork{};
     RunMetrics metrics;
     metrics.static_size = static_cast<std::int32_t>(m.code.size());
     return metrics;
   }
   return std::visit(
-      [&](auto& kernel) { return kernel.run(m, plan, predictor); },
+      [&](auto& kernel) {
+        const RunMetrics metrics = kernel.run(m, plan, predictor);
+        ws_->work = kernel.work();
+        return metrics;
+      },
       ws_->kernel);
 }
+
+const RunWork& Engine::last_work() const noexcept { return ws_->work; }
 
 }  // namespace javaflow::sim

@@ -84,6 +84,15 @@ struct RunMetrics {
   bool operator==(const RunMetrics&) const = default;
 };
 
+// Deterministic work counters of one Engine::run(), kept out of
+// RunMetrics and every cache key (docs/PERF.md "Loop fast-forward"). An
+// engine with hooks never fast-forwards, so its ff_* counts stay 0.
+struct RunWork {
+  std::int64_t ff_periods = 0;   // loop periods skipped by the fast-forward
+  std::int64_t ff_messages = 0;  // serial + mesh messages they account for
+  std::int64_t spills = 0;       // events scheduled past the calendar ring
+};
+
 struct EngineOptions {
   std::int64_t max_ticks = 4'000'000;
   // Failure injection: the node at this linear address raises an
@@ -137,6 +146,9 @@ class Engine {
   // lanes.
   RunMetrics run(const bytecode::Method& m, const ExecPlan& plan,
                  BranchPredictor& predictor);
+
+  // The latest run()'s work counters (zeros after an unfit plan).
+  const RunWork& last_work() const noexcept;
 
   const MachineConfig& config() const noexcept { return config_; }
 

@@ -24,6 +24,12 @@
 //     their node untouched without dispatching them, and calendar
 //     buckets hold 16-byte Slots instead of 32-byte Events.
 //
+// The solo kernel without hooks also fast-forwards loops: once a latch's
+// period has repeated exactly, state and branch decisions included, it
+// jumps over the periods the predictor's counters say will repeat too
+// (docs/PERF.md "Loop fast-forward"). The other two instantiations
+// simulate every event and are its reference.
+//
 // A residency that never contends times exactly like a solo run, so a
 // lone MultiEngine residency reproduces Engine::run bit for bit
 // (tests/test_serve.cpp MultiEngineParity).
@@ -36,6 +42,7 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <tuple>
@@ -227,6 +234,9 @@ class Kernel {
   static_assert(!(kInstr && kShared),
                 "the serving kernel carries no telemetry hooks");
 
+  // The loop fast-forward's instantiation: solo, without hooks.
+  static constexpr bool kFastForward = !kInstr && !kShared;
+
  public:
   static constexpr std::int64_t kNoLimit = MultiEngine::kNoLimit;
 
@@ -251,8 +261,8 @@ class Kernel {
   RunMetrics run(const bytecode::Method& m, const ExecPlan& plan,
                  BranchPredictor& predictor) {
     static_assert(!kShared);
-    reset(m, plan);
     predictor_ = &predictor;
+    reset(m, plan);
     ResidentRt& r = add_resident(m, plan, /*phys_delta=*/0, /*start=*/0);
     inject_bundle(r);
     advance(kNoLimit);
@@ -367,6 +377,9 @@ class Kernel {
         cal_words_[bix >> 6] &= ~(std::uint64_t{1} << (bix & 63));
         pos = 0;
         bucket_pos_ = 0;
+        if constexpr (kFastForward) {
+          if (ff_.flushed != kFfNone) [[unlikely]] ff_tick();
+        }
         std::int64_t next = cal_cur_ + 1;
         if (buckets_[static_cast<std::size_t>(next & bucket_mask_)].empty()) {
           next = next_bucket_tick();
@@ -385,6 +398,12 @@ class Kernel {
         move_cursor(next);
       }
     }
+  }
+
+  // Solo: the latest run()'s work counters.
+  const RunWork& work() const noexcept {
+    static_assert(!kShared);
+    return work_;
   }
 
   bool idle() const noexcept { return live_events_ == 0; }
@@ -691,6 +710,8 @@ class Kernel {
     if (fr() != nullptr) fr()->reset();
     cur_edge_ = -1;
     exception_fires_ = 0;
+    work_ = RunWork{};
+    if constexpr (kFastForward) ff_begin();
     seq_ = 0;
     now_ = 0;
     cal_cur_ = 0;
@@ -809,6 +830,7 @@ class Kernel {
   // Slow paths, kept out of line so schedule() and move_cursor() stay
   // small enough to inline into every call site.
   [[gnu::noinline]] void spill(const Event& ev) {
+    if constexpr (!kShared) ++work_.spills;
     overflow_.push_back(ev);
     std::push_heap(overflow_.begin(), overflow_.end(), EventAfter{});
   }
@@ -938,6 +960,7 @@ class Kernel {
 
   void dispatch(const Record& ev) {
     ResidentRt& r = resident(ev.res);
+    if constexpr (kFastForward) ff_touch(ev.node, ev.node);
     if constexpr (kInstr) {
       if (fr() != nullptr) cur_edge_ = fr()->edge_of_seq(ev.seq);
     }
@@ -1395,6 +1418,7 @@ class Kernel {
         if (residents_[nres].done) continue;  // stale: owner finished
         try_fire(residents_[nres], next);
       } else {
+        if constexpr (kFastForward) ff_touch(next, next);
         try_fire(r, next);
       }
       if (exec_busy_[pn]) break;  // someone grabbed the unit
@@ -1635,11 +1659,576 @@ class Kernel {
       flush_edge_scratch_.swap(n.buffered_edges);
     }
     for (std::int32_t i = target; i <= g; ++i) reset_node(i);
+    if constexpr (kFastForward) ff_touch(target, g);
     std::int64_t idx = 0;
     for (std::size_t bi = 0; bi < flush_scratch_.size(); ++bi) {
       const Token tok = flush_scratch_[bi];
       send_serial(r, g, target, tok, hop_ == 0 ? 0 : idx++,
                   bundle_parent(g, flush_edge_scratch_, bi, tok));
+    }
+    // The replay closes one period of latch g; the tick's drain step
+    // looks at it.
+    if constexpr (kFastForward) {
+      ff_.flushed = ff_.flushed == kFfNone || ff_.flushed == g ? g : kFfSeveral;
+    }
+  }
+
+  // ---- loop fast-forward (solo, uninstrumented) ----
+  //
+  // docs/PERF.md "Loop fast-forward". Each bundle replay closes one
+  // period of its latch. At the drain step of a tick in which a latch
+  // flushed, ff_tick() records the period's O(1) signature (the clock,
+  // seq, fired, serial and mesh deltas) and, from the second flush of a
+  // loop visit on, captures the canonical state. One period later, or
+  // two when the signatures alternate, it captures the state again if
+  // the signatures repeat (P = 1 or 2) and compares value for value; on
+  // a match it jumps over every further period whose branch decisions
+  // the predictor's counters say repeat the template's.
+  //
+  // Exactness: the state compared is everything the simulation's future
+  // reads, relative to now (pending ticks, the open overlap span) and to
+  // the consumers' epochs (in-flight operands). Everything the future
+  // does not read but the results report — the clock, seq, epochs, the
+  // RunMetrics counters and the predictor's counts — moves by n times
+  // its per-period delta. Moving every pending event by the same number
+  // of ticks keeps their (tick, seq) order, so the jump lands in the
+  // state the skipped events would have produced. distinct_ needs
+  // nothing: the template already fired every node the skipped periods
+  // fire.
+  //
+  // Node lanes change only where an event is dispatched, where a replay
+  // resets its loop, and where a freed execution unit fires a queued
+  // node, so the kernel keeps the range of lanes touched (ff_touch). A
+  // snapshot covers the lanes the latch's latest periods touched; a lane
+  // outside it that nothing touched since is equal by construction, and
+  // a touch outside it voids the compare.
+
+  // ff_.flushed: no latch flushed this tick, or more than one did.
+  static constexpr std::int32_t kFfNone = -1;
+  static constexpr std::int32_t kFfSeveral = -2;
+  // Longest template, in latch periods.
+  static constexpr std::int32_t kFfMaxPeriod = 2;
+  // Snapshots a latch may release without a jump before the kernel stops
+  // trying until its signature breaks (a new loop visit).
+  static constexpr std::int32_t kFfRetries = 3;
+  // Snapshots armed at once; past it, the latch that flushed longest ago
+  // loses its snapshot.
+  static constexpr std::size_t kFfMaxSnapshots = 8;
+
+  // The counters a period's signature is made of.
+  struct FfCounters {
+    std::int64_t now = 0;
+    std::int64_t seq = 0;
+    std::int64_t fired = 0;
+    std::int64_t serial = 0;
+    std::int64_t mesh = 0;
+    bool operator==(const FfCounters&) const = default;
+  };
+
+  // A range of node lanes (empty: lo > hi).
+  struct FfRange {
+    std::int32_t lo = std::numeric_limits<std::int32_t>::max();
+    std::int32_t hi = -1;
+    void add(std::int32_t l, std::int32_t h) {
+      lo = std::min(lo, l);
+      hi = std::max(hi, h);
+    }
+    void add(const FfRange& o) { add(o.lo, o.hi); }
+    bool within(const FfRange& o) const {
+      return lo > hi || (o.lo <= lo && hi <= o.hi);
+    }
+  };
+
+  // A node's token state: held tokens (-1 when none) and the flags.
+  struct FfNode {
+    std::int64_t reg = -1;
+    std::int64_t memory = -1;
+    std::int64_t tail = -1;
+    std::int32_t decided_target = -1;
+    // write_absorbed | kill_next_register << 1 | tail_present << 2 |
+    // buffered.size() << 3; the buffered tokens follow in
+    // FfSnapshot::buffered.
+    std::uint32_t flags = 0;
+    bool operator==(const FfNode&) const = default;
+  };
+
+  // A pending event relative to now; a Mesh event's aux is the number
+  // of epochs its consumer is ahead of it.
+  struct FfEvent {
+    std::int64_t rel = 0;
+    std::int32_t node = 0;
+    std::int32_t aux = 0;
+    std::int32_t prod = 0;
+    std::uint8_t kind_side = 0;
+    net::Command cmd = net::Command::HeadToken;
+    bool operator==(const FfEvent&) const = default;
+  };
+
+  // A plan node that asks the predictor (resolve_control's branches).
+  struct FfSite {
+    std::int32_t site = 0;
+    BranchKind kind = BranchKind::Forward;
+    std::int32_t arms = 0;  // > 0: a switch with that many arms
+  };
+
+  // The canonical state at a drain step over the lanes in `lanes`, plus
+  // what the shift reads.
+  struct FfSnapshot {
+    FfCounters at;
+    std::int64_t acc1 = 0;
+    std::int64_t acc2 = 0;
+    FfRange lanes;
+    // Compared.
+    std::int32_t active_exec = 0;
+    std::int64_t open_span = 0;  // now - last_change while executing
+    std::vector<FfEvent> events;
+    std::vector<std::uint8_t> state;
+    std::vector<std::int32_t> pops;
+    std::vector<std::int32_t> fwd;
+    std::vector<FfNode> nodes;
+    std::vector<std::int64_t> buffered;
+    std::vector<char> exec_busy;
+    std::vector<std::int32_t> pending_fire;  // per unit: size, lanes
+    std::vector<FfSite> sites;               // the range's decision sites
+    // Shifted, not compared.
+    std::vector<std::int32_t> epoch;
+    std::vector<std::int32_t> counts;  // parallel to sites
+  };
+
+  struct FfLatch {
+    std::int32_t node = -1;
+    bool seen = false;
+    FfCounters at;                     // counters at its latest flush
+    std::array<FfCounters, 4> sig{};   // period signatures, newest first
+    std::int32_t sigs = 0;             // valid entries of sig
+    FfRange touched;                   // lanes touched since its flush
+    std::array<FfRange, 2> recent{};   // touched by its last two periods
+    std::int32_t snap = -1;            // armed snapshot, or -1
+    std::int32_t since = 0;            // its periods since that snapshot
+    FfRange since_snap;                // lanes touched since that snapshot
+    std::int32_t misses = 0;           // snapshots released without a jump
+  };
+
+  // Lives in the engine workspace: every buffer keeps its capacity.
+  struct FastForward {
+    bool enabled = false;  // BP1/BP2: a Trace has no counters
+    std::int32_t flushed = kFfNone;
+    FfRange touched;  // lanes touched since the last ff_tick()
+    std::vector<FfLatch> latches;
+    std::vector<FfSnapshot> snaps;
+    std::vector<std::int32_t> free_snaps;
+    FfSnapshot probe;
+    std::vector<Event> spill;                 // capture: the spill, sorted
+    std::vector<std::int32_t> epoch_shift;    // jump: per snapshot lane
+    std::vector<std::size_t> moved;           // jump: occupied buckets
+    std::vector<std::vector<Record>> staged;  // jump: their events
+  };
+  struct FfOff {};
+
+  void ff_begin() {
+    ff_.enabled =
+        predictor_->scenario() != BranchPredictor::Scenario::Trace;
+    ff_.flushed = kFfNone;
+    ff_.touched = FfRange{};
+    ff_.latches.clear();
+    ff_.free_snaps.resize(ff_.snaps.size());
+    std::iota(ff_.free_snaps.begin(), ff_.free_snaps.end(), 0);
+  }
+
+  [[gnu::always_inline]] inline void ff_touch(std::int32_t lo,
+                                              std::int32_t hi) {
+    ff_.touched.add(lo, hi);
+  }
+
+  FfCounters ff_counters(const ResidentRt& r) const {
+    return {now_, seq_, r.fired, r.serial_msgs, r.mesh_msgs};
+  }
+
+  static FfCounters ff_minus(const FfCounters& a, const FfCounters& b) {
+    return {a.now - b.now, a.seq - b.seq, a.fired - b.fired,
+            a.serial - b.serial, a.mesh - b.mesh};
+  }
+
+  // Whether latch t's last p periods repeat the p before them, as far as
+  // the visit's signatures go back (too few: no evidence against).
+  static bool ff_repeats(const FfLatch& t, std::int32_t p) {
+    for (std::int32_t i = 0; i < p && i + p < t.sigs; ++i) {
+      if (!(t.sig[static_cast<std::size_t>(i)] ==
+            t.sig[static_cast<std::size_t>(i + p)])) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  FfLatch& ff_latch(std::int32_t g) {
+    for (FfLatch& t : ff_.latches) {
+      if (t.node == g) return t;
+    }
+    ff_.latches.emplace_back();
+    ff_.latches.back().node = g;
+    return ff_.latches.back();
+  }
+
+  void ff_release(FfLatch& t) {
+    ff_.free_snaps.push_back(t.snap);
+    t.snap = -1;
+  }
+
+  // A free snapshot for latch `owner`: a new one while fewer than
+  // kFfMaxSnapshots exist, else the one whose latch flushed longest ago.
+  std::int32_t ff_take(const FfLatch& owner) {
+    if (ff_.free_snaps.empty() && ff_.snaps.size() < kFfMaxSnapshots) {
+      ff_.snaps.emplace_back();
+      return static_cast<std::int32_t>(ff_.snaps.size() - 1);
+    }
+    if (ff_.free_snaps.empty()) {
+      FfLatch* oldest = nullptr;
+      for (FfLatch& t : ff_.latches) {
+        if (t.snap >= 0 && &t != &owner &&
+            (oldest == nullptr || t.at.now < oldest->at.now)) {
+          oldest = &t;
+        }
+      }
+      ff_release(*oldest);
+    }
+    const std::int32_t i = ff_.free_snaps.back();
+    ff_.free_snaps.pop_back();
+    return i;
+  }
+
+  // The drain step of a tick in which latch ff_.flushed replayed its
+  // bundle.
+  [[gnu::noinline]] void ff_tick() {
+    const std::int32_t g = ff_.flushed;
+    ff_.flushed = kFfNone;
+    for (FfLatch& t : ff_.latches) t.touched.add(ff_.touched);
+    const FfRange touched = ff_.touched;
+    ff_.touched = FfRange{};
+    if (g < 0 || !ff_.enabled) return;
+    ResidentRt& r = residents_.front();
+    FfLatch& t = ff_latch(g);
+    const FfCounters c = ff_counters(r);
+    if (t.seen) {
+      for (std::size_t i = t.sig.size() - 1; i > 0; --i) t.sig[i] = t.sig[i - 1];
+      t.sig[0] = ff_minus(c, t.at);
+      t.sigs = std::min(t.sigs + 1, static_cast<std::int32_t>(t.sig.size()));
+    } else {
+      t.seen = true;
+      t.touched = touched;
+    }
+    t.at = c;
+    t.recent[1] = t.recent[0];
+    t.recent[0] = t.touched;
+    t.touched = FfRange{};
+    if (t.sigs >= 3 && !ff_repeats(t, 1) && !ff_repeats(t, 2)) {
+      // A period unlike the ones before it: most likely the loop's next
+      // visit. Its history starts here.
+      t.sigs = 0;
+      t.misses = 0;
+      if (t.snap >= 0) ff_release(t);
+    }
+
+    bool probed = false;
+    if (t.snap >= 0) {
+      const std::int32_t p = ++t.since;
+      t.since_snap.add(t.recent[0]);
+      FfSnapshot& s = ff_.snaps[static_cast<std::size_t>(t.snap)];
+      bool same = false;
+      if (ff_repeats(t, p) && t.since_snap.within(s.lanes)) {
+        ff_capture(r, s.lanes, ff_.probe);
+        probed = true;
+        same = ff_same(s, ff_.probe);
+        if (same && ff_skip(r, s, ff_.probe, p)) {
+          ff_release(t);
+          t.at = ff_counters(r);
+          return;
+        }
+      }
+      // Keep it for a P = 2 compare when the state repeated under a
+      // different decision, or when the periods alternate.
+      if (p < kFfMaxPeriod &&
+          (same || (t.sigs >= 2 && !(t.sig[0] == t.sig[1])))) {
+        return;
+      }
+      ff_release(t);
+      ++t.misses;
+    }
+    // Arm, from the second flush of a visit on: the first period carries
+    // the loop entry, and a signature to gate on. The template should
+    // touch what the latest periods touched.
+    if (t.sigs == 0 || t.misses >= kFfRetries) return;
+    FfRange lanes = t.recent[0];
+    lanes.add(t.recent[1]);
+    t.snap = ff_take(t);
+    t.since = 0;
+    t.since_snap = FfRange{};
+    FfSnapshot& s = ff_.snaps[static_cast<std::size_t>(t.snap)];
+    if (probed && lanes.within(ff_.probe.lanes)) {
+      std::swap(s, ff_.probe);
+    } else {
+      ff_capture(r, lanes, s);
+    }
+  }
+
+  static std::int64_t ff_token(Token t) {
+    return std::int64_t{static_cast<std::uint8_t>(t.cmd)} << 32 |
+           static_cast<std::uint32_t>(t.reg);
+  }
+
+  // Visits every occupied ring bucket in tick order, with its tick. The
+  // current tick's bucket has drained.
+  template <class F>
+  void ff_for_each_bucket(F&& f) {
+    const auto mask = static_cast<std::uint64_t>(bucket_mask_);
+    const auto nwords = static_cast<std::size_t>(ring_size_ >> 6);
+    const std::uint64_t start =
+        (static_cast<std::uint64_t>(cal_cur_) + 1) & mask;
+    const auto w0 = static_cast<std::size_t>(start >> 6);
+    const std::uint64_t low = start & 63;
+    for (std::size_t i = 0; i <= nwords; ++i) {
+      const std::size_t w = (w0 + i) % nwords;
+      std::uint64_t bits = cal_words_[w];
+      if (i == 0) bits &= ~std::uint64_t{0} << low;
+      if (i == nwords) {
+        bits &= low != 0 ? (std::uint64_t{1} << low) - 1 : std::uint64_t{0};
+      }
+      for (; bits != 0; bits &= bits - 1) {
+        const std::size_t bi =
+            (w << 6) | static_cast<std::size_t>(std::countr_zero(bits));
+        f(cal_cur_ + 1 +
+              static_cast<std::int64_t>((static_cast<std::uint64_t>(bi) -
+                                         start) &
+                                        mask),
+          bi);
+      }
+    }
+  }
+
+  FfEvent ff_event(std::int64_t tick, const Slot& e) const {
+    FfEvent f;
+    f.rel = tick - now_;
+    f.node = e.node;
+    f.aux = e.kind() == EvKind::Mesh
+                ? epoch_[static_cast<std::size_t>(e.node)] - e.aux
+                : e.aux;
+    f.prod = e.prod;
+    f.kind_side = e.kind_side;
+    f.cmd = e.cmd;
+    return f;
+  }
+
+  // Captures the canonical state with node lanes `lanes`. Only a node
+  // the kernel dispatches an event to can decide a branch, so the
+  // range's decision sites (resolve_control's conditional jumps and
+  // switches) are every site the template can decide.
+  void ff_capture(const ResidentRt& r, FfRange lanes, FfSnapshot& s) {
+    s.at = ff_counters(r);
+    s.acc1 = r.acc1;
+    s.acc2 = r.acc2;
+    s.lanes = lanes;
+    s.active_exec = r.active_exec;
+    s.open_span = r.active_exec > 0 ? now_ - r.last_change : 0;
+
+    s.events.clear();
+    ff_for_each_bucket([&](std::int64_t tick, std::size_t bi) {
+      for (const Slot& e : buckets_[bi]) s.events.push_back(ff_event(tick, e));
+    });
+    ff_.spill.assign(overflow_.begin(), overflow_.end());
+    std::sort(ff_.spill.begin(), ff_.spill.end(),
+              [](const Event& a, const Event& b) {
+                return std::tie(a.tick, a.seq) < std::tie(b.tick, b.seq);
+              });
+    for (const Event& e : ff_.spill) s.events.push_back(ff_event(e.tick, e));
+
+    const auto lo = static_cast<std::size_t>(lanes.lo);
+    const auto hi = static_cast<std::size_t>(lanes.hi) + 1;
+    s.state.assign(state_.begin() + lo, state_.begin() + hi);
+    s.pops.assign(pops_.begin() + lo, pops_.begin() + hi);
+    s.fwd.assign(fwd_.begin() + lo, fwd_.begin() + hi);
+    s.epoch.assign(epoch_.begin() + lo, epoch_.begin() + hi);
+    s.nodes.resize(hi - lo);
+    s.buffered.clear();
+    s.sites.clear();
+    s.counts.clear();
+    for (std::size_t u = lo; u < hi; ++u) {
+      const NodeRt& n = nodes_[u];
+      FfNode& f = s.nodes[u - lo];
+      f.reg = n.reg_held ? ff_token(n.held_reg) : -1;
+      f.memory = n.memory_held ? ff_token(n.held_memory) : -1;
+      f.tail = n.tail_held ? ff_token(n.held_tail) : -1;
+      f.decided_target = n.decided_target;
+      f.flags = static_cast<std::uint32_t>(n.write_absorbed) |
+                static_cast<std::uint32_t>(n.kill_next_register) << 1 |
+                static_cast<std::uint32_t>(n.tail_present) << 2 |
+                static_cast<std::uint32_t>(n.buffered.size()) << 3;
+      for (const Token tok : n.buffered) s.buffered.push_back(ff_token(tok));
+
+      const auto l = static_cast<std::int32_t>(u);
+      if (!(r.group_of(l) == bytecode::Group::ControlFlow ||
+            r.flag(l, kPlanSwitch)) ||
+          r.flag(l, kPlanGoto)) {
+        continue;
+      }
+      FfSite site;
+      site.site = l;
+      if (r.flag(l, kPlanSwitch)) {
+        site.arms = static_cast<std::int32_t>(
+                        r.method->switches[static_cast<std::size_t>(
+                                               r.operand[l])]
+                            .targets.size()) +
+                    1;
+        s.counts.push_back(predictor_->switch_count(l));
+      } else {
+        site.kind = static_cast<BranchKind>(r.branch_kinds[l]);
+        s.counts.push_back(predictor_->count(l, site.kind));
+      }
+      s.sites.push_back(site);
+    }
+    s.exec_busy.assign(exec_busy_.begin(), exec_busy_.end());
+    s.pending_fire.clear();
+    if (idus_ > 1) {
+      for (std::size_t p = 0; p < exec_busy_.size(); ++p) {
+        const std::vector<std::int32_t>& q = pending_fire_[p];
+        s.pending_fire.push_back(static_cast<std::int32_t>(q.size()));
+        s.pending_fire.insert(s.pending_fire.end(), q.begin(), q.end());
+      }
+    }
+  }
+
+  // Whether two captures over the same lanes hold the same state.
+  static bool ff_same(const FfSnapshot& a, const FfSnapshot& b) {
+    return a.active_exec == b.active_exec && a.open_span == b.open_span &&
+           a.events == b.events && a.state == b.state && a.pops == b.pops &&
+           a.fwd == b.fwd && a.nodes == b.nodes && a.buffered == b.buffered &&
+           a.exec_busy == b.exec_busy && a.pending_fire == b.pending_fire;
+  }
+
+  // The largest n <= cap such that site s decides at counts
+  // c + k·d + j as it did at c + j, for every k in 1..n and j < d. Its
+  // outcomes repeat with period q in the count, so a window of min(d, q)
+  // counts and one cycle of k (q / gcd(d, q)) decide it.
+  std::int64_t ff_repeat_run(const FfSite& s, std::int64_t c, std::int64_t d,
+                             std::int64_t cap) const {
+    const std::int64_t q =
+        s.arms > 0 ? s.arms : (s.kind == BranchKind::Forward ? 2 : 10);
+    if (d % q == 0) return cap;
+    auto outcome = [&](std::int64_t count) -> std::int64_t {
+      return s.arms > 0 ? BranchPredictor::switch_arm_at(count, s.arms)
+                        : predictor_->taken_at(s.kind, count);
+    };
+    const std::int64_t window = std::min(d, q);
+    const std::int64_t cycle = q / std::gcd(d, q);
+    for (std::int64_t k = 1; k < cycle && k <= cap; ++k) {
+      for (std::int64_t j = 0; j < window; ++j) {
+        if (outcome(c + k * d + j) != outcome(c + j)) return k - 1;
+      }
+    }
+    return cap;
+  }
+
+  // `live` repeats `s` exactly, p latch periods later: skips as many
+  // further templates as the budget and the predictor allow. Returns
+  // whether it skipped any.
+  bool ff_skip(ResidentRt& r, const FfSnapshot& s, const FfSnapshot& live,
+               std::int32_t p) {
+    const std::int64_t dt = live.at.now - s.at.now;
+    if (dt <= 0) return false;
+    // The budget: the skipped templates process ticks up to now + n·dt,
+    // and the drain step after each checks the next tick against
+    // max_ticks, so none of them may pass it.
+    std::int64_t n = (opt_.max_ticks - now_) / dt;
+    // Counters and epochs stay in range, as they would event by event.
+    constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
+    for (std::size_t i = 0; i < s.sites.size() && n > 0; ++i) {
+      const std::int64_t d = live.counts[i] - s.counts[i];
+      if (d <= 0) continue;
+      n = std::min(n, (kMax - live.counts[i]) / d);
+      n = ff_repeat_run(s.sites[i], s.counts[i], d, n);
+    }
+    for (std::size_t i = 0; i < s.epoch.size() && n > 0; ++i) {
+      const std::int64_t de = live.epoch[i] - s.epoch[i];
+      if (de > 0) n = std::min(n, (kMax - live.epoch[i]) / de);
+    }
+    if (n <= 0) return false;
+    ff_shift(r, s, live, n);
+    work_.ff_periods += n * p;
+    work_.ff_messages +=
+        n * (live.at.serial - s.at.serial + live.at.mesh - s.at.mesh);
+    return true;
+  }
+
+  // Moves the live state n templates ahead.
+  void ff_shift(ResidentRt& r, const FfSnapshot& s, const FfSnapshot& live,
+                std::int64_t n) {
+    const std::int64_t dt = n * (live.at.now - s.at.now);
+    const std::int64_t dseq = n * (live.at.seq - s.at.seq);
+
+    const auto lo = static_cast<std::size_t>(s.lanes.lo);
+    ff_.epoch_shift.resize(s.epoch.size());
+    for (std::size_t i = 0; i < s.epoch.size(); ++i) {
+      const auto de =
+          static_cast<std::int32_t>(n * (live.epoch[i] - s.epoch[i]));
+      ff_.epoch_shift[i] = de;
+      epoch_[lo + i] += de;
+    }
+    // An in-flight operand keeps its distance to its consumer's epoch.
+    // Lanes outside the snapshot were not touched: their epochs hold.
+    auto shift_operand = [&](Slot& e) {
+      if (e.kind() == EvKind::Mesh && e.node >= s.lanes.lo &&
+          e.node <= s.lanes.hi) {
+        e.aux += ff_.epoch_shift[static_cast<std::size_t>(e.node) - lo];
+      }
+    };
+
+    // Ring buckets: each moves whole to its tick's new bucket.
+    ff_.moved.clear();
+    ff_for_each_bucket([&](std::int64_t, std::size_t bi) {
+      for (Slot& e : buckets_[bi]) shift_operand(e);
+      ff_.moved.push_back(bi);
+    });
+    if ((dt & bucket_mask_) != 0) {
+      if (ff_.staged.size() < ff_.moved.size()) {
+        ff_.staged.resize(ff_.moved.size());
+      }
+      for (std::size_t i = 0; i < ff_.moved.size(); ++i) {
+        const std::size_t bi = ff_.moved[i];
+        ff_.staged[i].swap(buckets_[bi]);
+        cal_words_[bi >> 6] &= ~(std::uint64_t{1} << (bi & 63));
+      }
+      for (std::size_t i = 0; i < ff_.moved.size(); ++i) {
+        const auto bi = static_cast<std::size_t>(
+            (static_cast<std::int64_t>(ff_.moved[i]) + dt) & bucket_mask_);
+        buckets_[bi].swap(ff_.staged[i]);
+        cal_words_[bi >> 6] |= std::uint64_t{1} << (bi & 63);
+      }
+    }
+    // The spill: a uniform shift of (tick, seq) keeps it a heap.
+    for (Event& e : overflow_) {
+      e.tick += dt;
+      e.seq += dseq;
+      shift_operand(e);
+    }
+
+    now_ += dt;
+    cal_cur_ += dt;
+    seq_ += dseq;
+    r.last_change += dt;
+    r.fired += n * (live.at.fired - s.at.fired);
+    r.serial_msgs += n * (live.at.serial - s.at.serial);
+    r.mesh_msgs += n * (live.at.mesh - s.at.mesh);
+    r.acc1 += n * (live.acc1 - s.acc1);
+    r.acc2 += n * (live.acc2 - s.acc2);
+    for (std::size_t i = 0; i < s.sites.size(); ++i) {
+      const FfSite& site = s.sites[i];
+      const auto by =
+          static_cast<std::int32_t>(n * (live.counts[i] - s.counts[i]));
+      if (by == 0) continue;
+      if (site.arms > 0) {
+        predictor_->advance_switch(site.site, by);
+      } else {
+        predictor_->advance(site.site, site.kind, by);
+      }
     }
   }
 
@@ -1818,6 +2407,11 @@ class Kernel {
   // default parent for everything its handler schedules.
   std::int32_t cur_edge_ = -1;
   std::int32_t exception_fires_ = 0;
+  // Solo: the run's work counters. Uninstrumented solo: the loop
+  // fast-forward's state.
+  [[no_unique_address]] std::conditional_t<kShared, FfOff, RunWork> work_{};
+  [[no_unique_address]] std::conditional_t<kFastForward, FastForward, FfOff>
+      ff_{};
 
   // ---- fabric-level accounting (shared) ----
   int fab_active_ = 0;      // executing instructions, all residencies

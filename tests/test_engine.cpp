@@ -1,8 +1,11 @@
 // Tests for the execution engine: firing rules, token bundle mechanics,
 // loop replay, predictor behaviour, cross-configuration ordering, and the
-// uninstrumented kernel's fast path against the full handler.
+// uninstrumented kernel's fast path and loop fast-forward against the
+// full-event instrumented kernel.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -376,14 +379,33 @@ TEST(Engine, HeadTestLoopAlsoItersTenTimes) {
   EXPECT_EQ(r.instructions_fired, 10 + 10 + 9 + 9 + 1 + 1);
 }
 
+// Whether two predictors end with the same counter at every site of m.
+bool same_counts(const BranchPredictor& a, const BranchPredictor& b,
+                 const bytecode::Method& m) {
+  for (std::int32_t site = 0; site < static_cast<std::int32_t>(m.code.size());
+       ++site) {
+    if (a.count(site, BranchKind::Forward) !=
+            b.count(site, BranchKind::Forward) ||
+        a.count(site, BranchKind::Backward) !=
+            b.count(site, BranchKind::Backward) ||
+        a.switch_count(site) != b.switch_count(site)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // A plain Engine runs the uninstrumented kernel, whose drain loop
 // forwards tokens that cross their node untouched without dispatching
 // them and whose calendar holds 16-byte slots; an Engine with a
 // MetricsRegistry runs the instrumented kernel, which sends every
 // delivery through the full on_serial handler and keeps whole events.
 // On every 4th corpus method, on every config and scenario, the two must
-// agree field for field, and the registry must have counted every
-// serial message the runs report.
+// agree field for field and leave their predictors with equal counters,
+// and the registry must have counted every serial message the runs
+// report. The plain engine also fast-forwards loops; what it skips is
+// deterministic and pinned, so a change to what the fast-forward
+// compares or when it tries moves the pin.
 TEST(FastPath, MatchesTheFullHandlerOnEveryFourthCorpusMethod) {
   const workloads::Corpus corpus = workloads::make_corpus({});
   std::vector<const bytecode::Method*> methods;
@@ -398,8 +420,10 @@ TEST(FastPath, MatchesTheFullHandlerOnEveryFourthCorpusMethod) {
   struct ConfigResult {
     std::size_t cells = 0;
     std::size_t mismatches = 0;
+    std::size_t predictor_mismatches = 0;
     std::string first_mismatch;
     std::uint64_t serial_messages = 0;  // summed over the runs
+    RunWork work;                       // the plain engine's, summed
     obs::MetricsRegistry registry;
   };
   std::vector<ConfigResult> results(configs.size());
@@ -423,7 +447,12 @@ TEST(FastPath, MatchesTheFullHandlerOnEveryFourthCorpusMethod) {
         BranchPredictor full_predictor(scenario);
         const RunMetrics a = fast.run(m, plan, fast_predictor);
         const RunMetrics b = full.run(m, plan, full_predictor);
+        out.work.ff_periods += fast.last_work().ff_periods;
+        out.work.ff_messages += fast.last_work().ff_messages;
         ++out.cells;
+        if (!same_counts(fast_predictor, full_predictor, m)) {
+          ++out.predictor_mismatches;
+        }
         out.serial_messages += static_cast<std::uint64_t>(b.serial_messages);
         if (!(a == b) && out.mismatches++ == 0) {
           out.first_mismatch =
@@ -443,6 +472,7 @@ TEST(FastPath, MatchesTheFullHandlerOnEveryFourthCorpusMethod) {
     EXPECT_EQ(r.cells, 2 * methods.size()) << configs[ci].name;
     EXPECT_EQ(r.mismatches, 0u)
         << configs[ci].name << ", first: " << r.first_mismatch;
+    EXPECT_EQ(r.predictor_mismatches, 0u) << configs[ci].name;
     std::uint64_t commands = 0;
     for (const std::uint64_t n : r.registry.serial_commands) commands += n;
     EXPECT_EQ(commands, r.serial_messages) << configs[ci].name;
@@ -450,6 +480,246 @@ TEST(FastPath, MatchesTheFullHandlerOnEveryFourthCorpusMethod) {
         << configs[ci].name;
     EXPECT_GT(r.serial_messages, 0u) << configs[ci].name;
   }
+  RunWork work;
+  for (const ConfigResult& r : results) {
+    work.ff_periods += r.work.ff_periods;
+    work.ff_messages += r.work.ff_messages;
+  }
+  EXPECT_EQ(work.ff_periods, 19'235);
+  EXPECT_EQ(work.ff_messages, 9'691'724);
+}
+
+// ---- loop fast-forward ----
+//
+// A plain Engine runs the kernel that fast-forwards loops; an Engine with
+// a MetricsRegistry runs the instrumented kernel, which simulates every
+// event. Each case runs one method through both, on every Table 15
+// config under BP1 and BP2, and requires equal RunMetrics and equal
+// predictor counters at every site.
+
+struct FastForwardRun {
+  RunMetrics fast;
+  RunMetrics full;
+  bool same_counts = false;
+  RunWork work;  // the plain engine's
+};
+
+FastForwardRun run_both(const bytecode::Method& m,
+                        const bytecode::ConstantPool& pool,
+                        const MachineConfig& config,
+                        BranchPredictor::Scenario scenario,
+                        std::int64_t max_ticks = EngineOptions{}.max_ticks) {
+  const auto graph = fabric::build_dataflow_graph(m, pool);
+  EngineOptions plain;
+  plain.max_ticks = max_ticks;
+  obs::MetricsRegistry registry;
+  EngineOptions hooked = plain;
+  hooked.metrics = &registry;
+  Engine fast(config, plain);
+  Engine full(config, hooked);
+  BranchPredictor fast_predictor(scenario);
+  BranchPredictor full_predictor(scenario);
+  FastForwardRun out;
+  out.fast = fast.run(m, graph, fast_predictor);
+  out.work = fast.last_work();
+  out.full = full.run(m, graph, full_predictor);
+  out.same_counts = same_counts(fast_predictor, full_predictor, m);
+  EXPECT_EQ(full.last_work().ff_periods, 0);  // hooks never fast-forward
+  return out;
+}
+
+// Checks `m` on `configs` under both scenarios; returns the loop periods
+// the plain engine skipped over all runs.
+std::int64_t expect_matches_full_kernel(
+    const bytecode::Method& m, const bytecode::ConstantPool& pool,
+    std::int64_t max_ticks = EngineOptions{}.max_ticks,
+    const std::vector<MachineConfig>& configs = table15_configs()) {
+  std::int64_t skipped = 0;
+  for (const MachineConfig& config : configs) {
+    for (const auto scenario :
+         {BranchPredictor::Scenario::BP1, BranchPredictor::Scenario::BP2}) {
+      const FastForwardRun run = run_both(m, pool, config, scenario, max_ticks);
+      const char* name =
+          scenario == BranchPredictor::Scenario::BP1 ? " BP1" : " BP2";
+      EXPECT_EQ(run.fast, run.full) << config.name << name;
+      EXPECT_TRUE(run.same_counts) << config.name << name;
+      skipped += run.work.ff_periods;
+    }
+  }
+  return skipped;
+}
+
+// Ten visits of a ten-trip inner loop: two bottom-test latches.
+bytecode::Method nested_loop(Program& p) {
+  Assembler a(p, "t.nested(I)I", "test");
+  a.args({ValueType::Int}).returns(ValueType::Int);
+  auto outer = a.new_label(), inner = a.new_label();
+  a.iconst(10).istore(1);
+  a.bind(outer);
+  a.iconst(10).istore(2);
+  a.bind(inner);
+  a.iinc(0, 1);
+  a.iinc(2, -1);
+  a.iload(2).ifgt(inner);
+  a.iinc(1, -1);
+  a.iload(1).ifgt(outer);
+  a.iload(0).op(Op::ireturn);
+  return a.build();
+}
+
+TEST(FastForward, NestedCountingLoop) {
+  Program p;
+  const auto m = nested_loop(p);
+  EXPECT_GT(expect_matches_full_kernel(m, p.pool), 0);
+  // Every skipped trip still counts: 2 + 10 x (2 + 10 x 4 + 3) + 2.
+  const RunMetrics r = run_on("Compact2", m, p.pool);
+  ASSERT_TRUE(r.completed);
+  EXPECT_EQ(r.instructions_fired, 2 + 10 * (2 + 10 * 4 + 3) + 2);
+}
+
+// The forward branch alternates, so the body repeats every two trips
+// (P = 2).
+TEST(FastForward, AlternatingForwardBranchInTheBody) {
+  Program p;
+  Assembler a(p, "t.alternate(I)I", "test");
+  a.args({ValueType::Int}).returns(ValueType::Int);
+  auto body = a.new_label(), skip = a.new_label();
+  a.iconst(10).istore(1);
+  a.bind(body);
+  a.iload(0).ifle(skip);
+  a.iinc(0, 1).iinc(0, 2);
+  a.bind(skip);
+  a.iinc(1, -1);
+  a.iload(1).ifgt(body);
+  a.iload(0).op(Op::ireturn);
+  const auto m = a.build();
+  EXPECT_GT(expect_matches_full_kernel(m, p.pool), 0);
+}
+
+TEST(FastForward, TableswitchInALoop) {
+  Program p;
+  Assembler a(p, "t.switch(I)I", "test");
+  a.args({ValueType::Int}).returns(ValueType::Int);
+  auto body = a.new_label(), c0 = a.new_label(), dflt = a.new_label(),
+       join = a.new_label();
+  a.iconst(10).istore(1);
+  a.bind(body);
+  a.iload(0).tableswitch(0, {c0}, dflt);  // two arms, taken in turn
+  a.bind(c0);
+  a.iinc(0, 1).iinc(0, 2).goto_(join);
+  a.bind(dflt);
+  a.iinc(0, 3);
+  a.bind(join);
+  a.iinc(1, -1);
+  a.iload(1).ifgt(body);
+  a.iload(0).op(Op::ireturn);
+  const auto m = a.build();
+  EXPECT_GT(expect_matches_full_kernel(m, p.pool), 0);
+}
+
+// The exit test leaves a copy of the counter for the return past the
+// loop, so every trip sends an operand beyond the latch.
+TEST(FastForward, OperandToAConsumerAfterTheLoop) {
+  Program p;
+  Assembler a(p, "t.escape(I)I", "test");
+  a.args({ValueType::Int}).returns(ValueType::Int);
+  auto head = a.new_label(), exit = a.new_label();
+  a.bind(head);
+  a.iload(0).op(Op::dup).ifle(exit);
+  a.op(Op::pop).iinc(0, -1).goto_(head);
+  a.bind(exit);
+  a.op(Op::ireturn);
+  const auto m = a.build();
+  expect_matches_full_kernel(m, p.pool);
+}
+
+// The budget runs out inside a span the fast-forward would skip: the
+// timeout lands on the same tick. Each budget cuts some config's run
+// short (the whole run takes 2,588 ticks on Compact2).
+TEST(FastForward, TickBudgetRunsOutInsideASkippableSpan) {
+  Program p;
+  const auto m = nested_loop(p);
+  for (const std::int64_t max_ticks : {120, 1'000, 5'000}) {
+    expect_matches_full_kernel(m, p.pool, max_ticks);
+    int cut = 0;
+    for (const MachineConfig& config : table15_configs()) {
+      const FastForwardRun run = run_both(
+          m, p.pool, config, BranchPredictor::Scenario::BP1, max_ticks);
+      if (run.fast.timed_out) {
+        ++cut;
+        EXPECT_GT(run.fast.ticks, max_ticks) << config.name;
+      }
+    }
+    EXPECT_GT(cut, 0) << max_ticks;
+  }
+}
+
+// A ring latency far past the calendar ring: memory reads in the inner
+// body spill, and the jumps move a 4,096-bucket ring.
+TEST(FastForward, SlowRingSpills) {
+  Program p;
+  Assembler a(p, "t.reads(IA)I", "test");
+  a.args({ValueType::Int, ValueType::Ref}).returns(ValueType::Int);
+  auto outer = a.new_label(), inner = a.new_label();
+  a.iconst(10).istore(2);
+  a.bind(outer);
+  a.iconst(10).istore(3);
+  a.bind(inner);
+  a.aload(1).iload(3).op(Op::iaload).istore(0);
+  a.iinc(3, -1);
+  a.iload(3).ifgt(inner);
+  a.iinc(2, -1);
+  a.iload(2).ifgt(outer);
+  a.iload(0).op(Op::ireturn);
+  const auto m = a.build();
+  MachineConfig config = config_by_name("Compact2");
+  config.ring.memory_read = 100'000;
+  const std::vector<MachineConfig> configs = {config};
+  EXPECT_GT(expect_matches_full_kernel(m, p.pool,
+                                       std::numeric_limits<std::int64_t>::max(),
+                                       configs),
+            0);
+  EXPECT_GT(run_both(m, p.pool, config, BranchPredictor::Scenario::BP1,
+                     std::numeric_limits<std::int64_t>::max())
+                .work.spills,
+            0);
+}
+
+// A Trace predictor has no counters to predict from, and an engine with
+// hooks is the reference: neither fast-forwards. The trace here replays
+// the BP1 decisions, so the run must equal the BP1 run.
+TEST(FastForward, OffUnderTraceAndWithHooks) {
+  Program p;
+  const auto m = nested_loop(p);
+  const auto graph = fabric::build_dataflow_graph(m, p.pool);
+  // Both latches are Backward jumps, which BP1 takes nine times of ten;
+  // the inner one sees ten visits.
+  BranchPredictor trace(BranchPredictor::Scenario::Trace);
+  for (std::int32_t site = 0; site < static_cast<std::int32_t>(m.code.size());
+       ++site) {
+    if (!m.code[static_cast<std::size_t>(site)].is_branch()) continue;
+    for (int visit = 0; visit < 10; ++visit) {
+      for (int trip = 0; trip < 10; ++trip) {
+        trace.feed_trace(site, trip < 9);
+      }
+    }
+  }
+  Engine engine(config_by_name("Compact2"));
+  BranchPredictor bp1(BranchPredictor::Scenario::BP1);
+  const RunMetrics counted = engine.run(m, graph, bp1);
+  EXPECT_GT(engine.last_work().ff_periods, 0);
+  const RunMetrics traced = engine.run(m, graph, trace);
+  EXPECT_EQ(engine.last_work().ff_periods, 0);
+  EXPECT_EQ(engine.last_work().ff_messages, 0);
+  EXPECT_EQ(traced, counted);
+
+  obs::MetricsRegistry registry;
+  EngineOptions hooked;
+  hooked.metrics = &registry;
+  Engine full(config_by_name("Compact2"), hooked);
+  BranchPredictor again(BranchPredictor::Scenario::BP1);
+  EXPECT_EQ(full.run(m, graph, again), counted);
+  EXPECT_EQ(full.last_work().ff_periods, 0);
 }
 
 }  // namespace

@@ -108,6 +108,15 @@ TEST(ParallelSweep, MatchesSerialOnStridedCorpus) {
         << parallel.samples[i].method << ")";
   }
   EXPECT_EQ(serial.samples, parallel.samples);
+
+  // The engine work counters are deterministic too: summed over lanes,
+  // the same at every thread count.
+  const analysis::SweepProfile::Lane one = serial.profile.total();
+  const analysis::SweepProfile::Lane four = parallel.profile.total();
+  EXPECT_GT(one.ff_periods, 0);
+  EXPECT_EQ(one.ff_periods, four.ff_periods);
+  EXPECT_EQ(one.ff_messages, four.ff_messages);
+  EXPECT_EQ(one.spills, four.spills);
 }
 
 // run_sweep takes the worker count as given, also beyond the hardware
