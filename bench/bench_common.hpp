@@ -13,6 +13,7 @@
 //   JAVAFLOW_BENCH_FILTER=<substr> sweep only methods whose qualified
 //                                  name contains <substr> (fast local
 //                                  iteration on one method); default all.
+//                                  Applied before the stride.
 //   JAVAFLOW_CACHE=<mode>          persistent result cache: off (default),
 //                                  read or readwrite (docs/PERF.md
 //                                  "Result cache").
@@ -33,7 +34,7 @@
 #include "cache/store.hpp"
 #include "jvm/interpreter.hpp"
 #include "util/env.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel_for.hpp"
 #include "workloads/corpus.hpp"
 
 namespace javaflow::bench {
@@ -47,7 +48,7 @@ inline int env_stride() {
 // stderr warning, since these harnesses report timings and an
 // oversubscribed sweep misreports the machine.
 inline int env_threads() {
-  return static_cast<int>(util::ThreadPool::resolve_clamped(
+  return static_cast<int>(util::resolve_clamped(
       static_cast<int>(util::env_int("JAVAFLOW_THREADS", 0, 0))));
 }
 
@@ -70,12 +71,13 @@ inline void apply_cache_env(analysis::SweepOptions& options) {
   }
 }
 
-// Applies every sweep-shaping env knob to `options` in one place so all
+// Applies every sweep-option env knob to `options` in one place so all
 // table/ablation binaries inherit new knobs for free.
+// JAVAFLOW_BENCH_FILTER shapes the method list instead
+// (Context::sweep_methods()).
 inline void apply_env(analysis::SweepOptions& options) {
   options.stride = env_stride();
   options.threads = env_threads();
-  options.method_filter = util::env_string("JAVAFLOW_BENCH_FILTER", "");
   apply_cache_env(options);
 }
 
@@ -103,6 +105,20 @@ struct Context {
     return out;
   }
 
+  // What a sweep binary sweeps: all_methods() narrowed to the qualified
+  // names containing JAVAFLOW_BENCH_FILTER (unset = all). run_sweep
+  // strides over this list, so filter + stride 1 sweeps exactly the
+  // matching methods.
+  std::vector<const bytecode::Method*> sweep_methods() const {
+    const std::string_view filter =
+        util::env_string("JAVAFLOW_BENCH_FILTER", "");
+    std::vector<const bytecode::Method*> out = all_methods();
+    std::erase_if(out, [filter](const bytecode::Method* m) {
+      return m->name.find(filter) == std::string::npos;
+    });
+    return out;
+  }
+
   std::vector<const bytecode::Method*> kernel_methods() const {
     std::vector<const bytecode::Method*> out;
     for (std::size_t i = 0; i < corpus.kernel_methods; ++i) {
@@ -125,7 +141,7 @@ struct Context {
   analysis::Sweep run_sweep() const {
     analysis::SweepOptions options;
     apply_env(options);
-    return analysis::run_sweep(all_methods(), corpus.program.pool,
+    return analysis::run_sweep(sweep_methods(), corpus.program.pool,
                                hot_method_names(), options);
   }
 };

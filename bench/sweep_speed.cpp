@@ -16,6 +16,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 
@@ -29,12 +30,13 @@ struct TimedSweep {
 };
 
 TimedSweep timed_sweep(const javaflow::bench::Context& ctx,
+                       const std::vector<const javaflow::bytecode::Method*>&
+                           methods,
                        const javaflow::analysis::SweepOptions& options) {
   const auto t0 = Clock::now();
   TimedSweep out;
   out.sweep = javaflow::analysis::run_sweep(
-      ctx.all_methods(), ctx.corpus.program.pool, ctx.hot_method_names(),
-      options);
+      methods, ctx.corpus.program.pool, ctx.hot_method_names(), options);
   out.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
   return out;
 }
@@ -101,10 +103,12 @@ int main() {
   std::printf("sweep_speed: stride=%d, parallel leg uses %u thread(s)\n",
               options.stride, threads);
 
+  const std::vector<const javaflow::bytecode::Method*> methods =
+      ctx.sweep_methods();
   javaflow::analysis::SweepOptions serial_options = options;
   serial_options.threads = 1;
-  const TimedSweep serial = timed_sweep(ctx, serial_options);
-  const TimedSweep parallel = timed_sweep(ctx, options);
+  const TimedSweep serial = timed_sweep(ctx, methods, serial_options);
+  const TimedSweep parallel = timed_sweep(ctx, methods, options);
 
   const std::size_t cells = serial.sweep.samples.size();
   const bool identical = serial.sweep.samples == parallel.sweep.samples;

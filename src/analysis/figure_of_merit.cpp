@@ -12,7 +12,7 @@
 #include "cache/key.hpp"
 #include "fabric/dataflow_graph.hpp"
 #include "fabric/resolver.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel_for.hpp"
 
 namespace javaflow::analysis {
 
@@ -50,15 +50,6 @@ SweepProfile::Lane SweepProfile::total() const {
   return t;
 }
 
-std::string_view filter_name(Filter f) noexcept {
-  switch (f) {
-    case Filter::All: return "Filter All";
-    case Filter::Filter1: return "Filter 1";
-    case Filter::Filter2: return "Filter 2";
-  }
-  return "?";
-}
-
 bool filter_accepts(Filter f, std::size_t static_insts,
                     bool is_hot) noexcept {
   switch (f) {
@@ -86,24 +77,11 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
   const std::unordered_set<std::string> hot(hot_methods.begin(),
                                             hot_methods.end());
 
-  // Method selection: the substring filter (fast local iteration on one
-  // method) applies before the stride, so filter + stride 1 sweeps
-  // exactly the matching methods and an empty filter reproduces the
-  // historical every-k-th-method picks bit for bit.
-  const int stride = std::max(options.stride, 1);
+  const auto stride = static_cast<std::size_t>(std::max(options.stride, 1));
   std::vector<std::size_t> picks;
-  picks.reserve(methods.size() / static_cast<std::size_t>(stride) + 1);
-  std::size_t eligible = 0;
-  for (std::size_t mi = 0; mi < methods.size(); ++mi) {
-    if (!options.method_filter.empty() &&
-        methods[mi]->name.find(options.method_filter) ==
-            std::string::npos) {
-      continue;
-    }
-    if (eligible % static_cast<std::size_t>(stride) == 0) {
-      picks.push_back(mi);
-    }
-    ++eligible;
+  picks.reserve(methods.size() / stride + 1);
+  for (std::size_t mi = 0; mi < methods.size(); mi += stride) {
+    picks.push_back(mi);
   }
 
   // Each selected method owns a fixed block of config-major cells, so
@@ -404,24 +382,19 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
     lane.prof.cells += cells_per_method;
   };
 
-  const unsigned threads = util::ThreadPool::resolve(options.threads);
-  std::vector<std::unique_ptr<LaneState>> lanes;
-  if (threads <= 1 || work.size() <= 1) {
-    lanes.push_back(make_lane());
-    for (std::size_t wi = 0; wi < work.size(); ++wi) {
-      run_method(wi, *lanes[0]);
-    }
-  } else {
-    // Lanes never share an Engine (each holds a mutable scratch
-    // workspace), and engines persist across the lane's methods so
-    // allocation reuse still pays off.
-    util::ThreadPool workers(threads);
-    lanes.resize(workers.size());
-    workers.parallel_for(work.size(), [&](std::size_t wi, unsigned lane) {
-      if (lanes[lane] == nullptr) lanes[lane] = make_lane();
-      run_method(wi, *lanes[lane]);
-    });
-  }
+  // Lanes never share an Engine (each holds a mutable scratch
+  // workspace), and engines persist across the lane's methods so
+  // allocation reuse still pays off. The profile keeps one entry per
+  // requested lane when more than one method runs; a lane is built on
+  // first use, and an unused lane's entry stays empty.
+  const unsigned threads = util::resolve(options.threads);
+  std::vector<std::unique_ptr<LaneState>> lanes(work.size() > 1 ? threads
+                                                                : 1);
+  util::parallel_for(threads, work.size(), [&](std::size_t wi,
+                                               unsigned lane) {
+    if (lanes[lane] == nullptr) lanes[lane] = make_lane();
+    run_method(wi, *lanes[lane]);
+  });
 
   for (const std::unique_ptr<LaneState>& lane : lanes) {
     if (lane == nullptr) {
@@ -653,26 +626,6 @@ std::vector<NetworkRow> network_rows(const Sweep& sweep) {
         static_cast<double>(row.total_serial_messages) / n;
     row.mean_ticks_exec_1plus = exec1[ci] / n;
     row.mean_ticks_exec_2plus = exec2[ci] / n;
-  }
-  return rows;
-}
-
-std::vector<AttributionRow> attribution_rows(const Sweep& sweep) {
-  std::vector<AttributionRow> rows(sweep.configs.size());
-  for (std::size_t ci = 0; ci < sweep.configs.size(); ++ci) {
-    rows[ci].config = sweep.configs[ci].name;
-  }
-  if (sweep.attribution.size() != sweep.samples.size()) return rows;
-  for (std::size_t i = 0; i < sweep.samples.size(); ++i) {
-    const SweepSample& s = sweep.samples[i];
-    const CellAttribution& cell = sweep.attribution[i];
-    if (!usable(s) || !cell.valid) continue;
-    AttributionRow& row = rows[s.config_index];
-    ++row.samples;
-    row.total_ticks += s.metrics.ticks;
-    for (std::size_t c = 0; c < obs::kNumPathCategories; ++c) {
-      row.category_ticks[c] += cell.category_ticks[c];
-    }
   }
   return rows;
 }

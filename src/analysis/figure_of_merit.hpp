@@ -26,7 +26,6 @@ enum class Filter : std::uint8_t {
   Filter1,  // 10 < static instructions < 1000
   Filter2,  // the hottest (dynamically weighted) methods within Filter1
 };
-std::string_view filter_name(Filter f) noexcept;
 bool filter_accepts(Filter f, std::size_t static_insts, bool is_hot) noexcept;
 
 // One execution sample: a (method, config, scenario) cell of the sweep.
@@ -143,10 +142,6 @@ struct SweepOptions {
   // Cache directory, used exactly as given; must be non-empty when the
   // cache is on.
   std::string cache_dir;
-  // Substring filter over qualified method names ("" = all). Applied
-  // before the stride, so `method_filter` + stride 1 sweeps exactly the
-  // matching methods. Env knob: JAVAFLOW_BENCH_FILTER (bench_common.hpp).
-  std::string method_filter;
 };
 
 struct Sweep {
@@ -255,18 +250,6 @@ struct NetworkRow {
   double mean_ticks_exec_2plus = 0.0;
 };
 std::vector<NetworkRow> network_rows(const Sweep& sweep);
-
-// Per-config critical-path attribution totals (sweeps run with
-// SweepOptions::analyze): summed category ticks over attributed
-// usable cells. The per-row invariant total(category_ticks) ==
-// total_ticks holds by construction of obs::attribute().
-struct AttributionRow {
-  std::string config;
-  std::size_t samples = 0;  // attributed usable cells
-  std::int64_t total_ticks = 0;
-  std::array<std::int64_t, obs::kNumPathCategories> category_ticks{};
-};
-std::vector<AttributionRow> attribution_rows(const Sweep& sweep);
 
 // Tables 27/28: per-method Figure of Merit across configurations for a
 // named method list (the top-4 SPEC methods).

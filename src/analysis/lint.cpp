@@ -10,7 +10,7 @@
 #include "analysis/bounds.hpp"
 #include "analysis/model_check.hpp"
 #include "util/json.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel_for.hpp"
 
 namespace javaflow::analysis {
 namespace {
@@ -536,21 +536,12 @@ LintReport lint_corpus(const bytecode::Program& program,
   // findings identical for every thread count.
   const std::size_t n = program.methods.size();
   std::vector<LintReport> per_method(n);
-  const unsigned workers = util::ThreadPool::resolve(threads);
-  if (workers <= 1 || n <= 1) {
-    LaneScratch scratch;
-    for (std::size_t mi = 0; mi < n; ++mi) {
-      lint_one(program.methods[mi], program.pool, configs, fabrics, options,
-               scratch, per_method[mi]);
-    }
-  } else {
-    util::ThreadPool pool(workers);
-    std::vector<LaneScratch> scratch(pool.size());
-    pool.parallel_for(n, [&](std::size_t mi, unsigned lane) {
-      lint_one(program.methods[mi], program.pool, configs, fabrics, options,
-               scratch[lane], per_method[mi]);
-    });
-  }
+  const unsigned lanes = util::resolve(threads);
+  std::vector<LaneScratch> scratch(std::min<std::size_t>(lanes, n));
+  util::parallel_for(lanes, n, [&](std::size_t mi, unsigned lane) {
+    lint_one(program.methods[mi], program.pool, configs, fabrics, options,
+             scratch[lane], per_method[mi]);
+  });
 
   LintReport report;
   for (LintReport& r : per_method) report.merge(std::move(r));

@@ -71,33 +71,6 @@ void Table::print(std::ostream& os) const {
   for (const auto& row : rows_) print_row(row);
 }
 
-namespace {
-
-std::string csv_escape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (const char c : cell) {
-    if (c == '"') out += "\"\"";
-    else out.push_back(c);
-  }
-  out += "\"";
-  return out;
-}
-
-}  // namespace
-
-void Table::write_csv(std::ostream& os) const {
-  auto line = [&os](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c) os << ",";
-      os << csv_escape(cells[c]);
-    }
-    os << "\n";
-  };
-  line(columns_);
-  for (const auto& row : rows_) line(row);
-}
-
 void print_header(const std::string& text, std::ostream& os) {
   os << "\n" << std::string(72, '=') << "\n" << text << "\n"
      << std::string(72, '=') << "\n";
@@ -159,28 +132,6 @@ void write_sweep_json(std::ostream& os, const Sweep& sweep, int indent) {
      << ", \"miss_cells\": " << sweep.cache.miss_cells
      << ", \"dedup_cells\": " << sweep.cache.dedup_cells
      << ", \"stored_records\": " << sweep.cache.stored_records << "},\n";
-
-  // Critical-path attribution (docs/OBSERVABILITY.md "Attribution"),
-  // present only when the sweep ran with SweepOptions::analyze: per
-  // config, the summed category vector over attributed usable cells.
-  if (!sweep.attribution.empty()) {
-    const std::vector<AttributionRow> attr = attribution_rows(sweep);
-    os << in1 << "\"attribution\": [\n";
-    for (std::size_t ci = 0; ci < attr.size(); ++ci) {
-      const AttributionRow& a = attr[ci];
-      os << in2 << "{\"name\": \"";
-      util::json_escape(os, a.config);
-      os << "\", \"samples\": " << a.samples
-         << ", \"total_ticks\": " << a.total_ticks;
-      for (std::size_t c = 0; c < obs::kNumPathCategories; ++c) {
-        os << ", \""
-           << obs::path_category_name(static_cast<obs::PathCategory>(c))
-           << "\": " << a.category_ticks[c];
-      }
-      os << "}" << (ci + 1 < attr.size() ? "," : "") << "\n";
-    }
-    os << in1 << "],\n";
-  }
 
   const SweepProfile::Lane total = sweep.profile.total();
   os << in1 << "\"profile\": {\n"

@@ -24,10 +24,6 @@ class Table {
 
   void print(std::ostream& os = std::cout) const;
 
-  // Machine-readable export of the same rows (RFC-4180-style quoting),
-  // so downstream plotting does not have to scrape the aligned text.
-  void write_csv(std::ostream& os) const;
-
  private:
   std::string title_;
   std::vector<std::string> columns_;

@@ -149,10 +149,6 @@ const Method* Program::find(const std::string& qualified_name) const {
   return nullptr;
 }
 
-Method* Program::find_mutable(const std::string& qualified_name) {
-  return const_cast<Method*>(find(qualified_name));
-}
-
 const ClassDef* Program::find_class(const std::string& name) const {
   auto it = classes.find(name);
   return it == classes.end() ? nullptr : &it->second;

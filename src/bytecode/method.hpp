@@ -140,7 +140,6 @@ struct Program {
   std::vector<Method> methods;
 
   const Method* find(const std::string& qualified_name) const;
-  Method* find_mutable(const std::string& qualified_name);
   const ClassDef* find_class(const std::string& name) const;
 };
 

@@ -144,28 +144,6 @@ DynamicMixCategory dynamic_mix_category(Group g) noexcept {
   return DynamicMixCategory::ObjectSpecial;
 }
 
-std::string_view dynamic_mix_category_name(DynamicMixCategory c) noexcept {
-  switch (c) {
-    case DynamicMixCategory::ArithFixed:
-      return "Arith-Fixed";
-    case DynamicMixCategory::ArithFloat:
-      return "Arith-Float";
-    case DynamicMixCategory::LocalsStack:
-      return "Locals+Stack";
-    case DynamicMixCategory::ConstantsStg:
-      return "Constants-Stg";
-    case DynamicMixCategory::FieldsArrayStg:
-      return "Array+Field-Stg";
-    case DynamicMixCategory::Control:
-      return "Control";
-    case DynamicMixCategory::CallsRets:
-      return "Calls+Rets";
-    case DynamicMixCategory::ObjectSpecial:
-      return "Object+Special";
-  }
-  return "?";
-}
-
 bool is_control_transfer(Group g) noexcept {
   return g == Group::ControlFlow || g == Group::Call || g == Group::Return;
 }

@@ -379,7 +379,6 @@ enum class DynamicMixCategory : std::uint8_t {
   ObjectSpecial,  // GPP-serviced specials
 };
 DynamicMixCategory dynamic_mix_category(Group g) noexcept;
-std::string_view dynamic_mix_category_name(DynamicMixCategory c) noexcept;
 
 // True for groups whose instructions change control flow when they fire
 // (jumps, calls, returns) — these nodes buffer serial tokens (§6.3).

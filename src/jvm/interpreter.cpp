@@ -62,6 +62,17 @@ std::int64_t fp2l(double d) {
   return static_cast<std::int64_t>(d);
 }
 
+// One activation of a bytecode method on run()'s frame stack.
+struct Frame {
+  const Method* method = nullptr;
+  std::vector<Instruction>* code = nullptr;
+  std::vector<Value> locals;
+  std::vector<Value> stack;
+  Profiler::MethodStats* prof = nullptr;
+  std::size_t pc = 0;  // a suspended caller's resume point
+  bool push_result = false;  // the call site takes the return value
+};
+
 }  // namespace
 
 Interpreter::Interpreter(Program& program, Profiler* profiler)
@@ -140,25 +151,34 @@ Value Interpreter::invoke(const std::string& qualified_name,
 }
 
 Value Interpreter::invoke(const Method& m, std::vector<Value> args) {
-  return run(m, std::move(args), 0);
+  return run(m, std::move(args));
 }
 
-Value Interpreter::run(const Method& m, std::vector<Value> locals,
-                       int depth) {
-  if (depth > options_.max_call_depth) {
-    throw JvmException("StackOverflowError");
-  }
-  locals.resize(m.max_locals, Value::make_int(0));
+Value Interpreter::run(const Method& entry, std::vector<Value> args) {
+  // `cur` is the running activation; `callers` holds the suspended ones,
+  // innermost last. `locals` and `stack` name cur's members, so they
+  // follow every frame switch.
+  Frame cur;
+  std::vector<Frame> callers;
+  std::vector<Value>& locals = cur.locals;
+  std::vector<Value>& stack = cur.stack;
 
-  std::vector<Instruction>& code = code_for(m);
-  std::vector<Value> stack;
-  stack.reserve(m.max_stack);
-
-  Profiler::MethodStats* prof = nullptr;
-  if (profiler_ != nullptr) {
-    prof = &profiler_->stats(m.name, m.benchmark);
-    ++prof->invocations;
-  }
+  // Makes `m` the running activation, at the depth of callers.size().
+  auto enter = [&](const Method& m, std::vector<Value> args_in,
+                   bool push_result) {
+    if (static_cast<std::int64_t>(callers.size()) >
+        options_.max_call_depth) {
+      throw JvmException("StackOverflowError");
+    }
+    args_in.resize(m.max_locals, Value::make_int(0));
+    cur = Frame{&m, &code_for(m), std::move(args_in), {}, nullptr, 0,
+                push_result};
+    stack.reserve(m.max_stack);
+    if (profiler_ != nullptr) {
+      cur.prof = &profiler_->stats(m.name, m.benchmark);
+      ++cur.prof->invocations;
+    }
+  };
 
   auto push = [&stack](Value v) { stack.push_back(v); };
   auto pop = [&stack]() {
@@ -167,14 +187,16 @@ Value Interpreter::run(const Method& m, std::vector<Value> locals,
     return v;
   };
 
+  enter(entry, std::move(args), false);
   std::size_t pc = 0;
   while (true) {
+    const Method& m = *cur.method;
     if (++steps_ > options_.max_steps) {
       throw std::runtime_error("interpreter step budget exhausted in " +
                                m.name);
     }
-    Instruction& inst = code[pc];
-    if (prof != nullptr) Profiler::record_op(*prof, inst.op);
+    Instruction& inst = (*cur.code)[pc];
+    if (cur.prof != nullptr) Profiler::record_op(*cur.prof, inst.op);
     std::size_t next = pc + 1;
 
     switch (inst.op) {
@@ -628,9 +650,18 @@ Value Interpreter::run(const Method& m, std::vector<Value> locals,
       // ---- returns ----
       case Op::ireturn: case Op::lreturn: case Op::freturn:
       case Op::dreturn: case Op::areturn:
-        return pop();
-      case Op::return_:
-        return Value::make_default(ValueType::Void);
+      case Op::return_: {
+        const Value result = inst.op == Op::return_
+                                 ? Value::make_default(ValueType::Void)
+                                 : pop();
+        if (callers.empty()) return result;
+        const bool push_result = cur.push_result;
+        cur = std::move(callers.back());
+        callers.pop_back();
+        if (push_result) push(result);
+        next = cur.pc;
+        break;
+      }
       case Op::athrow:
         throw JvmException("athrow from " + m.name);
 
@@ -695,19 +726,21 @@ Value Interpreter::run(const Method& m, std::vector<Value> locals,
         for (int k = inst.pop - 1; k >= 0; --k) {
           args[static_cast<std::size_t>(k)] = pop();
         }
-        const Method* callee = program_.find(e.method.qualified_name);
-        Value result;
-        if (callee != nullptr) {
-          result = run(*callee, std::move(args), depth + 1);
-        } else {
-          auto it = intrinsics_.find(e.method.qualified_name);
-          if (it == intrinsics_.end()) {
-            throw std::runtime_error("unresolved method " +
-                                     e.method.qualified_name);
-          }
-          result = it->second(*this, args);
+        const bool push_result = e.method.return_type != ValueType::Void;
+        if (const Method* callee = program_.find(e.method.qualified_name)) {
+          cur.pc = next;
+          callers.push_back(std::move(cur));
+          enter(*callee, std::move(args), push_result);
+          next = 0;
+          break;
         }
-        if (e.method.return_type != ValueType::Void) push(result);
+        auto it = intrinsics_.find(e.method.qualified_name);
+        if (it == intrinsics_.end()) {
+          throw std::runtime_error("unresolved method " +
+                                   e.method.qualified_name);
+        }
+        const Value result = it->second(*this, args);
+        if (push_result) push(result);
         break;
       }
 

@@ -67,7 +67,10 @@ class Interpreter {
   std::uint64_t steps() const noexcept { return steps_; }
 
  private:
-  Value run(const bytecode::Method& m, std::vector<Value> locals, int depth);
+  // Runs `m` and every bytecode method it calls on one heap-allocated
+  // frame stack, so call depth is bounded by Options::max_call_depth,
+  // not by the native stack.
+  Value run(const bytecode::Method& m, std::vector<Value> args);
   std::vector<bytecode::Instruction>& code_for(const bytecode::Method& m);
   void register_default_intrinsics();
 

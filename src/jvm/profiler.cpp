@@ -7,19 +7,6 @@ namespace javaflow::jvm {
 using bytecode::Group;
 using bytecode::Op;
 
-void Profiler::record_invocation(const std::string& method,
-                                 const std::string& benchmark) {
-  MethodStats& s = methods_[method];
-  if (s.benchmark.empty()) s.benchmark = benchmark;
-  ++s.invocations;
-}
-
-void Profiler::record_op(const std::string& method, Op op) {
-  MethodStats& s = methods_[method];
-  ++s.op_counts[static_cast<std::uint8_t>(op)];
-  ++s.total_ops;
-}
-
 std::uint64_t Profiler::total_ops() const noexcept {
   std::uint64_t total = 0;
   for (const auto& [name, s] : methods_) total += s.total_ops;
@@ -75,22 +62,6 @@ Profiler::by_hotness() const {
     }
     return a.first < b.first;
   });
-  return out;
-}
-
-std::vector<std::pair<std::string, const Profiler::MethodStats*>>
-Profiler::hottest_covering(double fraction) const {
-  auto sorted = by_hotness();
-  const std::uint64_t total = total_ops();
-  const auto want = static_cast<std::uint64_t>(
-      fraction * static_cast<double>(total));
-  std::uint64_t seen = 0;
-  std::vector<std::pair<std::string, const MethodStats*>> out;
-  for (const auto& entry : sorted) {
-    if (seen >= want) break;
-    out.push_back(entry);
-    seen += entry.second->total_ops;
-  }
   return out;
 }
 

@@ -24,10 +24,6 @@ class Profiler {
     std::array<std::uint64_t, 256> op_counts{};
   };
 
-  void record_invocation(const std::string& method,
-                         const std::string& benchmark);
-  void record_op(const std::string& method, bytecode::Op op);
-
   // Stable per-method handle so hot interpreter loops can bump counters
   // without a map lookup per instruction.
   MethodStats& stats(const std::string& method, const std::string& benchmark) {
@@ -54,11 +50,6 @@ class Profiler {
 
   // Methods sorted by descending total_ops.
   std::vector<std::pair<std::string, const MethodStats*>> by_hotness() const;
-
-  // The smallest set of hottest methods covering `fraction` of total ops
-  // (the paper's "90 % methods").
-  std::vector<std::pair<std::string, const MethodStats*>> hottest_covering(
-      double fraction) const;
 
   void clear() { methods_.clear(); }
 

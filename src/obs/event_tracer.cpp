@@ -86,18 +86,6 @@ std::string_view label_of(const TraceMeta& meta, std::int32_t node,
 
 }  // namespace
 
-std::string_view trace_event_kind_name(TraceEventKind k) noexcept {
-  switch (k) {
-    case TraceEventKind::TokenDeliver: return "token_deliver";
-    case TraceEventKind::OperandArrive: return "operand_arrive";
-    case TraceEventKind::FireStart: return "fire_start";
-    case TraceEventKind::FireComplete: return "fire_complete";
-    case TraceEventKind::ServiceStart: return "service_start";
-    case TraceEventKind::ServiceComplete: return "service_complete";
-  }
-  return "?";
-}
-
 void write_chrome_trace(std::ostream& os, const EventTracer& tracer,
                         const TraceMeta& meta) {
   // Stable sort by tick: simultaneous events keep their deterministic

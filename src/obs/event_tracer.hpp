@@ -36,7 +36,6 @@ enum class TraceEventKind : std::uint8_t {
                     // dur = service ticks (posted writes never "complete")
   ServiceComplete,  // blocking ring reply arrived; aux = net::RingService
 };
-std::string_view trace_event_kind_name(TraceEventKind k) noexcept;
 
 struct TraceEvent {
   std::int64_t tick = 0;

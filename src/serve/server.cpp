@@ -390,6 +390,17 @@ ServeReport serve(const bytecode::Program& program,
                   const std::vector<std::int32_t>& methods,
                   const sim::MachineConfig& config,
                   const RequestStreamOptions& stream) {
+  if (methods.empty()) {
+    throw std::invalid_argument("serve: the method list is empty");
+  }
+  for (const std::int32_t m : methods) {
+    if (m < 0 || static_cast<std::size_t>(m) >= program.methods.size()) {
+      throw std::invalid_argument("serve: method index " + std::to_string(m) +
+                                  " is outside the program's " +
+                                  std::to_string(program.methods.size()) +
+                                  " methods");
+    }
+  }
   const std::vector<Request> requests = make_request_stream(
       static_cast<std::int32_t>(methods.size()), stream);
   ServerState state(program, methods, config, requests);

@@ -96,8 +96,10 @@ struct ServeReport {
 // Runs the request stream against `program`'s methods on a fresh fabric
 // of `config`. `methods` restricts the corpus to the given method
 // indices (the stream's method_index selects into this list); pass the
-// identity list for the whole program. Throws std::logic_error unless
-// the outcomes partition the stream: requests = completed + rejected +
+// identity list for the whole program. Throws std::invalid_argument,
+// before building the stream, when `methods` is empty or holds an index
+// outside `program.methods`. Throws std::logic_error unless the
+// outcomes partition the stream: requests = completed + rejected +
 // timed_out, with exactly one terminal flag per outcome.
 ServeReport serve(const bytecode::Program& program,
                   const std::vector<std::int32_t>& methods,

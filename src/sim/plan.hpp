@@ -100,7 +100,6 @@ class ExecPlan {
   std::int64_t serial_per_mesh() const noexcept { return k_; }
   std::int64_t hop_ticks() const noexcept { return hop_; }
   std::int32_t idus_per_node() const noexcept { return idus_; }
-  std::int32_t mesh_width() const noexcept { return width_; }
   bool collapsed() const noexcept { return collapsed_; }
   std::int32_t max_locals() const noexcept { return max_locals_; }
 

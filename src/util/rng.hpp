@@ -55,14 +55,6 @@ class SplitMix64 {
     return splitmix64_next(state_);
   }
 
-  // Decorrelated substream: mixes the stream tag through the generator
-  // so `fork(a)` and `fork(b)` never overlap for a != b (each fork's
-  // seed is one full splitmix64 mix away from any parent draw).
-  constexpr SplitMix64 fork(std::uint64_t stream) const noexcept {
-    std::uint64_t s = state_ + 0xbf58476d1ce4e5b9ULL * (stream + 1);
-    return SplitMix64(splitmix64_next(s));
-  }
-
   // Uniform integer in [0, n) by 64x64 fixed-point scaling (Lemire,
   // without the rejection step — the bias is < 2^-32 for any n the
   // simulator draws, and determinism beats exactness here).

@@ -247,19 +247,6 @@ TEST(Report, RendersAlignedTable) {
   EXPECT_NE(out.find("0.61"), std::string::npos);
 }
 
-TEST(Report, CsvExportQuotesSpecials) {
-  Table t("csv");
-  t.columns({"Name", "Value"});
-  t.row({"plain", "1"});
-  t.row({"with,comma", "say \"hi\""});
-  std::ostringstream os;
-  t.write_csv(os);
-  EXPECT_EQ(os.str(),
-            "Name,Value\n"
-            "plain,1\n"
-            "\"with,comma\",\"say \"\"hi\"\"\"\n");
-}
-
 TEST(Report, Formatters) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::pct(0.47), "47%");

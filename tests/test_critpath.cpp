@@ -18,7 +18,6 @@
 
 #include "analysis/explain.hpp"
 #include "analysis/figure_of_merit.hpp"
-#include "analysis/report.hpp"
 #include "cache/key.hpp"
 #include "fabric/dataflow_graph.hpp"
 #include "obs/critpath.hpp"
@@ -147,23 +146,6 @@ TEST(Attribution, DetailStepsAreContiguousAndSumToTicks) {
   }
   EXPECT_EQ(sum, ex.metrics.ticks);
   EXPECT_EQ(ex.attribution.total(), ex.metrics.ticks);
-}
-
-TEST(Attribution, RowsAndReportJsonCarryTheCategoryTotals) {
-  const analysis::Sweep sweep = attribution_sweep(1);
-  const std::vector<analysis::AttributionRow> rows =
-      analysis::attribution_rows(sweep);
-  ASSERT_EQ(rows.size(), sweep.configs.size());
-  for (const analysis::AttributionRow& row : rows) {
-    ASSERT_GT(row.samples, 0u) << row.config;
-    std::int64_t sum = 0;
-    for (const std::int64_t v : row.category_ticks) sum += v;
-    EXPECT_EQ(sum, row.total_ticks) << row.config;
-  }
-  std::ostringstream os;
-  analysis::write_sweep_json(os, sweep);
-  EXPECT_NE(os.str().find("\"attribution\""), std::string::npos);
-  EXPECT_NE(os.str().find("\"tail_hold\""), std::string::npos);
 }
 
 // ---- static bound vs realized path ----

@@ -16,7 +16,7 @@
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include "sim/plan.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel_for.hpp"
 #include "workloads/corpus.hpp"
 
 namespace javaflow::sim {
@@ -427,8 +427,8 @@ TEST(FastPath, MatchesTheFullHandlerOnEveryFourthCorpusMethod) {
     obs::MetricsRegistry registry;
   };
   std::vector<ConfigResult> results(configs.size());
-  util::ThreadPool pool(0);
-  pool.parallel_for(configs.size(), [&](std::size_t ci, unsigned) {
+  util::parallel_for(util::hardware_threads(), configs.size(),
+                     [&](std::size_t ci, unsigned) {
     const MachineConfig& config = configs[ci];
     ConfigResult& out = results[ci];
     const fabric::Fabric fabric(config.fabric_options());

@@ -271,6 +271,28 @@ TEST(Interpreter, RecursionDepthGuard) {
   EXPECT_THROW(vm.invoke("t.rec()V", {}), JvmException);
 }
 
+// Frames live on the interpreter's heap, not the native stack, so a
+// recursion just inside the depth guard returns its value in every
+// build, sanitizers included.
+TEST(Interpreter, DeepRecursionWithinTheGuardReturns) {
+  Fixture f;
+  // sum(n) = n == 0 ? 0 : n + sum(n - 1)
+  Assembler a(f.program, "t.sum(I)I", "test");
+  a.args({ValueType::Int}).returns(ValueType::Int);
+  auto base = a.new_label();
+  a.iload(0).ifeq(base);
+  a.iload(0);
+  a.iload(0).iconst(1).op(Op::isub);
+  a.invokestatic("t.sum(I)I", 1, ValueType::Int);
+  a.op(Op::iadd).op(Op::ireturn);
+  a.bind(base);
+  a.iconst(0).op(Op::ireturn);
+  f.add(a.build());
+  Interpreter vm(f.program);
+  EXPECT_EQ(vm.invoke("t.sum(I)I", {Value::make_int(500)}).as_int(),
+            500 * 501 / 2);
+}
+
 TEST(Interpreter, TableSwitchDispatch) {
   Fixture f;
   Assembler a(f.program, "t.sw(I)I", "test");

@@ -1,17 +1,20 @@
 // Tests for the parallel sweep engine: byte-identical output across
-// thread counts, the serial in-line fallback, the thread-pool utility,
-// and determinism of engine workspace reuse.
+// thread counts, the serial in-line fallback, util::parallel_for, and
+// determinism of engine workspace reuse.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/figure_of_merit.hpp"
 #include "bytecode/assembler.hpp"
 #include "fabric/dataflow_graph.hpp"
 #include "sim/engine.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel_for.hpp"
 #include "workloads/corpus.hpp"
 
 namespace javaflow {
@@ -22,34 +25,31 @@ using bytecode::Op;
 using bytecode::Program;
 using bytecode::ValueType;
 
-// ---- ThreadPool ----
+// ---- parallel_for ----
 
-TEST(ThreadPool, ResolveMapsRequestsToWorkerCounts) {
-  EXPECT_EQ(util::ThreadPool::resolve(1), 1u);
-  EXPECT_EQ(util::ThreadPool::resolve(5), 5u);
-  EXPECT_EQ(util::ThreadPool::resolve(0), util::ThreadPool::hardware_threads());
-  EXPECT_EQ(util::ThreadPool::resolve(-3),
-            util::ThreadPool::hardware_threads());
-  EXPECT_GE(util::ThreadPool::hardware_threads(), 1u);
+TEST(ParallelFor, ResolveMapsRequestsToLaneCounts) {
+  EXPECT_EQ(util::resolve(1), 1u);
+  EXPECT_EQ(util::resolve(5), 5u);
+  EXPECT_EQ(util::resolve(0), util::hardware_threads());
+  EXPECT_EQ(util::resolve(-3), util::hardware_threads());
+  EXPECT_GE(util::hardware_threads(), 1u);
 }
 
-TEST(ThreadPool, ResolveClampedCapsAtHardwareThreads) {
-  const unsigned hw = util::ThreadPool::hardware_threads();
+TEST(ParallelFor, ResolveClampedCapsAtHardwareThreads) {
+  const unsigned hw = util::hardware_threads();
   // Requests within the machine pass through untouched.
-  EXPECT_EQ(util::ThreadPool::resolve_clamped(1), 1u);
-  EXPECT_EQ(util::ThreadPool::resolve_clamped(0), hw);
-  EXPECT_EQ(util::ThreadPool::resolve_clamped(static_cast<int>(hw)), hw);
+  EXPECT_EQ(util::resolve_clamped(1), 1u);
+  EXPECT_EQ(util::resolve_clamped(0), hw);
+  EXPECT_EQ(util::resolve_clamped(static_cast<int>(hw)), hw);
   // Oversubscription clamps, with a stderr warning.
-  EXPECT_EQ(util::ThreadPool::resolve_clamped(static_cast<int>(hw) + 3), hw);
+  EXPECT_EQ(util::resolve_clamped(static_cast<int>(hw) + 3), hw);
 }
 
-TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
-  util::ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
+TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   constexpr std::size_t kN = 1000;
   std::vector<std::atomic<int>> hits(kN);
-  pool.parallel_for(kN, [&](std::size_t i, unsigned lane) {
-    ASSERT_LT(lane, pool.size());
+  util::parallel_for(4, kN, [&](std::size_t i, unsigned lane) {
+    ASSERT_LT(lane, 4u);
     hits[i].fetch_add(1);
   });
   for (std::size_t i = 0; i < kN; ++i) {
@@ -57,25 +57,85 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   }
 }
 
-TEST(ThreadPool, ParallelForRunsInlineWhenWorkIsSmall) {
-  util::ThreadPool pool(4);
-  std::thread::id body_thread;
-  pool.parallel_for(1, [&](std::size_t, unsigned lane) {
-    EXPECT_EQ(lane, 0u);
-    body_thread = std::this_thread::get_id();
-  });
-  // n <= 1 takes the in-line path: no handoff to a worker.
-  EXPECT_EQ(body_thread, std::this_thread::get_id());
+TEST(ParallelFor, OneLaneRunsInline) {
+  // One index, or one lane, starts no thread: every index runs on the
+  // calling thread as lane 0, in order.
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const auto& [lanes, n] : {std::pair<unsigned, std::size_t>{4, 1},
+                                 std::pair<unsigned, std::size_t>{1, 5}}) {
+    std::vector<std::size_t> order;
+    util::parallel_for(lanes, n, [&](std::size_t i, unsigned lane) {
+      EXPECT_EQ(lane, 0u);
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(i);
+    });
+    EXPECT_EQ(order.size(), n);
+    for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+  }
 }
 
-TEST(ThreadPool, SubmitAndWaitIdleDrainTheQueue) {
-  util::ThreadPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 64; ++i) {
-    pool.submit([&] { done.fetch_add(1); });
+// Spins until `flag` reads true or ten seconds pass; returns the flag.
+bool spin_until(const std::atomic<bool>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
   }
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 64);
+  return flag.load();
+}
+
+TEST(ParallelFor, CallerRunsLaneZero) {
+  // Four indices that each wait until all four have started: every lane
+  // holds exactly one index, so all four lanes run.
+  constexpr unsigned kLanes = 4;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<unsigned> started{0};
+  std::atomic<bool> all_started{false};
+  std::vector<std::thread::id> lane_thread(kLanes);
+  std::vector<int> lane_items(kLanes, 0);
+  util::parallel_for(kLanes, kLanes, [&](std::size_t, unsigned lane) {
+    lane_thread[lane] = std::this_thread::get_id();
+    ++lane_items[lane];
+    if (started.fetch_add(1) + 1 == kLanes) all_started.store(true);
+    EXPECT_TRUE(spin_until(all_started)) << "lane " << lane;
+  });
+  EXPECT_EQ(lane_items, std::vector<int>(kLanes, 1));
+  EXPECT_EQ(lane_thread[0], caller);
+  for (unsigned lane = 1; lane < kLanes; ++lane) {
+    EXPECT_NE(lane_thread[lane], caller) << "lane " << lane;
+    for (unsigned other = 1; other < lane; ++other) {
+      EXPECT_NE(lane_thread[lane], lane_thread[other]);
+    }
+  }
+}
+
+TEST(ParallelFor, LaneZeroExceptionReachesTheCaller) {
+  // The other lanes each hold one index until lane 0 has thrown, so lane
+  // 0 is sure to get one; the exception must surface only after they
+  // have finished and joined.
+  std::atomic<bool> thrown{false};
+  std::atomic<int> running{0};
+  std::atomic<int> items{0};
+  EXPECT_THROW(
+      util::parallel_for(
+          4, 64,
+          [&](std::size_t, unsigned lane) {
+            ++items;
+            if (lane == 0) {
+              thrown.store(true);
+              throw std::runtime_error("lane 0");
+            }
+            ++running;
+            spin_until(thrown);
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            --running;
+          }),
+      std::runtime_error);
+  EXPECT_TRUE(thrown.load());
+  EXPECT_EQ(running.load(), 0);
+  // The counter is spent on the throw: the other lanes stop after the
+  // index they hold instead of draining the rest.
+  EXPECT_LT(items.load(), 64);
 }
 
 // ---- sweep determinism ----
@@ -122,7 +182,7 @@ TEST(ParallelSweep, MatchesSerialOnStridedCorpus) {
 // run_sweep takes the worker count as given, also beyond the hardware
 // threads: only the bench harnesses, which report timings, clamp.
 TEST(ParallelSweep, ThreadCountIsTakenLiterally) {
-  const unsigned threads = util::ThreadPool::hardware_threads() + 1;
+  const unsigned threads = util::hardware_threads() + 1;
   const analysis::Sweep serial = corpus_sweep(/*threads=*/1, /*stride=*/97);
   const analysis::Sweep wide =
       corpus_sweep(static_cast<int>(threads), /*stride=*/97);
@@ -133,13 +193,13 @@ TEST(ParallelSweep, ThreadCountIsTakenLiterally) {
 TEST(ParallelSweep, ThreadsOneMatchesDefaultOptions) {
   // SweepOptions{} defaults to threads = 1, the in-line path; an
   // explicit 1 must be byte-identical (and take the same path —
-  // resolve(1) == 1 never constructs a pool).
+  // resolve(1) == 1 starts no thread).
   const analysis::Sweep a = corpus_sweep(/*threads=*/1, /*stride=*/173);
   const analysis::Sweep b = corpus_sweep(/*threads=*/2, /*stride=*/173);
   const analysis::Sweep c = corpus_sweep(/*threads=*/1, /*stride=*/173);
   EXPECT_EQ(a.samples, c.samples);
   EXPECT_EQ(a.samples, b.samples);
-  ASSERT_EQ(util::ThreadPool::resolve(1), 1u);
+  ASSERT_EQ(util::resolve(1), 1u);
 }
 
 // ---- engine workspace reuse ----

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <iterator>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -948,6 +949,20 @@ TEST(FabricServe, NeverFittingMethodIsRejected) {
   for (const serve::RequestOutcome& o : rep.outcomes) {
     EXPECT_EQ(o.rejected, o.method_index == 1) << o.request_id;
   }
+}
+
+// serve() checks its method list before it builds the stream: an empty
+// list or an index outside the program throws instead of crashing.
+TEST(FabricServe, RejectsAnEmptyOrOutOfRangeMethodList) {
+  const Program p = serve_program();
+  const sim::MachineConfig cfg = sim::config_by_name("Compact2");
+  serve::RequestStreamOptions stream;
+  stream.num_requests = 4;
+  const auto n = static_cast<std::int32_t>(p.methods.size());
+  EXPECT_THROW(serve::serve(p, {}, cfg, stream), std::invalid_argument);
+  EXPECT_THROW(serve::serve(p, {0, n}, cfg, stream), std::invalid_argument);
+  EXPECT_THROW(serve::serve(p, {-1}, cfg, stream), std::invalid_argument);
+  EXPECT_EQ(serve::serve(p, {n - 1}, cfg, stream).completed, 4);
 }
 
 // Same-method serialization backs requests up behind a busy Anchor: the
