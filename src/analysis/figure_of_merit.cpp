@@ -242,28 +242,25 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
     }
 
     // ---- cache probe ----
-    // Only a record holding every cell serves the method. A partial one
-    // executes, and counts as misses, all of the method's cells, which
-    // overwrites whatever the probe filled in.
-    bool have_record = false;
+    // A record holds one sweep's cells in cell order. Only a record
+    // whose cells carry exactly this sweep's keys, position by position,
+    // serves the method; any other executes, and counts as misses, all
+    // of the method's cells, which overwrites whatever the probe filled
+    // in.
     bool full_hit = false;
     if (store.has_value()) {
       cache::cell_keys(body_hash[pi], pool_hash, config_hash, engine_hash,
                        scenarios, lane.keys);
-      have_record =
-          store->load(cache::record_key(body_hash[pi], pool_hash),
-                      cache::record_fingerprint(), lane.record);
-      full_hit = have_record;
+      full_hit = store->load(cache::record_key(body_hash[pi], pool_hash),
+                             cache::record_fingerprint(), lane.record) &&
+                 lane.record.cells.size() == cells_per_method;
       for (std::size_t idx = 0; full_hit && idx < cells_per_method; ++idx) {
-        const cache::Hash128& key = lane.keys[idx];
-        const auto cell = std::find_if(
-            lane.record.cells.begin(), lane.record.cells.end(),
-            [&](const cache::CellRecord& c) { return c.key == key; });
-        full_hit = cell != lane.record.cells.end();
+        const cache::CellRecord& cell = lane.record.cells[idx];
+        full_hit = cell.key == lane.keys[idx];
         if (full_hit) {
-          out[idx].static_insts = cell->static_insts;
-          out[idx].back_jumps = cell->back_jumps;
-          out[idx].metrics = cell->metrics;
+          out[idx].static_insts = cell.static_insts;
+          out[idx].back_jumps = cell.back_jumps;
+          out[idx].metrics = cell.metrics;
         }
       }
       lap(lane.prof.cache_s);
@@ -348,31 +345,19 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
     if (store.has_value()) {
       lane.prof.cache_miss_cells += cells_per_method;
       if (mode == cache::CacheMode::ReadWrite) {
-        // Upsert this sweep's cells into the record, preserving cells
-        // other sweep contexts (configs, tick budgets) put there.
-        cache::MethodRecord next;
-        next.fingerprint = cache::record_fingerprint();
-        next.method_name = m.name;
-        if (have_record) next.cells = lane.record.cells;
+        // This sweep's cells replace whatever the record held.
+        lane.record.fingerprint = cache::record_fingerprint();
+        lane.record.method_name = m.name;
+        lane.record.cells.resize(cells_per_method);
         for (std::size_t idx = 0; idx < cells_per_method; ++idx) {
-          const SweepSample& fresh = out[idx];
-          cache::CellRecord cell;
+          cache::CellRecord& cell = lane.record.cells[idx];
           cell.key = lane.keys[idx];
-          cell.static_insts = fresh.static_insts;
-          cell.back_jumps = fresh.back_jumps;
-          cell.metrics = fresh.metrics;
-          bool replaced = false;
-          for (cache::CellRecord& existing : next.cells) {
-            if (existing.key == cell.key) {
-              existing = cell;
-              replaced = true;
-              break;
-            }
-          }
-          if (!replaced) next.cells.push_back(cell);
+          cell.static_insts = out[idx].static_insts;
+          cell.back_jumps = out[idx].back_jumps;
+          cell.metrics = out[idx].metrics;
         }
         if (store->save(cache::record_key(body_hash[pi], pool_hash),
-                        next)) {
+                        lane.record)) {
           ++lane.stored_records;
         }
       }

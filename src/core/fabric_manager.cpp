@@ -36,6 +36,21 @@ std::optional<std::int32_t> FabricManager::canonical_span(
   return c.plan->max_slot() + 1;
 }
 
+std::int32_t FabricManager::row_slots() const noexcept {
+  return std::max(config_.idus_per_node, 1) * std::max(config_.width, 1);
+}
+
+std::int32_t FabricManager::first_free_row(std::int32_t span) const {
+  for (std::int64_t base = 0; base + span <= config_.capacity;
+       base += row_slots()) {
+    const auto first = occupied_.begin() + base;
+    if (std::find(first, first + span, true) == first + span) {
+      return static_cast<std::int32_t>(base);
+    }
+  }
+  return 0;
+}
+
 std::optional<FabricManager::MethodId> FabricManager::load(
     const bytecode::Method& m, const bytecode::ConstantPool& pool,
     std::int32_t first_slot) {
@@ -60,7 +75,6 @@ std::optional<FabricManager::MethodId> FabricManager::load(
   // preserve the full timing model — docs/SERVING.md); anything
   // irregular gets its own lowering of this exact placement.
   const Canon& canon = ensure_canon(m, pool);
-  const std::int32_t idus = std::max(config_.idus_per_node, 1);
   bool share = canon.plan->fits() &&
                canon.plan->node_count() ==
                    static_cast<std::int32_t>(placement.slot_of.size()) &&
@@ -68,8 +82,7 @@ std::optional<FabricManager::MethodId> FabricManager::load(
   std::int32_t delta = 0;
   if (share) {
     delta = placement.slot_of[0] - canon.plan->slot()[0];
-    share = delta >= 0 && delta % idus == 0 &&
-            (delta / idus) % std::max(config_.width, 1) == 0;
+    share = delta >= 0 && delta % row_slots() == 0;
   }
   if (share) {
     const std::int32_t* canon_slot = canon.plan->slot();
@@ -83,7 +96,7 @@ std::optional<FabricManager::MethodId> FabricManager::load(
   }
   if (share) {
     r.plan = canon.plan.get();
-    r.phys_delta = delta / idus;
+    r.phys_delta = delta / std::max(config_.idus_per_node, 1);
     r.plan_shared = true;
     ++plans_shared_;
   } else {
@@ -119,15 +132,13 @@ std::optional<sim::RunMetrics> FabricManager::execute(
   if (it == residents_.end() || it->second.busy) {
     return std::nullopt;  // unknown method or Anchor busy (§4.3)
   }
-  Resident& r = it->second;
-  r.busy = true;
+  const Resident& r = it->second;
   sim::BranchPredictor predictor(scenario);
   // A shared canonical plan runs in its own frame, so only max_slot
   // needs rebasing to the actual placement (row-shift invariance covers
   // every other field).
   sim::RunMetrics metrics = engine_.run(*r.method, *r.plan, predictor);
   metrics.max_slot = r.placement.max_slot;
-  r.busy = false;
   return metrics;
 }
 

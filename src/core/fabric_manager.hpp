@@ -12,7 +12,7 @@
 // a row-aligned uniform shift of their canonical (fresh-fabric) layout
 // share one canonical plan — the resident stores only its phys_delta —
 // while irregular placements (packed around other residents) get a
-// dedicated lowering. The serving frontend (serve::FabricServer) leases
+// dedicated lowering. The serving frontend (serve::serve) leases
 // residents via begin_execute()/end_execute() and feeds their
 // (plan, phys_delta) pairs to a shared sim::MultiEngine; plain
 // execute() keeps the one-shot single-method path on the manager's
@@ -44,7 +44,9 @@ class FabricManager {
     const bytecode::Method* method = nullptr;
     std::int32_t anchor_slot = -1;  // first slot of the method's region
     fabric::Placement placement;
-    bool busy = false;  // a thread is executing (Anchor busy, §4.3)
+    // Leased by begin_execute() until end_execute(): its one thread runs
+    // (Anchor busy, §4.3).
+    bool busy = false;
     // Pre-lowered plan: either the method's shared canonical plan (with
     // phys_delta rebasing its physical indices) or a dedicated lowering
     // of this exact placement (phys_delta 0).
@@ -89,18 +91,23 @@ class FabricManager {
   std::optional<std::int64_t> quiesce_and_rebind(MethodId id);
 
   // Slot span (max_slot + 1) of the method's canonical fresh-fabric
-  // layout — what an aligned-anchor scan must find free — or nullopt
-  // when the method cannot fit even on an empty fabric.
+  // layout — what first_free_row() must find free — or nullopt when the
+  // method cannot fit even on an empty fabric.
   std::optional<std::int32_t> canonical_span(const bytecode::Method& m,
                                              const bytecode::ConstantPool& pool);
+
+  // First slot of the lowest row-aligned run of `span` free slots, or 0
+  // when no row starts one. A row is idus_per_node × width slots, the
+  // shift that lets a placement share its method's canonical plan, so
+  // load(m, pool, first_free_row(span)) shares it whenever such a gap
+  // exists (and falls back to the greedy scan from slot 0 otherwise).
+  std::int32_t first_free_row(std::int32_t span) const;
 
   const Resident* find(MethodId id) const;
   std::size_t resident_count() const noexcept { return residents_.size(); }
   // Instruction Nodes currently holding instructions.
   std::int32_t occupied_slots() const noexcept { return occupied_count_; }
   std::int32_t capacity() const noexcept { return config_.capacity; }
-  const std::vector<bool>& occupied_map() const noexcept { return occupied_; }
-  const sim::MachineConfig& config() const noexcept { return config_; }
   // Plan-cache telemetry: residents that shared a canonical plan vs.
   // placements that forced a dedicated lowering.
   std::int64_t plans_shared() const noexcept { return plans_shared_; }
@@ -122,6 +129,8 @@ class FabricManager {
 
   Canon& ensure_canon(const bytecode::Method& m,
                       const bytecode::ConstantPool& pool);
+  // Slots per fabric row: the unit of a plan-sharing shift.
+  std::int32_t row_slots() const noexcept;
 
   sim::MachineConfig config_;
   sim::Engine engine_;

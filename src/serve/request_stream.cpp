@@ -1,6 +1,8 @@
 #include "serve/request_stream.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -8,11 +10,16 @@ namespace javaflow::serve {
 
 std::vector<Request> make_request_stream(std::int32_t num_methods,
                                          const RequestStreamOptions& options) {
+  if (options.mean_gap_ticks < 1 || options.mean_gap_ticks > kMaxMeanGapTicks) {
+    throw std::invalid_argument(
+        "make_request_stream: mean gap " +
+        std::to_string(options.mean_gap_ticks) + " is outside [1, " +
+        std::to_string(kMaxMeanGapTicks) + "] ticks");
+  }
   util::SplitMix64 rng(options.seed);
   const std::int32_t n = std::max(num_methods, 1);
   const std::int32_t hot = std::min(std::max(options.hot_methods, 1), n);
-  const std::int64_t gap_span =
-      std::max<std::int64_t>(2 * options.mean_gap_ticks - 1, 1);
+  const std::int64_t gap_span = 2 * options.mean_gap_ticks - 1;
 
   std::vector<Request> out;
   out.reserve(static_cast<std::size_t>(std::max(options.num_requests, 0)));

@@ -25,11 +25,17 @@ struct Request {
       sim::BranchPredictor::Scenario::BP1;
 };
 
+// Largest accepted mean inter-arrival gap. At this bound a stream of
+// 2^31 - 1 requests ends below 2^62 ticks, so no gap or arrival tick
+// overflows int64.
+inline constexpr std::int64_t kMaxMeanGapTicks = 1'000'000'000;
+
 struct RequestStreamOptions {
   std::uint64_t seed = 1;
   std::int32_t num_requests = 64;
-  // Mean inter-arrival gap in fabric ticks; actual gaps are uniform in
-  // [1, 2*mean_gap_ticks - 1] (first request arrives at tick 0).
+  // Mean inter-arrival gap in fabric ticks, in [1, kMaxMeanGapTicks];
+  // actual gaps are uniform in [1, 2*mean_gap_ticks - 1] (first request
+  // arrives at tick 0).
   std::int64_t mean_gap_ticks = 64;
   // Fraction of requests directed at the hot set, in 1/256ths (integer
   // so the stream definition involves no floating point): 128 = half.
@@ -38,7 +44,9 @@ struct RequestStreamOptions {
 };
 
 // Generates the stream over a corpus of `num_methods` methods, sorted
-// by (arrival_tick, id). num_methods must be >= 1.
+// by (arrival_tick, id). num_methods must be >= 1. Throws
+// std::invalid_argument when mean_gap_ticks is outside
+// [1, kMaxMeanGapTicks].
 std::vector<Request> make_request_stream(std::int32_t num_methods,
                                          const RequestStreamOptions& options);
 

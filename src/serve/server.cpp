@@ -6,6 +6,7 @@
 #include <ostream>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "cache/hash.hpp"
 #include "core/fabric_manager.hpp"
@@ -28,8 +29,7 @@ class ServerState {
         requests_(requests),
         mgr_(config),
         engine_(config),
-        waiting_(methods.size()),
-        executing_(methods.size(), 0) {
+        by_method_(methods.size()) {
     outcomes_.resize(requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
       outcomes_[i].request_id = requests[i].id;
@@ -42,7 +42,7 @@ class ServerState {
     enqueue_due();
     admission_pass();
     while (queued_ > 0 || next_arrival_ < requests_.size() ||
-           !running_req_.empty()) {
+           !running_.empty()) {
       const std::int64_t until = next_arrival_ < requests_.size()
                                      ? requests_[next_arrival_].arrival_tick
                                      : sim::MultiEngine::kNoLimit;
@@ -50,7 +50,7 @@ class ServerState {
       if (done) {
         handle_completion(*done);
       } else if (next_arrival_ >= requests_.size() && queued_ > 0 &&
-                 running_req_.empty()) {
+                 running_.empty()) {
         // Unreachable: with nothing executing every resident is idle and
         // evictable, so the last admission pass placed every method that
         // fits an empty fabric and rejected the rest. Throwing keeps
@@ -112,24 +112,33 @@ class ServerState {
  private:
   using MethodId = FabricManager::MethodId;
 
-  const bytecode::Method& method_of(std::int32_t method_index) const {
-    return program_.methods[static_cast<std::size_t>(
-        methods_[static_cast<std::size_t>(method_index)])];
+  // One serving-list method: its waiting requests (indices into
+  // requests_, in arrival order), the FabricManager resident that holds
+  // it, and the tick it was last loaded or last finished a request.
+  struct MethodState {
+    std::deque<std::int64_t> waiting;
+    MethodId resident = -1;  // -1 while the method is not loaded
+    std::int64_t last_used = 0;
+  };
+
+  MethodState& method_of_request(std::int64_t qi) {
+    return by_method_[static_cast<std::size_t>(
+        requests_[static_cast<std::size_t>(qi)].method_index)];
   }
 
-  // Index of request `qi`'s method into waiting_ and executing_.
-  std::size_t method_slot(std::int64_t qi) const {
-    return static_cast<std::size_t>(
-        requests_[static_cast<std::size_t>(qi)].method_index);
+  // §4.3: the method's one thread runs while the manager's lease on its
+  // resident is held.
+  bool busy(const MethodState& ms) const {
+    return ms.resident >= 0 && mgr_.find(ms.resident)->busy;
   }
 
   void enqueue_due() {
     while (next_arrival_ < requests_.size() &&
            requests_[next_arrival_].arrival_tick <= engine_.now()) {
       const auto qi = static_cast<std::int64_t>(next_arrival_++);
-      const std::size_t mi = method_slot(qi);
-      waiting_[mi].push_back(qi);
-      if (waiting_[mi].size() == 1 && !executing_[mi]) ready_.insert(qi);
+      MethodState& ms = method_of_request(qi);
+      ms.waiting.push_back(qi);
+      if (ms.waiting.size() == 1 && !busy(ms)) ready_.insert(qi);
       ++queued_;
     }
     max_queue_depth_ = std::max(max_queue_depth_, queued_);
@@ -138,66 +147,38 @@ class ServerState {
   // Drops request `qi`, the head of its method's FIFO, and keeps ready_
   // equal to the heads of the idle methods' FIFOs.
   void dequeue(std::int64_t qi) {
-    const std::size_t mi = method_slot(qi);
-    std::deque<std::int64_t>& fifo = waiting_[mi];
+    MethodState& ms = method_of_request(qi);
     ready_.erase(qi);
-    fifo.pop_front();
+    ms.waiting.pop_front();
     --queued_;
-    if (!fifo.empty() && !executing_[mi]) ready_.insert(fifo.front());
+    if (!ms.waiting.empty() && !busy(ms)) ready_.insert(ms.waiting.front());
   }
 
-  // Row-aligned gap scan first (shares the canonical plan), then the
-  // manager's greedy packer, then idle-LRU eviction until one of the
-  // two succeeds or nothing evictable remains.
+  // The lowest free row-aligned gap first (shares the canonical plan),
+  // then the manager's greedy packer, then idle-LRU eviction until a
+  // load succeeds or nothing evictable remains.
   std::optional<MethodId> place_with_eviction(const bytecode::Method& m,
                                               std::int32_t span) {
     while (true) {
-      const sim::MachineConfig& cfg = mgr_.config();
-      const std::int64_t align =
-          std::int64_t{std::max(cfg.idus_per_node, 1)} * std::max(cfg.width, 1);
-      const std::vector<bool>& occ = mgr_.occupied_map();
-      for (std::int64_t base = 0; base + span <= cfg.capacity; base += align) {
-        bool free_gap = true;
-        for (std::int64_t s = base; s < base + span; ++s) {
-          if (occ[static_cast<std::size_t>(s)]) {
-            free_gap = false;
-            break;
-          }
-        }
-        if (!free_gap) continue;
-        if (auto id =
-                mgr_.load(m, program_.pool, static_cast<std::int32_t>(base))) {
-          return id;
-        }
-        break;
+      if (auto id = mgr_.load(m, program_.pool, mgr_.first_free_row(span))) {
+        return id;
       }
-      if (auto id = mgr_.load(m, program_.pool, 0)) return id;
-
       // Evict the least-recently-used idle resident (ties: smaller id —
       // both orderings are deterministic integers).
-      MethodId victim = -1;
-      std::int64_t victim_used = 0;
-      for (const auto& [mi, mid] : loaded_) {
-        const FabricManager::Resident* r = mgr_.find(mid);
-        if (r == nullptr || r->busy) continue;
-        const std::int64_t used = last_used_[mid];
-        if (victim == -1 || used < victim_used ||
-            (used == victim_used && mid < victim)) {
-          victim = mid;
-          victim_used = used;
+      MethodState* victim = nullptr;
+      for (MethodState& ms : by_method_) {
+        if (ms.resident < 0 || busy(ms)) continue;
+        if (victim == nullptr || ms.last_used < victim->last_used ||
+            (ms.last_used == victim->last_used &&
+             ms.resident < victim->resident)) {
+          victim = &ms;
         }
       }
-      if (victim == -1) return std::nullopt;
-      evict(victim);
+      if (victim == nullptr) return std::nullopt;
+      mgr_.unload(victim->resident);
+      victim->resident = -1;
+      ++evictions_;
     }
-  }
-
-  void evict(MethodId mid) {
-    mgr_.unload(mid);
-    loaded_.erase(owner_[mid]);
-    owner_.erase(mid);
-    last_used_.erase(mid);
-    ++evictions_;
   }
 
   // Tries to start request `qi`, the FIFO head of a method that holds no
@@ -206,12 +187,10 @@ class ServerState {
   // cannot be placed yet; true once the request is admitted or rejected.
   bool try_start(std::int64_t qi) {
     const Request& rq = requests_[static_cast<std::size_t>(qi)];
-    const bytecode::Method& m = method_of(rq.method_index);
-    MethodId mid = -1;
-    const auto li = loaded_.find(rq.method_index);
-    if (li != loaded_.end()) {
-      mid = li->second;
-    } else {
+    const bytecode::Method& m = program_.methods[static_cast<std::size_t>(
+        methods_[static_cast<std::size_t>(rq.method_index)])];
+    MethodState& ms = method_of_request(qi);
+    if (ms.resident < 0) {
       const auto span = mgr_.canonical_span(m, program_.pool);
       if (!span) {
         // Exceeds the fabric even when empty: reject outright.
@@ -221,15 +200,13 @@ class ServerState {
       }
       const auto placed = place_with_eviction(m, *span);
       if (!placed) return false;
-      mid = *placed;
-      loaded_[rq.method_index] = mid;
-      owner_[mid] = rq.method_index;
-      last_used_[mid] = engine_.now();
+      ms.resident = *placed;
+      ms.last_used = engine_.now();
       ++loads_;
     }
     // The method is idle and its loaded plan fits, so neither the lease
     // nor the admission can fail.
-    const FabricManager::Resident* r = mgr_.begin_execute(mid);
+    const FabricManager::Resident* r = mgr_.begin_execute(ms.resident);
     const sim::ResidentId rid =
         r == nullptr ? -1
                      : engine_.admit(*r->method, *r->plan, r->phys_delta,
@@ -237,9 +214,7 @@ class ServerState {
     if (rid < 0) {
       throw std::logic_error("serve: an idle, loaded method failed to start");
     }
-    executing_[method_slot(qi)] = 1;
-    running_req_[rid] = qi;
-    running_mid_[rid] = mid;
+    running_[rid] = qi;
     RequestOutcome& o = outcomes_[static_cast<std::size_t>(qi)];
     o.admitted_tick = engine_.now();
     o.plan_shared = r->plan_shared;
@@ -264,9 +239,12 @@ class ServerState {
     }
   }
 
+  // A leased resident is never evicted, so the method's record still
+  // holds the resident the finished residency ran on.
   void handle_completion(sim::ResidentId rid) {
-    const std::int64_t qi = running_req_[rid];
-    const MethodId mid = running_mid_[rid];
+    const auto run = running_.find(rid);
+    const std::int64_t qi = run->second;
+    running_.erase(run);
     const sim::ResidentOutcome* oc = engine_.outcome(rid);
     RequestOutcome& o = outcomes_[static_cast<std::size_t>(qi)];
     o.metrics = oc->metrics;
@@ -277,13 +255,10 @@ class ServerState {
       o.completed_tick = oc->completed_tick;
       o.latency_ticks = o.completed_tick - o.arrival_tick;
     }
-    mgr_.end_execute(mid);
-    const auto mi = static_cast<std::size_t>(owner_[mid]);
-    executing_[mi] = 0;
-    if (!waiting_[mi].empty()) ready_.insert(waiting_[mi].front());
-    last_used_[mid] = engine_.now();
-    running_req_.erase(rid);
-    running_mid_.erase(rid);
+    MethodState& ms = method_of_request(qi);
+    mgr_.end_execute(ms.resident);
+    if (!ms.waiting.empty()) ready_.insert(ms.waiting.front());
+    ms.last_used = engine_.now();
   }
 
   const bytecode::Program& program_;
@@ -294,21 +269,41 @@ class ServerState {
 
   std::vector<RequestOutcome> outcomes_;
   std::size_t next_arrival_ = 0;
-  // The admission queue, indexed: one FIFO of waiting requests (indices
-  // into requests_) per method, and the FIFO heads of the methods that
-  // hold no thread, in request order.
-  std::vector<std::deque<std::int64_t>> waiting_;
+  // The admission queue, indexed: one record per serving-list method
+  // (its FIFO of waiting requests among them), and the FIFO heads of the
+  // methods that hold no thread, in request order.
+  std::vector<MethodState> by_method_;
   std::set<std::int64_t> ready_;
   std::int64_t queued_ = 0;
-  std::map<std::int32_t, MethodId> loaded_;  // method_index -> resident
-  std::map<MethodId, std::int32_t> owner_;   // resident -> method_index
-  std::map<MethodId, std::int64_t> last_used_;
-  std::vector<char> executing_;  // by method_index
-  std::map<sim::ResidentId, std::int64_t> running_req_;
-  std::map<sim::ResidentId, MethodId> running_mid_;
+  std::map<sim::ResidentId, std::int64_t> running_;  // residency -> request
   std::int64_t loads_ = 0;
   std::int64_t evictions_ = 0;
   std::int64_t max_queue_depth_ = 0;
+};
+
+// ServeReport's integer scalars, in digest and JSON order.
+constexpr std::pair<const char*, std::int64_t ServeReport::*> kScalars[] = {
+    {"requests", &ServeReport::requests},
+    {"completed", &ServeReport::completed},
+    {"rejected", &ServeReport::rejected},
+    {"timed_out", &ServeReport::timed_out},
+    {"fabric_ticks", &ServeReport::fabric_ticks},
+    {"ticks_res_1plus", &ServeReport::ticks_res_1plus},
+    {"ticks_res_2plus", &ServeReport::ticks_res_2plus},
+    {"serial_wait_ticks", &ServeReport::serial_wait_ticks},
+    {"mesh_wait_ticks", &ServeReport::mesh_wait_ticks},
+    {"ring_wait_ticks", &ServeReport::ring_wait_ticks},
+    {"loads", &ServeReport::loads},
+    {"evictions", &ServeReport::evictions},
+    {"plans_shared", &ServeReport::plans_shared},
+    {"plans_lowered", &ServeReport::plans_lowered},
+    {"max_queue_depth", &ServeReport::max_queue_depth},
+    {"instructions_fired", &ServeReport::instructions_fired},
+    {"latency_p50", &ServeReport::latency_p50},
+    {"latency_p95", &ServeReport::latency_p95},
+    {"latency_p99", &ServeReport::latency_p99},
+    {"latency_max", &ServeReport::latency_max},
+    {"latency_mean_x1000", &ServeReport::latency_mean_x1000},
 };
 
 }  // namespace
@@ -320,27 +315,7 @@ std::uint64_t ServeReport::digest() const {
   f.bytes(config_name.data(), config_name.size());
   f.u64(config_name.size());
   f.u64(seed);
-  f.i64(requests);
-  f.i64(completed);
-  f.i64(rejected);
-  f.i64(timed_out);
-  f.i64(fabric_ticks);
-  f.i64(ticks_res_1plus);
-  f.i64(ticks_res_2plus);
-  f.i64(serial_wait_ticks);
-  f.i64(mesh_wait_ticks);
-  f.i64(ring_wait_ticks);
-  f.i64(loads);
-  f.i64(evictions);
-  f.i64(plans_shared);
-  f.i64(plans_lowered);
-  f.i64(max_queue_depth);
-  f.i64(instructions_fired);
-  f.i64(latency_p50);
-  f.i64(latency_p95);
-  f.i64(latency_p99);
-  f.i64(latency_max);
-  f.i64(latency_mean_x1000);
+  for (const auto& scalar : kScalars) f.i64(this->*scalar.second);
   for (const RequestOutcome& o : outcomes) {
     f.i64(o.request_id);
     f.i64(o.method_index);
@@ -361,29 +336,11 @@ std::uint64_t ServeReport::digest() const {
 void ServeReport::write_json(std::ostream& os) const {
   os << "{\"config\": \"";
   util::json_escape(os, config_name);
-  os << "\", \"seed\": " << seed
-     << ", \"requests\": " << requests
-     << ", \"completed\": " << completed
-     << ", \"rejected\": " << rejected
-     << ", \"timed_out\": " << timed_out
-     << ", \"fabric_ticks\": " << fabric_ticks
-     << ", \"ticks_res_1plus\": " << ticks_res_1plus
-     << ", \"ticks_res_2plus\": " << ticks_res_2plus
-     << ", \"serial_wait_ticks\": " << serial_wait_ticks
-     << ", \"mesh_wait_ticks\": " << mesh_wait_ticks
-     << ", \"ring_wait_ticks\": " << ring_wait_ticks
-     << ", \"loads\": " << loads
-     << ", \"evictions\": " << evictions
-     << ", \"plans_shared\": " << plans_shared
-     << ", \"plans_lowered\": " << plans_lowered
-     << ", \"max_queue_depth\": " << max_queue_depth
-     << ", \"instructions_fired\": " << instructions_fired
-     << ", \"latency_p50\": " << latency_p50
-     << ", \"latency_p95\": " << latency_p95
-     << ", \"latency_p99\": " << latency_p99
-     << ", \"latency_max\": " << latency_max
-     << ", \"latency_mean_x1000\": " << latency_mean_x1000
-     << ", \"digest\": " << digest() << "}";
+  os << "\", \"seed\": " << seed;
+  for (const auto& [name, field] : kScalars) {
+    os << ", \"" << name << "\": " << this->*field;
+  }
+  os << ", \"digest\": " << digest() << "}";
 }
 
 ServeReport serve(const bytecode::Program& program,

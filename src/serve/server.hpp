@@ -2,19 +2,20 @@
 // (docs/SERVING.md; paper §6.2 management, §4.3 atomic execution,
 // Chapter 8 superposition).
 //
-// FabricServer::serve() drives a deterministic request stream through
-// one FabricManager (slot occupancy, plan sharing, load/unload) and one
-// sim::MultiEngine (the shared-fabric event calendar):
+// serve::serve() drives a deterministic request stream through one
+// FabricManager (slot occupancy, plan sharing, load/unload, the §4.3
+// execute lease) and one sim::MultiEngine (the shared-fabric event
+// calendar):
 //
 //   * Admission queueing — arrivals enter a FIFO queue; a request is
 //     admitted when its method holds no active thread (§4.3: same-method
 //     requests serialize) and the fabric has room. A space-blocked head
 //     stops the scan (FIFO fairness for space); busy-method requests
 //     are scanned around (the fabric is not idled by one hot method).
-//   * Occupancy-aware placement — the loader first scans for a
-//     row-aligned free gap of the method's canonical span, which lets
-//     the residency share the canonical pre-lowered plan; only
-//     irregular packings pay a dedicated lowering.
+//   * Occupancy-aware placement — the manager's first_free_row() finds
+//     the lowest row-aligned free gap of the method's canonical span,
+//     which lets the residency share the canonical pre-lowered plan;
+//     only irregular packings pay a dedicated lowering.
 //   * Idle-LRU eviction — when placement fails, the least-recently-used
 //     idle resident is unloaded and placement retried.
 //   * Per-request latency accounting — completion tick minus arrival
@@ -97,8 +98,9 @@ struct ServeReport {
 // of `config`. `methods` restricts the corpus to the given method
 // indices (the stream's method_index selects into this list); pass the
 // identity list for the whole program. Throws std::invalid_argument,
-// before building the stream, when `methods` is empty or holds an index
-// outside `program.methods`. Throws std::logic_error unless the
+// before serving, when `methods` is empty or holds an index outside
+// `program.methods`, or when make_request_stream() rejects `stream`'s
+// mean gap. Throws std::logic_error unless the
 // outcomes partition the stream: requests = completed + rejected +
 // timed_out, with exactly one terminal flag per outcome.
 ServeReport serve(const bytecode::Program& program,

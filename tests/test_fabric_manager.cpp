@@ -327,8 +327,8 @@ TEST(FabricManager, CanonicalPlanSurvivesUnloadCycle) {
   EXPECT_EQ(mgr.plans_lowered(), 0);
 }
 
-// canonical_span reports the fresh-fabric footprint the serving
-// frontend's aligned-gap scan must find.
+// canonical_span reports the fresh-fabric footprint first_free_row()
+// must find.
 TEST(FabricManager, CanonicalSpanMatchesFreshLoad) {
   Program p;
   p.methods.push_back(make_loop(p, "m.a(I)I"));
@@ -343,6 +343,44 @@ TEST(FabricManager, CanonicalSpanMatchesFreshLoad) {
   tiny.capacity = 2;
   FabricManager small(tiny);
   EXPECT_FALSE(small.canonical_span(p.methods[0], p.pool).has_value());
+}
+
+// first_free_row() steps a row of idus_per_node × width slots at a time
+// and returns the lowest row start whose next `span` slots are all free,
+// or 0 when no row has one; a load there shares the canonical plan.
+TEST(FabricManager, FirstFreeRowFindsTheLowestAlignedGap) {
+  Program p;
+  p.methods.push_back(make_loop(p, "m.a(I)I"));
+  p.methods.push_back(make_loop(p, "m.b(I)I"));
+  sim::MachineConfig cfg = sim::config_by_name("Compact2");
+  cfg.idus_per_node = 2;
+  const std::int32_t row = cfg.idus_per_node * cfg.width;  // 20 slots
+  cfg.capacity = 4 * row;
+  FabricManager mgr(cfg);
+  const auto span = mgr.canonical_span(p.methods[0], p.pool);
+  ASSERT_TRUE(span.has_value());
+  // A step of `width` slots, half a row, would find a gap inside row 0.
+  ASSERT_LE(*span, cfg.width);
+  EXPECT_EQ(mgr.first_free_row(*span), 0);
+
+  const auto a = mgr.load(p.methods[0], p.pool);
+  ASSERT_TRUE(a.has_value());
+  EXPECT_EQ(mgr.first_free_row(*span), row);  // not width, not *span
+  // A resident packed mid-row blocks that row's run.
+  ASSERT_TRUE(mgr.load(p.methods[1], p.pool, row + 3).has_value());
+  EXPECT_EQ(mgr.first_free_row(*span), 2 * row);
+
+  const auto c = mgr.load(p.methods[0], p.pool, mgr.first_free_row(*span));
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(mgr.find(*c)->anchor_slot, 2 * row);
+  EXPECT_TRUE(mgr.find(*c)->plan_shared);
+  EXPECT_EQ(mgr.find(*c)->plan, mgr.find(*a)->plan);
+  EXPECT_EQ(mgr.find(*c)->phys_delta, 2 * cfg.width);
+
+  ASSERT_TRUE(mgr.load(p.methods[0], p.pool, 3 * row).has_value());
+  EXPECT_EQ(mgr.first_free_row(*span), 0);  // every row is taken
+  ASSERT_TRUE(mgr.unload(*c));
+  EXPECT_EQ(mgr.first_free_row(*span), 2 * row);
 }
 
 }  // namespace

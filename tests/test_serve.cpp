@@ -12,7 +12,7 @@
 //   * core::FabricManager — plan sharing across aligned residencies and
 //     the persistent-engine execute path (tests/test_fabric_manager.cpp
 //     holds the load/unload/GC edge cases);
-//   * serve::FabricServer — seeded request streams, admission queueing,
+//   * serve::serve — seeded request streams, admission queueing,
 //     LRU eviction, latency percentiles, and a bit-stable report digest
 //     across repeated runs.
 #include <gtest/gtest.h>
@@ -826,6 +826,30 @@ TEST(RequestStream, HotFractionConcentratesOnHotSet) {
   }
 }
 
+// The mean gap is bounded so that no gap or arrival tick of any stream
+// overflows int64: outside [1, kMaxMeanGapTicks] the stream, and so
+// serve(), throws; both ends of the range build.
+TEST(RequestStream, MeanGapOutsideItsRangeThrows) {
+  serve::RequestStreamOptions opt;
+  opt.num_requests = 8;
+  for (const std::int64_t bad :
+       {std::int64_t{0}, serve::kMaxMeanGapTicks + 1, std::int64_t{1} << 61,
+        std::int64_t{1} << 62}) {
+    opt.mean_gap_ticks = bad;
+    EXPECT_THROW(serve::make_request_stream(3, opt), std::invalid_argument)
+        << bad;
+  }
+  for (const std::int64_t good : {std::int64_t{1}, serve::kMaxMeanGapTicks}) {
+    opt.mean_gap_ticks = good;
+    EXPECT_EQ(serve::make_request_stream(3, opt).size(), 8u) << good;
+  }
+  opt.mean_gap_ticks = 0;
+  const Program p = serve_program();
+  EXPECT_THROW(
+      serve::serve(p, all_methods(p), sim::config_by_name("Compact2"), opt),
+      std::invalid_argument);
+}
+
 // ---- serving frontend ----
 
 // A single-method corpus serializes every request (§4.3), and each
@@ -1133,7 +1157,11 @@ TEST(FabricServe, ReclaimWaitsForInFlightTokens) {
 // requests up behind its busy Anchor, and heads blocked for space behind
 // busy residents — pinned to the digests the whole-queue admission scan
 // produced, so the indexed admission provably makes the same FIFO,
-// scan-around, rejection, eviction and head-of-line decisions.
+// scan-around, rejection, eviction and head-of-line decisions. In
+// `lru_tie` on Baseline, the first two requests' residencies finish on
+// the same tick, and the third request needs room: the LRU tie goes to
+// the smaller resident id, whose eviction alone frees enough; evicting
+// the larger id first costs a second eviction and changes the digest.
 TEST(FabricServe, AdmissionDecisionsMatchPinnedDigests) {
   Program p = serve_program();
   {
@@ -1161,21 +1189,25 @@ TEST(FabricServe, AdmissionDecisionsMatchPinnedDigests) {
       {"never_fits", &six, 40, 9, 32, 4, 0, 4},
       {"all_hot", &five, 0, 13, 64, 1, 256, 2},
       {"head_of_line", &five, 40, 5, 60, 1, 0, 4},
+      {"lru_tie", &five, 30, 2, 3, 12, 128, 4},
   };
   struct Pin {
     const char* config;
-    std::uint64_t digest[4];  // in `cases` order
+    std::uint64_t digest[5];  // in `cases` order
   };
   const Pin pins[] = {
       {"Baseline",
        {12582923849390311689ULL, 16531919772170065778ULL,
-        11135536421782137674ULL, 17179660635409513156ULL}},
+        11135536421782137674ULL, 17179660635409513156ULL,
+        3626731935493203235ULL}},
       {"Compact2",
        {10831565945196100520ULL, 961027459036995293ULL,
-        13979930859290752567ULL, 2211773480499230465ULL}},
+        13979930859290752567ULL, 2211773480499230465ULL,
+        11889555610280695497ULL}},
       {"Hetero2",
        {5866116968032277101ULL, 3526962621898623791ULL,
-        8801910701658843028ULL, 6596674828585850240ULL}},
+        8801910701658843028ULL, 6596674828585850240ULL,
+        10782148743435447120ULL}},
   };
   for (const Pin& pin : pins) {
     for (std::size_t c = 0; c < std::size(cases); ++c) {

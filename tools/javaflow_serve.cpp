@@ -50,8 +50,6 @@ int usage(const char* argv0) {
 }
 
 constexpr long kMaxCount = std::numeric_limits<std::int32_t>::max();
-// Keeps every arrival tick of a maximal stream inside int64.
-constexpr long kMaxMeanGap = 1'000'000'000;
 
 }  // namespace
 
@@ -81,7 +79,8 @@ int main(int argc, char** argv) {
       if (!n) return usage(argv[0]);
       stream.num_requests = static_cast<std::int32_t>(*n);
     } else if (arg == "--mean-gap") {
-      const auto n = javaflow::util::parse_long(value(), 1, kMaxMeanGap);
+      const auto n = javaflow::util::parse_long(
+          value(), 1, javaflow::serve::kMaxMeanGapTicks);
       if (!n) return usage(argv[0]);
       stream.mean_gap_ticks = *n;
     } else if (arg == "--hot-fraction") {
