@@ -92,8 +92,9 @@ class Reader {
   bool ok_ = true;
 };
 
-// The 8-byte trailer both formats append: FNV-1a 64 (Hasher's first
-// lane) over every byte before it.
+// The .jfs snapshot trailer: FNV-1a 64 (Hasher's first lane) over every
+// byte before it. bench/reference_stride32.jfs pins these bytes. The .jfc
+// record trailer is a word digest instead (cache/record.cpp).
 inline std::uint64_t checksum(std::string_view bytes) noexcept {
   return hash_bytes(bytes).hi;
 }

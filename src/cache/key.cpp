@@ -1,23 +1,32 @@
 #include "cache/key.hpp"
 
+#include <bit>
+#include <vector>
+
 namespace javaflow::cache {
 
 namespace {
 
 // Canonical-encoding version tags. Bump a tag when the corresponding
-// serialization below changes shape, so old digests can never alias new
-// ones even by accident.
-constexpr std::uint32_t kMethodEncoding = 1;
-constexpr std::uint32_t kPoolEncoding = 1;
+// serialization below changes shape or hasher, so old digests can never
+// alias new ones even by accident.
+constexpr std::uint32_t kMethodEncoding = 2;
+constexpr std::uint32_t kPoolEncoding = 2;
 constexpr std::uint32_t kEngineOptionsEncoding = 1;
 
-void append_instruction(Hasher& h, const bytecode::Instruction& inst) {
-  h.u8(static_cast<std::uint8_t>(inst.op));
-  h.i32(inst.operand);
-  h.i32(inst.operand2);
-  h.i32(inst.target);
-  h.u8(inst.pop);
-  h.u8(inst.push);
+std::uint64_t lo32(std::int32_t v) {
+  return static_cast<std::uint32_t>(v);
+}
+
+// An int32 array after its length: two elements per word, the first in
+// the low half, an odd last element zero-padded.
+void add_i32s(WordHasher& h, const std::vector<std::int32_t>& values) {
+  h.word(values.size());
+  std::size_t i = 0;
+  for (; i + 2 <= values.size(); i += 2) {
+    h.word(lo32(values[i]) | lo32(values[i + 1]) << 32);
+  }
+  if (i < values.size()) h.word(lo32(values[i]));
 }
 
 // A cell key's bytes, in order: engine fingerprint, method body, pool
@@ -66,56 +75,58 @@ std::string to_hex(const Hash128& h) {
   return out;
 }
 
+// The body as packed words, field by field: the fields each word holds
+// are fixed, and every variable-length part follows its length, so the
+// words spell exactly one body.
 Hash128 hash_method_body(const bytecode::Method& m) {
-  Hasher h;
-  h.u32(kMethodEncoding);
-  h.u32(m.max_locals);
-  h.u32(m.max_stack);
-  h.u8(m.num_args);
-  h.u8(static_cast<std::uint8_t>(m.return_type));
-  h.boolean(m.is_static);
-  h.u64(m.arg_types.size());
-  for (const bytecode::ValueType t : m.arg_types) {
-    h.u8(static_cast<std::uint8_t>(t));
-  }
-  h.u64(m.code.size());
+  WordHasher h;
+  h.word(kMethodEncoding | std::uint64_t{m.max_locals} << 32 |
+         std::uint64_t{m.max_stack} << 48);
+  h.word(std::uint64_t{m.num_args} |
+         std::uint64_t{static_cast<std::uint8_t>(m.return_type)} << 8 |
+         std::uint64_t{m.is_static} << 16);
+  // One byte per type (ValueType is a uint8_t enum), eight per word.
+  h.word(m.arg_types.size());
+  h.bytes(m.arg_types.data(), m.arg_types.size());
+  h.word(m.code.size());
   for (const bytecode::Instruction& inst : m.code) {
-    append_instruction(h, inst);
+    h.word(std::uint64_t{static_cast<std::uint8_t>(inst.op)} |
+           std::uint64_t{inst.pop} << 8 | std::uint64_t{inst.push} << 16 |
+           lo32(inst.target) << 32);
+    h.word(lo32(inst.operand) | lo32(inst.operand2) << 32);
   }
-  h.u64(m.switches.size());
+  h.word(m.switches.size());
   for (const bytecode::SwitchTable& sw : m.switches) {
-    h.u64(sw.keys.size());
-    for (const std::int32_t k : sw.keys) h.i32(k);
-    h.u64(sw.targets.size());
-    for (const std::int32_t t : sw.targets) h.i32(t);
-    h.i32(sw.default_target);
+    add_i32s(h, sw.keys);
+    add_i32s(h, sw.targets);
+    h.word(lo32(sw.default_target));
   }
   return h.digest();
 }
 
 Hash128 hash_pool(const bytecode::ConstantPool& pool) {
-  Hasher h;
-  h.u32(kPoolEncoding);
-  h.u64(pool.size());
+  WordHasher h;
+  h.word(kPoolEncoding);
+  h.word(pool.size());
   for (std::size_t i = 0; i < pool.size(); ++i) {
     const bytecode::CpEntry& e = pool.at(static_cast<std::int32_t>(i));
     // Every payload field is hashed regardless of kind: unused payloads
     // are default-initialized, so the encoding stays unambiguous without
     // per-kind branching.
-    h.u8(static_cast<std::uint8_t>(e.kind));
-    h.i64(e.i);
-    h.f64(e.d);
+    h.word(std::uint64_t{static_cast<std::uint8_t>(e.kind)} |
+           std::uint64_t{static_cast<std::uint8_t>(e.field.type)} << 8 |
+           std::uint64_t{e.field.is_static} << 16 |
+           std::uint64_t{e.method.arg_values} << 24 |
+           std::uint64_t{static_cast<std::uint8_t>(e.method.return_type)}
+               << 32);
+    h.word(static_cast<std::uint64_t>(e.i));
+    h.word(std::bit_cast<std::uint64_t>(e.d));
+    h.word(lo32(e.field.resolved_slot) | lo32(e.cls.dims) << 32);
     h.str(e.s);
     h.str(e.field.class_name);
     h.str(e.field.field_name);
-    h.u8(static_cast<std::uint8_t>(e.field.type));
-    h.boolean(e.field.is_static);
-    h.i32(e.field.resolved_slot);
     h.str(e.method.qualified_name);
-    h.u8(e.method.arg_values);
-    h.u8(static_cast<std::uint8_t>(e.method.return_type));
     h.str(e.cls.class_name);
-    h.i32(e.cls.dims);
   }
   return h.digest();
 }

@@ -4,8 +4,9 @@
 // A sweep cell — one (method, MachineConfig, scenario) simulation — is
 // keyed by a 128-bit digest of everything its RunMetrics can depend on:
 //
-//   * the canonical method body bytes (code, switch tables, signature —
-//     NOT the name or benchmark tag, which are reporting metadata);
+//   * a digest of the canonical method body (code, switch tables,
+//     signature — NOT the name or benchmark tag, which are reporting
+//     metadata);
 //   * a digest of the whole ConstantPool (graph construction and ring
 //     traffic read pool entries, including interpreter-resolved slots);
 //   * the canonical MachineConfig text (sim::MachineConfig::canonical_text);
@@ -14,6 +15,11 @@
 //     exception injection);
 //   * kEngineFingerprint, bumped by hand whenever simulation semantics
 //     change (event ordering, Table 17 costs, network timing, …).
+//
+// The body and pool digests hash bulk input and use cache::WordHasher,
+// eight bytes per step; the key derivation over digests (record and cell
+// keys, the config and engine-options digests) hashes short input
+// with the FNV-1a cache::Hasher.
 //
 // Records are grouped one file per method: the file is addressed by
 // (method body, pool) only, so every config/scenario variant of a
@@ -60,14 +66,19 @@ inline constexpr std::uint32_t record_fingerprint() noexcept {
   return h;
 }
 
-// Digest of the simulation-relevant method body. Two methods with equal
-// body digests produce identical RunMetrics in every cell (the engine
-// never reads the name), which is what corpus dedup relies on.
+// Digest of the simulation-relevant method body, as packed words
+// (cache::WordHasher). Two methods with equal body digests produce
+// identical RunMetrics in every cell (the engine never reads the name),
+// which is what corpus dedup relies on.
 Hash128 hash_method_body(const bytecode::Method& m);
 
-// Digest of the full constant pool (all entries, all payload fields).
+// Digest of the full constant pool (all entries, all payload fields),
+// as packed words and length-prefixed strings (cache::WordHasher).
 // Conservative: any pool change invalidates every method's records.
 Hash128 hash_pool(const bytecode::ConstantPool& pool);
+
+// The digests below hash short inputs through the FNV-1a cache::Hasher;
+// Golden.EngineOptionsKeyBytes pins their bytes.
 
 // Digest of a machine configuration via its canonical text.
 Hash128 hash_config(const sim::MachineConfig& config);

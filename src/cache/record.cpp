@@ -8,6 +8,11 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x3143464a;  // "JFC1", little-endian
 
+// The 8-byte trailer: WordHasher's first lane over every byte before it.
+std::uint64_t trailer(std::string_view body) noexcept {
+  return hash_words(body).hi;
+}
+
 // RunMetrics is serialized field by field. If you add a field to
 // RunMetrics, extend BOTH functions below and bump kRecordFormatVersion
 // — tests/test_cache.cpp's round-trip test catches a mismatch between
@@ -51,12 +56,13 @@ sim::RunMetrics read_metrics(Reader& r) {
 bool deserialize_impl(std::string_view bytes, bool check_fingerprint,
                       std::uint32_t expected_fingerprint,
                       MethodRecord& out) {
-  // Trailer first: an 8-byte checksum over everything before it. Any
+  // Trailer first: an 8-byte digest of everything before it. Any
   // flipped/missing byte anywhere in the file fails here.
   if (bytes.size() < 8) return false;
   const std::string_view body = bytes.substr(0, bytes.size() - 8);
-  Reader trailer(bytes.substr(bytes.size() - 8));
-  if (trailer.u64() != checksum(body)) return false;
+  if (Reader(bytes.substr(bytes.size() - 8)).u64() != trailer(body)) {
+    return false;
+  }
 
   // Parse straight into `out`, so a lane that loads record after record
   // reuses its cell vector's capacity; on failure `out` is unspecified.
@@ -85,7 +91,7 @@ bool deserialize_impl(std::string_view bytes, bool check_fingerprint,
     cell.metrics = read_metrics(r);
     if (!r.ok()) return false;
   }
-  // Trailing garbage between the last cell and the checksum is an
+  // Trailing garbage between the last cell and the trailer is an
   // anomaly too.
   return r.pos() == body.size();
 }
@@ -107,7 +113,7 @@ std::string serialize_record(const MethodRecord& record) {
     w.i32(cell.back_jumps);
     write_metrics(w, cell.metrics);
   }
-  w.u64(checksum(out));
+  w.u64(trailer(out));
   return out;
 }
 

@@ -4,11 +4,12 @@
 // One record file holds every cached cell of one method (same body, same
 // pool): each cell entry carries its full 128-bit cell key plus the
 // simulation outputs. The file is self-validating — magic, format
-// version, engine fingerprint, and a trailing FNV-64 checksum over
-// everything before it — and the deserializer treats ANY anomaly
-// (truncation, zero length, bad magic, stale fingerprint, checksum or
-// bounds failure) as "no record": a cache read can degrade to a miss but
-// never to a crash or a wrong result.
+// version, engine fingerprint, and a trailing 8-byte digest over
+// everything before it (the first lane of cache::WordHasher, one word
+// per step) — and the deserializer treats ANY anomaly (truncation, zero
+// length, bad magic, wrong format version, stale fingerprint, trailer
+// or bounds failure) as "no record": a cache read can degrade to a miss
+// but never to a crash or a wrong result.
 #pragma once
 
 #include <cstdint>
@@ -21,9 +22,11 @@
 
 namespace javaflow::cache {
 
-// Current on-disk format version. Bump on any layout change; old files
-// then deserialize to "no record" and are rewritten on the next store.
-inline constexpr std::uint32_t kRecordFormatVersion = 1;
+// Current on-disk format version. Bump on any layout or trailer change;
+// old files then deserialize to "no record" and are rewritten on the next
+// store (version 1 files, with an FNV-1a 64 trailer, fail the trailer
+// check).
+inline constexpr std::uint32_t kRecordFormatVersion = 2;
 
 // One cached sweep cell: the full cell key (cache/key.hpp) and every
 // output `run_sweep` would otherwise have to recompute for the sample.

@@ -8,8 +8,9 @@
 // delay category absorbed the difference. The binary format follows
 // cache/record.cpp: fixed-width little-endian integers, a magic +
 // format-version header, the attribution fingerprint, and a trailing
-// FNV-64 checksum (cache/hash.hpp) over everything before it — any
-// flipped byte anywhere fails the load. Snapshots contain only
+// FNV-64 checksum (cache::checksum in cache/codec.hpp; .jfc records use
+// a word digest instead) over everything before it — any flipped byte
+// anywhere fails the load. Snapshots contain only
 // deterministic simulation outputs (no wall-clock, host, or thread
 // metadata), so serial and parallel sweeps of the same corpus produce
 // byte-identical files (tests/test_critpath.cpp asserts this).

@@ -30,23 +30,28 @@ struct Request {
 // overflows int64.
 inline constexpr std::int64_t kMaxMeanGapTicks = 1'000'000'000;
 
+// Every field has a range; make_request_stream() throws outside it.
 struct RequestStreamOptions {
-  std::uint64_t seed = 1;
-  std::int32_t num_requests = 64;
+  std::uint64_t seed = 1;  // any value
+  std::int32_t num_requests = 64;  // >= 0; 0 is an empty stream
   // Mean inter-arrival gap in fabric ticks, in [1, kMaxMeanGapTicks];
   // actual gaps are uniform in [1, 2*mean_gap_ticks - 1] (first request
   // arrives at tick 0).
   std::int64_t mean_gap_ticks = 64;
   // Fraction of requests directed at the hot set, in 1/256ths (integer
-  // so the stream definition involves no floating point): 128 = half.
+  // so the stream definition involves no floating point), in [0, 256]:
+  // 0 = none, 128 = half, 256 = all.
   std::int32_t hot_fraction_256 = 128;
-  std::int32_t hot_methods = 4;  // hot set = first min(hot, n) methods
+  // >= 1; the hot set is the first min(hot_methods, num_methods) methods.
+  std::int32_t hot_methods = 4;
 };
 
 // Generates the stream over a corpus of `num_methods` methods, sorted
-// by (arrival_tick, id). num_methods must be >= 1. Throws
-// std::invalid_argument when mean_gap_ticks is outside
-// [1, kMaxMeanGapTicks].
+// by (arrival_tick, id). Throws std::invalid_argument, naming the value,
+// when num_methods < 1 or any option is outside the range its field
+// states: num_requests < 0, mean_gap_ticks outside
+// [1, kMaxMeanGapTicks], hot_fraction_256 outside [0, 256] or
+// hot_methods < 1.
 std::vector<Request> make_request_stream(std::int32_t num_methods,
                                          const RequestStreamOptions& options);
 

@@ -99,8 +99,10 @@ struct ServeReport {
 // indices (the stream's method_index selects into this list); pass the
 // identity list for the whole program. Throws std::invalid_argument,
 // before serving, when `methods` is empty or holds an index outside
-// `program.methods`, or when make_request_stream() rejects `stream`'s
-// mean gap. Throws std::logic_error unless the
+// `program.methods`, or when make_request_stream() rejects `stream`: a
+// negative request count, a mean gap outside [1, kMaxMeanGapTicks], a
+// hot fraction outside [0, 256] or a hot method count below 1. Throws
+// std::logic_error unless the
 // outcomes partition the stream: requests = completed + rejected +
 // timed_out, with exactly one terminal flag per outcome.
 ServeReport serve(const bytecode::Program& program,

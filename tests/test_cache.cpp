@@ -1,6 +1,7 @@
-// Tests for the persistent sweep result cache (src/cache/): key
-// derivation stability, record-format robustness (truncation, bit rot,
-// stale fingerprints all degrade to a miss), store round trips, and the
+// Tests for the persistent sweep result cache (src/cache/): the word
+// hasher's pinned output and guarantees, key derivation stability,
+// record-format robustness (truncation, bit rot, stale fingerprints and
+// the previous format all degrade to a miss), store round trips, and the
 // run_sweep integration — warm hits, the off-vs-read comparison,
 // corpus dedup, and the method filter must all reproduce cold results
 // bit-for-bit, and no environment variable may turn the cache on.
@@ -8,12 +9,15 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -21,6 +25,7 @@
 
 #include "analysis/figure_of_merit.hpp"
 #include "bytecode/assembler.hpp"
+#include "cache/codec.hpp"
 #include "cache/hash.hpp"
 #include "cache/key.hpp"
 #include "cache/record.hpp"
@@ -70,6 +75,99 @@ TEST(CacheHash, HexSpellingIs32LowercaseDigits) {
     EXPECT_TRUE((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) << c;
   }
   EXPECT_EQ(cache::to_hex(cache::Hash128{}), std::string(32, '0'));
+}
+
+// ---- word hashing ----
+
+// `n` bytes of a fixed pattern.
+std::string patterned_buffer(std::size_t n) {
+  std::string out(n, '\0');
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<char>((i * 131 + 7) & 0xff);
+  }
+  return out;
+}
+
+// The word digest's output is part of the cache format (every body and
+// pool digest and every record trailer): pinned on the empty input,
+// every length 1-17 of one string (short of, at and across the word
+// boundaries) and a buffer of over 1 KiB. CacheKey.CorpusDigestsArePinned
+// pins a corpus method's body digest.
+TEST(CacheWordHash, KnownAnswers) {
+  EXPECT_EQ(cache::to_hex(cache::hash_words("")),
+            "159a51fb5053de521913f5db3f3db057");
+  const std::string text = "JavaFlow dataflow machine";
+  const char* const prefixes[] = {
+      "cf622ec7c2ee41b6c6c0d5724adaaf62",
+      "60956a766d03999d558cff1a1ab16f87",
+      "aeba9b1153c526305a90e3ae052baaac",
+      "7ebff4392b13d0be78b4b59d3bed5b6c",
+      "0a11d0dfa35722d0b7fe74d1a67bfaa3",
+      "152bfd82f0bbf52d3e7fcc84da3bb59c",
+      "5163f60f6f36ab832cdac3433554ca26",
+      "b7c83e41a1af3ab947c3a75d3d4ce6f6",
+      "0b43cda18416ea1cadce1579ac0e71b4",
+      "318fe707795e3512bc6128cd026509bb",
+      "1031d870b638873d3a52e871007e36a4",
+      "25b7fb8ab6488f97648063f5af1aa2f8",
+      "f3723a8b04107cb7478cc6bcb0a4a365",
+      "717406f525cdefc2b7c4fcca19b1c60c",
+      "5fef7ac7fe9083a5a61b7d7b0cc2ee6e",
+      "5dd772ab94e52388c18ac7157da76171",
+      "f4ef9228314baefe12746cb5a4edf6b6",
+  };
+  for (std::size_t n = 1; n <= 17; ++n) {
+    EXPECT_EQ(cache::to_hex(cache::hash_words(text.substr(0, n))),
+              prefixes[n - 1])
+        << "length " << n;
+  }
+  EXPECT_EQ(cache::to_hex(cache::hash_words(patterned_buffer(1027))),
+            "b0a3377a2c308969ac83ea6d6361e3f6");
+}
+
+// Zero padding alone would map prefixes 1-8 of a zero buffer to one
+// word; the folded-in length keeps every prefix apart.
+TEST(CacheWordHash, EveryPrefixLengthIsDistinct) {
+  for (const std::string& buffer :
+       {std::string(64, '\0'), patterned_buffer(64)}) {
+    std::set<cache::Hash128> digests;
+    std::set<std::uint64_t> trailers;
+    for (std::size_t n = 0; n <= buffer.size(); ++n) {
+      const cache::Hash128 h = cache::hash_words(buffer.substr(0, n));
+      digests.insert(h);
+      trailers.insert(h.hi);
+    }
+    EXPECT_EQ(digests.size(), buffer.size() + 1);
+    EXPECT_EQ(trailers.size(), buffer.size() + 1);
+  }
+}
+
+TEST(CacheWordHash, StringsAreLengthPrefixed) {
+  cache::WordHasher h1, h2;
+  h1.str("ab");
+  h1.str("c");
+  h2.str("a");
+  h2.str("bc");
+  EXPECT_NE(h1.digest(), h2.digest());
+}
+
+// Each step is a bijection of each lane for a fixed word, so a single
+// changed bit always reaches the trailer lane, as FNV-1a's byte step
+// guarantees per byte.
+TEST(CacheWordHash, EverySingleBitFlipMovesBothLanes) {
+  const std::string buffer = patterned_buffer(1024);
+  const cache::Hash128 base = cache::hash_words(buffer);
+  std::size_t same_hi = 0;
+  std::size_t same_lo = 0;
+  for (std::size_t bit = 0; bit < 8 * buffer.size(); ++bit) {
+    std::string flipped = buffer;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    const cache::Hash128 h = cache::hash_words(flipped);
+    same_hi += h.hi == base.hi;
+    same_lo += h.lo == base.lo;
+  }
+  EXPECT_EQ(same_hi, 0u);
+  EXPECT_EQ(same_lo, 0u);
 }
 
 // ---- key derivation ----
@@ -259,6 +357,36 @@ TEST(CacheRecord, StaleFingerprintIsAMissButStillWellFormed) {
   EXPECT_EQ(out, r);
 }
 
+// A record in the previous format (version 1, FNV-1a 64 trailer) reads
+// as a miss. It fails the trailer check, so the walk counts it corrupt
+// and prune removes it.
+TEST(CacheRecord, PreviousFormatIsAMissAndPruned) {
+  std::string bytes = cache::serialize_record(sample_record());
+  bytes.resize(bytes.size() - 8);
+  std::string version;
+  cache::Writer(version).u32(1);
+  bytes.replace(4, 4, version);  // after the 4-byte magic
+  std::string fnv_trailer;
+  cache::Writer(fnv_trailer).u64(cache::checksum(bytes));
+  bytes += fnv_trailer;
+  cache::MethodRecord out;
+  EXPECT_FALSE(
+      cache::deserialize_record(bytes, cache::kEngineFingerprint, out));
+  EXPECT_FALSE(cache::deserialize_record_any_fingerprint(bytes, out));
+
+  const cache::CacheStore store(temp_store("format1"));
+  const cache::Hash128 key = cache::hash_bytes("format1");
+  const std::string path = store.path_for(key);
+  std::filesystem::create_directories(std::filesystem::path(path).parent_path());
+  std::ofstream(path, std::ios::binary) << bytes;
+  EXPECT_FALSE(store.load(key, cache::kEngineFingerprint, out));
+  const cache::CacheStore::Stats s = store.stats(cache::kEngineFingerprint);
+  EXPECT_EQ(s.files, 1u);
+  EXPECT_EQ(s.corrupt_files, 1u);
+  EXPECT_EQ(store.prune(cache::kEngineFingerprint), 1u);
+  EXPECT_FALSE(std::filesystem::exists(path));
+}
+
 // ---- store ----
 
 TEST(CacheStore, SaveLoadRemoveRoundTrip) {
@@ -389,6 +517,60 @@ TEST(CacheStore, LoadRejectsNonRecordFiles) {
 const workloads::Corpus& corpus() {
   static const workloads::Corpus corpus = workloads::make_corpus({});
   return corpus;
+}
+
+bool same_body(const bytecode::Method& a, const bytecode::Method& b) {
+  const auto same_instruction = [](const bytecode::Instruction& x,
+                                   const bytecode::Instruction& y) {
+    return x.op == y.op && x.operand == y.operand &&
+           x.operand2 == y.operand2 && x.target == y.target &&
+           x.pop == y.pop && x.push == y.push;
+  };
+  const auto same_switch = [](const bytecode::SwitchTable& x,
+                              const bytecode::SwitchTable& y) {
+    return x.keys == y.keys && x.targets == y.targets &&
+           x.default_target == y.default_target;
+  };
+  return a.max_locals == b.max_locals && a.max_stack == b.max_stack &&
+         a.num_args == b.num_args && a.return_type == b.return_type &&
+         a.is_static == b.is_static && a.arg_types == b.arg_types &&
+         std::equal(a.code.begin(), a.code.end(), b.code.begin(),
+                    b.code.end(), same_instruction) &&
+         std::equal(a.switches.begin(), a.switches.end(),
+                    b.switches.begin(), b.switches.end(), same_switch);
+}
+
+// Corpus dedup is exact: two corpus methods share a body digest if and
+// only if their bodies are equal field by field.
+TEST(CacheKey, CorpusBodyDigestsAreEqualExactlyForEqualBodies) {
+  std::map<cache::Hash128, const bytecode::Method*> first_with;
+  for (const bytecode::Method& m : corpus().program.methods) {
+    const auto [it, fresh] =
+        first_with.try_emplace(cache::hash_method_body(m), &m);
+    EXPECT_TRUE(fresh || same_body(*it->second, m))
+        << it->second->name << " and " << m.name << " share a digest";
+  }
+  EXPECT_EQ(first_with.size(), 1582u);
+  std::vector<const bytecode::Method*> leaders;
+  for (const auto& [digest, m] : first_with) leaders.push_back(m);
+  std::size_t equal_pairs = 0;
+  for (std::size_t i = 0; i < leaders.size(); ++i) {
+    for (std::size_t j = i + 1; j < leaders.size(); ++j) {
+      equal_pairs += same_body(*leaders[i], *leaders[j]);
+    }
+  }
+  EXPECT_EQ(equal_pairs, 0u);
+}
+
+// A corpus method's body digest and the corpus pool digest, pinned: the
+// two name every record file of a full sweep.
+TEST(CacheKey, CorpusDigestsArePinned) {
+  const bytecode::Method& m = corpus().program.methods[0];
+  ASSERT_EQ(m.name, "spec.benchmarks.compress.Compressor.init(A)V");
+  EXPECT_EQ(cache::to_hex(cache::hash_method_body(m)),
+            "58090add9c067db73ba0954cada888b7");
+  EXPECT_EQ(cache::to_hex(cache::hash_pool(corpus().program.pool)),
+            "b8b787c4a8b291f16978caddaf218b1d");
 }
 
 // Sweeps the corpus methods whose qualified name contains `filter`

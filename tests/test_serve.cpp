@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -826,28 +827,79 @@ TEST(RequestStream, HotFractionConcentratesOnHotSet) {
   }
 }
 
-// The mean gap is bounded so that no gap or arrival tick of any stream
-// overflows int64: outside [1, kMaxMeanGapTicks] the stream, and so
-// serve(), throws; both ends of the range build.
-TEST(RequestStream, MeanGapOutsideItsRangeThrows) {
-  serve::RequestStreamOptions opt;
-  opt.num_requests = 8;
-  for (const std::int64_t bad :
-       {std::int64_t{0}, serve::kMaxMeanGapTicks + 1, std::int64_t{1} << 61,
-        std::int64_t{1} << 62}) {
-    opt.mean_gap_ticks = bad;
-    EXPECT_THROW(serve::make_request_stream(3, opt), std::invalid_argument)
-        << bad;
-  }
-  for (const std::int64_t good : {std::int64_t{1}, serve::kMaxMeanGapTicks}) {
-    opt.mean_gap_ticks = good;
-    EXPECT_EQ(serve::make_request_stream(3, opt).size(), 8u) << good;
-  }
-  opt.mean_gap_ticks = 0;
+// Every input of a stream has a range (docs/SERVING.md "Request
+// model"), so an out-of-range value fails closed instead of silently
+// reshaping the stream: outside it the stream, and so serve(), throws.
+// The mean gap's bound keeps every gap and arrival tick inside int64.
+// The boundary values build.
+TEST(RequestStream, EveryOptionOutsideItsRangeThrows) {
+  using Options = serve::RequestStreamOptions;
+  constexpr std::int64_t kMin32 = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int64_t kMax32 = std::numeric_limits<std::int32_t>::max();
+  struct Field {
+    const char* name;
+    void (*set)(Options&, std::int64_t);
+    std::vector<std::int64_t> bad;
+    std::vector<std::int64_t> boundary;
+  };
+  const Field fields[] = {
+      {"num_requests",
+       [](Options& o, std::int64_t v) {
+         o.num_requests = static_cast<std::int32_t>(v);
+       },
+       {-1, -3, kMin32},
+       {0, 1}},
+      {"mean_gap_ticks",
+       [](Options& o, std::int64_t v) { o.mean_gap_ticks = v; },
+       {0, -5, serve::kMaxMeanGapTicks + 1, std::int64_t{1} << 61,
+        std::int64_t{1} << 62},
+       {1, serve::kMaxMeanGapTicks}},
+      {"hot_fraction_256",
+       [](Options& o, std::int64_t v) {
+         o.hot_fraction_256 = static_cast<std::int32_t>(v);
+       },
+       {-1, -5, 257, 1000, kMin32, kMax32},
+       {0, 256}},
+      {"hot_methods",
+       [](Options& o, std::int64_t v) {
+         o.hot_methods = static_cast<std::int32_t>(v);
+       },
+       {0, -7, kMin32},
+       {1, kMax32}},
+  };
   const Program p = serve_program();
-  EXPECT_THROW(
-      serve::serve(p, all_methods(p), sim::config_by_name("Compact2"), opt),
-      std::invalid_argument);
+  const sim::MachineConfig cfg = sim::config_by_name("Compact2");
+  for (const Field& f : fields) {
+    for (const std::int64_t bad : f.bad) {
+      Options o;
+      o.num_requests = 8;
+      f.set(o, bad);
+      EXPECT_THROW(serve::make_request_stream(3, o), std::invalid_argument)
+          << f.name << " = " << bad;
+      EXPECT_THROW(serve::serve(p, all_methods(p), cfg, o),
+                   std::invalid_argument)
+          << f.name << " = " << bad << " through serve()";
+    }
+    for (const std::int64_t good : f.boundary) {
+      Options o;
+      o.num_requests = 8;
+      f.set(o, good);
+      EXPECT_EQ(serve::make_request_stream(3, o).size(),
+                static_cast<std::size_t>(o.num_requests))
+          << f.name << " = " << good;
+    }
+  }
+  // The method count is the stream's argument; serve() passes its method
+  // list's size and rejects an empty list itself.
+  for (const std::int64_t bad : {std::int64_t{0}, std::int64_t{-1}, kMin32}) {
+    EXPECT_THROW(serve::make_request_stream(static_cast<std::int32_t>(bad),
+                                            Options{}),
+                 std::invalid_argument)
+        << "num_methods = " << bad;
+  }
+  EXPECT_EQ(serve::make_request_stream(1, Options{}).size(),
+            static_cast<std::size_t>(Options{}.num_requests));
+  EXPECT_THROW(serve::serve(p, {}, cfg, Options{}), std::invalid_argument);
 }
 
 // ---- serving frontend ----
