@@ -40,15 +40,21 @@ std::int32_t FabricManager::row_slots() const noexcept {
   return std::max(config_.idus_per_node, 1) * std::max(config_.width, 1);
 }
 
-std::int32_t FabricManager::first_free_row(std::int32_t span) const {
-  for (std::int64_t base = 0; base + span <= config_.capacity;
-       base += row_slots()) {
+std::optional<std::int32_t> FabricManager::first_free_row(
+    std::int32_t span) const {
+  const std::int64_t row = row_slots();
+  const std::int64_t covered = (span + row - 1) / row * row;
+  for (std::int64_t base = 0; base + span <= config_.capacity; base += row) {
+    // Every slot of every row the span touches, up to the fabric's end.
     const auto first = occupied_.begin() + base;
-    if (std::find(first, first + span, true) == first + span) {
+    const auto last =
+        occupied_.begin() + std::min<std::int64_t>(base + covered,
+                                                   config_.capacity);
+    if (std::find(first, last, true) == last) {
       return static_cast<std::int32_t>(base);
     }
   }
-  return 0;
+  return std::nullopt;
 }
 
 std::optional<FabricManager::MethodId> FabricManager::load(
@@ -56,9 +62,6 @@ std::optional<FabricManager::MethodId> FabricManager::load(
     std::int32_t first_slot) {
   fabric::Placement placement =
       fabric::load_method(fabric_, m, occupied_, first_slot);
-  if (!placement.fits && first_slot != 0) {
-    placement = fabric::load_method(fabric_, m, occupied_, /*first_slot=*/0);
-  }
   if (!placement.fits) return std::nullopt;
 
   Resident r;

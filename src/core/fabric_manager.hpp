@@ -12,11 +12,14 @@
 // a row-aligned uniform shift of their canonical (fresh-fabric) layout
 // share one canonical plan — the resident stores only its phys_delta —
 // while irregular placements (packed around other residents) get a
-// dedicated lowering. The serving frontend (serve::serve) leases
-// residents via begin_execute()/end_execute() and feeds their
-// (plan, phys_delta) pairs to a shared sim::MultiEngine; plain
-// execute() keeps the one-shot single-method path on the manager's
-// persistent engine (workspace reuse + the plan cache here).
+// dedicated lowering. The serving frontend (serve::serve) places only
+// into whole free rows (first_free_row), so its residents share the
+// canonical plan and no two of them share a fabric row; it leases them
+// via begin_execute()/end_execute() and feeds their (plan, phys_delta)
+// pairs to a shared sim::MultiEngine. The greedy packer and dedicated
+// lowering serve the other callers: plain execute() keeps the one-shot
+// single-method path on the manager's persistent engine (workspace
+// reuse + the plan cache here).
 #pragma once
 
 #include <cstdint>
@@ -58,10 +61,10 @@ class FabricManager {
 
   explicit FabricManager(sim::MachineConfig config);
 
-  // Loads a method around the existing residents, preferring `first_slot`
-  // (falling back to a scan from 0 when the hint does not fit), and
-  // lowers its plan from the method's dataflow graph. Returns nullopt if
-  // it cannot be placed within the node budget.
+  // Loads a method greedily around the existing residents, scanning from
+  // `first_slot`, and lowers its plan from the method's dataflow graph.
+  // Returns nullopt if it cannot be placed from there within the node
+  // budget.
   std::optional<MethodId> load(const bytecode::Method& m,
                                const bytecode::ConstantPool& pool,
                                std::int32_t first_slot = 0);
@@ -96,12 +99,15 @@ class FabricManager {
   std::optional<std::int32_t> canonical_span(const bytecode::Method& m,
                                              const bytecode::ConstantPool& pool);
 
-  // First slot of the lowest row-aligned run of `span` free slots, or 0
-  // when no row starts one. A row is idus_per_node × width slots, the
-  // shift that lets a placement share its method's canonical plan, so
-  // load(m, pool, first_free_row(span)) shares it whenever such a gap
-  // exists (and falls back to the greedy scan from slot 0 otherwise).
-  std::int32_t first_free_row(std::int32_t span) const;
+  // First slot of the lowest run of whole free rows that holds `span`
+  // slots from its first row's start, or nullopt when there is none. A
+  // row is idus_per_node × width slots, the shift that lets a placement
+  // share its method's canonical plan: every Table 15 layout repeats
+  // row by row, so load(m, pool, *first_free_row(span)) places the
+  // canonical layout shifted by whole rows and shares its plan. Every
+  // row the span touches must be free, not just the span, so a resident
+  // placed here shares no row with another resident.
+  std::optional<std::int32_t> first_free_row(std::int32_t span) const;
 
   const Resident* find(MethodId id) const;
   std::size_t resident_count() const noexcept { return residents_.size(); }

@@ -154,13 +154,20 @@ class ServerState {
     if (!ms.waiting.empty() && !busy(ms)) ready_.insert(ms.waiting.front());
   }
 
-  // The lowest free row-aligned gap first (shares the canonical plan),
-  // then the manager's greedy packer, then idle-LRU eviction until a
-  // load succeeds or nothing evictable remains.
+  // The lowest run of whole free rows, where the method takes its
+  // canonical layout shifted by whole rows and shares the canonical
+  // plan; else idle-LRU eviction until such a run opens or nothing
+  // evictable remains. So no two residents share a fabric row, and
+  // every residency's serial chain and mesh routes are its own.
   std::optional<MethodId> place_with_eviction(const bytecode::Method& m,
                                               std::int32_t span) {
     while (true) {
-      if (auto id = mgr_.load(m, program_.pool, mgr_.first_free_row(span))) {
+      if (const auto row = mgr_.first_free_row(span)) {
+        const auto id = mgr_.load(m, program_.pool, *row);
+        if (!id || !mgr_.find(*id)->plan_shared) {
+          throw std::logic_error(
+              "serve: free rows did not take the canonical layout");
+        }
         return id;
       }
       // Evict the least-recently-used idle resident (ties: smaller id —

@@ -12,12 +12,14 @@
 //     requests serialize) and the fabric has room. A space-blocked head
 //     stops the scan (FIFO fairness for space); busy-method requests
 //     are scanned around (the fabric is not idled by one hot method).
-//   * Occupancy-aware placement — the manager's first_free_row() finds
-//     the lowest row-aligned free gap of the method's canonical span,
-//     which lets the residency share the canonical pre-lowered plan;
-//     only irregular packings pay a dedicated lowering.
-//   * Idle-LRU eviction — when placement fails, the least-recently-used
-//     idle resident is unloaded and placement retried.
+//   * Row-private placement — the manager's first_free_row() finds the
+//     lowest run of whole free rows that holds the method's canonical
+//     span; the method takes its canonical layout shifted by whole rows
+//     and shares the canonical pre-lowered plan. No two residents share
+//     a row, so residencies contend only for the ring channels.
+//   * Idle-LRU eviction — when no such run is free, the least-recently-
+//     used idle resident is unloaded and placement retried; with
+//     nothing evictable the request waits.
 //   * Per-request latency accounting — completion tick minus arrival
 //     tick, summarized as nearest-rank p50/p95/p99.
 //

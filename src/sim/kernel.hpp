@@ -275,13 +275,22 @@ class Kernel {
   // ---- shared ----
 
   // See MultiEngine::admit: -1 only for an unfit plan; a fitting plan
-  // past the live-residency cap throws.
+  // on a row of an unfinished residency, or past the live-residency cap,
+  // throws before anything changes.
   ResidentId admit(const bytecode::Method& m, const ExecPlan& plan,
                    std::int32_t phys_delta,
                    BranchPredictor::Scenario scenario,
                    std::int64_t start_tick) {
     static_assert(kShared);
     if (!plan.fits()) return -1;
+    const RowSpan rows = rows_of(phys_delta, plan);
+    for (const ResidentRt& o : residents_) {
+      if (!o.done && rows.meets(rows_of(o.phys_delta, *o.plan))) {
+        throw std::invalid_argument(
+            "MultiEngine: a residency's rows overlap those of a residency "
+            "that has not finished");
+      }
+    }
     if (free_rows_.empty() &&
         residents_.size() >=
             static_cast<std::size_t>(MultiEngine::kMaxResidents)) {
@@ -508,6 +517,20 @@ class Kernel {
     std::int32_t owner = -1;
     std::int64_t busy_until = 0;
   };
+
+  // The fabric rows a residency's transport can touch: from the row of
+  // the serial link its bundle enters by (into physical node phys_delta)
+  // to the row of its last node. Its chain segment and its X-Y mesh
+  // routes stay inside them.
+  struct RowSpan {
+    std::int32_t lo = 0;
+    std::int32_t hi = 0;
+    bool meets(const RowSpan& o) const { return lo <= o.hi && o.lo <= hi; }
+  };
+  RowSpan rows_of(std::int32_t phys_delta, const ExecPlan& plan) const {
+    const std::int32_t w = std::max(cfg_.width, 1);
+    return {phys_delta / w, (phys_delta + plan.max_phys()) / w};
+  }
 
   // Ring size before the first admission: one occupancy word.
   static constexpr std::int64_t kMinRing = 64;

@@ -121,8 +121,13 @@ class MultiEngine {
   // `phys_delta` rebases every physical-node index in the plan (0 for a
   // dedicated plan, rows*width/idus-aligned for a shared canonical
   // plan). Returns the new ResidentId, or -1 when the plan does not fit.
-  // Throws std::length_error rather than refuse a fitting plan when
-  // kMaxResidents residencies are live at once.
+  // The residency's rows run from the row of physical node phys_delta,
+  // where its bundle enters, to the row of its last node. Throws
+  // std::invalid_argument when they meet the rows of a residency that
+  // has not finished (a finished one's rows are free at once, before
+  // its last events drain), and std::length_error rather than refuse a
+  // fitting plan when kMaxResidents residencies are live at once. A
+  // throw leaves the engine unchanged.
   ResidentId admit(const bytecode::Method& m, const ExecPlan& plan,
                    std::int32_t phys_delta,
                    BranchPredictor::Scenario scenario,

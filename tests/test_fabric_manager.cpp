@@ -346,8 +346,9 @@ TEST(FabricManager, CanonicalSpanMatchesFreshLoad) {
 }
 
 // first_free_row() steps a row of idus_per_node × width slots at a time
-// and returns the lowest row start whose next `span` slots are all free,
-// or 0 when no row has one; a load there shares the canonical plan.
+// and returns the lowest row start whose rows, as many as `span` slots
+// touch, are all free, or nullopt when no row starts such a run; a load
+// there shares the canonical plan.
 TEST(FabricManager, FirstFreeRowFindsTheLowestAlignedGap) {
   Program p;
   p.methods.push_back(make_loop(p, "m.a(I)I"));
@@ -361,16 +362,18 @@ TEST(FabricManager, FirstFreeRowFindsTheLowestAlignedGap) {
   ASSERT_TRUE(span.has_value());
   // A step of `width` slots, half a row, would find a gap inside row 0.
   ASSERT_LE(*span, cfg.width);
-  EXPECT_EQ(mgr.first_free_row(*span), 0);
+  EXPECT_EQ(mgr.first_free_row(*span), std::optional<std::int32_t>(0));
 
   const auto a = mgr.load(p.methods[0], p.pool);
   ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(mgr.first_free_row(*span), row);  // not width, not *span
-  // A resident packed mid-row blocks that row's run.
-  ASSERT_TRUE(mgr.load(p.methods[1], p.pool, row + 3).has_value());
-  EXPECT_EQ(mgr.first_free_row(*span), 2 * row);
+  // Not width, not *span.
+  EXPECT_EQ(mgr.first_free_row(*span), std::optional<std::int32_t>(row));
+  // A resident packed mid-row blocks the whole row, although the span
+  // would fit in the free slots ahead of it.
+  ASSERT_TRUE(mgr.load(p.methods[1], p.pool, row + cfg.width).has_value());
+  EXPECT_EQ(mgr.first_free_row(*span), std::optional<std::int32_t>(2 * row));
 
-  const auto c = mgr.load(p.methods[0], p.pool, mgr.first_free_row(*span));
+  const auto c = mgr.load(p.methods[0], p.pool, *mgr.first_free_row(*span));
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(mgr.find(*c)->anchor_slot, 2 * row);
   EXPECT_TRUE(mgr.find(*c)->plan_shared);
@@ -378,9 +381,9 @@ TEST(FabricManager, FirstFreeRowFindsTheLowestAlignedGap) {
   EXPECT_EQ(mgr.find(*c)->phys_delta, 2 * cfg.width);
 
   ASSERT_TRUE(mgr.load(p.methods[0], p.pool, 3 * row).has_value());
-  EXPECT_EQ(mgr.first_free_row(*span), 0);  // every row is taken
+  EXPECT_FALSE(mgr.first_free_row(*span).has_value());  // every row taken
   ASSERT_TRUE(mgr.unload(*c));
-  EXPECT_EQ(mgr.first_free_row(*span), 2 * row);
+  EXPECT_EQ(mgr.first_free_row(*span), std::optional<std::int32_t>(2 * row));
 }
 
 }  // namespace
