@@ -72,8 +72,8 @@ class ServerState {
     rep.fabric_ticks = agg.fabric_ticks;
     rep.ticks_res_1plus = agg.ticks_res_1plus;
     rep.ticks_res_2plus = agg.ticks_res_2plus;
-    rep.serial_wait_ticks = agg.serial_wait_ticks;
-    rep.mesh_wait_ticks = agg.mesh_wait_ticks;
+    // serial_wait_ticks and mesh_wait_ticks stay 0: residents share no
+    // row, so no residency waits on a serial or mesh link.
     rep.ring_wait_ticks = agg.ring_wait_ticks;
     rep.loads = loads_;
     rep.evictions = evictions_;

@@ -70,6 +70,9 @@ struct ServeReport {
   std::int64_t fabric_ticks = 0;
   std::int64_t ticks_res_1plus = 0;
   std::int64_t ticks_res_2plus = 0;  // superposition witness
+  // Always 0: residents share no fabric row, so no residency waits on a
+  // serial or mesh link. Kept because digest(), the JSON report and
+  // perfbench read them.
   std::int64_t serial_wait_ticks = 0;
   std::int64_t mesh_wait_ticks = 0;
   std::int64_t ring_wait_ticks = 0;

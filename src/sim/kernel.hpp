@@ -6,17 +6,20 @@
 // detail::Kernel is specialized at compile time on two flags:
 //
 //   * kShared — the serving kernel behind sim::MultiEngine: N residencies
-//     on one calendar, node lanes offset per residency, transport
-//     occupancy-tracked so co-resident flows contend, and fabric-level
-//     overlap accounting. A residency that has finished and whose events
-//     have all drained is reclaimed: its residency-table row, predictor
-//     and node-lane window go on free lists for the next admission, so
-//     memory follows the live residencies, not the admission count
-//     (docs/SERVING.md "Residency lifecycle"). The solo instantiation
-//     behind sim::Engine runs exactly one residency per run(): no
-//     residency lookup, no occupancy windows (an uncontended token's
-//     transit is closed-form), and a reset that keeps every lane's and
-//     bucket's capacity across runs.
+//     on one calendar, node lanes offset per residency, and fabric-level
+//     overlap accounting. Residencies are row-private (admit() refuses a
+//     residency on a row of an unfinished one), so serial and mesh transit
+//     is the solo closed form and only the four ring channels are
+//     occupancy-tracked; co-resident flows contend there and for
+//     execution units. The drain loop looks an event's residency up once.
+//     A residency that has finished and whose events have all drained is
+//     reclaimed: its residency-table row, predictor and node-lane window
+//     go on free lists for the next admission, so memory follows the live
+//     residencies, not the admission count (docs/SERVING.md "Residency
+//     lifecycle"). The solo instantiation behind sim::Engine runs exactly
+//     one residency per run(): no residency lookup, no ring occupancy,
+//     and a reset that keeps every lane's and bucket's capacity across
+//     runs.
 //   * kInstr — the telemetry hooks (obs::MetricsRegistry, EventTracer,
 //     FlightRecorder) and exception injection. Solo only; without it
 //     every hook folds to a constant and the hot path carries no
@@ -30,9 +33,10 @@
 // (docs/PERF.md "Loop fast-forward"). The other two instantiations
 // simulate every event and are its reference.
 //
-// A residency that never contends times exactly like a solo run, so a
-// lone MultiEngine residency reproduces Engine::run bit for bit
-// (tests/test_serve.cpp MultiEngineParity).
+// A residency that never waits on a ring channel or an execution unit
+// times exactly like a solo run, so a lone MultiEngine residency
+// reproduces Engine::run bit for bit (tests/test_serve.cpp
+// MultiEngineParity).
 #pragma once
 
 #include <algorithm>
@@ -247,8 +251,7 @@ class Kernel {
         opt_(options),
         k_(cfg_.serial_per_mesh),
         hop_(cfg_.collapsed() ? 0 : 1),
-        idus_(std::max(cfg_.idus_per_node, 1)),
-        collapsed_(cfg_.collapsed()) {
+        idus_(std::max(cfg_.idus_per_node, 1)) {
     if constexpr (kShared) grow_ring(kMinRing);
   }
 
@@ -364,13 +367,18 @@ class Kernel {
         const std::size_t first = pos;
         while (pos < bucket.size()) {
           const Record ev = bucket[pos++];
+          ResidentRt& r = resident(ev.res);
           if constexpr (kShared) {
-            if (drop_stale(ev)) continue;
+            --r.pending;
+            if (r.done) [[unlikely]] {
+              drop_stale(r, ev);
+              continue;
+            }
           }
           if constexpr (!kInstr) {
-            if (forward_untouched(ev)) continue;
+            if (forward_untouched(r, ev)) continue;
           }
-          dispatch(ev);
+          dispatch(r, ev);
           if (completion_pending()) [[unlikely]] break;
         }
         live_events_ -= static_cast<std::int64_t>(pos - first);
@@ -443,11 +451,9 @@ class Kernel {
     agg.ticks_exec_2plus = fab_acc2_;
     agg.ticks_res_1plus = res_acc1_;
     agg.ticks_res_2plus = res_acc2_;
-    // A residency's waits stop growing when it finishes, so its outcome
-    // holds its final totals (its row may serve someone else by now).
+    // A residency's wait stops growing when it finishes, so its outcome
+    // holds its final total (its row may serve someone else by now).
     for (const ResidentOutcome& out : outcomes_) {
-      agg.serial_wait_ticks += out.serial_wait_ticks;
-      agg.mesh_wait_ticks += out.mesh_wait_ticks;
       agg.ring_wait_ticks += out.ring_wait_ticks;
     }
     agg.residents = std::move(outcomes_);
@@ -500,9 +506,7 @@ class Kernel {
     std::int64_t last_change = 0;
     std::int64_t acc1 = 0;
     std::int64_t acc2 = 0;
-    // Cross-residency contention charged to this residency (shared).
-    std::int64_t serial_wait = 0;
-    std::int64_t mesh_wait = 0;
+    // Ring-channel contention charged to this residency (shared).
     std::int64_t ring_wait = 0;
 
     bool flag(std::int32_t l, std::uint8_t f) const {
@@ -618,6 +622,7 @@ class Kernel {
     for (std::int32_t i = 0; i < r.count; ++i) {
       const auto u = static_cast<std::size_t>(r.base + i);
       fwd_[u] = r.base + i + 1;
+      lane_[u] = {plan.local_reg()[i], plan.flags()[i]};
       if constexpr (kShared) {
         phys_lane_[u] = plan.phys()[i] + phys_delta;
         res_of_[u] = r.row;
@@ -658,7 +663,7 @@ class Kernel {
   // The first lane of a `count`-lane window: a reclaimed window of
   // exactly that size, reset to a fresh residency's state (each node
   // keeps its operand buffer's capacity), or new zeroed lanes at the
-  // end. fwd_, phys_lane_ and res_of_ are the caller's to fill.
+  // end. fwd_, lane_, phys_lane_ and res_of_ are the caller's to fill.
   std::int32_t take_window(std::int32_t count) {
     std::vector<std::int32_t>& spare = free_windows_[count];
     if (spare.empty()) {
@@ -669,6 +674,7 @@ class Kernel {
       pops_.resize(end, 0);
       epoch_.resize(end, 0);
       fwd_.resize(end);
+      lane_.resize(end);
       distinct_.resize(end, 0);
       res_of_.resize(end);
       phys_lane_.resize(end);
@@ -706,16 +712,13 @@ class Kernel {
     free_rows_.push_back(r.row);
   }
 
-  // Shared drain-loop step: counts the event off its residency and, if
-  // the residency has finished, drops it — except that a still-in-flight
+  // Shared drain-loop step for an event of a finished residency, already
+  // counted off it: drops the event — except that a still-in-flight
   // execution completion must free its Instruction Execution Unit
   // (shared with later co-residents) and close the fabric-level overlap
   // span it holds. The last of a finished residency's events reclaims
-  // it. Returns whether the event was consumed.
-  [[gnu::always_inline]] inline bool drop_stale(const Slot& ev) {
-    ResidentRt& r = residents_[ev.res];
-    --r.pending;
-    if (!r.done) [[likely]] return false;
+  // it.
+  void drop_stale(ResidentRt& r, const Slot& ev) {
     if (ev.kind() == EvKind::ExecDone) {
       state_[static_cast<std::size_t>(ev.node)] &=
           static_cast<std::uint8_t>(~kExecuting);
@@ -723,7 +726,6 @@ class Kernel {
       release_execution_unit(r, ev.node);
     }
     if (r.pending == 0) reclaim(r);
-    return true;
   }
 
   // Solo reset: every lane and bucket keeps its capacity (and every
@@ -759,7 +761,8 @@ class Kernel {
     state_.assign(nn, 0);
     pops_.assign(nn, 0);
     epoch_.assign(nn, 0);
-    fwd_.resize(nn);  // add_resident() fills it
+    fwd_.resize(nn);  // add_resident() fills it and lane_
+    lane_.resize(nn);
     distinct_.assign(nn, 0);
     const auto np = static_cast<std::size_t>(plan.max_phys() + 1);
     exec_busy_.assign(np, 0);
@@ -777,9 +780,6 @@ class Kernel {
     if (exec_busy_.size() < want) {
       exec_busy_.resize(want, 0);
       pending_fire_.resize(want);
-      link_down_.resize(want);
-      link_up_.resize(want);
-      mesh_link_.resize(want * 4);
     }
   }
 
@@ -825,14 +825,15 @@ class Kernel {
     cal_words_[bi >> 6] |= std::uint64_t{1} << (bi & 63);
   }
 
-  // Every schedule site names the delay category its event represents;
-  // with the recorder attached, one dependency edge is captured per
-  // event. `parent` kParentCurrent means "the event being dispatched
-  // right now" (cur_edge_); hold-release sites pass an explicit splice
-  // edge instead. Without a recorder the extra arguments are dead.
-  // Force-inlined, so the Slot is built in place in its bucket.
+  // Schedules residency r's event `s` (its `res` is set here). Every
+  // schedule site names the delay category its event represents; with
+  // the recorder attached, one dependency edge is captured per event.
+  // `parent` kParentCurrent means "the event being dispatched right now"
+  // (cur_edge_); hold-release sites pass an explicit splice edge instead.
+  // Without a recorder the extra arguments are dead. Force-inlined, so
+  // the Slot is built in place in its bucket.
   [[gnu::always_inline]] inline void schedule(
-      std::int64_t tick, const Slot& s, obs::PathCategory cat,
+      ResidentRt& r, std::int64_t tick, Slot s, obs::PathCategory cat,
       std::int32_t parent = kParentCurrent, std::int32_t from_phys = -1,
       std::int32_t to_phys = -1, std::uint8_t opcode = 0) {
     const std::int64_t seq = seq_++;
@@ -842,7 +843,8 @@ class Kernel {
                 s.node, from_phys, to_phys, cat, opcode});
     }
     ++live_events_;
-    if constexpr (kShared) ++residents_[s.res].pending;
+    s.res = row(r);
+    if constexpr (kShared) ++r.pending;
     if (tick < cal_cur_ + ring_size_) [[likely]] {
       bucket_insert(tick, seq, s);
     } else {
@@ -972,17 +974,16 @@ class Kernel {
   // token that crosses its node untouched is forwarded here without
   // dispatch(). Returns whether the event was consumed. (The shared
   // kernel has already dropped a finished residency's events.)
-  [[gnu::always_inline]] inline bool forward_untouched(const Slot& ev) {
+  [[gnu::always_inline]] inline bool forward_untouched(ResidentRt& r,
+                                                       const Slot& ev) {
     if (ev.kind() != EvKind::Serial) return false;
-    ResidentRt& r = resident(ev.res);
     const Token tok{ev.cmd, ev.aux};
-    if (!passes_untouched(r, local(r, ev.node), tok)) return false;
+    if (!passes_untouched(ev.node, tok)) return false;
     pass_through(r, ev.node, tok);
     return true;
   }
 
-  void dispatch(const Record& ev) {
-    ResidentRt& r = resident(ev.res);
+  void dispatch(ResidentRt& r, const Record& ev) {
     if constexpr (kFastForward) ff_touch(ev.node, ev.node);
     if constexpr (kInstr) {
       if (fr() != nullptr) cur_edge_ = fr()->edge_of_seq(ev.seq);
@@ -1001,11 +1002,14 @@ class Kernel {
 
   // ---- transport ----
   //
-  // Solo: closed-form uncontended transit. Shared: each resource
+  // Serial and mesh transit is closed-form in both instantiations: a
+  // shared residency's chain segment and X-Y routes stay inside its own
+  // rows (admit() keeps rows private), so no other residency's token
+  // ever crosses them. The ring channels are fabric-global: shared, each
   // remembers (owner, busy_until); same-owner passage is free (a
-  // method's own tokens never queue behind each other, which is the
-  // solo timing), while a cross-residency token starts when the resource
-  // frees and the delay is charged to the waiting residency.
+  // method's own requests never queue behind each other, which is the
+  // solo timing), while a cross-residency request starts when the
+  // channel frees and the delay is charged to the waiting residency.
 
   std::int64_t occupy(Occupancy& o, std::int32_t owner, std::int64_t at,
                       std::int64_t dur, std::int64_t* wait) {
@@ -1020,63 +1024,26 @@ class Kernel {
     return done;
   }
 
-  // Serial-chain arrival tick from physical a to b (global indices; the
-  // residency's anchor is phys_delta - 1). Collapsed configs have zero
-  // serial transit, hence nothing to contend for.
-  std::int64_t chain_arrival(ResidentRt& r, std::int32_t a, std::int32_t b) {
-    if constexpr (!kShared) {
-      const std::int64_t hops = a < b ? b - a : a - b;
-      return now_ + hop_ * std::max<std::int64_t>(hops, 1);
-    } else {
-      if (hop_ == 0) return now_;
-      if (a == b) return now_ + hop_;  // intra-node IDU chain hop
-      std::int64_t t = now_;
-      std::int64_t wait = 0;
-      if (a < b) {
-        for (std::int32_t p = a + 1; p <= b; ++p) {
-          t = occupy(link_down_[static_cast<std::size_t>(p)], r.id, t, hop_,
-                     &wait);
-        }
-      } else {
-        for (std::int32_t p = a - 1; p >= b; --p) {
-          t = occupy(link_up_[static_cast<std::size_t>(p)], r.id, t, hop_,
-                     &wait);
-        }
-      }
-      r.serial_wait += wait;
-      return t;
-    }
+  // Serial-chain arrival tick from physical a to b (a residency's anchor
+  // is phys_delta - 1): one hop per link, and one for the intra-node IDU
+  // hop (a == b). Collapsed configs have zero serial transit.
+  std::int64_t chain_arrival(std::int32_t a, std::int32_t b) const {
+    const std::int64_t hops = a < b ? b - a : a - b;
+    return now_ + hop_ * std::max<std::int64_t>(hops, 1);
   }
 
-  // Mesh arrival tick for one plan edge. Shared: the precomputed X-Y
-  // route is walked link by link at one mesh cycle (k ticks) each; with
-  // no contention the sum equals the plan's baked delivery_ticks (route
-  // length == Manhattan distance). Collapsed configs and self-edges
-  // (distance clamped to 1, no links) keep the baked cost.
-  std::int64_t mesh_arrival(ResidentRt& r, const PlanEdge& e) {
-    if constexpr (!kShared) {
-      return now_ + e.delivery_ticks;
-    } else {
-      if (collapsed_ || e.route_count == 0) return now_ + e.delivery_ticks;
-      const PlanRouteLink* link = r.route_links + e.route_begin;
-      std::int64_t t = now_;
-      std::int64_t wait = 0;
-      for (std::int32_t i = 0; i < e.route_count; ++i, ++link) {
-        const auto li =
-            static_cast<std::size_t>(link->src_phys + r.phys_delta) * 4 +
-            link->dir;
-        t = occupy(mesh_link_[li], r.id, t, k_, &wait);
-      }
-      r.mesh_wait += wait;
-      return t;
-    }
+  // Mesh arrival tick for one plan edge: its baked delivery_ticks, one
+  // mesh cycle (k ticks) per link of its X-Y route (collapsed configs
+  // and self-edges keep their clamped cost).
+  std::int64_t mesh_arrival(const PlanEdge& e) const {
+    return now_ + e.delivery_ticks;
   }
 
   // Ring-service completion tick. Shared: all four channels are
-  // fabric-global — the one genuinely shared resource even between
-  // row-aligned residencies. `blocking` distinguishes a waiting
-  // requester (MemRead, GPP calls) from a posted MemoryWrite, which
-  // reserves the channel but never stalls its node.
+  // fabric-global — the one transport resource row-private residencies
+  // share. `blocking` distinguishes a waiting requester (MemRead, GPP
+  // calls) from a posted MemoryWrite, which reserves the channel but
+  // never stalls its node.
   std::int64_t ring_done(ResidentRt& r, net::RingService svc,
                          std::int64_t svc_ticks, bool blocking) {
     if constexpr (!kShared) {
@@ -1102,7 +1069,7 @@ class Kernel {
     ++r.serial_msgs;
     const std::int32_t a =
         from == kFromAnchor ? r.phys_delta - 1 : phys_of(r, from);
-    const std::int64_t arrival = chain_arrival(r, a, phys_of(r, to));
+    const std::int64_t arrival = chain_arrival(a, phys_of(r, to));
     if (mx() != nullptr) {
       ++mx()->serial_messages;
       mx()->serial_hop_ticks += static_cast<std::uint64_t>(arrival - now_);
@@ -1111,10 +1078,9 @@ class Kernel {
     Slot s;
     s.set(EvKind::Serial);
     s.node = to;
-    s.res = row(r);
     s.cmd = tok.cmd;
     s.aux = tok.reg;
-    schedule(arrival + extra, s, obs::PathCategory::SerialTransit, parent);
+    schedule(r, arrival + extra, s, obs::PathCategory::SerialTransit, parent);
   }
 
   void forward_token(ResidentRt& r, std::int32_t g, Token tok,
@@ -1123,18 +1089,18 @@ class Kernel {
                 parent);
   }
 
-  // Whether a token crosses node g (method-local l) untouched: on_serial
-  // would forward it one lane on without reading or changing any node
-  // state. That is a REGISTER token at a node that neither buffers
-  // tokens nor reads or writes that register, or a MEMORY token at a
-  // node that neither buffers tokens nor orders storage.
-  bool passes_untouched(const ResidentRt& r, std::int32_t l,
-                        Token tok) const {
-    const std::uint8_t f = r.flags[l];
+  // Whether a token crosses node lane g untouched: on_serial would
+  // forward it one lane on without reading or changing any node state.
+  // That is a REGISTER token at a node that neither buffers tokens nor
+  // reads or writes that register, or a MEMORY token at a node that
+  // neither buffers tokens nor orders storage.
+  bool passes_untouched(std::int32_t g, Token tok) const {
+    const Lane& lane = lane_[static_cast<std::size_t>(g)];
+    const std::uint8_t f = lane.flags;
     switch (tok.cmd) {
       case net::Command::RegisterToken:
         return (f & kPlanBuffers) == 0 &&
-               ((f & kPlanLocal) == 0 || r.local_reg[l] != tok.reg);
+               ((f & kPlanLocal) == 0 || lane.local_reg != tok.reg);
       case net::Command::MemoryToken:
         return (f & (kPlanBuffers | kPlanOrdered)) == 0;
       default:
@@ -1162,10 +1128,9 @@ class Kernel {
       Slot s;
       s.set(EvKind::Mesh, e->side);
       s.node = consumer;
-      s.res = row(r);
       s.prod = g;
       s.aux = epoch_[static_cast<std::size_t>(consumer)];
-      schedule(mesh_arrival(r, *e), s, obs::PathCategory::MeshTransit,
+      schedule(r, mesh_arrival(*e), s, obs::PathCategory::MeshTransit,
                kParentCurrent, from_phys, e->to_phys);
     }
   }
@@ -1238,7 +1203,7 @@ class Kernel {
       tr()->record({now_, obs::TraceEventKind::TokenDeliver, g, phys_of(r, g),
                     static_cast<std::uint8_t>(tok.cmd), 0});
     }
-    if (passes_untouched(r, l, tok)) {
+    if (passes_untouched(g, tok)) {
       pass_through(r, g, tok);
       return;
     }
@@ -1423,8 +1388,7 @@ class Kernel {
     Slot s;
     s.set(EvKind::ExecDone);
     s.node = g;
-    s.res = row(r);
-    schedule(now_ + cost, s, obs::PathCategory::Execution, parent, -1, -1,
+    schedule(r, now_ + cost, s, obs::PathCategory::Execution, parent, -1, -1,
              r.op[l]);
   }
 
@@ -1499,8 +1463,7 @@ class Kernel {
     Slot s;
     s.set(EvKind::ServiceDone);
     s.node = g;
-    s.res = row(r);
-    schedule(ring_done(r, svc, svc_ticks, /*blocking=*/true), s,
+    schedule(r, ring_done(r, svc, svc_ticks, /*blocking=*/true), s,
              obs::PathCategory::RingService);
   }
 
@@ -2311,8 +2274,6 @@ class Kernel {
       out.resident = r.id;
       out.metrics = metrics_of(r);
       out.completed_tick = r.completed ? r.end_tick : -1;
-      out.serial_wait_ticks = r.serial_wait;
-      out.mesh_wait_ticks = r.mesh_wait;
       out.ring_wait_ticks = r.ring_wait;
       if (r.pending == 0) reclaim(r);
     }
@@ -2370,7 +2331,6 @@ class Kernel {
   std::int64_t k_ = 1;
   std::int64_t hop_ = 1;
   std::int32_t idus_ = 1;
-  bool collapsed_ = false;
 
   std::vector<ResidentRt> residents_;        // shared: indexed by row
   std::vector<BranchPredictor> predictors_;  // shared: one per row
@@ -2390,6 +2350,14 @@ class Kernel {
   std::vector<std::int32_t> epoch_;
   std::vector<std::int32_t> fwd_;  // serial forward target (g + 1 until a
                                    // forward branch fires)
+  // What passes_untouched() reads of a node, copied from its plan by
+  // add_resident(): the drain loop's pass-through test touches one lane
+  // array, not the residency's plan.
+  struct Lane {
+    std::int32_t local_reg = -1;
+    std::uint8_t flags = 0;
+  };
+  std::vector<Lane> lane_;
   std::vector<char> distinct_;
   std::vector<std::uint16_t> res_of_;     // shared: owner's row
   std::vector<std::int32_t> phys_lane_;   // shared: physical node per lane
@@ -2403,14 +2371,7 @@ class Kernel {
   // ---- physical fabric (index = global physical node) ----
   std::vector<char> exec_busy_;
   std::vector<std::vector<std::int32_t>> pending_fire_;
-  // Shared occupancy. Serial chain: link_down[p] is the hop entering
-  // phys p from p-1 (forward network); link_up[p] the hop entering p
-  // from p+1 (reverse). Mesh: one per (phys, obs::LinkDir), walked over
-  // the plan's precomputed X-Y route spans. Ring: one channel per
-  // net::RingService.
-  std::vector<Occupancy> link_down_;
-  std::vector<Occupancy> link_up_;
-  std::vector<Occupancy> mesh_link_;
+  // Shared ring occupancy: one channel per net::RingService.
   std::array<Occupancy, 4> ring_{};
 
   // ---- calendar ----

@@ -5,13 +5,16 @@
 // Where sim::Engine simulates exactly one method per run, a MultiEngine
 // admits any number of independently-anchored residencies into a single
 // (tick, seq) event calendar. Every token bundle carries its owner's
-// residency-table row in its 16-byte calendar slot, node lanes are
-// offset per-residency into one shared struct-of-arrays image, and the
-// physical fabric's transport is genuinely shared: serial-chain links,
-// mesh links, and the four memory/GPP ring channels are occupancy-
-// tracked, so co-resident flows contend for them (a token never waits
-// on its own residency's traffic — single-method timing is exactly the
-// uncontended case).
+// residency-table row in its 16-byte calendar slot, and node lanes are
+// offset per-residency into one shared struct-of-arrays image.
+// Residencies are row-private: admit() refuses one whose fabric rows
+// meet those of a residency that has not finished. A residency's serial
+// chain segment and X-Y mesh routes stay inside its rows, so serial and
+// mesh transit is the solo closed form, and co-resident flows contend
+// only for the four memory/GPP ring channels (occupancy-tracked; a
+// request never waits on its own residency's traffic) and for execution
+// units (a finished residency's in-flight execution still holds its
+// node's unit). Single-method timing is exactly the uncontended case.
 //
 // Plans stay shareable between residencies of one method: a residency
 // is (plan, phys_delta) where the delta is a whole-row physical shift
@@ -20,7 +23,8 @@
 // odd rows for *both* endpoints of any route — Manhattan mesh
 // distances, so one pre-lowered ExecPlan prices every aligned residency
 // (docs/SERVING.md has the full argument). Unaligned placements get a
-// dedicated plan with phys_delta 0.
+// dedicated plan with phys_delta 0; its rows start at row 0, where its
+// bundle enters.
 //
 // Lifecycle (docs/SERVING.md "Residency lifecycle"): admit -> run ->
 // finish -> drain -> reclaim. Once a residency has finished and the
@@ -37,8 +41,9 @@
 // MultiEngine runs the shared instantiation of the one execution kernel
 // (sim/kernel.hpp); sim::Engine runs its solo instantiation. Single-
 // resident parity (tests/test_serve.cpp): one residency at phys_delta 0
-// reproduces Engine::run's RunMetrics field for field, because an
-// uncontended residency's transit is exactly the solo closed form.
+// reproduces Engine::run's RunMetrics field for field, because the two
+// share the closed-form transit and a lone residency never waits on a
+// ring channel.
 #pragma once
 
 #include <cstdint>
@@ -69,10 +74,8 @@ struct ResidentOutcome {
   RunMetrics metrics;
   std::int64_t admitted_tick = 0;
   std::int64_t completed_tick = -1;  // -1 if timed out / never finished
-  // Ticks this residency's tokens spent queued behind *other*
-  // residencies' traffic, by shared resource.
-  std::int64_t serial_wait_ticks = 0;
-  std::int64_t mesh_wait_ticks = 0;
+  // Ticks this residency's ring requests spent queued behind *other*
+  // residencies' ring traffic.
   std::int64_t ring_wait_ticks = 0;
 };
 
@@ -88,9 +91,7 @@ struct MultiRunMetrics {
   // — ticks_res_2plus > 0 is the superposition witness (Chapter 8).
   std::int64_t ticks_res_1plus = 0;
   std::int64_t ticks_res_2plus = 0;
-  // Cross-residency contention totals (sums of the per-resident waits).
-  std::int64_t serial_wait_ticks = 0;
-  std::int64_t mesh_wait_ticks = 0;
+  // Cross-residency ring contention (the sum of the per-resident waits).
   std::int64_t ring_wait_ticks = 0;
 };
 
