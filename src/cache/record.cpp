@@ -56,9 +56,11 @@ sim::RunMetrics read_metrics(Reader& r) {
 bool deserialize_impl(std::string_view bytes, bool check_fingerprint,
                       std::uint32_t expected_fingerprint,
                       MethodRecord& out) {
-  // Trailer first: an 8-byte digest of everything before it. Any
+  // The header's version first: it names the trailer's algorithm.
+  if (record_format_version(bytes) != kRecordFormatVersion) return false;
+  // Then the trailer: an 8-byte digest of everything before it. Any
   // flipped/missing byte anywhere in the file fails here.
-  if (bytes.size() < 8) return false;
+  if (bytes.size() < 16) return false;
   const std::string_view body = bytes.substr(0, bytes.size() - 8);
   if (Reader(bytes.substr(bytes.size() - 8)).u64() != trailer(body)) {
     return false;
@@ -66,9 +68,8 @@ bool deserialize_impl(std::string_view bytes, bool check_fingerprint,
 
   // Parse straight into `out`, so a lane that loads record after record
   // reuses its cell vector's capacity; on failure `out` is unspecified.
-  Reader r(body);
-  if (r.u32() != kMagic) return false;
-  if (r.u32() != kRecordFormatVersion) return false;
+  const std::string_view fields = body.substr(8);  // past the header
+  Reader r(fields);
   out.fingerprint = r.u32();
   if (!r.ok()) return false;
   if (check_fingerprint && out.fingerprint != expected_fingerprint) {
@@ -93,7 +94,7 @@ bool deserialize_impl(std::string_view bytes, bool check_fingerprint,
   }
   // Trailing garbage between the last cell and the trailer is an
   // anomaly too.
-  return r.pos() == body.size();
+  return r.pos() == fields.size();
 }
 
 }  // namespace
@@ -127,6 +128,14 @@ bool deserialize_record(std::string_view bytes,
 bool deserialize_record_any_fingerprint(std::string_view bytes,
                                         MethodRecord& out) {
   return deserialize_impl(bytes, /*check_fingerprint=*/false, 0, out);
+}
+
+std::optional<std::uint32_t> record_format_version(std::string_view bytes) {
+  Reader r(bytes);
+  if (r.u32() != kMagic) return std::nullopt;
+  const std::uint32_t version = r.u32();
+  if (!r.ok()) return std::nullopt;
+  return version;
 }
 
 }  // namespace javaflow::cache

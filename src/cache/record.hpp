@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,8 +25,7 @@ namespace javaflow::cache {
 
 // Current on-disk format version. Bump on any layout or trailer change;
 // old files then deserialize to "no record" and are rewritten on the next
-// store (version 1 files, with an FNV-1a 64 trailer, fail the trailer
-// check).
+// store (version 1 files carry an FNV-1a 64 trailer).
 inline constexpr std::uint32_t kRecordFormatVersion = 2;
 
 // One cached sweep cell: the full cell key (cache/key.hpp) and every
@@ -61,5 +61,11 @@ bool deserialize_record(std::string_view bytes,
 // want to *count* stale records). Still validates everything else.
 bool deserialize_record_any_fingerprint(std::string_view bytes,
                                         MethodRecord& out);
+
+// The format version a record's header names, or nullopt when `bytes`
+// does not start with the record magic and a version. It is read before
+// the trailer, whose algorithm the version selects, so a record of
+// another format is told apart from a damaged one.
+std::optional<std::uint32_t> record_format_version(std::string_view bytes);
 
 }  // namespace javaflow::cache

@@ -178,10 +178,15 @@ void CacheStore::walk(
         ::open(entry.path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
     if (fd >= 0) {
       const std::optional<std::string_view> data = read_record_file(fd);
-      if (data.has_value() &&
-          deserialize_record_any_fingerprint(*data, entry.record)) {
-        entry.valid = true;
-        entry.current = entry.record.fingerprint == fingerprint;
+      if (data.has_value()) {
+        const std::optional<std::uint32_t> version =
+            record_format_version(*data);
+        if (version.has_value() && *version != kRecordFormatVersion) {
+          entry.valid = true;  // another format: stale, not corrupt
+        } else if (deserialize_record_any_fingerprint(*data, entry.record)) {
+          entry.valid = true;
+          entry.current = entry.record.fingerprint == fingerprint;
+        }
       }
     }
     visit(entry);

@@ -72,9 +72,12 @@ class CacheStore {
   struct WalkEntry {
     std::string path;
     std::uintmax_t bytes = 0;
-    bool valid = false;    // parsed and checksummed OK
-    bool current = false;  // valid && fingerprint == the walk's
-    MethodRecord record;   // populated when valid
+    // A record: of this format, parsed and checksummed OK, or of another
+    // format version, known by its header alone (its trailer is that
+    // version's).
+    bool valid = false;
+    bool current = false;  // this format and the walk's fingerprint
+    MethodRecord record;   // populated for a record of this format
   };
 
   // Visits every regular *.jfc file under the store in sorted path
@@ -86,7 +89,8 @@ class CacheStore {
     std::uintmax_t files = 0;
     std::uintmax_t bytes = 0;
     std::uintmax_t cells = 0;        // across current records
-    std::uintmax_t stale_files = 0;  // valid, wrong fingerprint
+    // Valid, of another format version or engine fingerprint.
+    std::uintmax_t stale_files = 0;
     std::uintmax_t corrupt_files = 0;
   };
   Stats stats(std::uint32_t fingerprint) const;

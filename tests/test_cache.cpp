@@ -358,8 +358,9 @@ TEST(CacheRecord, StaleFingerprintIsAMissButStillWellFormed) {
 }
 
 // A record in the previous format (version 1, FNV-1a 64 trailer) reads
-// as a miss. It fails the trailer check, so the walk counts it corrupt
-// and prune removes it.
+// as a miss. Its header names the other version before any trailer is
+// checked, so the walk counts it stale, not corrupt, and prune removes
+// it.
 TEST(CacheRecord, PreviousFormatIsAMissAndPruned) {
   std::string bytes = cache::serialize_record(sample_record());
   bytes.resize(bytes.size() - 8);
@@ -380,9 +381,12 @@ TEST(CacheRecord, PreviousFormatIsAMissAndPruned) {
   std::filesystem::create_directories(std::filesystem::path(path).parent_path());
   std::ofstream(path, std::ios::binary) << bytes;
   EXPECT_FALSE(store.load(key, cache::kEngineFingerprint, out));
+  EXPECT_EQ(cache::record_format_version(bytes),
+            std::optional<std::uint32_t>(1));
   const cache::CacheStore::Stats s = store.stats(cache::kEngineFingerprint);
   EXPECT_EQ(s.files, 1u);
-  EXPECT_EQ(s.corrupt_files, 1u);
+  EXPECT_EQ(s.stale_files, 1u);
+  EXPECT_EQ(s.corrupt_files, 0u);
   EXPECT_EQ(store.prune(cache::kEngineFingerprint), 1u);
   EXPECT_FALSE(std::filesystem::exists(path));
 }
