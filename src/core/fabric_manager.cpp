@@ -1,6 +1,7 @@
 #include "core/fabric_manager.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "fabric/dataflow_graph.hpp"
 
@@ -44,7 +45,10 @@ std::optional<std::int32_t> FabricManager::first_free_row(
     std::int32_t span) const {
   const std::int64_t row = row_slots();
   const std::int64_t covered = (span + row - 1) / row * row;
-  for (std::int64_t base = 0; base + span <= config_.capacity; base += row) {
+  // Whole rows that keep the layout's slot types in place.
+  const std::int64_t step =
+      std::lcm(row, std::int64_t{fabric_.pattern_period()});
+  for (std::int64_t base = 0; base + span <= config_.capacity; base += step) {
     // Every slot of every row the span touches, up to the fabric's end.
     const auto first = occupied_.begin() + base;
     const auto last =

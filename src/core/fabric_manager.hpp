@@ -102,8 +102,9 @@ class FabricManager {
   // First slot of the lowest run of whole free rows that holds `span`
   // slots from its first row's start, or nullopt when there is none. A
   // row is idus_per_node × width slots, the shift that lets a placement
-  // share its method's canonical plan: every Table 15 layout repeats
-  // row by row, so load(m, pool, *first_free_row(span)) places the
+  // share its method's canonical plan. The search steps by as many whole
+  // rows as the layout's slot pattern needs to repeat (one on every
+  // Table 15 config), so load(m, pool, *first_free_row(span)) places the
   // canonical layout shifted by whole rows and shares its plan. Every
   // row the span touches must be free, not just the span, so a resident
   // placed here shares no row with another resident.

@@ -47,6 +47,9 @@ class Fabric {
   // Homogeneous slots (Compact/Collapsed) host anything.
   bool slot_accepts(std::int32_t slot, bytecode::NodeType type) const;
   bytecode::NodeType slot_type(std::int32_t slot) const;
+  // Slots after which the slot types repeat: a placement shifted by a
+  // multiple of it is valid wherever its slots are free.
+  std::int32_t pattern_period() const noexcept;
 
  private:
   FabricOptions options_;

@@ -386,5 +386,29 @@ TEST(FabricManager, FirstFreeRowFindsTheLowestAlignedGap) {
   EXPECT_EQ(mgr.first_free_row(*span), std::optional<std::int32_t>(2 * row));
 }
 
+// The search steps by whole rows that keep the layout's slot types in
+// place. On a 12-wide heterogeneous fabric the 10-slot pattern repeats
+// every 60 slots (five rows), so the second resident goes there, not to
+// row 4, where the canonical layout would not fit the slot types.
+TEST(FabricManager, FirstFreeRowKeepsTheSlotPattern) {
+  Program p;
+  p.methods.push_back(make_loop(p, "m.a(I)I"));
+  p.methods.push_back(make_loop(p, "m.b(I)I"));
+  sim::MachineConfig cfg = sim::config_by_name("Hetero2");
+  cfg.width = 12;
+  FabricManager mgr(cfg);
+  const auto span = mgr.canonical_span(p.methods[0], p.pool);
+  ASSERT_TRUE(span.has_value());
+  ASSERT_LE(*span, 48);  // rows 0-3 at most
+  const auto a = mgr.load(p.methods[0], p.pool, *mgr.first_free_row(*span));
+  ASSERT_TRUE(a.has_value());
+  EXPECT_EQ(mgr.first_free_row(*span), std::optional<std::int32_t>(60));
+  const auto b = mgr.load(p.methods[1], p.pool, 60);
+  ASSERT_TRUE(b.has_value());
+  EXPECT_TRUE(mgr.find(*b)->plan_shared);
+  EXPECT_EQ(mgr.find(*b)->phys_delta, 60);
+  EXPECT_EQ(mgr.plans_lowered(), 0);
+}
+
 }  // namespace
 }  // namespace javaflow
