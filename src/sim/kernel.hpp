@@ -622,8 +622,8 @@ class Kernel {
     for (std::int32_t i = 0; i < r.count; ++i) {
       const auto u = static_cast<std::size_t>(r.base + i);
       fwd_[u] = r.base + i + 1;
-      lane_[u] = {plan.local_reg()[i], plan.flags()[i]};
       if constexpr (kShared) {
+        lane_[u] = {plan.local_reg()[i], plan.flags()[i]};
         phys_lane_[u] = plan.phys()[i] + phys_delta;
         res_of_[u] = r.row;
       }
@@ -761,8 +761,7 @@ class Kernel {
     state_.assign(nn, 0);
     pops_.assign(nn, 0);
     epoch_.assign(nn, 0);
-    fwd_.resize(nn);  // add_resident() fills it and lane_
-    lane_.resize(nn);
+    fwd_.resize(nn);  // add_resident() fills it
     distinct_.assign(nn, 0);
     const auto np = static_cast<std::size_t>(plan.max_phys() + 1);
     exec_busy_.assign(np, 0);
@@ -978,7 +977,7 @@ class Kernel {
                                                        const Slot& ev) {
     if (ev.kind() != EvKind::Serial) return false;
     const Token tok{ev.cmd, ev.aux};
-    if (!passes_untouched(ev.node, tok)) return false;
+    if (!passes_untouched(r, ev.node, tok)) return false;
     pass_through(r, ev.node, tok);
     return true;
   }
@@ -1093,14 +1092,25 @@ class Kernel {
   // forward it one lane on without reading or changing any node state.
   // That is a REGISTER token at a node that neither buffers tokens nor
   // reads or writes that register, or a MEMORY token at a node that
-  // neither buffers tokens nor orders storage.
-  bool passes_untouched(std::int32_t g, Token tok) const {
-    const Lane& lane = lane_[static_cast<std::size_t>(g)];
-    const std::uint8_t f = lane.flags;
+  // neither buffers tokens nor orders storage. The shared kernel reads
+  // the lane's descriptor; the solo kernel's lanes are its plan's, and
+  // reading a per-run copy made the solo sweep about 13 % slower.
+  bool passes_untouched(const ResidentRt& r, std::int32_t g,
+                        Token tok) const {
+    std::uint8_t f = 0;
+    std::int32_t reg = -1;
+    if constexpr (kShared) {
+      const Lane& lane = lane_[static_cast<std::size_t>(g)];
+      f = lane.flags;
+      reg = lane.local_reg;
+    } else {
+      f = r.flags[g];
+      reg = r.local_reg[g];
+    }
     switch (tok.cmd) {
       case net::Command::RegisterToken:
         return (f & kPlanBuffers) == 0 &&
-               ((f & kPlanLocal) == 0 || lane.local_reg != tok.reg);
+               ((f & kPlanLocal) == 0 || reg != tok.reg);
       case net::Command::MemoryToken:
         return (f & (kPlanBuffers | kPlanOrdered)) == 0;
       default:
@@ -1203,7 +1213,7 @@ class Kernel {
       tr()->record({now_, obs::TraceEventKind::TokenDeliver, g, phys_of(r, g),
                     static_cast<std::uint8_t>(tok.cmd), 0});
     }
-    if (passes_untouched(g, tok)) {
+    if (passes_untouched(r, g, tok)) {
       pass_through(r, g, tok);
       return;
     }
@@ -2350,9 +2360,9 @@ class Kernel {
   std::vector<std::int32_t> epoch_;
   std::vector<std::int32_t> fwd_;  // serial forward target (g + 1 until a
                                    // forward branch fires)
-  // What passes_untouched() reads of a node, copied from its plan by
-  // add_resident(): the drain loop's pass-through test touches one lane
-  // array, not the residency's plan.
+  // Shared: what passes_untouched() reads of a node, copied from its
+  // plan by add_resident(), so the drain loop's pass-through test touches
+  // one lane array, not the residency's plan.
   struct Lane {
     std::int32_t local_reg = -1;
     std::uint8_t flags = 0;
