@@ -1274,13 +1274,11 @@ TEST(FabricServe, KernelStreamMatchesPinnedDigestsOnEveryConfig) {
 }
 
 // A dense Hetero2 stream (300 requests, a request every 24 ticks on
-// average, the queue 143 deep at its peak, 12 evictions), pinned. It
-// used to pin reclaim-after-drain: greedy packing let one residency's
-// TAIL overtake its own REGISTER token under contention, so it completed
-// with the token in flight. Row-private placement removed that overtaking,
-// and reclaiming at completion no longer moves this digest;
+// average, the queue 143 deep at its peak, 12 evictions), pinned.
+// Reclaiming a residency at completion instead of after its last event
+// drains leaves this digest unchanged, so
 // MultiEngineRows.AdmitRefusesRowsOfAnUnfinishedResidency pins
-// reclaim-after-drain instead.
+// reclaim-after-drain.
 TEST(FabricServe, DenseHetero2StreamMatchesPinnedDigest) {
   const workloads::Corpus kernels =
       workloads::make_corpus({/*seed=*/20141215, /*total_methods=*/0});
