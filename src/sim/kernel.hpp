@@ -623,7 +623,6 @@ class Kernel {
       const auto u = static_cast<std::size_t>(r.base + i);
       fwd_[u] = r.base + i + 1;
       if constexpr (kShared) {
-        lane_[u] = {plan.local_reg()[i], plan.flags()[i]};
         phys_lane_[u] = plan.phys()[i] + phys_delta;
         res_of_[u] = r.row;
       }
@@ -663,7 +662,7 @@ class Kernel {
   // The first lane of a `count`-lane window: a reclaimed window of
   // exactly that size, reset to a fresh residency's state (each node
   // keeps its operand buffer's capacity), or new zeroed lanes at the
-  // end. fwd_, lane_, phys_lane_ and res_of_ are the caller's to fill.
+  // end. fwd_, phys_lane_ and res_of_ are the caller's to fill.
   std::int32_t take_window(std::int32_t count) {
     std::vector<std::int32_t>& spare = free_windows_[count];
     if (spare.empty()) {
@@ -674,7 +673,6 @@ class Kernel {
       pops_.resize(end, 0);
       epoch_.resize(end, 0);
       fwd_.resize(end);
-      lane_.resize(end);
       distinct_.resize(end, 0);
       res_of_.resize(end);
       phys_lane_.resize(end);
@@ -1092,25 +1090,15 @@ class Kernel {
   // forward it one lane on without reading or changing any node state.
   // That is a REGISTER token at a node that neither buffers tokens nor
   // reads or writes that register, or a MEMORY token at a node that
-  // neither buffers tokens nor orders storage. The shared kernel reads
-  // the lane's descriptor; the solo kernel's lanes are its plan's, and
-  // reading a per-run copy made the solo sweep about 13 % slower.
+  // neither buffers tokens nor orders storage.
   bool passes_untouched(const ResidentRt& r, std::int32_t g,
                         Token tok) const {
-    std::uint8_t f = 0;
-    std::int32_t reg = -1;
-    if constexpr (kShared) {
-      const Lane& lane = lane_[static_cast<std::size_t>(g)];
-      f = lane.flags;
-      reg = lane.local_reg;
-    } else {
-      f = r.flags[g];
-      reg = r.local_reg[g];
-    }
+    const std::int32_t l = local(r, g);
+    const std::uint8_t f = r.flags[l];
     switch (tok.cmd) {
       case net::Command::RegisterToken:
         return (f & kPlanBuffers) == 0 &&
-               ((f & kPlanLocal) == 0 || reg != tok.reg);
+               ((f & kPlanLocal) == 0 || r.local_reg[l] != tok.reg);
       case net::Command::MemoryToken:
         return (f & (kPlanBuffers | kPlanOrdered)) == 0;
       default:
@@ -2360,14 +2348,6 @@ class Kernel {
   std::vector<std::int32_t> epoch_;
   std::vector<std::int32_t> fwd_;  // serial forward target (g + 1 until a
                                    // forward branch fires)
-  // Shared: what passes_untouched() reads of a node, copied from its
-  // plan by add_resident(), so the drain loop's pass-through test touches
-  // one lane array, not the residency's plan.
-  struct Lane {
-    std::int32_t local_reg = -1;
-    std::uint8_t flags = 0;
-  };
-  std::vector<Lane> lane_;
   std::vector<char> distinct_;
   std::vector<std::uint16_t> res_of_;     // shared: owner's row
   std::vector<std::int32_t> phys_lane_;   // shared: physical node per lane
