@@ -1203,6 +1203,57 @@ TEST(FabricServe, NoStrandingUnderFabricPressure) {
   }
 }
 
+// Serving's stranded path without any link contention. On a Hetero2
+// fabric 7 wide instead of 10, the §6.3 token semantics leave one kernel
+// unable to finish even alone (ROADMAP item 2): its calendar drains with
+// the run still going. Served, the calendar drains with that residency
+// still running, so it ends timed out, never completed, and the outcomes
+// still partition the stream.
+TEST(FabricServe, StrandedResidencyOnANarrowMeshEndsTimedOut) {
+  const workloads::Corpus kernels =
+      workloads::make_corpus({/*seed=*/20141215, /*total_methods=*/0});
+  const Program& p = kernels.program;
+  sim::MachineConfig cfg = sim::config_by_name("Hetero2");
+  cfg.width = 7;
+  serve::RequestStreamOptions stream;
+  stream.num_requests = 96;
+  stream.hot_fraction_256 = 0;
+  const serve::ServeReport rep = serve::serve(p, all_methods(p), cfg, stream);
+  EXPECT_EQ(rep.timed_out, 1);
+  EXPECT_EQ(rep.completed, 95);
+  EXPECT_EQ(rep.serial_wait_ticks, 0);
+  EXPECT_EQ(rep.mesh_wait_ticks, 0);
+  EXPECT_EQ(rep.requests, rep.completed + rep.rejected + rep.timed_out);
+
+  const auto requests =
+      serve::make_request_stream(static_cast<std::int32_t>(p.methods.size()),
+                                 stream);
+  std::int64_t stranded = 0;
+  for (const serve::RequestOutcome& o : rep.outcomes) {
+    if (!o.timed_out) continue;
+    ++stranded;
+    EXPECT_FALSE(o.completed);
+    EXPECT_FALSE(o.rejected);
+    EXPECT_EQ(o.completed_tick, -1);
+    EXPECT_EQ(o.latency_ticks, -1);
+    EXPECT_GE(o.admitted_tick, o.arrival_tick);
+    EXPECT_TRUE(o.metrics.timed_out);
+    EXPECT_FALSE(o.metrics.completed);
+    const bytecode::Method& m =
+        p.methods[static_cast<std::size_t>(o.method_index)];
+    EXPECT_EQ(m.name, "scimark.fft.FFT.transform_internal(AI)V");
+    // Alone on the same fabric, the method never finishes either.
+    const ExecPlan plan = ExecPlanBuilder().build(
+        m, fabric::build_dataflow_graph(m, p.pool), nullptr, cfg);
+    const RunMetrics alone = single_run(
+        cfg, m, plan,
+        requests[static_cast<std::size_t>(o.request_id)].scenario);
+    EXPECT_FALSE(alone.completed);
+    EXPECT_FALSE(alone.timed_out);
+  }
+  EXPECT_EQ(stranded, 1);
+}
+
 // A 70,000-request stream on one fabric, more than the 65,535 rows a
 // calendar slot can name: every request completes, none is reported
 // "rejected" although it fits, and a rerun is bit-identical. A sparse
