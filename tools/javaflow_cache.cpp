@@ -162,7 +162,8 @@ int main(int argc, char** argv) {
     std::printf("record files:    %ju\n", s.files);
     std::printf("bytes:           %ju\n", s.bytes);
     std::printf("cells:           %ju\n", s.cells);
-    std::printf("stale records:   %ju (other engine fingerprints)\n",
+    std::printf("stale records:   %ju (other format versions or engine "
+                "fingerprints)\n",
                 s.stale_files);
     std::printf("corrupt records: %ju\n", s.corrupt_files);
     return 0;
